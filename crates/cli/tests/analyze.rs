@@ -8,7 +8,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn measured_jsonl(dir: &std::path::Path) -> PathBuf {
+/// Writes the measured fixture to `dir/name`. Tests run concurrently,
+/// so each passes a name of its own.
+fn measured_jsonl(dir: &std::path::Path, name: &str) -> PathBuf {
     let cfg = ppa::experiments::experiment_config();
     let mut b = ProgramBuilder::new("analyze-e2e");
     let v = b.sync_var();
@@ -23,7 +25,7 @@ fn measured_jsonl(dir: &std::path::Path) -> PathBuf {
         .expect("valid workload");
     let measured = run_measured(&program, &InstrumentationPlan::full_with_sync(), &cfg)
         .expect("valid program");
-    let path = dir.join("measured.jsonl");
+    let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured.jsonl");
     ppa::trace::write_jsonl(&measured.trace, file).expect("write measured.jsonl");
     path
@@ -40,7 +42,7 @@ fn ppa_analyze(args: &[&str]) -> Output {
 #[test]
 fn analyze_stream_matches_batch() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "stream_batch_in.jsonl");
     let input = input.to_str().unwrap();
     let out_stream = dir.join("approx_stream.jsonl");
     let out_batch = dir.join("approx_batch.jsonl");
@@ -80,7 +82,7 @@ fn analyze_reports_usage_errors_with_exit_64() {
 #[test]
 fn analyze_decode_workers_accepts_valid_and_rejects_absurd() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "decode_workers_in.jsonl");
     let bin = dir.join("decode_workers.bin");
     let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
         .args([
@@ -127,7 +129,7 @@ fn analyze_decode_workers_accepts_valid_and_rejects_absurd() {
 #[test]
 fn analyze_reports_malformed_line_with_exit_65() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "malformed_in.jsonl");
     let mut bytes = fs::read(&input).expect("read measured.jsonl");
     let first_nl = bytes.iter().position(|&b| b == b'\n').unwrap();
     bytes.splice(first_nl + 1..first_nl + 1, b"{not json}\n".iter().copied());
@@ -148,7 +150,7 @@ fn analyze_reports_malformed_line_with_exit_65() {
 #[test]
 fn analyze_reports_truncated_input_with_exit_65() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "truncated_in.jsonl");
     let bytes = fs::read(&input).expect("read measured.jsonl");
     let newlines: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
     let cut = dir.join("truncated.jsonl");
@@ -168,7 +170,7 @@ fn analyze_reports_truncated_input_with_exit_65() {
 #[test]
 fn analyze_stream_exports_prometheus_metrics() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "snap_prom_in.jsonl");
     let snap = dir.join("snap.prom");
     let out = ppa_analyze(&[
         input.to_str().unwrap(),
@@ -206,7 +208,7 @@ fn analyze_stream_exports_prometheus_metrics() {
 #[test]
 fn analyze_stream_exports_json_metrics() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "snap_json_in.jsonl");
     let snap = dir.join("snap.json");
     let out = ppa_analyze(&[
         input.to_str().unwrap(),
@@ -236,7 +238,7 @@ fn analyze_stream_exports_json_metrics() {
 #[test]
 fn analyze_self_trace_dogfoods_through_analyze_and_check() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "self_trace_in.jsonl");
     for name in ["self_trace.jsonl", "self_trace.bin"] {
         let st = dir.join(name);
         let st = st.to_str().unwrap();
@@ -269,7 +271,7 @@ fn analyze_self_trace_dogfoods_through_analyze_and_check() {
 #[test]
 fn analyze_self_trace_chrome_export_parses() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "self_trace_chrome_in.jsonl");
     let chrome = dir.join("self_trace_chrome.json");
     let out = ppa_analyze(&[
         input.to_str().unwrap(),

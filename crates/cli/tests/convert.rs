@@ -10,7 +10,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn measured_jsonl(dir: &std::path::Path) -> PathBuf {
+/// Writes the measured fixture to `dir/name`. Tests run concurrently,
+/// so each passes a name of its own.
+fn measured_jsonl(dir: &std::path::Path, name: &str) -> PathBuf {
     let cfg = ppa::experiments::experiment_config();
     let mut b = ProgramBuilder::new("convert-e2e");
     let v = b.sync_var();
@@ -25,7 +27,7 @@ fn measured_jsonl(dir: &std::path::Path) -> PathBuf {
         .expect("valid workload");
     let measured = run_measured(&program, &InstrumentationPlan::full_with_sync(), &cfg)
         .expect("valid program");
-    let path = dir.join("convert_measured.jsonl");
+    let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured.jsonl");
     ppa::trace::write_jsonl(&measured.trace, file).expect("write measured.jsonl");
     path
@@ -42,7 +44,7 @@ fn ppa_cmd(sub: &str, args: &[&str]) -> Output {
 #[test]
 fn convert_round_trip_is_byte_identical() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "rt_in.jsonl");
     let bin = dir.join("rt.bin");
     let back = dir.join("rt.jsonl");
 
@@ -91,7 +93,7 @@ fn convert_round_trip_is_byte_identical() {
 #[test]
 fn convert_respects_block_events() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "small_blocks_in.jsonl");
     let bin = dir.join("small_blocks.bin");
     let out = ppa_cmd(
         "convert",
@@ -138,7 +140,7 @@ fn convert_maps_input_errors_onto_sysexits() {
     assert_eq!(out.status.code(), Some(66));
 
     // A corrupted binary block is bad data: exit 65, with the block index.
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "corrupt_in.jsonl");
     let bin = dir.join("corrupt_src.bin");
     let out = ppa_cmd(
         "convert",
@@ -175,7 +177,7 @@ fn convert_maps_input_errors_onto_sysexits() {
 #[test]
 fn analyze_accepts_both_formats_with_identical_output() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "analyze_src_in.jsonl");
     let bin = dir.join("analyze_src.bin");
     let out = ppa_cmd(
         "convert",
@@ -215,7 +217,7 @@ fn analyze_accepts_both_formats_with_identical_output() {
 #[test]
 fn analyze_writes_binary_output_on_request() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "approx_fmt_in.jsonl");
     let approx_jl = dir.join("approx_fmt.jsonl");
     let approx_bin = dir.join("approx_fmt.bin");
 
@@ -248,7 +250,7 @@ fn analyze_writes_binary_output_on_request() {
 #[test]
 fn convert_refuses_to_overwrite_without_force() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir);
+    let input = measured_jsonl(&dir, "precious_in.jsonl");
     let target = dir.join("precious.bin");
 
     let out = ppa_cmd(

@@ -255,6 +255,57 @@ fn lenient_jsonl_loses_exactly_the_wrecked_line() {
     assert!(stdout.contains("malformed-line"), "stdout: {stdout}");
 }
 
+/// Bytes that are not UTF-8 on one line are that line's problem: bad
+/// data (exit 65, line number) when strict, a one-event gap counted in
+/// `ppa_stream_parse_errors_total` when lenient — never an I/O error.
+#[test]
+fn non_utf8_jsonl_line_is_bad_data_not_an_io_error() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "non_utf8_measured.jsonl", 64);
+    let mut bytes = fs::read(&input).expect("read measured");
+    let newlines: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+    // Third event line (the header is line 1, so this is line 4).
+    bytes[newlines[2] + 10] = 0xff;
+    let bad = dir.join("non_utf8_bad.jsonl");
+    fs::write(&bad, &bytes).expect("write wrecked");
+
+    for extra in [&[][..], &["--stream"][..]] {
+        let mut args = vec![bad.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = ppa_cmd("analyze", &args);
+        assert_eq!(out.status.code(), Some(65), "{:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 4"), "stderr: {stderr}");
+    }
+
+    let snap = dir.join("non_utf8_snap.prom");
+    let out = ppa_cmd(
+        "analyze",
+        &[
+            bad.to_str().unwrap(),
+            "--stream",
+            "--lenient",
+            "--metrics-out",
+            snap.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{:?}", out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("decode gaps: 1 gap(s), 1 event(s) lost"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("malformed-line"), "stdout: {stdout}");
+    #[cfg(feature = "obs")]
+    {
+        let text = fs::read_to_string(&snap).expect("read snapshot");
+        assert!(
+            text.contains("ppa_stream_parse_errors_total{dir=\"read\"} 1"),
+            "snapshot:\n{text}"
+        );
+    }
+}
+
 #[test]
 fn reorder_window_absorbs_almost_sorted_input() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));

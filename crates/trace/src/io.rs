@@ -4,10 +4,10 @@
 //! header line carrying the trace kind); CSV is a flat export for plotting
 //! tools. Writers accept any `io::Write` and buffer internally.
 
-use crate::event::Event;
+use crate::stream::{TraceStreamReader, TraceStreamWriter};
 use crate::trace::{Trace, TraceKind};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 
 #[derive(Serialize, Deserialize)]
 pub(crate) struct Header {
@@ -56,64 +56,24 @@ impl From<io::Error> for IoError {
     }
 }
 
-/// Writes a trace as JSONL: a header line, then one event per line.
+/// Writes a trace as JSONL: a header line, then one event per line
+/// (a [`TraceStreamWriter`] fed the whole trace).
 pub fn write_jsonl<W: Write>(trace: &Trace, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    let header = Header {
-        format: FORMAT_NAME.to_string(),
-        kind: trace.kind(),
-        events: trace.len(),
-    };
-    serde_json::to_writer(&mut w, &header).map_err(|e| IoError::Parse {
-        line: 0,
-        message: e.to_string(),
-    })?;
-    w.write_all(b"\n")?;
+    let mut w = TraceStreamWriter::new(writer, trace.kind(), trace.len())?;
     for e in trace.iter() {
-        serde_json::to_writer(&mut w, e).map_err(|err| IoError::Parse {
-            line: 0,
-            message: err.to_string(),
-        })?;
-        w.write_all(b"\n")?;
+        w.write_event(e)?;
     }
-    w.flush()?;
+    w.finish()?.flush()?;
     Ok(())
 }
 
-/// Reads a JSONL trace written by [`write_jsonl`].
+/// Reads a JSONL trace written by [`write_jsonl`] (a
+/// [`TraceStreamReader`] collected).
 pub fn read_jsonl<R: Read>(reader: R) -> Result<Trace, IoError> {
-    let mut lines = BufReader::new(reader).lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| IoError::BadHeader("empty input".to_string()))??;
-    let header: Header =
-        serde_json::from_str(&header_line).map_err(|e| IoError::BadHeader(e.to_string()))?;
-    if header.format != FORMAT_NAME {
-        return Err(IoError::BadHeader(format!(
-            "unknown format {:?}",
-            header.format
-        )));
-    }
-
-    let mut events = Vec::with_capacity(header.events);
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event: Event = serde_json::from_str(&line).map_err(|e| IoError::Parse {
-            line: i + 2,
-            message: e.to_string(),
-        })?;
-        events.push(event);
-    }
-    if header.events > 0 && events.len() < header.events {
-        return Err(IoError::Truncated {
-            expected: header.events,
-            got: events.len(),
-        });
-    }
-    Ok(Trace::from_events(header.kind, events))
+    let r = TraceStreamReader::new(reader)?;
+    let kind = r.kind();
+    let events = r.collect::<Result<Vec<_>, _>>()?;
+    Ok(Trace::from_events(kind, events))
 }
 
 /// Writes a flat CSV export: `time_ns,proc,seq,kind,detail`.
@@ -138,7 +98,7 @@ pub fn write_csv<W: Write>(trace: &Trace, writer: W) -> Result<(), IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{Event, EventKind};
     use crate::ids::{ProcessorId, StatementId, SyncTag, SyncVarId};
     use crate::time::Time;
 

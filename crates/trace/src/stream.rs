@@ -6,10 +6,9 @@
 //! a trace never has to fit in memory:
 //!
 //! - [`TraceStreamReader`] iterates the events of a JSONL trace without
-//!   collecting them (the same format, errors, and line numbering as
-//!   [`read_jsonl`](crate::read_jsonl));
-//! - [`TraceStreamWriter`] emits the JSONL format incrementally and
-//!   byte-identically to [`write_jsonl`](crate::write_jsonl);
+//!   collecting them ([`read_jsonl`](crate::read_jsonl) collects it);
+//! - [`TraceStreamWriter`] emits the JSONL format incrementally
+//!   ([`write_jsonl`](crate::write_jsonl) feeds it a whole trace);
 //! - [`split_by_processor`] fans a stream out into one shard per
 //!   processor, holding only the shard writers;
 //! - [`MergedStreams`] performs a k-way merge of sorted event streams
@@ -20,7 +19,9 @@
 //! preserve the total order, and the merge is stable (ties in
 //! [`Event::order_key`] resolve in stream-index order).
 
+use crate::codec::jsonl::{decode_event, decode_terminated, encode_event};
 use crate::event::Event;
+use crate::gap::{GapCause, TraceGap};
 use crate::ids::ProcessorId;
 use crate::io::{Header, IoError, FORMAT_NAME};
 use crate::trace::TraceKind;
@@ -105,6 +106,9 @@ impl StreamProbes {
     }
 }
 
+/// Capacity of the `BufReader`/`BufWriter` under the JSONL stream types.
+const STREAM_BUFFER_BYTES: usize = 64 * 1024;
+
 /// A `Write` adapter that counts bytes into a probe counter.
 pub(crate) struct CountingWriter<W: Write> {
     inner: W,
@@ -137,13 +141,16 @@ impl<W: Write> Write for CountingWriter<W> {
 
 /// Incremental writer for the JSONL trace format.
 ///
-/// Produces output byte-identical to [`write_jsonl`](crate::write_jsonl)
-/// when given the same kind, event count, and events, but needs only the
-/// current event in memory. The header's event count is advisory (readers
+/// [`write_jsonl`](crate::write_jsonl) is this writer fed a whole trace;
+/// the writer itself needs only the current event in memory. Event lines
+/// are the bytes `serde_json::to_string` gives for an [`Event`], written
+/// without going through serde. The header's event count is advisory (readers
 /// use it to pre-size buffers); a writer that cannot know the final count
 /// up front may pass `0`.
 pub struct TraceStreamWriter<W: Write> {
     sink: BufWriter<CountingWriter<W>>,
+    /// Reused buffer for the event line being written.
+    line: Vec<u8>,
     written: usize,
     events: Counter,
 }
@@ -162,7 +169,10 @@ impl<W: Write> TraceStreamWriter<W> {
         events: usize,
         probes: StreamProbes,
     ) -> Result<Self, IoError> {
-        let mut sink = BufWriter::new(CountingWriter::new(writer, probes.bytes));
+        let mut sink = BufWriter::with_capacity(
+            STREAM_BUFFER_BYTES,
+            CountingWriter::new(writer, probes.bytes),
+        );
         let header = Header {
             format: FORMAT_NAME.to_string(),
             kind,
@@ -175,6 +185,7 @@ impl<W: Write> TraceStreamWriter<W> {
         sink.write_all(b"\n")?;
         Ok(TraceStreamWriter {
             sink,
+            line: Vec::new(),
             written: 0,
             events: probes.events,
         })
@@ -182,11 +193,10 @@ impl<W: Write> TraceStreamWriter<W> {
 
     /// Appends one event line.
     pub fn write_event(&mut self, event: &Event) -> Result<(), IoError> {
-        serde_json::to_writer(&mut self.sink, event).map_err(|e| IoError::Parse {
-            line: 0,
-            message: e.to_string(),
-        })?;
-        self.sink.write_all(b"\n")?;
+        self.line.clear();
+        encode_event(event, &mut self.line);
+        self.line.push(b'\n');
+        self.sink.write_all(&self.line)?;
         self.written += 1;
         self.events.inc();
         Ok(())
@@ -200,7 +210,11 @@ impl<W: Write> TraceStreamWriter<W> {
     /// byte-identical to an uninterrupted one.
     pub fn resume_with_probes(writer: W, written: usize, probes: StreamProbes) -> Self {
         TraceStreamWriter {
-            sink: BufWriter::new(CountingWriter::new(writer, probes.bytes)),
+            sink: BufWriter::with_capacity(
+                STREAM_BUFFER_BYTES,
+                CountingWriter::new(writer, probes.bytes),
+            ),
+            line: Vec::new(),
             written,
             events: probes.events,
         }
@@ -232,17 +246,24 @@ impl<W: Write> TraceStreamWriter<W> {
 ///
 /// Parses the header eagerly, then yields one event per call through the
 /// [`Iterator`] implementation — the whole trace never resides in memory.
-/// Accepts exactly what [`read_jsonl`](crate::read_jsonl) accepts: blank
-/// lines are skipped, malformed lines yield [`IoError::Parse`] with the
-/// same 1-based line number, a missing or foreign header yields
-/// [`IoError::BadHeader`], and input that ends before delivering the
-/// header's declared event count yields [`IoError::Truncated`] (headers
-/// with an advisory count of `0` are exempt).
+/// [`read_jsonl`](crate::read_jsonl) is this reader collected: blank
+/// lines are skipped, malformed lines (bytes that are not UTF-8
+/// included) yield [`IoError::Parse`] with their 1-based line number, a
+/// missing or foreign header yields [`IoError::BadHeader`], and input
+/// that ends before delivering the header's declared event count yields
+/// [`IoError::Truncated`] (headers with an advisory count of `0` are
+/// exempt).
+///
+/// A line in the canonical form [`TraceStreamWriter`] prints (see
+/// `codec/jsonl.rs`) is decoded directly; every other line goes to
+/// `serde_json::from_str`, so whitespace, reordered keys and the like
+/// read as they always have and every error message is serde's.
 pub struct TraceStreamReader<R: Read> {
     input: BufReader<R>,
     /// Reused line buffer: one allocation for the whole stream instead of
-    /// a fresh `String` per event.
-    buf: String,
+    /// a fresh one per event. Bytes, not `String`: a line that is not
+    /// UTF-8 is a malformed line, not an I/O failure.
+    buf: Vec<u8>,
     kind: TraceKind,
     expected: usize,
     /// 1-based number of the last line consumed (the header is line 1).
@@ -256,7 +277,7 @@ pub struct TraceStreamReader<R: Read> {
     lenient: bool,
     /// Event lines still to consume without parsing (resume support).
     skip: u64,
-    gaps: Vec<crate::gap::TraceGap>,
+    gaps: Vec<TraceGap>,
     /// Events swallowed by the gaps recorded so far.
     lost: u64,
     probes: StreamProbes,
@@ -267,17 +288,32 @@ pub struct TraceStreamReader<R: Read> {
 /// the raw byte count consumed, `0` at end of input.
 fn read_trimmed_line<R: Read>(
     input: &mut BufReader<R>,
-    buf: &mut String,
+    buf: &mut Vec<u8>,
 ) -> std::io::Result<usize> {
     buf.clear();
-    let n = input.read_line(buf)?;
-    if buf.ends_with('\n') {
+    let n = input.read_until(b'\n', buf)?;
+    if buf.last() == Some(&b'\n') {
         buf.pop();
-        if buf.ends_with('\r') {
+        if buf.last() == Some(&b'\r') {
             buf.pop();
         }
     }
     Ok(n)
+}
+
+/// Whether `line` holds only whitespace (as `str::trim` sees it). A
+/// line that starts an object cannot, which spares event lines the
+/// UTF-8 scan.
+fn is_blank(line: &[u8]) -> bool {
+    line.first() != Some(&b'{')
+        && std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty())
+}
+
+/// Parses one line through serde; the error is its message, or the
+/// UTF-8 decoder's.
+fn from_json_line<T: serde::Deserialize>(line: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
 impl<R: Read> TraceStreamReader<R> {
@@ -289,15 +325,14 @@ impl<R: Read> TraceStreamReader<R> {
     /// Like [`TraceStreamReader::new`], recording bytes, events, and
     /// parse errors into `probes` as the stream is consumed.
     pub fn with_probes(reader: R, probes: StreamProbes) -> Result<Self, IoError> {
-        let mut input = BufReader::new(reader);
-        let mut buf = String::new();
+        let mut input = BufReader::with_capacity(STREAM_BUFFER_BYTES, reader);
+        let mut buf = Vec::new();
         let n = read_trimmed_line(&mut input, &mut buf)?;
         if n == 0 {
             return Err(IoError::BadHeader("empty input".to_string()));
         }
         probes.bytes.add(n as u64);
-        let header: Header =
-            serde_json::from_str(&buf).map_err(|e| IoError::BadHeader(e.to_string()))?;
+        let header: Header = from_json_line(&buf).map_err(IoError::BadHeader)?;
         if header.format != FORMAT_NAME {
             return Err(IoError::BadHeader(format!(
                 "unknown format {:?}",
@@ -330,10 +365,11 @@ impl<R: Read> TraceStreamReader<R> {
         self.expected
     }
 
-    /// Switches the reader into lenient mode: a malformed line is
-    /// recorded as a one-event [`TraceGap`](crate::TraceGap) and skipped,
+    /// Switches the reader into lenient mode: a malformed line (not
+    /// JSON, not an event, not UTF-8) is recorded as a one-event
+    /// [`TraceGap`] and skipped,
     /// and input ending short of the header's declared count records a
-    /// [`GapCause::TruncatedStream`](crate::GapCause::TruncatedStream)
+    /// [`GapCause::TruncatedStream`]
     /// gap instead of erroring. I/O errors remain fatal.
     pub fn set_lenient(&mut self, lenient: bool) {
         self.lenient = lenient;
@@ -349,7 +385,7 @@ impl<R: Read> TraceStreamReader<R> {
     }
 
     /// The gaps lenient decoding has recorded so far.
-    pub fn gaps(&self) -> &[crate::gap::TraceGap] {
+    pub fn gaps(&self) -> &[TraceGap] {
         &self.gaps
     }
 
@@ -358,11 +394,41 @@ impl<R: Read> TraceStreamReader<R> {
         self.lost
     }
 
-    fn record_gap(&mut self, gap: crate::gap::TraceGap) {
-        self.lost += gap.events;
+    /// End of input: if the header promised more events than were
+    /// delivered (or leniently lost), the file was cut off mid-stream.
+    fn end_of_input(&mut self) -> Option<Result<Event, IoError>> {
+        let accounted = self.seen + self.lost as usize;
+        if self.expected == 0 || accounted >= self.expected {
+            return None;
+        }
+        self.failed = true;
+        self.probes.parse_errors.inc();
+        if self.lenient {
+            let missing = (self.expected - accounted) as u64;
+            self.record_gap(self.line + 1, missing, GapCause::TruncatedStream);
+            return None;
+        }
+        Some(Err(IoError::Truncated {
+            expected: self.expected,
+            got: self.seen,
+        }))
+    }
+
+    /// Records `events` lost at `line`. JSONL has no framing to say
+    /// which sequence numbers or times they carried.
+    fn record_gap(&mut self, line: usize, events: u64, cause: GapCause) {
+        self.lost += events;
         self.probes.gaps.inc();
-        self.probes.events_lost.add(gap.events);
-        self.gaps.push(gap);
+        self.probes.events_lost.add(events);
+        self.gaps.push(TraceGap {
+            block: line,
+            events,
+            first_seq: None,
+            last_seq: None,
+            first_time: None,
+            last_time: None,
+            cause,
+        });
     }
 }
 
@@ -374,77 +440,57 @@ impl<R: Read> Iterator for TraceStreamReader<R> {
             return None;
         }
         loop {
-            match read_trimmed_line(&mut self.input, &mut self.buf) {
-                Ok(0) => {
-                    // End of input: if the header promised more events
-                    // than we delivered (or leniently lost), the file was
-                    // cut off mid-stream.
-                    let accounted = self.seen + self.lost as usize;
-                    if self.expected > 0 && accounted < self.expected {
-                        self.probes.parse_errors.inc();
-                        if self.lenient {
-                            self.failed = true;
-                            self.record_gap(crate::gap::TraceGap {
-                                block: self.line + 1,
-                                events: (self.expected - accounted) as u64,
-                                first_seq: None,
-                                last_seq: None,
-                                first_time: None,
-                                last_time: None,
-                                cause: crate::gap::GapCause::TruncatedStream,
-                            });
-                            return None;
-                        }
+            // A canonical line the buffer holds whole decodes in place;
+            // any other line is copied out and takes the general path.
+            let buffered = match self.skip {
+                0 => decode_terminated(self.input.buffer()),
+                _ => None,
+            };
+            let decoded = if let Some((event, used)) = buffered {
+                self.input.consume(used);
+                self.probes.bytes.add(used as u64);
+                self.line += 1;
+                Ok(event)
+            } else {
+                match read_trimmed_line(&mut self.input, &mut self.buf) {
+                    Ok(0) => return self.end_of_input(),
+                    Ok(n) => self.probes.bytes.add(n as u64),
+                    Err(e) => {
                         self.failed = true;
-                        return Some(Err(IoError::Truncated {
-                            expected: self.expected,
-                            got: self.seen,
-                        }));
+                        return Some(Err(IoError::Io(e)));
                     }
-                    return None;
                 }
-                Ok(n) => self.probes.bytes.add(n as u64),
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(IoError::Io(e)));
+                self.line += 1;
+                if is_blank(&self.buf) {
+                    continue;
                 }
-            }
-            self.line += 1;
-            if self.buf.trim().is_empty() {
-                continue;
-            }
-            if self.skip > 0 {
-                // A resumed-past position: the line was consumed by a
-                // previous run (delivered or recorded as lost) and must
-                // not be parsed again.
-                self.skip -= 1;
-                self.seen += 1;
-                continue;
-            }
-            return match serde_json::from_str(&self.buf) {
+                if self.skip > 0 {
+                    // A resumed-past position: the line was consumed by a
+                    // previous run (delivered or recorded as lost) and must
+                    // not be parsed again.
+                    self.skip -= 1;
+                    self.seen += 1;
+                    continue;
+                }
+                // The canonical form directly, anything else through serde.
+                decode_event(&self.buf).map_or_else(|| from_json_line(&self.buf), Ok)
+            };
+            return match decoded {
                 Ok(event) => {
                     self.seen += 1;
                     self.probes.events.inc();
                     Some(Ok(event))
                 }
-                Err(e) => {
+                Err(message) => {
                     self.probes.parse_errors.inc();
                     if self.lenient {
-                        self.record_gap(crate::gap::TraceGap {
-                            block: self.line,
-                            events: 1,
-                            first_seq: None,
-                            last_seq: None,
-                            first_time: None,
-                            last_time: None,
-                            cause: crate::gap::GapCause::MalformedLine,
-                        });
+                        self.record_gap(self.line, 1, GapCause::MalformedLine);
                         continue;
                     }
                     self.failed = true;
                     Some(Err(IoError::Parse {
                         line: self.line,
-                        message: e.to_string(),
+                        message,
                     }))
                 }
             };
@@ -704,6 +750,52 @@ mod tests {
         }
         // A failed reader fuses.
         assert!(r.next().is_none());
+    }
+
+    /// `sample()` as JSONL with a line that is not UTF-8 after its
+    /// second event, the header still declaring the true count.
+    fn sample_with_non_utf8_line() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_jsonl(&sample(), &mut buf).unwrap();
+        let newlines: Vec<usize> = (0..buf.len()).filter(|&i| buf[i] == b'\n').collect();
+        let at = newlines[2] + 1;
+        buf.splice(at..at, *b"{\"time\":\xff\xfe}\n");
+        buf
+    }
+
+    #[test]
+    fn strict_reader_reports_a_non_utf8_line_as_a_parse_error() {
+        let buf = sample_with_non_utf8_line();
+        let mut r = TraceStreamReader::new(buf.as_slice()).unwrap();
+        r.next().unwrap().unwrap();
+        r.next().unwrap().unwrap();
+        match r.next() {
+            Some(Err(IoError::Parse { line, message })) => {
+                assert_eq!(line, 4);
+                assert!(message.contains("utf-8"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        assert!(r.next().is_none());
+        assert!(matches!(
+            read_jsonl(buf.as_slice()),
+            Err(IoError::Parse { line: 4, .. })
+        ));
+    }
+
+    #[test]
+    fn lenient_reader_skips_a_non_utf8_line_as_a_one_event_gap() {
+        let buf = sample_with_non_utf8_line();
+        let mut r = TraceStreamReader::new(buf.as_slice()).unwrap();
+        r.set_lenient(true);
+        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+        assert_eq!(events, sample().events());
+        assert_eq!(r.events_lost(), 1);
+        let [gap] = r.gaps() else {
+            panic!("expected one gap, got {:?}", r.gaps());
+        };
+        assert_eq!((gap.block, gap.events), (4, 1));
+        assert_eq!(gap.cause, GapCause::MalformedLine);
     }
 
     #[test]
