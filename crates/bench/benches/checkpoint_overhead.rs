@@ -19,9 +19,7 @@
 //! vary the cadence.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ppa::analysis::{
-    write_checkpoint, Checkpoint, CheckpointParts, DeltaCheckpointWriter, SinkState,
-};
+use ppa::analysis::{CheckpointParts, DeltaCheckpointWriter, SinkState};
 use ppa::prelude::*;
 use ppa::trace::{AnyTraceReader, AnyTraceWriter, TraceFormat};
 use std::time::Instant;
@@ -100,6 +98,8 @@ fn pipeline(
     let mut events_out = 0u64;
     let mut since = 0u64;
     let mut written = 0u64;
+    // Compaction period 0: every checkpoint is a full atomic snapshot.
+    let mut full = checkpoint.map(|(every, path)| (every, DeltaCheckpointWriter::new(path, 0)));
     for (i, item) in reader.by_ref().enumerate() {
         let event = item.expect("well-formed fixture");
         analyzer.push(event).expect("ordered trace");
@@ -111,13 +111,12 @@ fn pipeline(
         }
         let pushed = i as u64 + 1;
         since += 1;
-        if let Some((every, path)) = checkpoint {
-            if since >= every {
+        if let Some((every, ckpt)) = &mut full {
+            if since >= *every {
                 since = 0;
-                let cp = Checkpoint {
-                    analyzer: analyzer.snapshot(),
+                let parts = CheckpointParts {
                     positions_seen: pushed,
-                    gaps: Vec::new(),
+                    gaps: &[],
                     events_lost: 0,
                     reorder: None,
                     sink: SinkState {
@@ -129,7 +128,8 @@ fn pipeline(
                         last_time: Time::ZERO,
                     },
                 };
-                write_checkpoint(path, &cp).expect("write checkpoint");
+                ckpt.checkpoint(&mut analyzer, parts)
+                    .expect("write checkpoint");
                 written += 1;
             }
         }
@@ -247,6 +247,8 @@ fn analyzer_only(
     let mut outputs = 0usize;
     let mut since = 0u64;
     let mut written = 0u64;
+    // Compaction period 0: every checkpoint is a full atomic snapshot.
+    let mut full = checkpoint.map(|(every, path)| (every, DeltaCheckpointWriter::new(path, 0)));
     for (i, e) in trace.iter().enumerate() {
         analyzer.push(*e).expect("ordered trace");
         while analyzer.next_output().is_some() {
@@ -254,18 +256,18 @@ fn analyzer_only(
         }
         let pushed = i as u64 + 1;
         since += 1;
-        if let Some((every, path)) = checkpoint {
-            if since >= every {
+        if let Some((every, ckpt)) = &mut full {
+            if since >= *every {
                 since = 0;
-                let cp = Checkpoint {
-                    analyzer: analyzer.snapshot(),
+                let parts = CheckpointParts {
                     positions_seen: pushed,
-                    gaps: Vec::new(),
+                    gaps: &[],
                     events_lost: 0,
                     reorder: None,
                     sink: SinkState::default(),
                 };
-                write_checkpoint(path, &cp).expect("write checkpoint");
+                ckpt.checkpoint(&mut analyzer, parts)
+                    .expect("write checkpoint");
                 written += 1;
             }
         }

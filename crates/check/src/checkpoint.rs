@@ -1,28 +1,26 @@
-//! Checkpoint-file lint: validates a `PPACKPT1` snapshot or a
-//! `PPACKPT2` incremental chain the way `--resume` would read it, but
-//! reports *everything* wrong instead of silently tolerating a torn
-//! tail. `ppa analyze --resume` prefers availability (longest valid
-//! prefix); an operator running `ppa check` over a checkpoint tree
-//! wants to know the tail was torn before trusting the file for
-//! disaster recovery.
+//! Checkpoint-file lint: validates a `PPACKPT2` incremental chain the
+//! way `--resume` would read it, but reports *everything* wrong instead
+//! of silently tolerating a torn tail. `ppa analyze --resume` prefers
+//! availability (longest valid prefix); an operator running `ppa check`
+//! over a checkpoint tree wants to know the tail was torn before
+//! trusting the file for disaster recovery.
 
 use crate::Violation;
-use ppa_core::{read_checkpoint, scan_checkpoint, CheckpointError};
+use ppa_core::{scan_checkpoint, CheckpointError};
 use std::path::Path;
 
 /// What `lint_checkpoint` found, alongside any violations: enough for
 /// the CLI to print a one-line summary mirroring the trace-lint path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckpointLint {
-    /// `1` for a v1 snapshot, `2` for a v2 incremental chain.
-    pub version: u8,
-    /// Delta records applied on top of the full snapshot (0 for v1).
+    /// Delta records applied on top of the full snapshot.
     pub delta_records: usize,
     /// Input positions the checkpoint claims to have consumed.
     pub positions_seen: u64,
 }
 
-/// True when `bytes` begin with a checkpoint magic (either version) —
+/// True when `bytes` begin with a checkpoint magic (of any container
+/// version, so a retired one is linted as corrupt, not as a trace) —
 /// the sniff `ppa check` uses to route a file to [`lint_checkpoint`]
 /// instead of the trace linter.
 pub fn is_checkpoint_magic(bytes: &[u8]) -> bool {
@@ -33,71 +31,32 @@ pub fn is_checkpoint_magic(bytes: &[u8]) -> bool {
 /// permission) are returned as `Err`; everything wrong with the bytes
 /// themselves comes back as violations so one run reports them all.
 pub fn lint_checkpoint(path: &Path) -> Result<(CheckpointLint, Vec<Violation>), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut lint = CheckpointLint::default();
     let mut violations = Vec::new();
-    if bytes.starts_with(ppa_core::CHECKPOINT_MAGIC_V2) {
-        let mut lint = CheckpointLint {
-            version: 2,
-            delta_records: 0,
-            positions_seen: 0,
-        };
-        match scan_checkpoint(path) {
-            Ok(scan) => {
-                lint.delta_records = scan.delta_records;
-                lint.positions_seen = scan.checkpoint.positions_seen;
-                if let Some(reason) = scan.torn_tail {
-                    violations.push(Violation {
-                        rule: "checkpoint-torn-tail",
-                        detail: format!(
-                            "chain tail is torn or corrupt ({reason}); resume falls back \
-                             to the last {} valid record(s)",
-                            1 + scan.delta_records
-                        ),
-                    });
-                }
-            }
-            Err(CheckpointError::Corrupt(m)) => violations.push(Violation {
-                rule: "checkpoint-corrupt",
-                detail: format!("v2 chain does not reassemble: {m}"),
-            }),
-            Err(e @ CheckpointError::FutureVersion { .. }) => violations.push(Violation {
-                rule: "checkpoint-future-version",
-                detail: e.to_string(),
-            }),
-            Err(CheckpointError::Io(e)) => return Err(format!("{}: {e}", path.display())),
-        }
-        Ok((lint, violations))
-    } else {
-        // v1 or unrecognized magic: `read_checkpoint` performs the full
-        // validation (magic, version, CRC, payload decode).
-        match read_checkpoint(path) {
-            Ok(cp) => Ok((
-                CheckpointLint {
-                    version: 1,
-                    delta_records: 0,
-                    positions_seen: cp.positions_seen,
-                },
-                violations,
-            )),
-            Err(e @ (CheckpointError::Corrupt(_) | CheckpointError::FutureVersion { .. })) => {
-                let detail = match e {
-                    CheckpointError::Corrupt(m) => format!("snapshot does not validate: {m}"),
-                    other => other.to_string(),
-                };
+    match scan_checkpoint(path) {
+        Ok(scan) => {
+            lint.delta_records = scan.delta_records;
+            lint.positions_seen = scan.checkpoint.positions_seen;
+            if let Some(reason) = scan.torn_tail {
                 violations.push(Violation {
-                    rule: "checkpoint-corrupt",
-                    detail,
+                    rule: "checkpoint-torn-tail",
+                    detail: format!(
+                        "chain tail is torn or corrupt ({reason}); resume falls back \
+                         to the last {} valid record(s)",
+                        1 + scan.delta_records
+                    ),
                 });
-                Ok((
-                    CheckpointLint {
-                        version: 1,
-                        delta_records: 0,
-                        positions_seen: 0,
-                    },
-                    violations,
-                ))
             }
-            Err(CheckpointError::Io(e)) => Err(format!("{}: {e}", path.display())),
         }
+        Err(CheckpointError::Corrupt(m)) => violations.push(Violation {
+            rule: "checkpoint-corrupt",
+            detail: format!("v2 chain does not reassemble: {m}"),
+        }),
+        Err(e @ CheckpointError::FutureVersion { .. }) => violations.push(Violation {
+            rule: "checkpoint-future-version",
+            detail: e.to_string(),
+        }),
+        Err(CheckpointError::Io(e)) => return Err(format!("{}: {e}", path.display())),
     }
+    Ok((lint, violations))
 }

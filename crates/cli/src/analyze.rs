@@ -1,0 +1,752 @@
+//! `ppa analyze`: event-based analysis of an on-disk trace — flag
+//! parsing, the batch path, and the streaming path as a driver of
+//! [`ppa::analysis::Pipeline`] (what is left here is the CLI's own:
+//! metrics, progress and self-trace export, the stdout summary, and the
+//! sysexits mapping).
+
+use crate::{
+    default_decode_workers, export_metrics, parse_decode_workers, CliError, MetricsFormat,
+};
+use std::fs::File;
+use std::path::Path;
+
+const ANALYZE_USAGE: &str = "usage: ppa analyze <measured.{jsonl|bin}> [--stream] \
+     [--out approx] [--format bin|jsonl] [--overheads spec.json] \
+     [--slice EXPR] [--decode-workers N] \
+     [--metrics-out snap.prom] [--metrics-format prom|json] [--metrics-every SECS] \
+     [--progress[=force]] [--self-trace spans.{jsonl|bin|json}] \
+     [--self-trace-format ppa|chrome] [--lenient] [--reorder-window N] \
+     [--checkpoint state.ckpt [--checkpoint-every N] [--checkpoint-compact-every N]] \
+     [--resume state.ckpt]";
+
+/// On-disk shape of `--self-trace` output: a native ppa trace (the
+/// dogfood loop — `ppa analyze`/`ppa check` run on it unmodified) or
+/// Chrome trace-event JSON for chrome://tracing and Perfetto.
+#[derive(Clone, Copy, PartialEq)]
+enum SelfTraceFormat {
+    Ppa,
+    Chrome,
+}
+
+/// Drains `recorder` and writes the self-trace to `path` in `format`
+/// (for the ppa format the container is chosen by extension: `.bin`
+/// gets `ppa-trace-bin-v1`, anything else JSONL); returns the summary
+/// line saying so.
+fn export_self_trace(
+    recorder: &ppa::obs::SpanRecorder,
+    path: &str,
+    format: SelfTraceFormat,
+) -> Result<String, CliError> {
+    use ppa::trace::{write_chrome_trace, write_self_trace, TraceFormat};
+    use std::io::BufWriter;
+
+    let log = recorder.drain();
+    let file = File::create(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    let mut out = BufWriter::new(file);
+    let summary = match format {
+        SelfTraceFormat::Ppa => {
+            let container = if path.ends_with(".bin") {
+                TraceFormat::Binary
+            } else {
+                TraceFormat::Jsonl
+            };
+            write_self_trace(&mut out, &log, container)
+                .map_err(|e| CliError::Io(format!("{path}: {e}")))?
+        }
+        SelfTraceFormat::Chrome => {
+            write_chrome_trace(&mut out, &log).map_err(|e| CliError::Io(format!("{path}: {e}")))?
+        }
+    };
+    Ok(format!(
+        "self-trace written to {path}: {} span(s), {} skipped, {} dropped",
+        summary.spans, summary.skipped, summary.dropped
+    ))
+}
+
+/// Fault-tolerance options of the streaming pipeline (all off by default).
+#[derive(Default)]
+struct FaultOptions {
+    /// Skip undecodable input regions as typed gaps instead of failing.
+    lenient: bool,
+    /// Re-sort events arriving up to N sequence numbers late.
+    reorder_window: Option<u64>,
+    /// Write resumable checkpoints to this path while analyzing.
+    checkpoint: Option<String>,
+    /// Checkpoint cadence, in events consumed from the input.
+    checkpoint_every: u64,
+    /// Full-snapshot compaction cadence of the incremental checkpoint
+    /// chain (0 = write a full snapshot every time, no deltas).
+    checkpoint_compact_every: usize,
+    /// Resume from this checkpoint instead of starting fresh.
+    resume: Option<String>,
+}
+
+/// Default `--checkpoint-every`: 256 binary blocks at the default block
+/// size, i.e. a snapshot every ~1M events. A checkpoint serializes the
+/// analyzer's full live state, whose size tracks the trace's
+/// synchronization history, so the cadence trades snapshot cost against
+/// how much input a resumed run re-analyzes (~1M events is about a
+/// second of pipeline time).
+const DEFAULT_CHECKPOINT_EVERY: u64 = 1_048_576;
+
+pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
+    use ppa::trace::OverheadSpec;
+
+    let mut input: Option<&str> = None;
+    let mut out_path: Option<&str> = None;
+    let mut out_format = ppa::trace::TraceFormat::Jsonl;
+    let mut overheads_path: Option<&str> = None;
+    let mut metrics_out: Option<&str> = None;
+    let mut metrics_format = MetricsFormat::Prom;
+    let mut metrics_every: Option<std::time::Duration> = None;
+    let mut self_trace: Option<&str> = None;
+    let mut self_trace_format: Option<SelfTraceFormat> = None;
+    let mut stream = false;
+    let mut progress_flag = false;
+    let mut progress_forced = false;
+    let mut faults = FaultOptions {
+        checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+        checkpoint_compact_every: ppa::analysis::DEFAULT_COMPACT_EVERY,
+        ..FaultOptions::default()
+    };
+    let mut checkpoint_every_set = false;
+    let mut compact_every_set = false;
+    let mut decode_workers: Option<usize> = None;
+    let mut slice_expr: Option<&str> = None;
+    let mut it = args.iter();
+    let missing = |flag: &str| CliError::Usage(format!("{flag} needs an argument"));
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--stream" => stream = true,
+            "--progress" => progress_flag = true,
+            "--progress=force" => {
+                progress_flag = true;
+                progress_forced = true;
+            }
+            "--lenient" => faults.lenient = true,
+            "--reorder-window" => {
+                let n = it.next().ok_or_else(|| missing("--reorder-window"))?;
+                faults.reorder_window = Some(n.parse::<u64>().map_err(|_| {
+                    CliError::Usage(format!(
+                        "--reorder-window must be a non-negative integer, got {n:?}"
+                    ))
+                })?);
+            }
+            "--checkpoint" => {
+                faults.checkpoint = Some(it.next().ok_or_else(|| missing("--checkpoint"))?.clone());
+            }
+            "--checkpoint-every" => {
+                let n = it.next().ok_or_else(|| missing("--checkpoint-every"))?;
+                faults.checkpoint_every =
+                    n.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
+                        CliError::Usage(format!(
+                            "--checkpoint-every must be a positive integer, got {n:?}"
+                        ))
+                    })?;
+                checkpoint_every_set = true;
+            }
+            "--checkpoint-compact-every" => {
+                let n = it
+                    .next()
+                    .ok_or_else(|| missing("--checkpoint-compact-every"))?;
+                faults.checkpoint_compact_every = n.parse::<usize>().map_err(|_| {
+                    CliError::Usage(format!(
+                        "--checkpoint-compact-every must be a non-negative integer \
+                         (0 = full snapshots only), got {n:?}"
+                    ))
+                })?;
+                compact_every_set = true;
+            }
+            "--resume" => {
+                faults.resume = Some(it.next().ok_or_else(|| missing("--resume"))?.clone());
+            }
+            "--decode-workers" => {
+                let n = it.next().ok_or_else(|| missing("--decode-workers"))?;
+                decode_workers = Some(parse_decode_workers(n)?);
+            }
+            "--slice" => slice_expr = Some(it.next().ok_or_else(|| missing("--slice"))?),
+            "--out" => out_path = Some(it.next().ok_or_else(|| missing("--out"))?),
+            "--format" => {
+                let name = it.next().ok_or_else(|| missing("--format"))?;
+                out_format = ppa::trace::TraceFormat::parse(name).ok_or_else(|| {
+                    CliError::Usage(format!("--format must be `bin` or `jsonl`, got {name:?}"))
+                })?;
+            }
+            "--overheads" => {
+                overheads_path = Some(it.next().ok_or_else(|| missing("--overheads"))?);
+            }
+            "--metrics-out" => {
+                metrics_out = Some(it.next().ok_or_else(|| missing("--metrics-out"))?);
+            }
+            "--metrics-format" => {
+                metrics_format = match it
+                    .next()
+                    .ok_or_else(|| missing("--metrics-format"))?
+                    .as_str()
+                {
+                    "prom" => MetricsFormat::Prom,
+                    "json" => MetricsFormat::Json,
+                    other => {
+                        return Err(CliError::Usage(format!(
+                            "--metrics-format must be `prom` or `json`, got {other:?}"
+                        )));
+                    }
+                };
+            }
+            "--metrics-every" => {
+                let n = it.next().ok_or_else(|| missing("--metrics-every"))?;
+                metrics_every = Some(std::time::Duration::from_secs(
+                    n.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
+                        CliError::Usage(format!(
+                            "--metrics-every must be a positive number of seconds, got {n:?}"
+                        ))
+                    })?,
+                ));
+            }
+            "--self-trace" => {
+                self_trace = Some(it.next().ok_or_else(|| missing("--self-trace"))?);
+            }
+            "--self-trace-format" => {
+                self_trace_format = Some(
+                    match it
+                        .next()
+                        .ok_or_else(|| missing("--self-trace-format"))?
+                        .as_str()
+                    {
+                        "ppa" => SelfTraceFormat::Ppa,
+                        "chrome" => SelfTraceFormat::Chrome,
+                        other => {
+                            return Err(CliError::Usage(format!(
+                                "--self-trace-format must be `ppa` or `chrome`, got {other:?}"
+                            )));
+                        }
+                    },
+                );
+            }
+            flag if flag.starts_with('-') => {
+                return Err(CliError::Usage(format!("unknown flag {flag:?}")));
+            }
+            path if input.is_none() => input = Some(path),
+            extra => return Err(CliError::Usage(format!("unexpected argument {extra:?}"))),
+        }
+    }
+    let input = input.ok_or_else(|| CliError::Usage(ANALYZE_USAGE.into()))?;
+    if (metrics_out.is_some() || progress_flag || self_trace.is_some()) && !stream {
+        return Err(CliError::Usage(
+            "--metrics-out, --progress, and --self-trace require --stream".into(),
+        ));
+    }
+    if metrics_every.is_some() && metrics_out.is_none() {
+        return Err(CliError::Usage(
+            "--metrics-every only applies with --metrics-out".into(),
+        ));
+    }
+    if self_trace_format.is_some() && self_trace.is_none() {
+        return Err(CliError::Usage(
+            "--self-trace-format only applies with --self-trace".into(),
+        ));
+    }
+    if !stream
+        && (faults.lenient
+            || faults.reorder_window.is_some()
+            || faults.checkpoint.is_some()
+            || faults.resume.is_some())
+    {
+        return Err(CliError::Usage(
+            "--lenient, --reorder-window, --checkpoint, and --resume require --stream".into(),
+        ));
+    }
+    if (checkpoint_every_set || compact_every_set) && faults.checkpoint.is_none() {
+        return Err(CliError::Usage(
+            "--checkpoint-every and --checkpoint-compact-every only apply with --checkpoint".into(),
+        ));
+    }
+    if faults.checkpoint.is_some() || faults.resume.is_some() {
+        // A checkpoint records a durable byte offset into the report and
+        // resume truncates + appends there; only the line-oriented JSONL
+        // format has that property (a binary writer holds a partly
+        // accumulated block in memory that no flush can frame).
+        if out_path.is_none() {
+            return Err(CliError::Usage(
+                "--checkpoint/--resume require --out (the report is what gets resumed)".into(),
+            ));
+        }
+        if out_format != ppa::trace::TraceFormat::Jsonl {
+            return Err(CliError::Usage(
+                "--checkpoint/--resume require `--format jsonl` output".into(),
+            ));
+        }
+    }
+    // A `--resume` checkpoint records the durable frontier of an
+    // *unsliced* report (and vice versa); replaying the tail under a
+    // different predicate would splice two incompatible reports.
+    if slice_expr.is_some() && faults.resume.is_some() {
+        return Err(CliError::Usage(
+            "--slice contradicts --resume: the checkpointed report was written \
+             under a different (or no) slice expression"
+                .into(),
+        ));
+    }
+    let slice_spec = match slice_expr {
+        Some(expr) => {
+            let spec =
+                ppa::slice::SliceSpec::parse(expr).map_err(|e| CliError::Usage(e.to_string()))?;
+            if spec.is_empty() {
+                None
+            } else {
+                Some(spec)
+            }
+        }
+        None => None,
+    };
+    let overheads: OverheadSpec = match overheads_path {
+        Some(p) => {
+            let text =
+                std::fs::read_to_string(p).map_err(|e| CliError::NoInput(format!("{p}: {e}")))?;
+            serde_json::from_str(&text).map_err(|e| CliError::Data(format!("{p}: {e}")))?
+        }
+        None => OverheadSpec::alliant_default(),
+    };
+
+    // The ticker is for humans watching a terminal; when stderr is a
+    // pipe (CI logs, scripted captures) `--progress` stays silent so it
+    // cannot pollute machine-read output. `--progress=force` overrides
+    // the detection for the rare "tee the ticker to a file" case.
+    let progress = progress_flag
+        && (progress_forced || {
+            use std::io::IsTerminal;
+            std::io::stderr().is_terminal()
+        });
+
+    let options = AnalyzeOptions {
+        input,
+        out_path,
+        out_format,
+        overheads,
+        decode_workers,
+        slice_spec,
+        metrics_out,
+        metrics_format,
+        metrics_every,
+        self_trace: self_trace.map(|p| (p, self_trace_format.unwrap_or(SelfTraceFormat::Ppa))),
+        progress,
+        faults,
+    };
+    if stream {
+        stream_analyze(&options)
+    } else {
+        batch_analyze(&options)
+    }
+}
+
+/// What `ppa analyze` was asked for, parsed and cross-checked. The
+/// fields from `metrics_out` on apply to `--stream` only.
+struct AnalyzeOptions<'a> {
+    input: &'a str,
+    out_path: Option<&'a str>,
+    out_format: ppa::trace::TraceFormat,
+    overheads: ppa::trace::OverheadSpec,
+    decode_workers: Option<usize>,
+    slice_spec: Option<ppa::slice::SliceSpec>,
+    metrics_out: Option<&'a str>,
+    metrics_format: MetricsFormat,
+    metrics_every: Option<std::time::Duration>,
+    self_trace: Option<(&'a str, SelfTraceFormat)>,
+    progress: bool,
+    faults: FaultOptions,
+}
+
+/// Prints the lines of a summary. A closed stdout (`ppa analyze … |
+/// head -1`) ends the output quietly: the run and its `--out` report
+/// are complete by the time anything is printed, and `println!` would
+/// panic.
+fn print_summary(lines: &[String]) -> Result<(), CliError> {
+    use std::io::Write as _;
+    let mut text = lines.join("\n");
+    text.push('\n');
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::Io(format!("stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Maps checkpoint failures onto the sysexits scheme: a missing
+/// checkpoint file is missing input (66), a torn or corrupted one is bad
+/// data (65), anything else is I/O (74).
+fn checkpoint_error(path: &str, e: ppa::analysis::CheckpointError) -> CliError {
+    use ppa::analysis::CheckpointError;
+    match e {
+        CheckpointError::Io(err) if err.kind() == std::io::ErrorKind::NotFound => {
+            CliError::NoInput(format!("{path}: {err}"))
+        }
+        CheckpointError::Io(err) => CliError::Io(format!("{path}: {err}")),
+        CheckpointError::Corrupt(m) => CliError::Data(format!("{path}: corrupt checkpoint: {m}")),
+        e @ CheckpointError::FutureVersion { .. } => CliError::Data(format!("{path}: {e}")),
+    }
+}
+
+/// Maps a pipeline failure onto the sysexits scheme, naming the file
+/// it concerns: undecodable or infeasible input is bad data (65), a
+/// report that cannot be resumed into is missing input (66) or — when
+/// it is not the file the checkpoint describes — bad data, and report
+/// I/O is 74.
+fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliError {
+    use ppa::analysis::PipelineError;
+    // Report and checkpoint errors only arise with the flag that names
+    // the file.
+    let out = o.out_path.unwrap_or_default();
+    let ckpt = o.faults.checkpoint.as_deref().unwrap_or_default();
+    match e {
+        PipelineError::Input(e) => CliError::from(e).prefixed(o.input),
+        PipelineError::Expand(e) => CliError::Data(e.to_string()),
+        PipelineError::Analysis(e) => e.into(),
+        PipelineError::ResumeOpen(e) => {
+            CliError::NoInput(format!("{out}: cannot resume into: {e}"))
+        }
+        e @ PipelineError::ReportShort { .. } => CliError::Data(format!("{out}: {e}")),
+        PipelineError::Report(e) => CliError::Io(format!("{out}: {e}")),
+        PipelineError::Checkpoint(e) => checkpoint_error(ckpt, e),
+    }
+}
+
+/// Bounded-memory analysis: drives one [`ppa::analysis::Pipeline`] over
+/// the input (format auto-detected; binary input decodes
+/// block-parallel), optionally instrumented with `ppa::obs` probes and
+/// a stderr ticker. `--lenient`, `--reorder-window` and
+/// `--checkpoint`/`--resume` configure the pipeline; everything they
+/// do happens there.
+fn stream_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
+    use ppa::analysis::{
+        read_checkpoint, AnalyzerProbes, CheckpointPolicy, Pipeline, PipelineConfig, ReportFilter,
+    };
+    use ppa::obs::{
+        calibrate_self_overhead, span_enter, Registry, SpanRecorder, Stage, StageCounters,
+        STAGE_COUNT,
+    };
+    use ppa::trace::{AnyTraceReader, StreamProbes};
+    use std::io::BufReader;
+    use std::time::{Duration, Instant};
+
+    let input = o.input;
+    let faults = &o.faults;
+    let registry = Registry::new();
+    let want_metrics = o.metrics_out.is_some();
+
+    // The span recorder watches the pipeline run itself. Installed
+    // globally (before the reader spawns decode workers) so codec
+    // threads lazily bind to it; drained at the end into the
+    // `--self-trace` export and the `ppa_stage_ns_total` counters.
+    let want_spans = want_metrics || o.self_trace.is_some();
+    let recorder = want_spans.then(SpanRecorder::new);
+    let _recorder_installed = recorder.as_ref().map(|r| r.install_global());
+    let stage_counters = want_metrics.then(|| StageCounters::register(&registry));
+    // Stage totals already pushed to the registry, so `--metrics-every`
+    // snapshots can re-export monotone counters mid-run.
+    let mut stage_published = [0u64; STAGE_COUNT];
+    let publish_stages = |published: &mut [u64; STAGE_COUNT]| {
+        if let (Some(rec), Some(counters)) = (&recorder, &stage_counters) {
+            let totals = rec.stage_totals();
+            let mut delta = [0u64; STAGE_COUNT];
+            for (d, (t, p)) in delta.iter_mut().zip(totals.iter().zip(published.iter())) {
+                *d = t - p;
+            }
+            counters.add_totals(&delta);
+            *published = totals;
+        }
+    };
+    let (read_probes, write_probes, analyzer_probes) = if want_metrics {
+        (
+            StreamProbes::register(&registry, "read"),
+            StreamProbes::register(&registry, "write"),
+            AnalyzerProbes::register(&registry),
+        )
+    } else {
+        (
+            StreamProbes::noop(),
+            StreamProbes::noop(),
+            AnalyzerProbes::noop(),
+        )
+    };
+    let checkpoints_written = if want_metrics && faults.checkpoint.is_some() {
+        registry.counter(
+            "ppa_checkpoints_written_total",
+            "Resumable checkpoints written by this analysis run.",
+        )
+    } else {
+        ppa::obs::Counter::default()
+    };
+
+    let resumed = match &faults.resume {
+        Some(p) => Some(read_checkpoint(Path::new(p)).map_err(|e| checkpoint_error(p, e))?),
+        None => None,
+    };
+
+    let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
+    let workers = o.decode_workers.unwrap_or_else(default_decode_workers);
+    if want_metrics {
+        registry
+            .gauge(
+                "ppa_decode_workers",
+                "Decode worker threads for binary input (0 = serial decode).",
+            )
+            .set(workers as f64);
+    }
+    let reader = if workers == 0 {
+        AnyTraceReader::with_probes(BufReader::new(file), read_probes)
+    } else {
+        AnyTraceReader::open_parallel_with_probes(BufReader::new(file), workers, read_probes)
+    }
+    .map_err(|e| CliError::from(e).prefixed(input))?;
+    let expected = reader.expected_events();
+
+    let config = PipelineConfig {
+        overheads: o.overheads,
+        lenient: faults.lenient,
+        reorder_window: faults.reorder_window,
+        checkpoint: faults.checkpoint.as_ref().map(|p| CheckpointPolicy {
+            path: p.into(),
+            every: faults.checkpoint_every,
+            compact_every: faults.checkpoint_compact_every,
+        }),
+        analyzer_probes,
+        report_probes: write_probes,
+        report_filter: o
+            .slice_spec
+            .clone()
+            .map(|spec| Box::new(move |e: &ppa::trace::Event| spec.matches(e)) as ReportFilter),
+    };
+    let report = o.out_path.map(|p| (Path::new(p), o.out_format));
+    let fail = |e| pipeline_error(e, o);
+    let mut pipeline = Pipeline::new(reader, config, report, resumed).map_err(fail)?;
+
+    // Per-source-processor event shares for the per-shard counters:
+    // `ppa_shard_events_total{shard="p<i>"}` / `ppa_shard_throughput_eps`.
+    let mut per_proc: Vec<u64> = Vec::new();
+    let began = Instant::now();
+    let mut last_tick = began;
+    let mut last_export = began;
+
+    // The whole streaming run is one root span; per-event spans would
+    // perturb the pipeline they measure (the paper's uncertainty
+    // principle), so push work is attributed in 4096-event chunks
+    // instead — the same granularity as the progress ticker.
+    let mut run_span = Some(span_enter(Stage::Run));
+    let mut chunk_span: Option<ppa::obs::SpanGuard> = None;
+
+    loop {
+        let pushed = pipeline.events_in();
+        if want_spans && pushed.is_multiple_of(4096) {
+            // Close the old chunk before opening the new one so chunks
+            // stay siblings under the run span rather than nesting.
+            drop(chunk_span.take());
+            let mut g = span_enter(Stage::AnalyzePush);
+            g.attr_seq(pushed);
+            chunk_span = Some(g);
+        }
+        let Some(step) = pipeline.step().map_err(fail)? else {
+            break;
+        };
+        let pushed = pushed + 1;
+        if want_metrics {
+            let pi = step.event.proc.index();
+            if pi >= per_proc.len() {
+                per_proc.resize(pi + 1, 0);
+            }
+            per_proc[pi] += 1;
+        }
+        if step.checkpointed {
+            checkpoints_written.inc();
+        }
+        if let (Some(every), Some(path)) = (o.metrics_every, o.metrics_out) {
+            if pushed.is_multiple_of(4096) && last_export.elapsed() >= every {
+                publish_stages(&mut stage_published);
+                export_metrics(&registry, path, o.metrics_format)?;
+                last_export = Instant::now();
+            }
+        }
+        if o.progress
+            && pushed.is_multiple_of(4096)
+            && last_tick.elapsed() >= Duration::from_millis(250)
+        {
+            eprintln!(
+                "progress: {pushed}/{expected} events in, {} out, watermark lag {}",
+                pipeline.events_out(),
+                pipeline.watermark_lag()
+            );
+            last_tick = Instant::now();
+        }
+    }
+    drop(chunk_span);
+    let pushed = pipeline.events_in();
+    let run = pipeline.finish().map_err(fail)?;
+    // The root span ends here so its duration lands in the drained log
+    // and the stage totals below.
+    drop(run_span.take());
+    if o.progress {
+        eprintln!(
+            "progress: done ({pushed} events in, {} out)",
+            run.sink.events
+        );
+    }
+
+    let mut lines = Vec::new();
+    if let Some(path) = o.metrics_out {
+        if let Some(r) = &run.reorder {
+            registry
+                .counter(
+                    "ppa_reorder_resorted_total",
+                    "Late events re-sorted into place by the reorder buffer.",
+                )
+                .add(r.reordered);
+            registry
+                .counter(
+                    "ppa_reorder_rejected_total",
+                    "Events rejected for arriving beyond the reorder window.",
+                )
+                .add(r.rejected);
+        }
+        let elapsed = began.elapsed().as_secs_f64();
+        for (p, &n) in per_proc.iter().enumerate() {
+            let shard = format!("p{p}");
+            registry
+                .counter_with(
+                    "ppa_shard_events_total",
+                    &[("shard", &shard)],
+                    "Measured events read per source processor.",
+                )
+                .add(n);
+            registry
+                .gauge_with(
+                    "ppa_shard_throughput_eps",
+                    &[("shard", &shard)],
+                    "Events per second processed for this source processor.",
+                )
+                .set(if elapsed > 0.0 {
+                    n as f64 / elapsed
+                } else {
+                    0.0
+                });
+        }
+        calibrate_self_overhead().export(&registry);
+        publish_stages(&mut stage_published);
+        export_metrics(&registry, path, o.metrics_format)?;
+        lines.push(format!("metrics snapshot written to {path}"));
+    }
+
+    if let (Some((path, format)), Some(rec)) = (o.self_trace, &recorder) {
+        lines.push(export_self_trace(rec, path, format)?);
+    }
+
+    lines.push(format!(
+        "analyzed {} measured events (streaming): {} approximated events, \
+         {} awaits, {} barrier passages, {} sync episodes",
+        expected, run.sink.events, run.sink.awaits, run.sink.barriers, run.sink.episodes
+    ));
+    if run.repeat_records > 0 {
+        lines.push(format!(
+            "expanded {} repeat record(s) into {} suppressed event(s)",
+            run.repeat_records, run.repeat_expanded
+        ));
+    }
+    if o.slice_spec.is_some() {
+        lines.push(format!(
+            "report scoped to slice: {} event(s) emitted, {} filtered out",
+            run.sink.events, run.filtered
+        ));
+    }
+    lines.push(format!("final approximated time: {}", run.sink.last_time));
+    lines.push(format!(
+        "peak resident state: {} events (parked {}, buffered {})",
+        run.stats.peak_resident, run.stats.peak_parked, run.stats.peak_buffered
+    ));
+    if run.stats.clamped > 0 {
+        lines.push(format!(
+            "clamped approximations: {} (overhead exceeded the measured \
+             inter-event delta; see ppa_core_clamped_approx_total)",
+            run.stats.clamped
+        ));
+    }
+    if !run.gaps.is_empty() {
+        lines.push(format!(
+            "decode gaps: {} gap(s), {} event(s) lost",
+            run.gaps.len(),
+            run.events_lost
+        ));
+        lines.extend(run.gaps.iter().map(|g| format!("  {g}")));
+    }
+    if run.unresolved > 0 {
+        lines.push(format!(
+            "unresolved: {} event(s) parked at end of stream (dependencies \
+             lost to decode gaps); their approximated times were dropped",
+            run.unresolved
+        ));
+    }
+    if let Some(r) = &run.reorder {
+        lines.push(format!(
+            "reorder buffer (window {}): {} event(s) re-sorted, {} rejected",
+            r.window, r.reordered, r.rejected
+        ));
+    }
+    print_summary(&lines)
+}
+
+fn batch_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
+    use ppa::analysis::event_based;
+    use ppa::trace::{read_trace, read_trace_parallel, write_trace, Trace};
+    use std::io::{BufReader, BufWriter};
+
+    let input = o.input;
+    let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
+    let workers = o.decode_workers.unwrap_or_else(default_decode_workers);
+    let measured = if workers == 0 {
+        read_trace(BufReader::new(file)).map_err(|e| CliError::from(e).prefixed(input))?
+    } else {
+        read_trace_parallel(BufReader::new(file), workers)
+            .map_err(|e| CliError::from(e).prefixed(input))?
+    };
+    let result = event_based(&measured, &o.overheads)?;
+    // `--slice` scopes the report after the analysis (the full input
+    // keeps the §4.2.3 accounting exact; see EXPERIMENTS.md).
+    let (report, filtered) = match &o.slice_spec {
+        Some(spec) => {
+            let kept: Vec<_> = result
+                .trace
+                .events()
+                .iter()
+                .filter(|e| spec.matches(e))
+                .copied()
+                .collect();
+            let filtered = result.trace.len() - kept.len();
+            (Trace::from_events(result.trace.kind(), kept), filtered)
+        }
+        None => (result.trace.clone(), 0),
+    };
+    if let Some(p) = o.out_path {
+        let f = File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?;
+        write_trace(&report, BufWriter::new(f), o.out_format)
+            .map_err(|e| CliError::Io(format!("{p}: {e}")))?;
+    }
+    let mut lines = vec![format!(
+        "analyzed {} measured events: {} approximated events, {} awaits, \
+         {} barrier passages, {} sync episodes",
+        measured.len(),
+        report.len(),
+        result.awaits.len(),
+        result.barriers.len(),
+        result.episodes.len()
+    )];
+    if o.slice_spec.is_some() {
+        lines.push(format!(
+            "report scoped to slice: {} event(s) emitted, {filtered} filtered out",
+            report.len()
+        ));
+    }
+    lines.push(format!(
+        "approximated total time: {}",
+        result.trace.total_time()
+    ));
+    print_summary(&lines)
+}

@@ -56,6 +56,9 @@
 //! errors report the offending line number), 66 missing input file,
 //! 74 output I/O error.
 
+mod analyze;
+
+use analyze::run_analyze;
 use ppa::experiments as exp;
 use ppa::metrics::{
     format_ratio_table, format_waiting_table, render_bars, render_parallelism, render_timeline,
@@ -641,17 +644,6 @@ fn native() {
     }
 }
 
-// --- analyze: event-based analysis of an on-disk JSONL trace ------------
-
-const ANALYZE_USAGE: &str = "usage: ppa analyze <measured.{jsonl|bin}> [--stream] \
-     [--out approx] [--format bin|jsonl] [--overheads spec.json] \
-     [--slice EXPR] [--decode-workers N] \
-     [--metrics-out snap.prom] [--metrics-format prom|json] [--metrics-every SECS] \
-     [--progress[=force]] [--self-trace spans.{jsonl|bin|json}] \
-     [--self-trace-format ppa|chrome] [--lenient] [--reorder-window N] \
-     [--checkpoint state.ckpt [--checkpoint-every N] [--checkpoint-compact-every N]] \
-     [--resume state.ckpt]";
-
 /// Upper bound accepted for `--decode-workers`: far above any real
 /// machine, low enough to catch typos (a missing argument swallowing
 /// the next flag, a pasted event count) before spawning threads.
@@ -684,15 +676,6 @@ enum MetricsFormat {
     Json,
 }
 
-/// On-disk shape of `--self-trace` output: a native ppa trace (the
-/// dogfood loop — `ppa analyze`/`ppa check` run on it unmodified) or
-/// Chrome trace-event JSON for chrome://tracing and Perfetto.
-#[derive(Clone, Copy, PartialEq)]
-enum SelfTraceFormat {
-    Ppa,
-    Chrome,
-}
-
 /// Writes `text` to `path` atomically (tmp + fsync + rename), the same
 /// discipline as checkpoint writes: a reader never observes a torn
 /// snapshot, which is what lets `--metrics-every` re-export into a path
@@ -707,940 +690,18 @@ fn write_atomic(path: &str, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Drains `recorder` and writes the self-trace to `path` in `format`.
-/// For the ppa format the container is chosen by extension: `.bin`
-/// gets `ppa-trace-bin-v1`, anything else JSONL.
-fn export_self_trace(
-    recorder: &ppa::obs::SpanRecorder,
+/// Snapshots `registry` and writes it to `path` atomically.
+fn export_metrics(
+    registry: &ppa::obs::Registry,
     path: &str,
-    format: SelfTraceFormat,
+    format: MetricsFormat,
 ) -> Result<(), CliError> {
-    use ppa::trace::{write_chrome_trace, write_self_trace, TraceFormat};
-    use std::io::BufWriter;
-
-    let log = recorder.drain();
-    let file = File::create(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let mut out = BufWriter::new(file);
-    let summary = match format {
-        SelfTraceFormat::Ppa => {
-            let container = if path.ends_with(".bin") {
-                TraceFormat::Binary
-            } else {
-                TraceFormat::Jsonl
-            };
-            write_self_trace(&mut out, &log, container)
-                .map_err(|e| CliError::Io(format!("{path}: {e}")))?
-        }
-        SelfTraceFormat::Chrome => {
-            write_chrome_trace(&mut out, &log).map_err(|e| CliError::Io(format!("{path}: {e}")))?
-        }
+    let snap = registry.snapshot();
+    let text = match format {
+        MetricsFormat::Prom => ppa::obs::prometheus_text(&snap),
+        MetricsFormat::Json => ppa::obs::json_text(&snap),
     };
-    println!(
-        "self-trace written to {path}: {} span(s), {} skipped, {} dropped",
-        summary.spans, summary.skipped, summary.dropped
-    );
-    Ok(())
-}
-
-/// Fault-tolerance options of the streaming pipeline (all off by default).
-#[derive(Default)]
-struct FaultOptions {
-    /// Skip undecodable input regions as typed gaps instead of failing.
-    lenient: bool,
-    /// Re-sort events arriving up to N sequence numbers late.
-    reorder_window: Option<u64>,
-    /// Write resumable checkpoints to this path while analyzing.
-    checkpoint: Option<String>,
-    /// Checkpoint cadence, in events consumed from the input.
-    checkpoint_every: u64,
-    /// Full-snapshot compaction cadence of the incremental checkpoint
-    /// chain (0 = write a full snapshot every time, no deltas).
-    checkpoint_compact_every: usize,
-    /// Resume from this checkpoint instead of starting fresh.
-    resume: Option<String>,
-}
-
-/// Feeds one measured event through the repeat-record expander and the
-/// analyzer, draining analyzer output into the sink. Non-suppressed
-/// input passes through the expander untouched (no records means no
-/// cursors), so the same path serves both plain and suppressed traces.
-fn push_expanded<W: std::io::Write>(
-    expander: &mut ppa::analysis::RepeatExpander,
-    scratch: &mut Vec<ppa::trace::Event>,
-    analyzer: &mut ppa::analysis::EventBasedAnalyzer,
-    sink: &mut AnalyzeSink<W>,
-    event: ppa::trace::Event,
-) -> Result<(), CliError> {
-    scratch.clear();
-    expander
-        .push(event, scratch)
-        .map_err(|e| CliError::Data(e.to_string()))?;
-    for ev in scratch.drain(..) {
-        analyzer.push(ev)?;
-        while let Some(o) = analyzer.next_output() {
-            sink.take(o).map_err(|e| CliError::Io(e.to_string()))?;
-        }
-    }
-    Ok(())
-}
-
-/// Default `--checkpoint-every`: 256 binary blocks at the default block
-/// size, i.e. a snapshot every ~1M events. A checkpoint serializes the
-/// analyzer's full live state, whose size tracks the trace's
-/// synchronization history, so the cadence trades snapshot cost against
-/// how much input a resumed run re-analyzes (~1M events is about a
-/// second of pipeline time).
-const DEFAULT_CHECKPOINT_EVERY: u64 = 1_048_576;
-
-/// Output accounting shared by the streaming loop and the tail flush.
-struct AnalyzeSink<W: std::io::Write> {
-    writer: Option<ppa::trace::AnyTraceWriter<W>>,
-    /// `--slice` scope on the *report*: the analysis itself always runs
-    /// over the full input (anything less would bias the §4.2.3
-    /// overhead accounting — see EXPERIMENTS.md), and the predicate
-    /// decides which approximated events reach the writer.
-    spec: Option<ppa::slice::SliceSpec>,
-    events: usize,
-    filtered: usize,
-    awaits: usize,
-    barriers: usize,
-    episodes: usize,
-    last_time: ppa::trace::Time,
-}
-
-impl<W: std::io::Write> AnalyzeSink<W> {
-    fn take(&mut self, o: ppa::analysis::StreamOutput) -> Result<(), ppa::trace::IoError> {
-        use ppa::analysis::StreamOutput;
-        match o {
-            StreamOutput::Event(e) => {
-                // The final-time line reports the analysis, not the
-                // slice, so the watermark advances before filtering.
-                self.last_time = self.last_time.max(e.time);
-                if let Some(spec) = &self.spec {
-                    if !spec.matches(&e) {
-                        self.filtered += 1;
-                        return Ok(());
-                    }
-                }
-                self.events += 1;
-                if let Some(w) = &mut self.writer {
-                    w.write_event(&e)?;
-                }
-            }
-            StreamOutput::Await { .. } => self.awaits += 1,
-            StreamOutput::Barrier { .. } => self.barriers += 1,
-            StreamOutput::Episode { .. } => self.episodes += 1,
-        }
-        Ok(())
-    }
-}
-
-fn run_analyze(args: &[String]) -> Result<(), CliError> {
-    use ppa::trace::OverheadSpec;
-
-    let mut input: Option<&str> = None;
-    let mut out_path: Option<&str> = None;
-    let mut out_format = ppa::trace::TraceFormat::Jsonl;
-    let mut overheads_path: Option<&str> = None;
-    let mut metrics_out: Option<&str> = None;
-    let mut metrics_format = MetricsFormat::Prom;
-    let mut metrics_every: Option<std::time::Duration> = None;
-    let mut self_trace: Option<&str> = None;
-    let mut self_trace_format: Option<SelfTraceFormat> = None;
-    let mut stream = false;
-    let mut progress_flag = false;
-    let mut progress_forced = false;
-    let mut faults = FaultOptions {
-        checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-        checkpoint_compact_every: ppa::analysis::DEFAULT_COMPACT_EVERY,
-        ..FaultOptions::default()
-    };
-    let mut checkpoint_every_set = false;
-    let mut compact_every_set = false;
-    let mut decode_workers: Option<usize> = None;
-    let mut slice_expr: Option<&str> = None;
-    let mut it = args.iter();
-    let missing = |flag: &str| CliError::Usage(format!("{flag} needs an argument"));
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--stream" => stream = true,
-            "--progress" => progress_flag = true,
-            "--progress=force" => {
-                progress_flag = true;
-                progress_forced = true;
-            }
-            "--lenient" => faults.lenient = true,
-            "--reorder-window" => {
-                let n = it.next().ok_or_else(|| missing("--reorder-window"))?;
-                faults.reorder_window = Some(n.parse::<u64>().map_err(|_| {
-                    CliError::Usage(format!(
-                        "--reorder-window must be a non-negative integer, got {n:?}"
-                    ))
-                })?);
-            }
-            "--checkpoint" => {
-                faults.checkpoint = Some(it.next().ok_or_else(|| missing("--checkpoint"))?.clone());
-            }
-            "--checkpoint-every" => {
-                let n = it.next().ok_or_else(|| missing("--checkpoint-every"))?;
-                faults.checkpoint_every =
-                    n.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--checkpoint-every must be a positive integer, got {n:?}"
-                        ))
-                    })?;
-                checkpoint_every_set = true;
-            }
-            "--checkpoint-compact-every" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| missing("--checkpoint-compact-every"))?;
-                faults.checkpoint_compact_every = n.parse::<usize>().map_err(|_| {
-                    CliError::Usage(format!(
-                        "--checkpoint-compact-every must be a non-negative integer \
-                         (0 = full snapshots only), got {n:?}"
-                    ))
-                })?;
-                compact_every_set = true;
-            }
-            "--resume" => {
-                faults.resume = Some(it.next().ok_or_else(|| missing("--resume"))?.clone());
-            }
-            "--decode-workers" => {
-                let n = it.next().ok_or_else(|| missing("--decode-workers"))?;
-                decode_workers = Some(parse_decode_workers(n)?);
-            }
-            "--slice" => slice_expr = Some(it.next().ok_or_else(|| missing("--slice"))?),
-            "--out" => out_path = Some(it.next().ok_or_else(|| missing("--out"))?),
-            "--format" => {
-                let name = it.next().ok_or_else(|| missing("--format"))?;
-                out_format = ppa::trace::TraceFormat::parse(name).ok_or_else(|| {
-                    CliError::Usage(format!("--format must be `bin` or `jsonl`, got {name:?}"))
-                })?;
-            }
-            "--overheads" => {
-                overheads_path = Some(it.next().ok_or_else(|| missing("--overheads"))?);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or_else(|| missing("--metrics-out"))?);
-            }
-            "--metrics-format" => {
-                metrics_format = match it
-                    .next()
-                    .ok_or_else(|| missing("--metrics-format"))?
-                    .as_str()
-                {
-                    "prom" => MetricsFormat::Prom,
-                    "json" => MetricsFormat::Json,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "--metrics-format must be `prom` or `json`, got {other:?}"
-                        )));
-                    }
-                };
-            }
-            "--metrics-every" => {
-                let n = it.next().ok_or_else(|| missing("--metrics-every"))?;
-                metrics_every = Some(std::time::Duration::from_secs(
-                    n.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--metrics-every must be a positive number of seconds, got {n:?}"
-                        ))
-                    })?,
-                ));
-            }
-            "--self-trace" => {
-                self_trace = Some(it.next().ok_or_else(|| missing("--self-trace"))?);
-            }
-            "--self-trace-format" => {
-                self_trace_format = Some(
-                    match it
-                        .next()
-                        .ok_or_else(|| missing("--self-trace-format"))?
-                        .as_str()
-                    {
-                        "ppa" => SelfTraceFormat::Ppa,
-                        "chrome" => SelfTraceFormat::Chrome,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "--self-trace-format must be `ppa` or `chrome`, got {other:?}"
-                            )));
-                        }
-                    },
-                );
-            }
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown flag {flag:?}")));
-            }
-            path if input.is_none() => input = Some(path),
-            extra => return Err(CliError::Usage(format!("unexpected argument {extra:?}"))),
-        }
-    }
-    let input = input.ok_or_else(|| CliError::Usage(ANALYZE_USAGE.into()))?;
-    if (metrics_out.is_some() || progress_flag || self_trace.is_some()) && !stream {
-        return Err(CliError::Usage(
-            "--metrics-out, --progress, and --self-trace require --stream".into(),
-        ));
-    }
-    if metrics_every.is_some() && metrics_out.is_none() {
-        return Err(CliError::Usage(
-            "--metrics-every only applies with --metrics-out".into(),
-        ));
-    }
-    if self_trace_format.is_some() && self_trace.is_none() {
-        return Err(CliError::Usage(
-            "--self-trace-format only applies with --self-trace".into(),
-        ));
-    }
-    if !stream
-        && (faults.lenient
-            || faults.reorder_window.is_some()
-            || faults.checkpoint.is_some()
-            || faults.resume.is_some())
-    {
-        return Err(CliError::Usage(
-            "--lenient, --reorder-window, --checkpoint, and --resume require --stream".into(),
-        ));
-    }
-    if (checkpoint_every_set || compact_every_set) && faults.checkpoint.is_none() {
-        return Err(CliError::Usage(
-            "--checkpoint-every and --checkpoint-compact-every only apply with --checkpoint".into(),
-        ));
-    }
-    if faults.checkpoint.is_some() || faults.resume.is_some() {
-        // A checkpoint records a durable byte offset into the report and
-        // resume truncates + appends there; only the line-oriented JSONL
-        // format has that property (a binary writer holds a partly
-        // accumulated block in memory that no flush can frame).
-        if out_path.is_none() {
-            return Err(CliError::Usage(
-                "--checkpoint/--resume require --out (the report is what gets resumed)".into(),
-            ));
-        }
-        if out_format != ppa::trace::TraceFormat::Jsonl {
-            return Err(CliError::Usage(
-                "--checkpoint/--resume require `--format jsonl` output".into(),
-            ));
-        }
-    }
-    // A `--resume` checkpoint records the durable frontier of an
-    // *unsliced* report (and vice versa); replaying the tail under a
-    // different predicate would splice two incompatible reports.
-    if slice_expr.is_some() && faults.resume.is_some() {
-        return Err(CliError::Usage(
-            "--slice contradicts --resume: the checkpointed report was written \
-             under a different (or no) slice expression"
-                .into(),
-        ));
-    }
-    let slice_spec = match slice_expr {
-        Some(expr) => {
-            let spec =
-                ppa::slice::SliceSpec::parse(expr).map_err(|e| CliError::Usage(e.to_string()))?;
-            if spec.is_empty() {
-                None
-            } else {
-                Some(spec)
-            }
-        }
-        None => None,
-    };
-    let overheads: OverheadSpec = match overheads_path {
-        Some(p) => {
-            let text =
-                std::fs::read_to_string(p).map_err(|e| CliError::NoInput(format!("{p}: {e}")))?;
-            serde_json::from_str(&text).map_err(|e| CliError::Data(format!("{p}: {e}")))?
-        }
-        None => OverheadSpec::alliant_default(),
-    };
-
-    // The ticker is for humans watching a terminal; when stderr is a
-    // pipe (CI logs, scripted captures) `--progress` stays silent so it
-    // cannot pollute machine-read output. `--progress=force` overrides
-    // the detection for the rare "tee the ticker to a file" case.
-    let progress = progress_flag
-        && (progress_forced || {
-            use std::io::IsTerminal;
-            std::io::stderr().is_terminal()
-        });
-
-    if stream {
-        stream_analyze(
-            input,
-            out_path,
-            out_format,
-            &overheads,
-            metrics_out,
-            metrics_format,
-            metrics_every,
-            self_trace.map(|p| (p, self_trace_format.unwrap_or(SelfTraceFormat::Ppa))),
-            progress,
-            &faults,
-            decode_workers,
-            slice_spec,
-        )
-    } else {
-        batch_analyze(
-            input,
-            out_path,
-            out_format,
-            &overheads,
-            decode_workers,
-            slice_spec,
-        )
-    }
-}
-
-/// Maps checkpoint failures onto the sysexits scheme: a missing
-/// checkpoint file is missing input (66), a torn or corrupted one is bad
-/// data (65), anything else is I/O (74).
-fn checkpoint_error(path: &str, e: ppa::analysis::CheckpointError) -> CliError {
-    use ppa::analysis::CheckpointError;
-    match e {
-        CheckpointError::Io(err) if err.kind() == std::io::ErrorKind::NotFound => {
-            CliError::NoInput(format!("{path}: {err}"))
-        }
-        CheckpointError::Io(err) => CliError::Io(format!("{path}: {err}")),
-        CheckpointError::Corrupt(m) => CliError::Data(format!("{path}: corrupt checkpoint: {m}")),
-        e @ CheckpointError::FutureVersion { .. } => CliError::Data(format!("{path}: {e}")),
-    }
-}
-
-/// Bounded-memory pipeline: chunked reader -> analyzer -> chunked writer,
-/// optionally instrumented with `ppa::obs` probes and a stderr ticker.
-/// The input format is auto-detected; binary input decodes block-parallel.
-///
-/// The `faults` options make the pipeline fault-tolerant end to end:
-/// `--lenient` turns undecodable input regions into typed gaps,
-/// `--reorder-window` re-sorts slightly late events in front of the
-/// analyzer, and `--checkpoint`/`--resume` make a killed run continuable
-/// to a byte-identical report.
-#[allow(clippy::too_many_arguments)]
-fn stream_analyze(
-    input: &str,
-    out_path: Option<&str>,
-    out_format: ppa::trace::TraceFormat,
-    overheads: &ppa::trace::OverheadSpec,
-    metrics_out: Option<&str>,
-    metrics_format: MetricsFormat,
-    metrics_every: Option<std::time::Duration>,
-    self_trace: Option<(&str, SelfTraceFormat)>,
-    progress: bool,
-    faults: &FaultOptions,
-    decode_workers: Option<usize>,
-    slice_spec: Option<ppa::slice::SliceSpec>,
-) -> Result<(), CliError> {
-    use ppa::analysis::{
-        read_checkpoint, AnalyzerProbes, Checkpoint, CheckpointParts, DeltaCheckpointWriter,
-        EventBasedAnalyzer, RepeatExpander, SinkState,
-    };
-    use ppa::obs::{
-        calibrate_self_overhead, json_text, prometheus_text, span_enter, Registry, SpanRecorder,
-        Stage, StageCounters, STAGE_COUNT,
-    };
-    use ppa::trace::{AnyTraceReader, AnyTraceWriter, ReorderBuffer, StreamProbes, TraceKind};
-    use std::io::{BufReader, BufWriter, Seek, SeekFrom};
-    use std::time::{Duration, Instant};
-
-    let registry = Registry::new();
-    let want_metrics = metrics_out.is_some();
-
-    // The span recorder watches the pipeline run itself. Installed
-    // globally (before the reader spawns decode workers) so codec
-    // threads lazily bind to it; drained at the end into the
-    // `--self-trace` export and the `ppa_stage_ns_total` counters.
-    let want_spans = want_metrics || self_trace.is_some();
-    let recorder = want_spans.then(SpanRecorder::new);
-    let _recorder_installed = recorder.as_ref().map(|r| r.install_global());
-    let stage_counters = want_metrics.then(|| StageCounters::register(&registry));
-    // Stage totals already pushed to the registry, so `--metrics-every`
-    // snapshots can re-export monotone counters mid-run.
-    let mut stage_published = [0u64; STAGE_COUNT];
-    let publish_stages = |published: &mut [u64; STAGE_COUNT]| {
-        if let (Some(rec), Some(counters)) = (&recorder, &stage_counters) {
-            let totals = rec.stage_totals();
-            let mut delta = [0u64; STAGE_COUNT];
-            for (d, (t, p)) in delta.iter_mut().zip(totals.iter().zip(published.iter())) {
-                *d = t - p;
-            }
-            counters.add_totals(&delta);
-            *published = totals;
-        }
-    };
-    let (read_probes, write_probes, analyzer_probes) = if want_metrics {
-        (
-            StreamProbes::register(&registry, "read"),
-            StreamProbes::register(&registry, "write"),
-            AnalyzerProbes::register(&registry),
-        )
-    } else {
-        (
-            StreamProbes::noop(),
-            StreamProbes::noop(),
-            AnalyzerProbes::noop(),
-        )
-    };
-    let checkpoints_written = if want_metrics && faults.checkpoint.is_some() {
-        registry.counter(
-            "ppa_checkpoints_written_total",
-            "Resumable checkpoints written by this analysis run.",
-        )
-    } else {
-        ppa::obs::Counter::default()
-    };
-
-    // A resumed run starts from the checkpoint's cut, not from scratch:
-    // the analyzer state, the input cursor, the gap record, the reorder
-    // tail, and the output counters all carry over.
-    let resumed: Option<Checkpoint> = match &faults.resume {
-        Some(p) => Some(read_checkpoint(Path::new(p)).map_err(|e| checkpoint_error(p, e))?),
-        None => None,
-    };
-    let base_positions = resumed.as_ref().map_or(0, |cp| cp.positions_seen);
-    let prior_lost = resumed.as_ref().map_or(0, |cp| cp.events_lost);
-    let prior_gaps: Vec<ppa::trace::TraceGap> =
-        resumed.as_ref().map_or_else(Vec::new, |cp| cp.gaps.clone());
-
-    let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
-    let workers = decode_workers.unwrap_or_else(default_decode_workers);
-    if want_metrics {
-        registry
-            .gauge(
-                "ppa_decode_workers",
-                "Decode worker threads for binary input (0 = serial decode).",
-            )
-            .set(workers as f64);
-    }
-    let mut reader = if workers == 0 {
-        AnyTraceReader::with_probes(BufReader::new(file), read_probes)
-            .map_err(|e| CliError::from(e).prefixed(input))?
-    } else {
-        AnyTraceReader::open_parallel_with_probes(BufReader::new(file), workers, read_probes)
-            .map_err(|e| CliError::from(e).prefixed(input))?
-    };
-    if faults.lenient {
-        reader.set_lenient(true);
-    }
-    if base_positions > 0 {
-        reader.set_skip_events(base_positions);
-    }
-    let expected = reader.expected_events();
-    // A sliced report's length is unknown until the run ends; a nonzero
-    // advisory count that overshoots would read back as truncation, so
-    // the header announces 0 (unknown) whenever a slice scope is active.
-    let announced = if slice_spec.is_some() { 0 } else { expected };
-
-    let writer = match (out_path, &resumed) {
-        (Some(p), Some(cp)) => {
-            // The checkpoint's byte offset is the durable frontier:
-            // everything before it was flushed before the snapshot was
-            // taken, everything after it will be re-emitted by the
-            // resumed analysis. Truncate the torn tail and append.
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(p)
-                .map_err(|e| CliError::NoInput(format!("{p}: cannot resume into: {e}")))?;
-            let len = f
-                .metadata()
-                .map_err(|e| CliError::Io(format!("{p}: {e}")))?
-                .len();
-            if len < cp.sink.bytes_flushed {
-                return Err(CliError::Data(format!(
-                    "{p}: report is {len} bytes but the checkpoint flushed {}; \
-                     wrong or modified output file",
-                    cp.sink.bytes_flushed
-                )));
-            }
-            f.set_len(cp.sink.bytes_flushed)
-                .map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-            let mut f = f;
-            f.seek(SeekFrom::End(0))
-                .map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-            Some(AnyTraceWriter::resume_jsonl(
-                BufWriter::new(f),
-                cp.sink.events as usize,
-                write_probes,
-            ))
-        }
-        (Some(p), None) => {
-            let f = File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-            Some(
-                AnyTraceWriter::with_probes(
-                    BufWriter::new(f),
-                    out_format,
-                    TraceKind::Approximated,
-                    announced,
-                    write_probes,
-                )
-                .map_err(|e| CliError::Io(format!("{p}: {e}")))?,
-            )
-        }
-        (None, _) => None,
-    };
-    let mut analyzer = match &resumed {
-        Some(cp) => EventBasedAnalyzer::restore_with_probes(&cp.analyzer, analyzer_probes),
-        None => EventBasedAnalyzer::with_probes(overheads, analyzer_probes),
-    };
-    let mut reorder = match &resumed {
-        // A checkpoint written without --reorder-window carries no buffer
-        // snapshot; fall back to a fresh buffer so the flag is honored on
-        // resume too (fresh is safe: no order has been released yet from
-        // its point of view, and the analyzer still enforces total order).
-        Some(cp) => cp
-            .reorder
-            .as_ref()
-            .map(ReorderBuffer::restore)
-            .or_else(|| faults.reorder_window.map(ReorderBuffer::new)),
-        None => faults.reorder_window.map(ReorderBuffer::new),
-    };
-    let mut sink = AnalyzeSink {
-        writer,
-        spec: slice_spec,
-        filtered: 0,
-        events: resumed.as_ref().map_or(0, |cp| cp.sink.events as usize),
-        awaits: resumed.as_ref().map_or(0, |cp| cp.sink.awaits as usize),
-        barriers: resumed.as_ref().map_or(0, |cp| cp.sink.barriers as usize),
-        episodes: resumed.as_ref().map_or(0, |cp| cp.sink.episodes as usize),
-        last_time: resumed
-            .as_ref()
-            .map_or(ppa::trace::Time::ZERO, |cp| cp.sink.last_time),
-    };
-    drop(resumed);
-
-    // Per-source-processor event shares for the per-shard counters:
-    // `ppa_shard_events_total{shard="p<i>"}` / `ppa_shard_throughput_eps`.
-    let mut per_proc: Vec<u64> = Vec::new();
-    let began = Instant::now();
-    let mut last_tick = began;
-    let mut last_export = began;
-    let mut pushed: u64 = 0;
-    let mut since_checkpoint: u64 = 0;
-    // Incremental checkpoint chain: full snapshots at the compaction
-    // cadence, cheap dirty-state deltas in between. The writer owns the
-    // chain bookkeeping (CRC chain, intern table, gap cursor).
-    let mut ckpt_writer = faults
-        .checkpoint
-        .as_ref()
-        .map(|p| DeltaCheckpointWriter::new(p, faults.checkpoint_compact_every));
-
-    // Repeat records (suppressed input, see QUERIES.md) expand back
-    // into their logical events in front of the analyzer; plain traces
-    // flow through the expander unchanged.
-    let mut expander = RepeatExpander::new();
-    let mut expand_buf: Vec<ppa::trace::Event> = Vec::new();
-
-    // The whole streaming run is one root span; per-event spans would
-    // perturb the pipeline they measure (the paper's uncertainty
-    // principle), so push work is attributed in 4096-event chunks
-    // instead — the same granularity as the progress ticker.
-    let mut run_span = Some(span_enter(Stage::Run));
-    let mut chunk_span: Option<ppa::obs::SpanGuard> = None;
-
-    while let Some(item) = reader.next() {
-        if want_spans && pushed.is_multiple_of(4096) {
-            // Close the old chunk before opening the new one so chunks
-            // stay siblings under the run span rather than nesting.
-            drop(chunk_span.take());
-            let mut g = span_enter(Stage::AnalyzePush);
-            g.attr_seq(pushed);
-            chunk_span = Some(g);
-        }
-        let event = item.map_err(|e| CliError::from(e).prefixed(input))?;
-        if want_metrics {
-            let pi = event.proc.index();
-            if pi >= per_proc.len() {
-                per_proc.resize(pi + 1, 0);
-            }
-            per_proc[pi] += 1;
-        }
-        match &mut reorder {
-            Some(buf) => {
-                // A rejection is counted by the buffer, not fatal: the
-                // event arrived too late to place without rewriting
-                // already-released order.
-                buf.push(event);
-                while let Some(e) = buf.pop_ready() {
-                    push_expanded(&mut expander, &mut expand_buf, &mut analyzer, &mut sink, e)?;
-                }
-            }
-            None => {
-                push_expanded(
-                    &mut expander,
-                    &mut expand_buf,
-                    &mut analyzer,
-                    &mut sink,
-                    event,
-                )?;
-            }
-        }
-        pushed += 1;
-        since_checkpoint += 1;
-        if let Some(w) = &mut ckpt_writer {
-            if since_checkpoint >= faults.checkpoint_every {
-                since_checkpoint = 0;
-                let out = out_path.expect("--checkpoint requires --out");
-                if let Some(sw) = &mut sink.writer {
-                    sw.flush()
-                        .map_err(|e| CliError::Io(format!("{out}: {e}")))?;
-                }
-                let bytes_flushed = std::fs::metadata(out)
-                    .map_err(|e| CliError::Io(format!("{out}: {e}")))?
-                    .len();
-                let gaps: Vec<ppa::trace::TraceGap> =
-                    prior_gaps.iter().chain(reader.gaps()).cloned().collect();
-                let parts = CheckpointParts {
-                    positions_seen: base_positions + pushed + reader.events_lost(),
-                    gaps: &gaps,
-                    events_lost: prior_lost + reader.events_lost(),
-                    reorder: reorder.as_ref().map(|b| b.snapshot()),
-                    sink: SinkState {
-                        bytes_flushed,
-                        events: sink.events as u64,
-                        awaits: sink.awaits as u64,
-                        barriers: sink.barriers as u64,
-                        episodes: sink.episodes as u64,
-                        last_time: sink.last_time,
-                    },
-                };
-                let ck_display = w.path().display().to_string();
-                w.checkpoint(&mut analyzer, parts)
-                    .map_err(|e| checkpoint_error(&ck_display, e))?;
-                checkpoints_written.inc();
-            }
-        }
-        if let (Some(every), Some(path)) = (metrics_every, metrics_out) {
-            if pushed.is_multiple_of(4096) && last_export.elapsed() >= every {
-                publish_stages(&mut stage_published);
-                let snap = registry.snapshot();
-                let text = match metrics_format {
-                    MetricsFormat::Prom => prometheus_text(&snap),
-                    MetricsFormat::Json => json_text(&snap),
-                };
-                write_atomic(path, &text).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-                last_export = Instant::now();
-            }
-        }
-        if progress
-            && pushed.is_multiple_of(4096)
-            && last_tick.elapsed() >= Duration::from_millis(250)
-        {
-            eprintln!(
-                "progress: {pushed}/{expected} events in, {} out, watermark lag {}",
-                sink.events,
-                analyzer.watermark_lag()
-            );
-            last_tick = Instant::now();
-        }
-    }
-    drop(chunk_span);
-    // End of input: release whatever the reorder buffer still holds.
-    if let Some(buf) = &mut reorder {
-        let _span = span_enter(Stage::Reorder);
-        while let Some(e) = buf.pop_flush() {
-            push_expanded(&mut expander, &mut expand_buf, &mut analyzer, &mut sink, e)?;
-        }
-    }
-    // Flush expansions still pending behind the last record.
-    expand_buf.clear();
-    expander.finish(&mut expand_buf);
-    for ev in expand_buf.drain(..) {
-        analyzer.push(ev)?;
-        while let Some(o) = analyzer.next_output() {
-            sink.take(o).map_err(|e| CliError::Io(e.to_string()))?;
-        }
-    }
-    let tail = {
-        let _span = span_enter(Stage::AnalyzeEmit);
-        let tail = if faults.lenient {
-            analyzer.finish_lenient()
-        } else {
-            analyzer.finish()?
-        };
-        for o in &tail.outputs {
-            sink.take(*o).map_err(|e| CliError::Io(e.to_string()))?;
-        }
-        if let Some(w) = sink.writer.take() {
-            w.finish().map_err(|e| CliError::Io(e.to_string()))?;
-        }
-        tail
-    };
-    // The root span ends here so its duration lands in the drained log
-    // and the stage totals below.
-    drop(run_span.take());
-    if progress {
-        eprintln!("progress: done ({pushed} events in, {} out)", sink.events);
-    }
-
-    let events_lost = prior_lost + reader.events_lost();
-    if want_metrics {
-        if let Some(buf) = &reorder {
-            registry
-                .counter(
-                    "ppa_reorder_resorted_total",
-                    "Late events re-sorted into place by the reorder buffer.",
-                )
-                .add(buf.reordered());
-            registry
-                .counter(
-                    "ppa_reorder_rejected_total",
-                    "Events rejected for arriving beyond the reorder window.",
-                )
-                .add(buf.rejected());
-        }
-    }
-
-    if let Some(path) = metrics_out {
-        let elapsed = began.elapsed().as_secs_f64();
-        for (p, &n) in per_proc.iter().enumerate() {
-            let shard = format!("p{p}");
-            registry
-                .counter_with(
-                    "ppa_shard_events_total",
-                    &[("shard", &shard)],
-                    "Measured events read per source processor.",
-                )
-                .add(n);
-            registry
-                .gauge_with(
-                    "ppa_shard_throughput_eps",
-                    &[("shard", &shard)],
-                    "Events per second processed for this source processor.",
-                )
-                .set(if elapsed > 0.0 {
-                    n as f64 / elapsed
-                } else {
-                    0.0
-                });
-        }
-        calibrate_self_overhead().export(&registry);
-        publish_stages(&mut stage_published);
-        let snap = registry.snapshot();
-        let text = match metrics_format {
-            MetricsFormat::Prom => prometheus_text(&snap),
-            MetricsFormat::Json => json_text(&snap),
-        };
-        write_atomic(path, &text).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        println!("metrics snapshot written to {path}");
-    }
-
-    if let (Some((path, format)), Some(rec)) = (self_trace, &recorder) {
-        export_self_trace(rec, path, format)?;
-    }
-
-    println!(
-        "analyzed {} measured events (streaming): {} approximated events, \
-         {} awaits, {} barrier passages, {} sync episodes",
-        expected, sink.events, sink.awaits, sink.barriers, sink.episodes
-    );
-    if expander.records() > 0 {
-        println!(
-            "expanded {} repeat record(s) into {} suppressed event(s)",
-            expander.records(),
-            expander.expanded()
-        );
-    }
-    if sink.spec.is_some() {
-        println!(
-            "report scoped to slice: {} event(s) emitted, {} filtered out",
-            sink.events, sink.filtered
-        );
-    }
-    println!("final approximated time: {}", sink.last_time);
-    println!(
-        "peak resident state: {} events (parked {}, buffered {})",
-        tail.stats.peak_resident, tail.stats.peak_parked, tail.stats.peak_buffered
-    );
-    if tail.stats.clamped > 0 {
-        println!(
-            "clamped approximations: {} (overhead exceeded the measured \
-             inter-event delta; see ppa_core_clamped_approx_total)",
-            tail.stats.clamped
-        );
-    }
-    let gap_count = prior_gaps.len() + reader.gaps().len();
-    if gap_count > 0 {
-        println!("decode gaps: {gap_count} gap(s), {events_lost} event(s) lost");
-        for g in prior_gaps.iter().chain(reader.gaps()) {
-            println!("  {g}");
-        }
-    }
-    if tail.unresolved > 0 {
-        println!(
-            "unresolved: {} event(s) parked at end of stream (dependencies \
-             lost to decode gaps); their approximated times were dropped",
-            tail.unresolved
-        );
-    }
-    if let Some(buf) = &reorder {
-        println!(
-            "reorder buffer (window {}): {} event(s) re-sorted, {} rejected",
-            buf.window(),
-            buf.reordered(),
-            buf.rejected()
-        );
-    }
-    Ok(())
-}
-
-fn batch_analyze(
-    input: &str,
-    out_path: Option<&str>,
-    out_format: ppa::trace::TraceFormat,
-    overheads: &ppa::trace::OverheadSpec,
-    decode_workers: Option<usize>,
-    slice_spec: Option<ppa::slice::SliceSpec>,
-) -> Result<(), CliError> {
-    use ppa::analysis::event_based;
-    use ppa::trace::{read_trace, read_trace_parallel, write_trace, Trace};
-    use std::io::{BufReader, BufWriter};
-
-    let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
-    let workers = decode_workers.unwrap_or_else(default_decode_workers);
-    let measured = if workers == 0 {
-        read_trace(BufReader::new(file)).map_err(|e| CliError::from(e).prefixed(input))?
-    } else {
-        read_trace_parallel(BufReader::new(file), workers)
-            .map_err(|e| CliError::from(e).prefixed(input))?
-    };
-    let result = event_based(&measured, overheads)?;
-    // `--slice` scopes the report after the analysis (the full input
-    // keeps the §4.2.3 accounting exact; see EXPERIMENTS.md).
-    let (report, filtered) = match &slice_spec {
-        Some(spec) => {
-            let kept: Vec<_> = result
-                .trace
-                .events()
-                .iter()
-                .filter(|e| spec.matches(e))
-                .copied()
-                .collect();
-            let filtered = result.trace.len() - kept.len();
-            (Trace::from_events(result.trace.kind(), kept), filtered)
-        }
-        None => (result.trace.clone(), 0),
-    };
-    if let Some(p) = out_path {
-        let f = File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-        write_trace(&report, BufWriter::new(f), out_format)
-            .map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-    }
-    println!(
-        "analyzed {} measured events: {} approximated events, {} awaits, \
-         {} barrier passages, {} sync episodes",
-        measured.len(),
-        report.len(),
-        result.awaits.len(),
-        result.barriers.len(),
-        result.episodes.len()
-    );
-    if slice_spec.is_some() {
-        println!(
-            "report scoped to slice: {} event(s) emitted, {filtered} filtered out",
-            report.len()
-        );
-    }
-    println!("approximated total time: {}", result.trace.total_time());
-    Ok(())
+    write_atomic(path, &text).map_err(|e| CliError::Io(format!("{path}: {e}")))
 }
 
 // --- convert: transcode a trace between the two on-disk formats ---------
@@ -1957,12 +1018,7 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
 
     if let Some(path) = metrics_out {
         let registry = registry.expect("registry exists when --metrics-out is set");
-        let snap = registry.snapshot();
-        let text = match metrics_format {
-            MetricsFormat::Prom => ppa::obs::prometheus_text(&snap),
-            MetricsFormat::Json => ppa::obs::json_text(&snap),
-        };
-        write_atomic(path, &text).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        export_metrics(&registry, path, metrics_format)?;
         println!("metrics snapshot written to {path}");
     }
     Ok(())
@@ -2117,9 +1173,9 @@ fn run_check(args: &[String]) -> Result<(), CliError> {
                 }
                 let (lint, found) = lint_checkpoint(Path::new(input)).map_err(CliError::NoInput)?;
                 println!(
-                    "checked {input}: v{} checkpoint, {} delta record(s), \
+                    "checked {input}: v2 checkpoint, {} delta record(s), \
                      {} position(s) seen, chain pass",
-                    lint.version, lint.delta_records, lint.positions_seen
+                    lint.delta_records, lint.positions_seen
                 );
                 return finish_check(found, input.to_string(), metrics_out, metrics_format);
             }

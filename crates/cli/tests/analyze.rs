@@ -344,3 +344,48 @@ fn analyze_self_trace_flags_reject_misuse_with_exit_64() {
     ]);
     assert_eq!(out.status.code(), Some(64));
 }
+
+/// `ppa analyze … | head -1`: a reader that closes stdout early must not
+/// turn a finished analysis into a panic. The summary ends quietly and
+/// the `--out` report is complete.
+#[test]
+fn analyze_ends_quietly_when_stdout_is_closed() {
+    use std::process::Stdio;
+
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "closed_stdout_in.jsonl");
+    let input = input.to_str().unwrap();
+    let reference = dir.join("closed_stdout_reference.jsonl");
+    let out = ppa_analyze(&[input, "--stream", "--out", reference.to_str().unwrap()]);
+    assert!(out.status.success(), "{:?}", out);
+
+    for mode in [&["--stream"][..], &[]] {
+        // A pipe whose read end is already closed: the write end of a
+        // finished child's stdin.
+        let mut reader = Command::new(env!("CARGO_BIN_EXE_ppa"))
+            .arg("help")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn the pipe's reader");
+        let closed = reader.stdin.take().expect("piped stdin");
+        assert!(reader.wait().expect("reader exits").success());
+
+        let report = dir.join("closed_stdout_report.jsonl");
+        let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
+            .args(["analyze", input, "--out", report.to_str().unwrap()])
+            .args(mode)
+            .stdout(closed)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run ppa analyze");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{mode:?}: {out:?}");
+        assert!(stderr.is_empty(), "{mode:?}: stderr: {stderr}");
+        assert_eq!(
+            fs::read(&report).unwrap(),
+            fs::read(&reference).unwrap(),
+            "{mode:?}"
+        );
+    }
+}

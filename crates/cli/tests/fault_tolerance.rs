@@ -923,3 +923,104 @@ fn resume_from_future_snapshot_version_exits_65_with_named_error() {
         "stderr: {stderr}"
     );
 }
+
+/// Regression: the repeat-record expander's state (per-processor
+/// history, occurrences still pending) is in no checkpoint, so a
+/// suppressed trace analyzed under `--checkpoint` used to resume, exit
+/// 0, into a silently short report (8 of 192 events). Suppressed input
+/// and checkpoints now exclude each other: the run is refused with bad
+/// data (65) at the first repeat record, before any checkpoint can
+/// cover it, and so is a resume from what it left behind; without
+/// `--checkpoint` the same trace still analyzes byte-identical to the
+/// plain run.
+#[test]
+fn suppressed_trace_under_checkpoint_is_refused_not_silently_truncated() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = periodic_lock_jsonl(&dir, "supckpt_plain.jsonl", 48);
+    let run = |sub: &str, args: &[&std::path::Path]| {
+        let args: Vec<&str> = args.iter().map(|p| p.to_str().unwrap()).collect();
+        ppa_cmd(sub, &args)
+    };
+    let flag = |name: &'static str| std::path::Path::new(name);
+
+    // The plain fixture through an identity slice, so its report header
+    // announces 0 (unknown) like the suppressed leg's.
+    let plain = dir.join("supckpt_plain0.jsonl");
+    let out = run("slice", &[&input, &plain, flag("--force")]);
+    assert!(out.status.success(), "{:?}", out);
+    let reference = dir.join("supckpt_reference.jsonl");
+    let out = run(
+        "analyze",
+        &[&plain, flag("--stream"), flag("--out"), &reference],
+    );
+    assert!(out.status.success(), "{:?}", out);
+    assert_eq!(fs::read_to_string(&reference).unwrap().lines().count(), 193);
+
+    let suppressed = dir.join("supckpt_suppressed.jsonl");
+    let out = run(
+        "slice",
+        &[&input, &suppressed, flag("--suppress"), flag("--force")],
+    );
+    assert!(out.status.success(), "{:?}", out);
+    let first_record = fs::read_to_string(&suppressed)
+        .unwrap()
+        .lines()
+        .skip(1)
+        .position(|line| line.contains("Repeat"))
+        .expect("the periodic loop must collapse") as u64;
+
+    // No checkpoint, no resume: the expander is in the chain.
+    let report = dir.join("supckpt_report.jsonl");
+    let out = run(
+        "analyze",
+        &[&suppressed, flag("--stream"), flag("--out"), &report],
+    );
+    assert!(out.status.success(), "{:?}", out);
+    assert_eq!(fs::read(&report).unwrap(), fs::read(&reference).unwrap());
+
+    // Checkpointing: refused at the record, naming the way out.
+    let ckpt = dir.join("supckpt_state.ckpt");
+    fs::remove_file(&ckpt).ok();
+    let refused = |out: &Output| {
+        assert_eq!(out.status.code(), Some(65), "{:?}", out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("repeat record"), "stderr: {stderr}");
+        assert!(stderr.contains("ppa slice --expand"), "stderr: {stderr}");
+    };
+    let out = run(
+        "analyze",
+        &[
+            &suppressed,
+            flag("--stream"),
+            flag("--out"),
+            &report,
+            flag("--checkpoint"),
+            &ckpt,
+            flag("--checkpoint-every"),
+            flag("3"),
+        ],
+    );
+    refused(&out);
+    // Nothing past the last good frontier: the checkpoint left behind
+    // stops short of the record.
+    let cp = ppa::analysis::read_checkpoint(&ckpt).expect("a cadence checkpoint was written");
+    assert!(
+        cp.positions_seen <= first_record,
+        "checkpoint covers {} positions, the first repeat record is at {first_record}",
+        cp.positions_seen
+    );
+
+    // Resuming from it meets the same record and the same refusal.
+    let out = run(
+        "analyze",
+        &[
+            &suppressed,
+            flag("--stream"),
+            flag("--out"),
+            &report,
+            flag("--resume"),
+            &ckpt,
+        ],
+    );
+    refused(&out);
+}

@@ -31,15 +31,16 @@ mod estimate;
 mod event_based;
 mod expand;
 mod liberal;
+mod pipeline;
 mod sharded;
 mod streaming;
 mod time_based;
 
 pub use accuracy::{compare_traces, AccuracyReport};
 pub use checkpoint::{
-    read_checkpoint, scan_checkpoint, write_checkpoint, Checkpoint, CheckpointDelta,
-    CheckpointError, CheckpointParts, CheckpointScan, DeltaCheckpointWriter, SinkState,
-    CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V2, DEFAULT_COMPACT_EVERY,
+    read_checkpoint, scan_checkpoint, Checkpoint, CheckpointDelta, CheckpointError,
+    CheckpointParts, CheckpointScan, DeltaCheckpointWriter, SinkState, CHECKPOINT_MAGIC_V2,
+    DEFAULT_COMPACT_EVERY,
 };
 pub use error::{AnalysisError, IngestError};
 pub use estimate::{estimate_overheads, KindEstimate, OverheadEstimate};
@@ -49,6 +50,9 @@ pub use event_based::{
 };
 pub use expand::{expand_events, expand_trace, has_repeat_records, ExpandError, RepeatExpander};
 pub use liberal::{liberal_reschedule, LiberalResult};
+pub use pipeline::{
+    CheckpointPolicy, Pipeline, PipelineConfig, PipelineError, ReportFilter, Step, Summary,
+};
 pub use sharded::{
     event_based_sharded, event_based_sharded_from_reader, event_based_sharded_probed, ShardProbes,
 };

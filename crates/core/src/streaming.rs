@@ -753,10 +753,12 @@ impl EventBasedAnalyzer {
             // A repeat record stands for events this analyzer never
             // sees; silently treating it as a chain event would corrupt
             // every later approximation. Callers expand first (see
-            // `ppa_core::RepeatExpander`).
+            // `ppa_core::RepeatExpander`; a checkpointed `Pipeline` has
+            // no expander, so this is where it refuses suppressed input).
             return Err(AnalysisError::UnrecognizedStructure {
                 detail: format!(
-                    "repeat record at seq {} on {}: expand the trace before analysis",
+                    "repeat record at seq {} on {}: expand the trace \
+                     (`ppa slice --expand`) before analysis",
                     event.seq, event.proc
                 ),
             });
@@ -1187,6 +1189,22 @@ impl EventBasedAnalyzer {
     /// Takes the next available output, if any.
     pub fn next_output(&mut self) -> Option<StreamOutput> {
         self.out.pop_front()
+    }
+
+    /// Hands every available output to `sink` in place, oldest first —
+    /// [`next_output`](Self::next_output) without copying each 64-byte
+    /// output out of the queue first, for the per-event loop of
+    /// [`Pipeline`](crate::Pipeline). Stops at the first error; that
+    /// output stays queued.
+    pub(crate) fn drain_outputs<E>(
+        &mut self,
+        mut sink: impl FnMut(&StreamOutput) -> Result<(), E>,
+    ) -> Result<(), E> {
+        while let Some(o) = self.out.front() {
+            sink(o)?;
+            self.out.pop_front();
+        }
+        Ok(())
     }
 
     /// Current resource counters.

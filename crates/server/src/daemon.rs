@@ -11,7 +11,7 @@
 //! Shutdown is SIGTERM/SIGINT (installed by [`install_signal_handlers`])
 //! or the `Arc<AtomicBool>` handed to `run` (used by tests). Either way
 //! the daemon stops accepting, every live session checkpoints its
-//! analyzer state to a `PPACKPT1` file and answers `ERROR
+//! analyzer state to its `PPACKPT2` chain and answers `ERROR
 //! shutting-down`, and `run` joins them all before returning — so a
 //! restarted daemon resumes every stream byte-identically. A SIGKILL'd
 //! daemon skips the final checkpoint but still resumes from the last

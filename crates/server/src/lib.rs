@@ -2,9 +2,9 @@
 //!
 //! The daemon behind `ppa serve`: accepts many concurrent trace
 //! uploads over TCP and unix sockets, runs each one through the same
-//! checkpointed [`EventBasedAnalyzer`](ppa_core::EventBasedAnalyzer)
-//! pipeline as `ppa analyze --stream`, and writes per-stream JSONL
-//! reports that are byte-identical to a single-shot batch run.
+//! checkpointed [`Pipeline`](ppa_core::Pipeline) as `ppa analyze
+//! --stream`, and writes per-stream JSONL reports that are
+//! byte-identical to a single-shot batch run.
 //!
 //! The moving parts:
 //!
@@ -15,7 +15,7 @@
 //!   events/sec throttle, and a resident-bytes ceiling.
 //! - [`session`] — one connection's life from `HELLO` to
 //!   `DONE`/`ERROR`, including cadence checkpoints, idle eviction, and
-//!   resume from `PPACKPT1` files.
+//!   resume from `PPACKPT2` checkpoint chains.
 //! - [`daemon`] — listeners, accept loops, SIGTERM/SIGINT handling,
 //!   and the checkpoint-everything graceful shutdown.
 //! - `http` (private) — the `/metrics` (Prometheus) and `/healthz`

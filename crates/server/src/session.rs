@@ -1,15 +1,18 @@
 //! One ingest session: the server side of a `(tenant, stream)`
 //! connection, from `HELLO` to `DONE`/`ERROR`.
 //!
-//! A session drives the same fault-tolerant pipeline as `ppa analyze
-//! --stream`: socket bytes → [`AnyTraceReader`] (format auto-detected) →
-//! optional [`ReorderBuffer`] → checkpointed [`EventBasedAnalyzer`] →
-//! JSONL report, with cadence checkpoints to the standard `PPACKPT1`
-//! files. Because the steps and the checkpoint bookkeeping mirror the
-//! CLI exactly, a session report is byte-identical to a single-shot
-//! `ppa analyze --stream` of the same trace with the same flags — the
-//! property the e2e suite asserts, including across evictions, SIGTERM,
-//! and SIGKILL.
+//! A session is a driver of the one [`ppa_core::Pipeline`], the same
+//! loop `ppa analyze --stream` drives: socket bytes → [`AnyTraceReader`]
+//! (format auto-detected) → the pipeline's reorder buffer, analyzer,
+//! JSONL report and `PPACKPT2` checkpoint chain. What is here is what
+//! only a server has: the handshake and admission, the frame adapter
+//! the reader pulls from, throttling and the resident quota between
+//! steps, shutdown and eviction, and the mapping of failures onto
+//! protocol errors. A session report is therefore byte-identical to a
+//! single-shot `ppa analyze --stream --checkpoint` of the same trace
+//! with the same flags, including across evictions, SIGTERM, and
+//! SIGKILL — and, being always checkpointed, a session refuses a
+//! suppressed trace the same way (expand it first; see QUERIES.md).
 //!
 //! Sessions are synchronous and thread-per-stream. Backpressure is the
 //! socket itself: a session that is checkpointing, throttled, or slow
@@ -24,18 +27,13 @@ use crate::protocol::{
     FT_DATA, FT_DONE, FT_ERROR, FT_FIN, FT_HELLO, FT_OK,
 };
 use ppa_core::{
-    read_checkpoint, Checkpoint, CheckpointParts, DeltaCheckpointWriter, EventBasedAnalyzer,
-    SinkState, StreamOutput,
+    read_checkpoint, Checkpoint, CheckpointPolicy, Pipeline, PipelineConfig, PipelineError,
 };
-use ppa_trace::{
-    AnyTraceReader, AnyTraceWriter, Event, IoError, ReorderBuffer, StreamProbes, Time, TraceFormat,
-    TraceGap, TraceKind,
-};
+use ppa_trace::{AnyTraceReader, Event, IoError, TraceFormat};
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -387,6 +385,19 @@ impl Fail {
         }
     }
 
+    /// Classifies a pipeline failure: the input side as
+    /// [`Fail::from_decode`] does, a refused trace as `bad-trace`, and
+    /// report or checkpoint I/O as a server fault.
+    fn from_pipeline(e: PipelineError, violation: &Mutex<Option<ProtocolError>>) -> Fail {
+        match e {
+            PipelineError::Input(e) => Fail::from_decode(e, violation),
+            e @ (PipelineError::Expand(_) | PipelineError::Analysis(_)) => {
+                Fail::BadTrace(e.to_string())
+            }
+            other => Fail::Internal(other.to_string()),
+        }
+    }
+
     /// Whether the session's state should be checkpointed for resume.
     fn checkpoint_worthy(&self) -> bool {
         matches!(
@@ -428,78 +439,6 @@ impl Fail {
             }
         }
     }
-}
-
-/// Output accounting; the server twin of the CLI's `AnalyzeSink`.
-struct ReportSink {
-    writer: Option<AnyTraceWriter<File>>,
-    events: u64,
-    awaits: u64,
-    barriers: u64,
-    episodes: u64,
-    last_time: Time,
-}
-
-impl ReportSink {
-    fn take(&mut self, o: StreamOutput) -> Result<(), IoError> {
-        match o {
-            StreamOutput::Event(e) => {
-                self.events += 1;
-                self.last_time = self.last_time.max(e.time);
-                if let Some(w) = &mut self.writer {
-                    w.write_event(&e)?;
-                }
-            }
-            StreamOutput::Await { .. } => self.awaits += 1,
-            StreamOutput::Barrier { .. } => self.barriers += 1,
-            StreamOutput::Episode { .. } => self.episodes += 1,
-        }
-        Ok(())
-    }
-}
-
-/// Everything a checkpoint needs, passed explicitly so the cadence
-/// path, the eviction path, and the shutdown path write identical
-/// snapshots (the property resume correctness rides on). The writer
-/// owns the incremental chain (full snapshot vs delta, CRC chain,
-/// intern table); this function only assembles the parts.
-#[allow(clippy::too_many_arguments)]
-fn take_checkpoint(
-    ckpt_writer: &mut DeltaCheckpointWriter,
-    report_path: &Path,
-    analyzer: &mut EventBasedAnalyzer,
-    reorder: &Option<ReorderBuffer>,
-    sink: &mut ReportSink,
-    reader: &AnyTraceReader<FramePayloadReader<impl SessionStream>>,
-    base_positions: u64,
-    pushed: u64,
-    prior_lost: u64,
-    prior_gaps: &[TraceGap],
-) -> Result<(), String> {
-    if let Some(w) = &mut sink.writer {
-        w.flush().map_err(|e| format!("flush report: {e}"))?;
-    }
-    let bytes_flushed = fs::metadata(report_path)
-        .map_err(|e| format!("stat report: {e}"))?
-        .len();
-    let gaps: Vec<TraceGap> = prior_gaps.iter().chain(reader.gaps()).cloned().collect();
-    let parts = CheckpointParts {
-        positions_seen: base_positions + pushed + reader.events_lost(),
-        gaps: &gaps,
-        events_lost: prior_lost + reader.events_lost(),
-        reorder: reorder.as_ref().map(|b| b.snapshot()),
-        sink: SinkState {
-            bytes_flushed,
-            events: sink.events,
-            awaits: sink.awaits,
-            barriers: sink.barriers,
-            episodes: sink.episodes,
-            last_time: sink.last_time,
-        },
-    };
-    ckpt_writer
-        .checkpoint(analyzer, parts)
-        .map_err(|e| format!("write checkpoint: {e}"))
 }
 
 /// Runs one connection to completion. Never panics outward on protocol
@@ -672,14 +611,6 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
         None
     };
     let base_positions = resumed.as_ref().map_or(0, |cp| cp.positions_seen);
-    let prior_lost = resumed.as_ref().map_or(0, |cp| cp.events_lost);
-    let prior_gaps: Vec<TraceGap> = resumed.as_ref().map_or_else(Vec::new, |cp| cp.gaps.clone());
-    // Fresh chain per session: the first cadence write is a full
-    // snapshot (atomically replacing any prior session's chain), and
-    // later writes within this session append deltas between
-    // compactions.
-    let mut ckpt_writer =
-        DeltaCheckpointWriter::new(&ckpt_path, ctx.config.checkpoint_compact_every);
 
     if write_frame(
         &mut sock,
@@ -722,154 +653,53 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
     } else {
         AnyTraceReader::open(adapter)
     };
-    let mut reader = match opened {
+    let reader = match opened {
         Ok(r) => r,
         Err(e) => return fail_out(Fail::from_decode(e, &violation), &mut sock, &tm),
     };
-    if ctx.config.lenient {
-        reader.set_lenient(true);
-    }
-    if base_positions > 0 {
-        reader.set_skip_events(base_positions);
-    }
-    let expected = reader.expected_events();
-
-    let writer = match &resumed {
-        Some(cp) => {
-            let open = fs::OpenOptions::new().write(true).open(&report_path);
-            match open.and_then(|f| f.metadata().map(|m| (f, m.len()))) {
-                Ok((f, len)) if len >= cp.sink.bytes_flushed => {
-                    let mut f = f;
-                    if f.set_len(cp.sink.bytes_flushed).is_err()
-                        || f.seek(SeekFrom::End(0)).is_err()
-                    {
-                        return fail_out(
-                            Fail::Internal("cannot truncate report for resume".into()),
-                            &mut sock,
-                            &tm,
-                        );
-                    }
-                    Some(AnyTraceWriter::resume_jsonl(
-                        f,
-                        cp.sink.events as usize,
-                        StreamProbes::noop(),
-                    ))
-                }
-                Ok((_, len)) => {
-                    return fail_out(
-                        Fail::Internal(format!(
-                            "report is {len} bytes but the checkpoint flushed {}; \
-                             wrong or modified report file",
-                            cp.sink.bytes_flushed
-                        )),
-                        &mut sock,
-                        &tm,
-                    )
-                }
-                Err(e) => {
-                    return fail_out(
-                        Fail::Internal(format!("cannot reopen report for resume: {e}")),
-                        &mut sock,
-                        &tm,
-                    )
-                }
-            }
-        }
-        None => match File::create(&report_path) {
-            Ok(f) => match AnyTraceWriter::with_probes(
-                f,
-                TraceFormat::Jsonl,
-                TraceKind::Approximated,
-                expected,
-                StreamProbes::noop(),
-            ) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    return fail_out(
-                        Fail::Internal(format!("cannot start report: {e}")),
-                        &mut sock,
-                        &tm,
-                    )
-                }
-            },
-            Err(e) => {
-                return fail_out(
-                    Fail::Internal(format!("cannot create report: {e}")),
-                    &mut sock,
-                    &tm,
-                )
-            }
-        },
+    // Fresh chain per session: the first cadence write is a full
+    // snapshot (atomically replacing any prior session's chain), and
+    // later writes within this session append deltas between
+    // compactions.
+    let config = PipelineConfig {
+        lenient: ctx.config.lenient,
+        reorder_window: ctx.config.reorder_window,
+        checkpoint: Some(CheckpointPolicy {
+            path: ckpt_path.clone(),
+            every: ctx.config.checkpoint_every,
+            compact_every: ctx.config.checkpoint_compact_every,
+        }),
+        ..PipelineConfig::new(ctx.config.overheads)
     };
-    let mut analyzer = match &resumed {
-        Some(cp) => {
-            EventBasedAnalyzer::restore_with_probes(&cp.analyzer, ppa_core::AnalyzerProbes::noop())
-        }
-        None => EventBasedAnalyzer::new(&ctx.config.overheads),
+    let report = Some((report_path.as_path(), TraceFormat::Jsonl));
+    let mut pipeline = match Pipeline::new(reader, config, report, resumed) {
+        Ok(p) => p,
+        Err(e) => return fail_out(Fail::from_pipeline(e, &violation), &mut sock, &tm),
     };
-    let mut reorder = match &resumed {
-        Some(cp) => cp
-            .reorder
-            .as_ref()
-            .map(ReorderBuffer::restore)
-            .or_else(|| ctx.config.reorder_window.map(ReorderBuffer::new)),
-        None => ctx.config.reorder_window.map(ReorderBuffer::new),
-    };
-    let mut sink = ReportSink {
-        writer,
-        events: resumed.as_ref().map_or(0, |cp| cp.sink.events),
-        awaits: resumed.as_ref().map_or(0, |cp| cp.sink.awaits),
-        barriers: resumed.as_ref().map_or(0, |cp| cp.sink.barriers),
-        episodes: resumed.as_ref().map_or(0, |cp| cp.sink.episodes),
-        last_time: resumed.as_ref().map_or(Time::ZERO, |cp| cp.sink.last_time),
-    };
-    drop(resumed);
 
     // --- The event loop ------------------------------------------------
-    let mut pushed: u64 = 0;
-    let mut since_checkpoint: u64 = 0;
     let mut since_resident: u64 = 0;
     let quotas = ctx.table.quotas().clone();
-    // Phase 1: the event loop. Only borrows the analyzer, so on a
-    // checkpoint-worthy failure (idle, shutdown, vanished client,
-    // resident quota) the state is still here to snapshot.
+    // Only borrows the pipeline, so on a checkpoint-worthy failure
+    // (idle, shutdown, vanished client, resident quota) the state is
+    // still here to snapshot.
     let loop_result: Result<(), Fail> = (|| {
         // Ingest work is attributed in 4096-event chunk spans (the same
         // granularity as the CLI's push chunks): per-event spans would
         // perturb the pipeline being measured.
         let mut chunk_span: Option<ppa_obs::SpanGuard> = None;
-        while let Some(item) = reader.next() {
-            if pushed.is_multiple_of(4096) {
+        loop {
+            if pipeline.events_in().is_multiple_of(4096) {
                 drop(chunk_span.take());
                 let mut g = ppa_obs::span_enter(ppa_obs::Stage::Ingest);
-                g.attr_seq(pushed);
+                g.attr_seq(pipeline.events_in());
                 chunk_span = Some(g);
             }
-            let event = item.map_err(|e| Fail::from_decode(e, &violation))?;
-            let sink_err = |e: IoError| Fail::Internal(format!("report write: {e}"));
-            match &mut reorder {
-                Some(buf) => {
-                    buf.push(event);
-                    while let Some(e) = buf.pop_ready() {
-                        analyzer
-                            .push(e)
-                            .map_err(|e| Fail::BadTrace(e.to_string()))?;
-                        while let Some(o) = analyzer.next_output() {
-                            sink.take(o).map_err(sink_err)?;
-                        }
-                    }
-                }
-                None => {
-                    analyzer
-                        .push(event)
-                        .map_err(|e| Fail::BadTrace(e.to_string()))?;
-                    while let Some(o) = analyzer.next_output() {
-                        sink.take(o).map_err(sink_err)?;
-                    }
-                }
-            }
-            pushed += 1;
-            since_checkpoint += 1;
+            let step = match pipeline.step() {
+                Ok(Some(step)) => step,
+                Ok(None) => return Ok(()),
+                Err(e) => return Err(Fail::from_pipeline(e, &violation)),
+            };
             since_resident += 1;
             tm.events.inc();
 
@@ -882,8 +712,7 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
             }
             if quotas.tenant_max_resident_bytes > 0 && since_resident >= RESIDENT_CHECK_EVERY {
                 since_resident = 0;
-                let held = analyzer.resident() + reorder.as_ref().map_or(0, ReorderBuffer::len);
-                let bytes = (held * std::mem::size_of::<Event>()) as u64;
+                let bytes = (pipeline.resident() * std::mem::size_of::<Event>()) as u64;
                 if permit.set_resident(bytes) {
                     return Err(Fail::QuotaResident(format!(
                         "tenant resident state exceeds the {}-byte quota \
@@ -892,22 +721,9 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
                     )));
                 }
             }
-            if since_checkpoint >= ctx.config.checkpoint_every {
-                since_checkpoint = 0;
-                take_checkpoint(
-                    &mut ckpt_writer,
-                    &report_path,
-                    &mut analyzer,
-                    &reorder,
-                    &mut sink,
-                    &reader,
-                    base_positions,
-                    pushed,
-                    prior_lost,
-                    &prior_gaps,
-                )
-                .map_err(Fail::Internal)?;
+            if step.checkpointed {
                 tm.checkpoints.inc();
+                let pushed = pipeline.events_in();
                 ctx.log().debug(
                     &format!("session {tenant}/{stream} checkpointed at {pushed} events"),
                     "checkpoint",
@@ -922,29 +738,17 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
                 return Err(Fail::Shutdown);
             }
         }
-        Ok(())
     })();
 
+    tm.gaps.add(pipeline.reader().gaps().len() as u64);
+    tm.events_lost.add(pipeline.reader().events_lost());
+
     if let Err(fail) = loop_result {
-        tm.gaps.add(reader.gaps().len() as u64);
-        tm.events_lost.add(reader.events_lost());
         if fail.checkpoint_worthy() {
             // Parking: the final state snapshot a future session resumes
             // from (idle eviction, shutdown, vanished client, quota).
             let _span = ppa_obs::span_enter(ppa_obs::Stage::Park);
-            let ck = take_checkpoint(
-                &mut ckpt_writer,
-                &report_path,
-                &mut analyzer,
-                &reorder,
-                &mut sink,
-                &reader,
-                base_positions,
-                pushed,
-                prior_lost,
-                &prior_gaps,
-            );
-            match ck {
+            match pipeline.checkpoint_now() {
                 Ok(()) => {
                     tm.checkpoints.inc();
                     tm.evictions.inc();
@@ -961,76 +765,37 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
         return fail_out(fail, &mut sock, &tm);
     }
 
-    // Phase 2: end of input. Drain the reorder tail, finish the
-    // analyzer (consuming it — nothing here needs a checkpoint: a
-    // failure past FIN is either bad data or a server fault, and the
-    // cadence checkpoint from phase 1 still covers resume).
-    let result: Result<Summary, Fail> = (|| {
-        let _span = ppa_obs::span_enter(ppa_obs::Stage::AnalyzeEmit);
-        let sink_err = |e: IoError| Fail::Internal(format!("report write: {e}"));
-        if let Some(buf) = &mut reorder {
-            let _reorder_span = ppa_obs::span_enter(ppa_obs::Stage::Reorder);
-            while let Some(e) = buf.pop_flush() {
-                analyzer
-                    .push(e)
-                    .map_err(|e| Fail::BadTrace(e.to_string()))?;
-                while let Some(o) = analyzer.next_output() {
-                    sink.take(o).map_err(sink_err)?;
-                }
-            }
-        }
-        let tail = if ctx.config.lenient {
-            analyzer.finish_lenient()
-        } else {
-            analyzer
-                .finish()
-                .map_err(|e| Fail::BadTrace(e.to_string()))?
-        };
-        for o in &tail.outputs {
-            sink.take(*o).map_err(sink_err)?;
-        }
-        if let Some(w) = sink.writer.take() {
-            let mut inner = w
-                .finish()
-                .map_err(|e| Fail::Internal(format!("finish report: {e}")))?;
-            inner
-                .flush()
-                .map_err(|e| Fail::Internal(format!("flush report: {e}")))?;
-        }
-        Ok(Summary {
-            events: sink.events,
-            awaits: sink.awaits,
-            barriers: sink.barriers,
-            last_time_ns: sink.last_time.as_nanos(),
-            gaps: (prior_gaps.len() + reader.gaps().len()) as u64,
-            events_lost: prior_lost + reader.events_lost(),
-        })
-    })();
+    // End of input. Nothing past FIN needs a checkpoint: a failure here
+    // is either bad data or a server fault, and the cadence checkpoint
+    // from the loop still covers resume.
+    let summary = match pipeline.finish() {
+        Ok(run) => Summary {
+            events: run.sink.events,
+            awaits: run.sink.awaits,
+            barriers: run.sink.barriers,
+            last_time_ns: run.sink.last_time.as_nanos(),
+            gaps: run.gaps.len() as u64,
+            events_lost: run.events_lost,
+        },
+        Err(e) => return fail_out(Fail::from_pipeline(e, &violation), &mut sock, &tm),
+    };
 
-    tm.gaps.add(reader.gaps().len() as u64);
-    tm.events_lost.add(reader.events_lost());
-
-    match result {
-        Ok(summary) => {
-            // The session is complete: the checkpoint (a resume token)
-            // is stale. Delete it so a future HELLO starts fresh.
-            match fs::remove_file(&ckpt_path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    return fail_out(
-                        Fail::Internal(format!("cannot clear checkpoint: {e}")),
-                        &mut sock,
-                        &tm,
-                    )
-                }
-            }
-            tm.completed.inc();
-            let _ = write_frame(&mut sock, FT_DONE, &crate::protocol::encode_done(&summary));
-            outcome(SessionEnd::Completed {
-                events: summary.events,
-            })
+    // The session is complete: the checkpoint (a resume token) is
+    // stale. Delete it so a future HELLO starts fresh.
+    match fs::remove_file(&ckpt_path) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => {
+            return fail_out(
+                Fail::Internal(format!("cannot clear checkpoint: {e}")),
+                &mut sock,
+                &tm,
+            )
         }
-        Err(fail) => fail_out(fail, &mut sock, &tm),
     }
+    tm.completed.inc();
+    let _ = write_frame(&mut sock, FT_DONE, &crate::protocol::encode_done(&summary));
+    outcome(SessionEnd::Completed {
+        events: summary.events,
+    })
 }
