@@ -1,21 +1,21 @@
-//! Differential oracle: three independent implementations of the §4.2.3
+//! Differential oracle: two independent implementations of the §4.2.3
 //! analysis must agree on every input.
 //!
-//! The workspace deliberately keeps three paths to the same answer — the
-//! streaming [`event_based`], the batch worklist
-//! [`event_based_reference`] (the executable spec), and the parallel
-//! [`event_based_sharded`] — so they can act as mutual oracles. This
-//! module generates DOACROSS programs (the Livermore loops 3/4/17
-//! experiment graphs plus synthesized random workloads), simulates their
-//! instrumented measurement, runs all three analyses, and diffs the
-//! reports field by field. Any disagreement is shrunk with a
+//! The workspace keeps two paths to the same answer — the streaming
+//! [`event_based`] (the engine every command runs) and the batch
+//! worklist [`event_based_reference`]. The reference stays because it
+//! is the executable spec: it builds the whole dependency DAG and
+//! resolves it rule by rule, sharing no state machine with the
+//! streaming engine, so it is what a change to the engine is judged
+//! against. This module generates DOACROSS programs (the Livermore
+//! loops 3/4/17 experiment graphs plus synthesized random workloads),
+//! simulates their instrumented measurement, runs both analyses, and
+//! diffs the reports field by field. Any disagreement is shrunk with a
 //! deterministic delta-debugging pass to a minimal reproducing measured
 //! trace, which can be written to disk for offline triage.
 
 use crate::{ReportChecker, Violation};
-use ppa_core::{
-    event_based, event_based_reference, event_based_sharded, expand_events, EventBasedResult,
-};
+use ppa_core::{event_based, event_based_reference, expand_events, EventBasedResult};
 use ppa_program::synth::{synthesize, SynthConfig};
 use ppa_program::InstrumentationPlan;
 use ppa_sim::{
@@ -39,8 +39,6 @@ pub struct DifferentialConfig {
     /// How many lock/semaphore/fork-join episode scenarios to generate
     /// and cross-check (cycled round-robin over the three families).
     pub scenarios: usize,
-    /// Worker count handed to the sharded path.
-    pub workers: usize,
     /// Decode worker threads for the binary-codec round-trip leg
     /// (0 skips the pipelined decode and checks only the serial one).
     pub decode_workers: usize,
@@ -52,13 +50,12 @@ impl Default for DifferentialConfig {
             seed: 0,
             programs: 50,
             scenarios: 50,
-            workers: 4,
             decode_workers: 4,
         }
     }
 }
 
-/// One disagreement between the three analysis paths.
+/// One disagreement between the two analysis paths.
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Which generated program disagreed (e.g. `lfk03` or `synth-17`).
@@ -130,7 +127,7 @@ fn sim_config(seed: u64) -> SimConfig {
 }
 
 /// Runs the oracle: generates `cfg.programs` DOACROSS workloads, diffs
-/// the three analysis paths on each, and shrinks any mismatch. Minimal
+/// the two analysis paths on each, and shrinks any mismatch. Minimal
 /// reproducing traces are written to `out_dir` as JSONL when given.
 ///
 /// Errors only on environmental failure (simulation or I/O); analysis
@@ -196,8 +193,8 @@ pub fn run_differential(
             });
         }
 
-        if let Some(detail) = diff_paths(&measured.trace, &sim.overheads, cfg.workers) {
-            let minimal = shrink(measured.trace.events(), &sim.overheads, cfg.workers);
+        if let Some(detail) = diff_paths(&measured.trace, &sim.overheads) {
+            let minimal = shrink(measured.trace.events(), &sim.overheads);
             let trace_path = match out_dir {
                 Some(dir) => {
                     let path = dir.join(format!("mismatch-{label}.jsonl"));
@@ -253,8 +250,8 @@ pub fn run_differential(
             });
         }
 
-        if let Some(detail) = diff_paths(&trace, &oh, cfg.workers) {
-            let minimal = shrink(trace.events(), &oh, cfg.workers);
+        if let Some(detail) = diff_paths(&trace, &oh) {
+            let minimal = shrink(trace.events(), &oh);
             report.mismatches.push(Mismatch {
                 program: label,
                 seed,
@@ -304,11 +301,7 @@ fn diff_codec(trace: &Trace, decode_workers: usize) -> Option<String> {
         ("serial decode", read_trace(bytes.as_slice())),
         (
             "pipelined decode",
-            if decode_workers > 0 {
-                read_trace_parallel(bytes.as_slice(), decode_workers)
-            } else {
-                read_trace(bytes.as_slice())
-            },
+            read_trace_parallel(bytes.as_slice(), decode_workers),
         ),
     ];
     for (leg, decoded) in legs {
@@ -335,8 +328,6 @@ fn diff_codec(trace: &Trace, decode_workers: usize) -> Option<String> {
     None
 }
 
-/// Runs the three paths on one measured trace; `Some(description)` of
-/// the first difference if they disagree, `None` when they agree.
 /// Slice-vs-full leg: the slice engine (binary container, skip index
 /// engaged) must return exactly the events a full decode followed by a
 /// naive predicate filter returns, with exact accounting. The window
@@ -441,22 +432,21 @@ fn diff_suppression(trace: &Trace, oh: &OverheadSpec) -> Option<String> {
     }
 }
 
-fn diff_paths(trace: &Trace, oh: &OverheadSpec, workers: usize) -> Option<String> {
+/// Runs the two paths on one measured trace; `Some(description)` of
+/// the first difference if they disagree, `None` when they agree.
+fn diff_paths(trace: &Trace, oh: &OverheadSpec) -> Option<String> {
     let streaming = event_based(trace, oh);
     let reference = event_based_reference(trace, oh);
-    let sharded = event_based_sharded(trace, oh, workers);
-    match (streaming, reference, sharded) {
-        (Ok(s), Ok(r), Ok(h)) => diff_results("streaming", &s, "reference", &r)
-            .or_else(|| diff_results("sharded", &h, "reference", &r)),
-        // All three failing is agreement: they reject the same input.
-        // The *choice* of error is pinned by unit tests elsewhere; the
+    match (streaming, reference) {
+        (Ok(s), Ok(r)) => diff_results("streaming", &s, "reference", &r),
+        // Both failing is agreement: they reject the same input. The
+        // *choice* of error is pinned by unit tests elsewhere; the
         // oracle only demands the accept/reject verdict match.
-        (Err(_), Err(_), Err(_)) => None,
-        (s, r, h) => Some(format!(
-            "accept/reject split: streaming {}, reference {}, sharded {}",
+        (Err(_), Err(_)) => None,
+        (s, r) => Some(format!(
+            "accept/reject split: streaming {}, reference {}",
             verdict(&s),
-            verdict(&r),
-            verdict(&h)
+            verdict(&r)
         )),
     }
 }
@@ -525,16 +515,16 @@ fn diff_results(an: &str, a: &EventBasedResult, bn: &str, b: &EventBasedResult) 
 }
 
 /// Deterministic delta-debugging (ddmin) shrink: the smallest event
-/// subset (in measured order) on which the three paths still disagree.
+/// subset (in measured order) on which the two paths still disagree.
 ///
 /// Subsets keep their original timestamps and sequence numbers, so the
 /// reduced trace stays totally ordered; dropping events may turn the
 /// input invalid, but a unanimous rejection counts as agreement, so the
 /// shrinker only keeps subsets that still *split* the implementations.
-fn shrink(events: &[Event], oh: &OverheadSpec, workers: usize) -> Vec<Event> {
+fn shrink(events: &[Event], oh: &OverheadSpec) -> Vec<Event> {
     let still_mismatches = |subset: &[Event]| {
         let t = Trace::from_events(TraceKind::Measured, subset.to_vec());
-        diff_paths(&t, oh, workers).is_some()
+        diff_paths(&t, oh).is_some()
     };
     let mut current: Vec<Event> = events.to_vec();
     let mut chunks = 2usize;
@@ -597,7 +587,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Every generated lock/semaphore/fork-join scenario must (a)
-        /// agree across the streaming, reference, and sharded analyses —
+        /// agree across the streaming and reference analyses —
         /// any split is ddmin-shrunk before failing, so the proptest
         /// report carries a minimal repro size — and (b) produce a
         /// report accepted by every conservation law, plus survive the
@@ -606,12 +596,12 @@ mod proptests {
         fn episode_scenarios_agree_and_conserve(
             seed in proptest::prelude::any::<u64>(),
             cfg in arb_scenario(),
-            workers in 1usize..5,
+            decode_workers in 0usize..5,
         ) {
             let trace = scenario_trace(seed, &cfg);
             let oh = cfg.overheads;
-            if let Some(detail) = diff_paths(&trace, &oh, workers) {
-                let minimal = shrink(trace.events(), &oh, workers);
+            if let Some(detail) = diff_paths(&trace, &oh) {
+                let minimal = shrink(trace.events(), &oh);
                 prop_assert!(
                     false,
                     "paths disagree: {detail}; ddmin minimal repro: {} of {} event(s)",
@@ -620,7 +610,7 @@ mod proptests {
                 );
             }
             prop_assert_eq!(diff_conservation(&trace, &oh), None);
-            prop_assert_eq!(diff_codec(&trace, workers), None);
+            prop_assert_eq!(diff_codec(&trace, decode_workers), None);
             prop_assert_eq!(diff_suppression(&trace, &oh), None);
         }
     }

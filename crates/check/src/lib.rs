@@ -21,8 +21,8 @@
 //!   is one where instrumentation overhead exceeded the measured
 //!   inter-event spacing, exactly the uncertainty the §4.2.3 rules
 //!   cannot correct for.
-//! - [`differential`] runs the streaming, reference, and sharded
-//!   analysis paths over generated DOACROSS programs, diffs their
+//! - [`differential`] runs the streaming and reference analysis
+//!   paths over generated DOACROSS programs, diffs their
 //!   reports field by field, and shrinks any mismatch to a minimal
 //!   reproducing trace.
 //!

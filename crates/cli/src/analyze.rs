@@ -1,16 +1,16 @@
 //! `ppa analyze`: event-based analysis of an on-disk trace — flag
-//! parsing, the batch path, and the streaming path as a driver of
-//! [`ppa::analysis::Pipeline`] (what is left here is the CLI's own:
-//! metrics, progress and self-trace export, the stdout summary, and the
-//! sysexits mapping).
+//! parsing and one driver of [`ppa::analysis::Pipeline`] (what is left
+//! here is the CLI's own: metrics, progress and self-trace export, the
+//! stdout summary, and the sysexits mapping).
 
 use crate::{
-    default_decode_workers, export_metrics, parse_decode_workers, CliError, MetricsFormat,
+    default_decode_workers, export_metrics, parse_decode_workers, refuse_output_onto_input,
+    CliError, MetricsFormat,
 };
 use std::fs::File;
 use std::path::Path;
 
-const ANALYZE_USAGE: &str = "usage: ppa analyze <measured.{jsonl|bin}> [--stream] \
+const ANALYZE_USAGE: &str = "usage: ppa analyze <measured.{jsonl|bin}> \
      [--out approx] [--format bin|jsonl] [--overheads spec.json] \
      [--slice EXPR] [--decode-workers N] \
      [--metrics-out snap.prom] [--metrics-format prom|json] [--metrics-every SECS] \
@@ -63,7 +63,7 @@ fn export_self_trace(
     ))
 }
 
-/// Fault-tolerance options of the streaming pipeline (all off by default).
+/// Fault-tolerance options of the pipeline (all off by default).
 #[derive(Default)]
 struct FaultOptions {
     /// Skip undecodable input regions as typed gaps instead of failing.
@@ -101,7 +101,6 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
     let mut metrics_every: Option<std::time::Duration> = None;
     let mut self_trace: Option<&str> = None;
     let mut self_trace_format: Option<SelfTraceFormat> = None;
-    let mut stream = false;
     let mut progress_flag = false;
     let mut progress_forced = false;
     let mut faults = FaultOptions {
@@ -117,7 +116,9 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
     let missing = |flag: &str| CliError::Usage(format!("{flag} needs an argument"));
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--stream" => stream = true,
+            // Every run is the streaming pipeline; the flag that used to
+            // select it stays accepted so existing scripts keep working.
+            "--stream" => {}
             "--progress" => progress_flag = true,
             "--progress=force" => {
                 progress_flag = true;
@@ -231,11 +232,6 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
         }
     }
     let input = input.ok_or_else(|| CliError::Usage(ANALYZE_USAGE.into()))?;
-    if (metrics_out.is_some() || progress_flag || self_trace.is_some()) && !stream {
-        return Err(CliError::Usage(
-            "--metrics-out, --progress, and --self-trace require --stream".into(),
-        ));
-    }
     if metrics_every.is_some() && metrics_out.is_none() {
         return Err(CliError::Usage(
             "--metrics-every only applies with --metrics-out".into(),
@@ -244,16 +240,6 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
     if self_trace_format.is_some() && self_trace.is_none() {
         return Err(CliError::Usage(
             "--self-trace-format only applies with --self-trace".into(),
-        ));
-    }
-    if !stream
-        && (faults.lenient
-            || faults.reorder_window.is_some()
-            || faults.checkpoint.is_some()
-            || faults.resume.is_some())
-    {
-        return Err(CliError::Usage(
-            "--lenient, --reorder-window, --checkpoint, and --resume require --stream".into(),
         ));
     }
     if (checkpoint_every_set || compact_every_set) && faults.checkpoint.is_none() {
@@ -287,6 +273,15 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
                 .into(),
         ));
     }
+    refuse_output_onto_input(
+        input,
+        &[
+            ("--out", out_path),
+            ("--checkpoint", faults.checkpoint.as_deref()),
+            ("--self-trace", self_trace),
+            ("--metrics-out", metrics_out),
+        ],
+    )?;
     let slice_spec = match slice_expr {
         Some(expr) => {
             let spec =
@@ -318,7 +313,7 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
             std::io::stderr().is_terminal()
         });
 
-    let options = AnalyzeOptions {
+    analyze(&AnalyzeOptions {
         input,
         out_path,
         out_format,
@@ -331,16 +326,10 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
         self_trace: self_trace.map(|p| (p, self_trace_format.unwrap_or(SelfTraceFormat::Ppa))),
         progress,
         faults,
-    };
-    if stream {
-        stream_analyze(&options)
-    } else {
-        batch_analyze(&options)
-    }
+    })
 }
 
-/// What `ppa analyze` was asked for, parsed and cross-checked. The
-/// fields from `metrics_out` on apply to `--stream` only.
+/// What `ppa analyze` was asked for, parsed and cross-checked.
 struct AnalyzeOptions<'a> {
     input: &'a str,
     out_path: Option<&'a str>,
@@ -394,7 +383,8 @@ fn checkpoint_error(path: &str, e: ppa::analysis::CheckpointError) -> CliError {
 /// it is not the file the checkpoint describes — bad data, and report
 /// I/O is 74.
 fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliError {
-    use ppa::analysis::PipelineError;
+    use ppa::analysis::{AnalysisError, PipelineError};
+    use ppa::trace::TraceError;
     // Report and checkpoint errors only arise with the flag that names
     // the file.
     let out = o.out_path.unwrap_or_default();
@@ -402,6 +392,14 @@ fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliErr
     match e {
         PipelineError::Input(e) => CliError::from(e).prefixed(o.input),
         PipelineError::Expand(e) => CliError::Data(e.to_string()),
+        // The analyzer consumes its input in order and says so; the
+        // remedy is a flag of this command, so it is named here.
+        PipelineError::Analysis(e @ AnalysisError::Trace(TraceError::NotTotallyOrdered { .. })) => {
+            CliError::Data(format!(
+                "{e}; an unsorted trace needs --reorder-window N \
+             (N = how many sequence numbers late an event may arrive)"
+            ))
+        }
         PipelineError::Analysis(e) => e.into(),
         PipelineError::ResumeOpen(e) => {
             CliError::NoInput(format!("{out}: cannot resume into: {e}"))
@@ -418,7 +416,7 @@ fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliErr
 /// a stderr ticker. `--lenient`, `--reorder-window` and
 /// `--checkpoint`/`--resume` configure the pipeline; everything they
 /// do happens there.
-fn stream_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
+fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
     use ppa::analysis::{
         read_checkpoint, AnalyzerProbes, CheckpointPolicy, Pipeline, PipelineConfig, ReportFilter,
     };
@@ -494,12 +492,9 @@ fn stream_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
             )
             .set(workers as f64);
     }
-    let reader = if workers == 0 {
-        AnyTraceReader::with_probes(BufReader::new(file), read_probes)
-    } else {
+    let reader =
         AnyTraceReader::open_parallel_with_probes(BufReader::new(file), workers, read_probes)
-    }
-    .map_err(|e| CliError::from(e).prefixed(input))?;
+            .map_err(|e| CliError::from(e).prefixed(input))?;
     let expected = reader.expected_events();
 
     let config = PipelineConfig {
@@ -529,7 +524,7 @@ fn stream_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
     let mut last_tick = began;
     let mut last_export = began;
 
-    // The whole streaming run is one root span; per-event spans would
+    // The whole run is one root span; per-event spans would
     // perturb the pipeline they measure (the paper's uncertainty
     // principle), so push work is attributed in 4096-event chunks
     // instead — the same granularity as the progress ticker.
@@ -690,63 +685,5 @@ fn stream_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
             r.window, r.reordered, r.rejected
         ));
     }
-    print_summary(&lines)
-}
-
-fn batch_analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
-    use ppa::analysis::event_based;
-    use ppa::trace::{read_trace, read_trace_parallel, write_trace, Trace};
-    use std::io::{BufReader, BufWriter};
-
-    let input = o.input;
-    let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
-    let workers = o.decode_workers.unwrap_or_else(default_decode_workers);
-    let measured = if workers == 0 {
-        read_trace(BufReader::new(file)).map_err(|e| CliError::from(e).prefixed(input))?
-    } else {
-        read_trace_parallel(BufReader::new(file), workers)
-            .map_err(|e| CliError::from(e).prefixed(input))?
-    };
-    let result = event_based(&measured, &o.overheads)?;
-    // `--slice` scopes the report after the analysis (the full input
-    // keeps the §4.2.3 accounting exact; see EXPERIMENTS.md).
-    let (report, filtered) = match &o.slice_spec {
-        Some(spec) => {
-            let kept: Vec<_> = result
-                .trace
-                .events()
-                .iter()
-                .filter(|e| spec.matches(e))
-                .copied()
-                .collect();
-            let filtered = result.trace.len() - kept.len();
-            (Trace::from_events(result.trace.kind(), kept), filtered)
-        }
-        None => (result.trace.clone(), 0),
-    };
-    if let Some(p) = o.out_path {
-        let f = File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-        write_trace(&report, BufWriter::new(f), o.out_format)
-            .map_err(|e| CliError::Io(format!("{p}: {e}")))?;
-    }
-    let mut lines = vec![format!(
-        "analyzed {} measured events: {} approximated events, {} awaits, \
-         {} barrier passages, {} sync episodes",
-        measured.len(),
-        report.len(),
-        result.awaits.len(),
-        result.barriers.len(),
-        result.episodes.len()
-    )];
-    if o.slice_spec.is_some() {
-        lines.push(format!(
-            "report scoped to slice: {} event(s) emitted, {filtered} filtered out",
-            report.len()
-        ));
-    }
-    lines.push(format!(
-        "approximated total time: {}",
-        result.trace.total_time()
-    ));
     print_summary(&lines)
 }

@@ -22,15 +22,16 @@
 //! `analyze` reads a measured trace from a file — JSONL (`ppa-trace-v1`)
 //! or binary (`ppa-trace-bin-v1`), auto-detected by magic bytes — and
 //! recovers the approximated (perturbation-corrected) trace; `--format
-//! bin|jsonl` picks the `--out` encoding. With `--stream` it uses the
-//! bounded-memory incremental engine end to end: chunked reader →
-//! [`ppa::analysis::EventBasedAnalyzer`] → chunked writer, decoding
-//! binary input blocks on worker threads. Add
+//! bin|jsonl` picks the `--out` encoding. Every run drives the one
+//! bounded-memory [`ppa::analysis::Pipeline`] end to end: chunked reader
+//! → [`ppa::analysis::EventBasedAnalyzer`] → chunked writer, decoding
+//! binary input blocks on worker threads (`--stream` is accepted for
+//! old scripts and changes nothing). Add
 //! `--metrics-out snap.prom [--metrics-format prom|json]` to export a
 //! pipeline-metrics snapshot and `--progress` for a stderr ticker (shown
 //! only when stderr is a terminal; `--progress=force` overrides).
 //!
-//! The streaming pipeline is fault-tolerant on demand: `--lenient`
+//! The pipeline is fault-tolerant on demand: `--lenient`
 //! skips undecodable input regions as typed gaps (every lost event is
 //! accounted for in the summary and in the `ppa_stream_gaps_total` /
 //! `ppa_stream_events_lost_total` metrics), `--reorder-window N`
@@ -207,12 +208,16 @@ fn real_main() -> Result<(), CliError> {
                  intrusion accuracy analyze convert slice check serve send"
             );
             println!(
-                "analyze: ppa analyze <measured.{{jsonl|bin}}> [--stream] [--out approx] \
+                "analyze: ppa analyze <measured.{{jsonl|bin}}> [--out approx] \
                  [--format bin|jsonl] [--overheads spec.json] [--slice EXPR]"
             );
             println!(
                 "         (the input container is auto-sniffed from its magic bytes; \
                  --format selects the output container only)"
+            );
+            println!(
+                "         (one bounded-memory pipeline for every run; --stream is accepted \
+                 and changes nothing; an unsorted trace needs --reorder-window N)"
             );
             println!(
                 "         [--metrics-out snap.prom] [--metrics-format prom|json] \
@@ -246,7 +251,7 @@ fn real_main() -> Result<(), CliError> {
             );
             println!(
                 "         ppa check --differential [--seed N] [--programs N] [--scenarios N] \
-                 [--workers N] [--out-dir DIR]"
+                 [--decode-workers N] [--out-dir DIR]"
             );
             println!(
                 "serve:   ppa serve --checkpoint-dir DIR [--listen ADDR] [--unix-socket PATH] \
@@ -670,6 +675,31 @@ fn default_decode_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Refuses a run whose output would land on its own input. Every
+/// writer here creates (truncates) or renames onto its output while the
+/// input is still being read, so `ppa analyze x --out x` would destroy
+/// `x`; this runs before any file is created. `outputs` pairs each
+/// path with the flag or role that named it, for the message.
+///
+/// Two paths are the same file when both resolve to one device + inode
+/// — which sees through `./x` vs `x`, symlinks and hard links alike. An
+/// output that does not exist yet names no file to destroy.
+fn refuse_output_onto_input(input: &str, outputs: &[(&str, Option<&str>)]) -> Result<(), CliError> {
+    use std::os::unix::fs::MetadataExt;
+    let Ok(inp) = std::fs::metadata(input) else {
+        return Ok(()); // the caller reports the missing input (66)
+    };
+    for (role, path) in outputs {
+        let Some(path) = path else { continue };
+        if std::fs::metadata(path).is_ok_and(|m| (m.dev(), m.ino()) == (inp.dev(), inp.ino())) {
+            return Err(CliError::Usage(format!(
+                "{role} {path} is the input file {input}; writing it would destroy the input"
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[derive(Clone, Copy, PartialEq)]
 enum MetricsFormat {
     Prom,
@@ -762,6 +792,8 @@ fn run_convert(args: &[String]) -> Result<(), CliError> {
             "--block-events only applies to `--to bin`".into(),
         ));
     }
+
+    refuse_output_onto_input(input, &[("output", Some(output))])?;
 
     let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
     let reader = AnyTraceReader::open(BufReader::new(file))
@@ -894,6 +926,10 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
     }
     let expr = clauses.join(" ");
     let spec = SliceSpec::parse(&expr).map_err(|e| CliError::Usage(e.to_string()))?;
+    refuse_output_onto_input(
+        input,
+        &[("output", Some(output)), ("--metrics-out", metrics_out)],
+    )?;
 
     let registry = metrics_out.is_some().then(ppa::obs::Registry::new);
     let probes = match &registry {
@@ -903,12 +939,8 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
 
     let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
     let workers = decode_workers.unwrap_or_else(default_decode_workers);
-    let mut reader = if workers == 0 {
-        AnyTraceReader::open(BufReader::new(file)).map_err(|e| CliError::from(e).prefixed(input))?
-    } else {
-        AnyTraceReader::open_parallel(BufReader::new(file), workers)
-            .map_err(|e| CliError::from(e).prefixed(input))?
-    };
+    let mut reader = AnyTraceReader::open_parallel(BufReader::new(file), workers)
+        .map_err(|e| CliError::from(e).prefixed(input))?;
     if lenient {
         reader.set_lenient(true);
     }
@@ -1027,7 +1059,7 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
 const CHECK_USAGE: &str = "usage: ppa check <trace-report-or-checkpoint.{jsonl|bin|ckpt}> \
      [--slice] [--metrics snap.{prom|json}] \
      [--metrics-out snap.prom [--metrics-format prom|json]]\n\
-       ppa check --differential [--seed N] [--programs N] [--scenarios N] [--workers N] \
+       ppa check --differential [--seed N] [--programs N] [--scenarios N] \
      [--decode-workers N] [--out-dir DIR]";
 
 /// How many violations `ppa check` prints in full before summarizing.
@@ -1085,10 +1117,6 @@ fn run_check(args: &[String]) -> Result<(), CliError> {
                     ))
                 })?;
             }
-            "--workers" => {
-                diff_cfg.workers =
-                    positive("--workers", it.next().ok_or_else(|| missing("--workers"))?)?;
-            }
             "--decode-workers" => {
                 let n = it.next().ok_or_else(|| missing("--decode-workers"))?;
                 diff_cfg.decode_workers = parse_decode_workers(n)?;
@@ -1141,7 +1169,7 @@ fn run_check(args: &[String]) -> Result<(), CliError> {
         let report = run_differential(&diff_cfg, out_dir.map(Path::new)).map_err(CliError::Io)?;
         println!(
             "differential oracle: {} program(s), {} episode scenario(s), \
-             {} measured event(s), streaming vs reference vs sharded",
+             {} measured event(s), streaming vs reference",
             report.programs, report.scenarios, report.events
         );
         violations = report.violations();

@@ -1,7 +1,8 @@
-//! End-to-end tests of `ppa analyze`: the streaming pipeline and the
-//! batch pipeline must produce byte-identical approximated JSONL, errors
-//! must map onto the documented sysexits codes, and `--metrics-out` must
-//! emit a parseable snapshot with nonzero pipeline counters.
+//! End-to-end tests of `ppa analyze`: the one pipeline must write the
+//! report the library's batch wrapper computes (with or without the
+//! no-op `--stream`), errors must map onto the documented sysexits
+//! codes, an output must never land on the input, and `--metrics-out`
+//! must emit a parseable snapshot with nonzero pipeline counters.
 
 use ppa::prelude::*;
 use std::fs;
@@ -39,23 +40,199 @@ fn ppa_analyze(args: &[&str]) -> Output {
         .expect("run ppa analyze")
 }
 
+fn ppa_convert_to_bin(input: &std::path::Path, bin: &std::path::Path) {
+    let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
+        .args(["convert", input.to_str().unwrap(), bin.to_str().unwrap()])
+        .args(["--to", "bin", "--force"])
+        .output()
+        .expect("run ppa convert");
+    assert!(out.status.success(), "{:?}", out);
+}
+
+/// A seeded 1 920-event spinlock scenario: lock episodes instead of
+/// awaits, and tight enough that the analyzer clamps approximations.
+fn scenario_jsonl(dir: &std::path::Path, name: &str) -> PathBuf {
+    use ppa::sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
+    let cfg = ScenarioConfig {
+        processors: 8,
+        rounds: 60,
+        ..ScenarioConfig::small(ScenarioFamily::Spinlock)
+    };
+    let path = dir.join(name);
+    let file = fs::File::create(&path).expect("create scenario trace");
+    ppa::trace::write_jsonl(&scenario_trace(1, &cfg), file).expect("write scenario trace");
+    path
+}
+
+/// stream == batch, pinned against the library: `ppa analyze X` and
+/// `ppa analyze X --stream` are one path (same report bytes, same
+/// stdout), and what that path writes is what the in-process batch
+/// wrapper `event_based` computes — so the `Pipeline` report writer and
+/// the library cannot drift apart.
 #[test]
 fn analyze_stream_matches_batch() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir, "stream_batch_in.jsonl");
+    let jsonl = measured_jsonl(&dir, "stream_batch_in.jsonl");
+    let bin = dir.join("stream_batch_in.bin");
+    ppa_convert_to_bin(&jsonl, &bin);
+
+    for (input, tag) in [(&jsonl, "jsonl"), (&bin, "bin")] {
+        let plain = dir.join(format!("stream_batch_{tag}_plain.jsonl"));
+        let flagged = dir.join(format!("stream_batch_{tag}_flagged.jsonl"));
+        let input = input.to_str().unwrap();
+        let a = ppa_analyze(&[input, "--out", plain.to_str().unwrap()]);
+        assert!(a.status.success(), "{tag}: {a:?}");
+        let b = ppa_analyze(&[input, "--stream", "--out", flagged.to_str().unwrap()]);
+        assert!(b.status.success(), "{tag}: {b:?}");
+        let report = fs::read(&plain).expect("read report");
+        assert_eq!(report, fs::read(&flagged).unwrap(), "{tag}: report bytes");
+        assert_eq!(a.stdout, b.stdout, "{tag}: stdout");
+
+        let measured = ppa::trace::read_trace(fs::File::open(input).unwrap()).unwrap();
+        let approx = event_based(&measured, &OverheadSpec::alliant_default()).unwrap();
+        let mut library = Vec::new();
+        ppa::trace::write_trace(&approx.trace, &mut library, ppa::trace::TraceFormat::Jsonl)
+            .unwrap();
+        assert!(!library.is_empty());
+        assert_eq!(report, library, "{tag}: CLI report vs library");
+    }
+}
+
+/// The flags that used to demand `--stream` configure the default
+/// invocation, and none of them changes the report.
+#[test]
+fn analyze_fault_and_metrics_flags_need_no_stream_flag() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "no_stream_flag_in.jsonl");
     let input = input.to_str().unwrap();
-    let out_stream = dir.join("approx_stream.jsonl");
-    let out_batch = dir.join("approx_batch.jsonl");
-
-    let out = ppa_analyze(&[input, "--stream", "--out", out_stream.to_str().unwrap()]);
-    assert!(out.status.success(), "{:?}", out);
-    let out = ppa_analyze(&[input, "--out", out_batch.to_str().unwrap()]);
+    let reference = dir.join("no_stream_flag_reference.jsonl");
+    let out = ppa_analyze(&[input, "--out", reference.to_str().unwrap()]);
     assert!(out.status.success(), "{:?}", out);
 
-    let streamed = fs::read(&out_stream).expect("read streaming output");
-    let batch = fs::read(&out_batch).expect("read batch output");
-    assert!(!streamed.is_empty());
-    assert_eq!(streamed, batch);
+    let snap = dir.join("no_stream_flag.prom");
+    let ckpt = dir.join("no_stream_flag.ckpt");
+    for extra in [
+        &["--metrics-out", snap.to_str().unwrap()][..],
+        &["--lenient"][..],
+        &["--checkpoint", ckpt.to_str().unwrap()][..],
+    ] {
+        let report = dir.join("no_stream_flag_report.jsonl");
+        let mut args = vec![input, "--out", report.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = ppa_analyze(&args);
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        assert_eq!(
+            fs::read(&report).unwrap(),
+            fs::read(&reference).unwrap(),
+            "{extra:?}"
+        );
+    }
+    assert!(snap.exists());
+}
+
+/// The analyzer consumes sorted input. A fully shuffled trace is bad
+/// data (65) and the message names the remedy; under a reorder window
+/// that spans the trace it analyzes to the sorted trace's report.
+#[test]
+fn analyze_unsorted_input_names_reorder_window_and_reorders_under_it() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let sorted = scenario_jsonl(&dir, "unsorted_sorted_in.jsonl");
+    let reference = dir.join("unsorted_reference.jsonl");
+    let out = ppa_analyze(&[
+        sorted.to_str().unwrap(),
+        "--out",
+        reference.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{:?}", out);
+
+    // Fisher-Yates over the event lines, driven by a fixed LCG.
+    let text = fs::read_to_string(&sorted).unwrap();
+    let (header, events) = text.split_once('\n').unwrap();
+    let mut lines: Vec<&str> = events.lines().collect();
+    assert_eq!(lines.len(), 1920);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..lines.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lines.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let shuffled = dir.join("unsorted_shuffled_in.jsonl");
+    fs::write(&shuffled, format!("{header}\n{}\n", lines.join("\n"))).unwrap();
+    let shuffled = shuffled.to_str().unwrap();
+
+    let out = ppa_analyze(&[shuffled]);
+    assert_eq!(out.status.code(), Some(65), "{:?}", out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--reorder-window"), "stderr: {stderr}");
+
+    let report = dir.join("unsorted_report.jsonl");
+    let out = ppa_analyze(&[
+        shuffled,
+        "--reorder-window",
+        "4000",
+        "--out",
+        report.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{:?}", out);
+    assert_eq!(fs::read(&report).unwrap(), fs::read(&reference).unwrap());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let resorted: u64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("reorder buffer (window 4000): "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no reorder line in: {stdout}"));
+    assert!(resorted > 0, "stdout: {stdout}");
+    assert!(
+        stdout.contains("event(s) re-sorted, 0 rejected"),
+        "{stdout}"
+    );
+}
+
+/// A clamp is never silent: the default invocation prints the clamp
+/// and resident-state lines (they used to need `--stream`).
+#[test]
+fn analyze_default_summary_reports_clamps_and_resident_state() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = scenario_jsonl(&dir, "clamp_summary_in.jsonl");
+    let out = ppa_analyze(&[input.to_str().unwrap()]);
+    assert!(out.status.success(), "{:?}", out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for needle in [
+        "clamped approximations: ",
+        "peak resident state: ",
+        "final approximated time: ",
+    ] {
+        assert!(stdout.contains(needle), "missing {needle:?} in: {stdout}");
+    }
+    let flagged = ppa_analyze(&[input.to_str().unwrap(), "--stream"]);
+    assert_eq!(out.stdout, flagged.stdout);
+}
+
+/// Every file `analyze` writes is created (or renamed into place) while
+/// the input is still being read, so an output path that is the input
+/// is refused up front: exit 64, input byte-identical afterwards.
+#[test]
+fn analyze_refuses_to_write_onto_its_input() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "onto_input_in.jsonl");
+    let before = fs::read(&input).unwrap();
+    let input = input.to_str().unwrap();
+    let other = dir.join("onto_input_report.jsonl");
+    let other = other.to_str().unwrap();
+    for args in [
+        &[input, "--stream", "--out", input][..],
+        &[input, "--out", other, "--checkpoint", input][..],
+        &[input, "--self-trace", input][..],
+        &[input, "--metrics-out", input][..],
+    ] {
+        let out = ppa_analyze(args);
+        assert_eq!(out.status.code(), Some(64), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("is the input file"), "stderr: {stderr}");
+        assert_eq!(fs::read(input).unwrap(), before, "{args:?}: input changed");
+    }
 }
 
 #[test]
@@ -72,9 +249,6 @@ fn analyze_reports_usage_errors_with_exit_64() {
     assert_eq!(out.status.code(), Some(64));
     let out = ppa_analyze(&["t.jsonl", "--bogus-flag"]);
     assert_eq!(out.status.code(), Some(64));
-    // Metrics flags are only meaningful on the streaming pipeline.
-    let out = ppa_analyze(&["t.jsonl", "--metrics-out", "m.prom"]);
-    assert_eq!(out.status.code(), Some(64));
     let out = ppa_analyze(&["t.jsonl", "--stream", "--metrics-format", "xml"]);
     assert_eq!(out.status.code(), Some(64));
 }
@@ -84,18 +258,7 @@ fn analyze_decode_workers_accepts_valid_and_rejects_absurd() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let input = measured_jsonl(&dir, "decode_workers_in.jsonl");
     let bin = dir.join("decode_workers.bin");
-    let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
-        .args([
-            "convert",
-            input.to_str().unwrap(),
-            bin.to_str().unwrap(),
-            "--to",
-            "bin",
-            "--force",
-        ])
-        .output()
-        .expect("run ppa convert");
-    assert!(out.status.success(), "{:?}", out);
+    ppa_convert_to_bin(&input, &bin);
 
     // 0 (serial), 1, and 4 workers must all produce byte-identical
     // approximated output from the same binary input.
@@ -298,7 +461,6 @@ fn analyze_self_trace_chrome_export_parses() {
                 "decode",
                 "crc_verify",
                 "reorder",
-                "merge",
                 "analyze_push",
                 "analyze_emit",
                 "checkpoint_write",
@@ -316,9 +478,6 @@ fn analyze_self_trace_chrome_export_parses() {
 
 #[test]
 fn analyze_self_trace_flags_reject_misuse_with_exit_64() {
-    // Self-tracing instruments the streaming pipeline only.
-    let out = ppa_analyze(&["t.jsonl", "--self-trace", "s.jsonl"]);
-    assert_eq!(out.status.code(), Some(64));
     // The format selector is meaningless without an output path.
     let out = ppa_analyze(&["t.jsonl", "--stream", "--self-trace-format", "chrome"]);
     assert_eq!(out.status.code(), Some(64));

@@ -2,8 +2,8 @@
 //! `ppa analyze`: a jsonl -> bin -> jsonl round trip must reproduce the
 //! original file byte for byte, binary output must be much smaller than
 //! the JSONL it came from, errors must map onto the documented sysexits
-//! codes, and `analyze` (batch and `--stream`) must produce identical
-//! analysis output whichever format carries the measured trace.
+//! codes, and `analyze` must produce identical analysis output
+//! whichever format carries the measured trace.
 
 use ppa::prelude::*;
 use std::fs;
@@ -191,27 +191,18 @@ fn analyze_accepts_both_formats_with_identical_output() {
     );
     assert!(out.status.success(), "{:?}", out);
 
-    // Batch and streaming, from JSONL and from binary: four runs, one
-    // approximated trace.
-    let mut outputs = Vec::new();
-    for (src, tag) in [(&input, "jsonl"), (&bin, "bin")] {
-        for flags in [&[][..], &["--stream"][..]] {
-            let approx = dir.join(format!(
-                "approx_{tag}_{}.jsonl",
-                if flags.is_empty() { "batch" } else { "stream" }
-            ));
-            let mut args = vec![src.to_str().unwrap()];
-            args.extend_from_slice(flags);
-            args.extend_from_slice(&["--out", approx.to_str().unwrap()]);
-            let out = ppa_cmd("analyze", &args);
-            assert!(out.status.success(), "{tag} {flags:?}: {:?}", out);
-            outputs.push(fs::read(&approx).expect("read approx"));
-        }
-    }
+    // From JSONL and from binary: two runs, one approximated trace.
+    let outputs = [(&input, "jsonl"), (&bin, "bin")].map(|(src, tag)| {
+        let approx = dir.join(format!("approx_{tag}.jsonl"));
+        let out = ppa_cmd(
+            "analyze",
+            &[src.to_str().unwrap(), "--out", approx.to_str().unwrap()],
+        );
+        assert!(out.status.success(), "{tag}: {:?}", out);
+        fs::read(&approx).expect("read approx")
+    });
     assert!(!outputs[0].is_empty());
-    for o in &outputs[1..] {
-        assert_eq!(&outputs[0], o, "same analysis whichever format/path");
-    }
+    assert_eq!(outputs[0], outputs[1], "same analysis whichever format");
 }
 
 #[test]
@@ -298,4 +289,28 @@ fn convert_refuses_to_overwrite_without_force() {
         ],
     );
     assert!(out.status.success(), "{:?}", out);
+}
+
+/// An output that is the input (here reached through `./`) would be
+/// truncated while it is still being read: refused as a usage error
+/// before anything is created, `--force` or not.
+#[test]
+fn convert_refuses_to_write_onto_its_input() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "convert_onto_input.jsonl");
+    let before = fs::read(&input).unwrap();
+    let alias = dir.join(".").join("convert_onto_input.jsonl");
+    let out = ppa_cmd(
+        "convert",
+        &[
+            input.to_str().unwrap(),
+            alias.to_str().unwrap(),
+            "--to",
+            "jsonl",
+            "--force",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(64), "{:?}", out);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("is the input file"));
+    assert_eq!(fs::read(&input).unwrap(), before, "input must be untouched");
 }

@@ -360,16 +360,6 @@ fn reorder_window_absorbs_almost_sorted_input() {
 
 #[test]
 fn fault_flags_map_misuse_onto_exit_64() {
-    // All fault-tolerance flags require the streaming pipeline.
-    for args in [
-        &["t.jsonl", "--lenient"][..],
-        &["t.jsonl", "--reorder-window", "4"][..],
-        &["t.jsonl", "--checkpoint", "c.ckpt"][..],
-        &["t.jsonl", "--resume", "c.ckpt"][..],
-    ] {
-        let out = ppa_cmd("analyze", args);
-        assert_eq!(out.status.code(), Some(64), "{args:?}: {out:?}");
-    }
     // Checkpointing needs a resumable (JSONL) report to anchor to.
     let out = ppa_cmd(
         "analyze",

@@ -340,13 +340,12 @@ fn slice_usage_errors_exit_64() {
 }
 
 #[test]
-fn analyze_slice_scopes_report_in_batch_and_stream() {
+fn analyze_slice_scopes_report() {
     let dir = tmpdir();
     let input = measured_jsonl(&dir, "analyze_slice_in.jsonl");
     let input = input.to_str().unwrap();
     let full = dir.join("analyze_full.jsonl");
-    let batch = dir.join("analyze_slice_batch.jsonl");
-    let stream = dir.join("analyze_slice_stream.jsonl");
+    let sliced = dir.join("analyze_sliced.jsonl");
     let expr = "kind=sync procs=0..3";
 
     let out = ppa_cmd(&["analyze", input, "--out", full.to_str().unwrap()]);
@@ -357,33 +356,48 @@ fn analyze_slice_scopes_report_in_batch_and_stream() {
         "--slice",
         expr,
         "--out",
-        batch.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = ppa_cmd(&[
-        "analyze",
-        input,
-        "--stream",
-        "--slice",
-        expr,
-        "--out",
-        stream.to_str().unwrap(),
+        sliced.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{out:?}");
 
-    // The slice scopes the report: both pipelines agree with the naive
+    // The slice scopes the report: the pipeline agrees with the naive
     // filter of the full report, so slicing never changes the analysis.
     let spec = SliceSpec::parse(expr).unwrap();
     let full = read_trace(fs::File::open(&full).unwrap()).expect("readable");
     let want: Vec<&Event> = full.iter().filter(|e| spec.matches(e)).collect();
     assert!(!want.is_empty(), "degenerate slice");
     assert!(want.len() < full.len(), "slice filtered nothing");
-    for path in [&batch, &stream] {
-        let got = read_trace(fs::File::open(path).unwrap()).expect("readable");
-        assert_eq!(got.len(), want.len(), "{}", path.display());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g, *w, "{}", path.display());
-        }
+    let got = read_trace(fs::File::open(&sliced).unwrap()).expect("readable");
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, *w);
+    }
+}
+
+/// An output that is the input — here a hard link, so the two paths
+/// share nothing but the inode — is refused (exit 64) before the slice
+/// truncates what it is about to read.
+#[test]
+fn slice_refuses_to_write_onto_its_input() {
+    let dir = tmpdir();
+    let input = dir.join("slice_onto_input.jsonl");
+    write_fixture(&input, &synthetic_trace(256), TraceFormat::Jsonl);
+    let before = fs::read(&input).unwrap();
+    let link = dir.join("slice_onto_input_link.jsonl");
+    fs::remove_file(&link).ok();
+    fs::hard_link(&input, &link).expect("hard link");
+    for output in [&input, &link] {
+        let out = ppa_cmd(&[
+            "slice",
+            input.to_str().unwrap(),
+            output.to_str().unwrap(),
+            "--format",
+            "jsonl",
+            "--force",
+        ]);
+        assert_eq!(out.status.code(), Some(64), "{out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("is the input file"));
+        assert_eq!(fs::read(&input).unwrap(), before, "input must be untouched");
     }
 }
 

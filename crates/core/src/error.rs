@@ -1,6 +1,6 @@
 //! Analysis errors.
 
-use ppa_trace::{IoError, TraceError};
+use ppa_trace::TraceError;
 use std::fmt;
 
 /// Failure of a perturbation analysis.
@@ -53,50 +53,6 @@ impl std::error::Error for AnalysisError {}
 impl From<TraceError> for AnalysisError {
     fn from(e: TraceError) -> Self {
         AnalysisError::Trace(e)
-    }
-}
-
-/// Failure of an analysis run that ingests its trace from a stream:
-/// either the decode failed or the decoded trace failed analysis.
-///
-/// Produced by entry points like
-/// [`event_based_sharded_from_reader`](crate::event_based_sharded_from_reader)
-/// that fuse trace I/O and analysis into one call.
-#[derive(Debug)]
-pub enum IngestError {
-    /// The trace stream could not be decoded.
-    Io(IoError),
-    /// The decoded trace failed perturbation analysis.
-    Analysis(AnalysisError),
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IngestError::Io(e) => write!(f, "trace ingest failed: {e}"),
-            IngestError::Analysis(e) => write!(f, "analysis failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IngestError::Io(e) => Some(e),
-            IngestError::Analysis(e) => Some(e),
-        }
-    }
-}
-
-impl From<IoError> for IngestError {
-    fn from(e: IoError) -> Self {
-        IngestError::Io(e)
-    }
-}
-
-impl From<AnalysisError> for IngestError {
-    fn from(e: AnalysisError) -> Self {
-        IngestError::Analysis(e)
     }
 }
 

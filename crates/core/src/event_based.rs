@@ -170,24 +170,16 @@ impl EventBasedResult {
 
 /// How each event's approximate time is anchored.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Basis {
+enum Basis {
     /// The globally first event: `ta = tm − overhead`.
     Origin,
     /// Anchored to another event (same-thread predecessor or fork point).
     Event(usize),
 }
 
-/// Static trace structure shared by the batch and sharded analyses:
-/// same-thread predecessors, fork anchors, and every event's time basis.
-pub(crate) struct Structure {
-    /// Same-thread predecessor of each event.
-    pub(crate) prev: Vec<Option<usize>>,
-    /// The time basis of each event.
-    pub(crate) basis: Vec<Basis>,
-}
-
-/// Computes [`Structure`] for a non-empty event sequence.
-pub(crate) fn discover_structure(events: &[Event]) -> Structure {
+/// Computes every event's time basis (same-thread predecessor, fork
+/// anchor, or origin) for a non-empty event sequence.
+fn discover_structure(events: &[Event]) -> Vec<Basis> {
     let n = events.len();
     // Same-thread predecessors.
     let mut prev: Vec<Option<usize>> = vec![None; n];
@@ -246,7 +238,7 @@ pub(crate) fn discover_structure(events: &[Event]) -> Structure {
 
     // The basis for ordinary events; awaitE and barrier exits get their
     // own rules but still need dependency edges.
-    let basis: Vec<Basis> = (0..n)
+    (0..n)
         .map(|i| {
             if let Some(&spawn) = fork_anchor.get(&i) {
                 return Basis::Event(spawn);
@@ -278,17 +270,15 @@ pub(crate) fn discover_structure(events: &[Event]) -> Structure {
                 },
             }
         })
-        .collect();
-
-    Structure { prev, basis }
+        .collect()
 }
 
 /// Builds the [`EventBasedResult`] from fully resolved approximate times.
 ///
-/// `basis` is the [`Structure::basis`] of the same event sequence — the
+/// `basis` is [`discover_structure`] of the same event sequence — the
 /// episode outcomes re-derive each blocked event's chain-rule `ready`
 /// time from it.
-pub(crate) fn assemble_result(
+fn assemble_result(
     events: &[Event],
     ta: &[Time],
     index: &SyncIndex,
@@ -484,10 +474,8 @@ pub fn event_based(
 /// dependency DAG, then resolve it with a worklist pass.
 ///
 /// Kept as the executable specification of the analysis — the streaming
-/// engine behind [`event_based`] and the sharded runner
-/// ([`event_based_sharded`](crate::event_based_sharded)) are
-/// cross-validated against it, and benchmarks use it as the baseline.
-/// It materializes `O(trace length)` state.
+/// engine behind [`event_based`] is cross-validated against it. It
+/// materializes `O(trace length)` state.
 pub fn event_based_reference(
     measured: &Trace,
     overheads: &OverheadSpec,
@@ -504,7 +492,7 @@ pub fn event_based_reference(
         });
     }
 
-    let Structure { basis, .. } = discover_structure(events);
+    let basis = discover_structure(events);
 
     // awaitE -> (awaitB, advance) lookups.
     let mut await_of_end: std::collections::HashMap<usize, (usize, Option<usize>)> =
@@ -1206,10 +1194,10 @@ mod tests {
         assert_eq!(ep.wait, Span::from_nanos(20));
     }
 
-    /// Streaming, reference, and sharded agree on a trace mixing every
-    /// episode family with awaits and barriers.
+    /// Streaming and reference agree on a trace mixing every episode
+    /// family with awaits and barriers.
     #[test]
-    fn episode_families_match_reference_and_sharded() {
+    fn episode_families_match_reference() {
         let t = TraceBuilder::measured()
             .on(0)
             .at(10)
@@ -1262,10 +1250,6 @@ mod tests {
         let reference = event_based_reference(&t, &oh).unwrap();
         assert_eq!(streamed, reference);
         assert_eq!(streamed.episodes.len(), 4, "two locks, one sem, one task");
-        for workers in [1, 2, 4] {
-            let sharded = crate::sharded::event_based_sharded(&t, &oh, workers).unwrap();
-            assert_eq!(sharded, reference, "workers = {workers}");
-        }
     }
 
     /// With zero overhead and zero sync cost, episode events are fixed

@@ -32,7 +32,6 @@ mod event_based;
 mod expand;
 mod liberal;
 mod pipeline;
-mod sharded;
 mod streaming;
 mod time_based;
 
@@ -42,7 +41,7 @@ pub use checkpoint::{
     CheckpointParts, CheckpointScan, DeltaCheckpointWriter, SinkState, CHECKPOINT_MAGIC_V2,
     DEFAULT_COMPACT_EVERY,
 };
-pub use error::{AnalysisError, IngestError};
+pub use error::AnalysisError;
 pub use estimate::{estimate_overheads, KindEstimate, OverheadEstimate};
 pub use event_based::{
     event_based, event_based_reference, event_based_total, AwaitOutcome, BarrierOutcome,
@@ -52,9 +51,6 @@ pub use expand::{expand_events, expand_trace, has_repeat_records, ExpandError, R
 pub use liberal::{liberal_reschedule, LiberalResult};
 pub use pipeline::{
     CheckpointPolicy, Pipeline, PipelineConfig, PipelineError, ReportFilter, Step, Summary,
-};
-pub use sharded::{
-    event_based_sharded, event_based_sharded_from_reader, event_based_sharded_probed, ShardProbes,
 };
 pub use streaming::{
     AnalyzerDelta, AnalyzerProbes, AnalyzerSnapshot, EventBasedAnalyzer, StreamOutput, StreamStats,
@@ -160,12 +156,12 @@ mod proptests {
             prop_assert_eq!(approx.total_time(), actual.trace.total_time());
         }
 
-        /// The three formulations of event-based analysis — the streaming
-        /// engine (behind `event_based`), the batch worklist reference,
-        /// and the sharded parallel runner — agree event-for-event and
-        /// outcome-for-outcome on arbitrary feasible traces.
+        /// The two formulations of event-based analysis — the streaming
+        /// engine (behind `event_based`) and the batch worklist
+        /// reference — agree event-for-event and outcome-for-outcome on
+        /// arbitrary feasible traces.
         #[test]
-        fn streaming_and_sharded_match_the_reference(seed in any::<u64>()) {
+        fn streaming_matches_the_reference(seed in any::<u64>()) {
             let program = synthesize(seed, &SynthConfig::default());
             let cfg = static_config(seed);
             let measured =
@@ -174,9 +170,6 @@ mod proptests {
             let reference = event_based_reference(&measured.trace, &cfg.overheads).unwrap();
             let streamed = event_based(&measured.trace, &cfg.overheads).unwrap();
             prop_assert_eq!(&streamed, &reference);
-
-            let sharded = event_based_sharded(&measured.trace, &cfg.overheads, 4).unwrap();
-            prop_assert_eq!(&sharded, &reference);
         }
 
         /// Checkpointing is transparent: snapshotting the streaming

@@ -337,20 +337,26 @@ mod tests {
         assert!(run.wall > Span::from_micros(32));
     }
 
+    /// What one run controls, not how two runs' wall clocks compare on
+    /// a shared host (the intrusion itself is reported by `ppa native`,
+    /// not asserted): the bare run leaves no trace but does all the
+    /// work — the 64 critical sections are chained by await/advance and
+    /// each spins at least 1us, which no scheduling can shorten — and
+    /// the traced run of the same program records every sync event.
     #[test]
-    fn uninstrumented_run_is_trace_free_and_faster() {
+    fn uninstrumented_run_is_trace_free() {
         let _guard = crate::TEST_SERIAL.lock().unwrap();
         let p = small_doacross(64);
-        let traced =
-            execute_program(&p, &NativeConfig::instrumented(4, Span::from_micros(10))).unwrap();
         let bare = execute_program(&p, &NativeConfig::uninstrumented(4)).unwrap();
         assert!(bare.trace.is_empty());
-        assert!(
-            bare.wall < traced.wall,
-            "uninstrumented {} should beat instrumented {}",
-            bare.wall,
-            traced.wall
-        );
+        assert!(bare.wall >= Span::from_micros(64), "wall {}", bare.wall);
+
+        let traced =
+            execute_program(&p, &NativeConfig::instrumented(4, Span::from_micros(10))).unwrap();
+        assert!(traced.trace.is_totally_ordered());
+        let idx = pair_sync_events(&traced.trace).unwrap();
+        assert_eq!((idx.awaits.len(), idx.advances.len()), (64, 64));
+        assert_eq!(idx.barriers.len(), 1);
     }
 
     #[test]

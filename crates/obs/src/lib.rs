@@ -3,8 +3,8 @@
 //! The paper's subject is the Instrumentation Uncertainty Principle:
 //! measurement perturbs the system being measured. This crate applies
 //! that discipline to the reproduction's own pipeline — it provides the
-//! probes the analyzer, stream I/O, sharded runner, simulator, and CLI
-//! use to watch themselves, *and* the machinery to account for what those
+//! probes the analyzer, stream I/O, simulator, and CLI use to watch
+//! themselves, *and* the machinery to account for what those
 //! probes cost ([`calibrate_self_overhead`]).
 //!
 //! ## Design

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Number of [`Stage`] variants (the size of per-stage total arrays).
-pub const STAGE_COUNT: usize = 15;
+pub const STAGE_COUNT: usize = 14;
 
 /// The pipeline stage a span measures. One label per instrumented
 /// region of the real pipeline; `name()` is the value of the `stage`
@@ -54,10 +54,8 @@ pub enum Stage {
     CrcVerify,
     /// Reorder-buffer drain at end of stream.
     Reorder,
-    /// K-way merge of sorted per-shard streams (initial heap fill).
-    Merge,
     /// One batch of measured events pushed through the analyzer
-    /// (including inline output emission) in `ppa analyze --stream`.
+    /// (including inline output emission) in `ppa analyze`.
     AnalyzePush,
     /// Analyzer finish: the end-of-stream tail emission.
     AnalyzeEmit,
@@ -90,7 +88,6 @@ impl Stage {
         Stage::Decode,
         Stage::CrcVerify,
         Stage::Reorder,
-        Stage::Merge,
         Stage::AnalyzePush,
         Stage::AnalyzeEmit,
         Stage::CheckpointWrite,
@@ -111,17 +108,16 @@ impl Stage {
             Stage::Decode => 1,
             Stage::CrcVerify => 2,
             Stage::Reorder => 3,
-            Stage::Merge => 4,
-            Stage::AnalyzePush => 5,
-            Stage::AnalyzeEmit => 6,
-            Stage::CheckpointWrite => 7,
-            Stage::FrameRead => 8,
-            Stage::Ingest => 9,
-            Stage::Park => 10,
-            Stage::Reassemble => 11,
-            Stage::DeltaWrite => 12,
-            Stage::Slice => 13,
-            Stage::Suppress => 14,
+            Stage::AnalyzePush => 4,
+            Stage::AnalyzeEmit => 5,
+            Stage::CheckpointWrite => 6,
+            Stage::FrameRead => 7,
+            Stage::Ingest => 8,
+            Stage::Park => 9,
+            Stage::Reassemble => 10,
+            Stage::DeltaWrite => 11,
+            Stage::Slice => 12,
+            Stage::Suppress => 13,
         }
     }
 
@@ -132,7 +128,6 @@ impl Stage {
             Stage::Decode => "decode",
             Stage::CrcVerify => "crc_verify",
             Stage::Reorder => "reorder",
-            Stage::Merge => "merge",
             Stage::AnalyzePush => "analyze_push",
             Stage::AnalyzeEmit => "analyze_emit",
             Stage::CheckpointWrite => "checkpoint_write",
@@ -600,7 +595,7 @@ mod tests {
             }
         });
         {
-            let _sp = span_enter(Stage::Merge);
+            let _sp = span_enter(Stage::Reorder);
         }
         let log = rec.drain();
         assert_eq!(log.events.len(), 4);

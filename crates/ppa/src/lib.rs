@@ -75,8 +75,8 @@ mod readme_doctests {}
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use ppa_core::{
-        event_based, event_based_reference, event_based_sharded, liberal_reschedule, time_based,
-        AnalysisError, EventBasedAnalyzer, StreamOutput, StreamStats,
+        event_based, event_based_reference, liberal_reschedule, time_based, AnalysisError,
+        EventBasedAnalyzer, StreamOutput, StreamStats,
     };
     pub use ppa_metrics::{
         build_timeline, format_ratio_table, format_waiting_table, parallelism_profile,

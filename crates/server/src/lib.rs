@@ -2,9 +2,9 @@
 //!
 //! The daemon behind `ppa serve`: accepts many concurrent trace
 //! uploads over TCP and unix sockets, runs each one through the same
-//! checkpointed [`Pipeline`](ppa_core::Pipeline) as `ppa analyze
-//! --stream`, and writes per-stream JSONL reports that are
-//! byte-identical to a single-shot batch run.
+//! checkpointed [`Pipeline`](ppa_core::Pipeline) as `ppa analyze`,
+//! and writes per-stream JSONL reports that are byte-identical to a
+//! single-shot run of it.
 //!
 //! The moving parts:
 //!

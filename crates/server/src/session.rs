@@ -2,14 +2,14 @@
 //! connection, from `HELLO` to `DONE`/`ERROR`.
 //!
 //! A session is a driver of the one [`ppa_core::Pipeline`], the same
-//! loop `ppa analyze --stream` drives: socket bytes → [`AnyTraceReader`]
+//! loop `ppa analyze` drives: socket bytes → [`AnyTraceReader`]
 //! (format auto-detected) → the pipeline's reorder buffer, analyzer,
 //! JSONL report and `PPACKPT2` checkpoint chain. What is here is what
 //! only a server has: the handshake and admission, the frame adapter
 //! the reader pulls from, throttling and the resident quota between
 //! steps, shutdown and eviction, and the mapping of failures onto
 //! protocol errors. A session report is therefore byte-identical to a
-//! single-shot `ppa analyze --stream --checkpoint` of the same trace
+//! single-shot `ppa analyze --checkpoint` of the same trace
 //! with the same flags, including across evictions, SIGTERM, and
 //! SIGKILL — and, being always checkpointed, a session refuses a
 //! suppressed trace the same way (expand it first; see QUERIES.md).
@@ -648,12 +648,7 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
     // protocol streams one way until FIN, so pipelined read-ahead over
     // the socket cannot deadlock: anything decoded but not yet emitted
     // at a park is replayed by the client from `positions_seen`.
-    let opened = if ctx.config.decode_workers > 0 {
-        AnyTraceReader::open_parallel(adapter, ctx.config.decode_workers)
-    } else {
-        AnyTraceReader::open(adapter)
-    };
-    let reader = match opened {
+    let reader = match AnyTraceReader::open_parallel(adapter, ctx.config.decode_workers) {
         Ok(r) => r,
         Err(e) => return fail_out(Fail::from_decode(e, &violation), &mut sock, &tm),
     };

@@ -10,7 +10,7 @@
 //! spawn, `taskJ` child end) is always recorded *before* the blocked
 //! event it enables (`lockA`, `semP`, task begin, join-return) — so the
 //! result is a well-formed measured trace the differential oracle can
-//! feed to all three analysis paths.
+//! feed to both analysis paths.
 //!
 //! Everything is a pure function of `(seed, config)`: workload shape,
 //! contention pattern, and per-step costs (jittered through
@@ -112,7 +112,7 @@ enum Op {
 /// The returned trace is totally ordered, honors the enabling-before-
 /// blocked recording convention, and closes every episode (no lock held
 /// or task unjoined at end of trace), so it passes the structural lint
-/// and all three analyzers accept it.
+/// and both analyzers accept it.
 pub fn scenario_trace(seed: u64, cfg: &ScenarioConfig) -> Trace {
     let procs = cfg.processors.max(2);
     let rounds = cfg.rounds.max(1);

@@ -135,20 +135,14 @@ impl<R: Read> AnyTraceReader<R> {
 
     /// Like [`AnyTraceReader::open`], with stream probes.
     pub fn with_probes(reader: R, probes: StreamProbes) -> Result<Self, IoError> {
-        let (format, stream) = sniff_stream(reader)?;
-        Ok(match format {
-            TraceFormat::Jsonl => {
-                AnyTraceReader::Jsonl(TraceStreamReader::with_probes(stream, probes)?)
-            }
-            TraceFormat::Binary => {
-                AnyTraceReader::Binary(BinaryTraceReader::with_probes(stream, probes)?)
-            }
-        })
+        Self::open_parallel_with_probes(reader, 0, probes)
     }
 
     /// Opens a trace stream of either format, decoding binary blocks on
     /// up to `workers` threads. JSONL input falls back to the ordinary
-    /// serial reader.
+    /// serial reader, and so does binary input when `workers` is 0 (no
+    /// thread is spawned) — callers pass their worker count through
+    /// without forking on it.
     pub fn open_parallel(reader: R, workers: usize) -> Result<Self, IoError> {
         Self::open_parallel_with_probes(reader, workers, StreamProbes::noop())
     }
@@ -163,6 +157,9 @@ impl<R: Read> AnyTraceReader<R> {
         Ok(match format {
             TraceFormat::Jsonl => {
                 AnyTraceReader::Jsonl(TraceStreamReader::with_probes(stream, probes)?)
+            }
+            TraceFormat::Binary if workers == 0 => {
+                AnyTraceReader::Binary(BinaryTraceReader::with_probes(stream, probes)?)
             }
             TraceFormat::Binary => AnyTraceReader::BinaryParallel(Box::new(
                 ParallelBinaryReader::with_probes(stream, workers, probes)?,
@@ -412,15 +409,6 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Trace, IoError> {
     Ok(Trace::from_events(kind, events))
 }
 
-/// Reads a whole `ppa-trace-bin-v1` trace, decoding blocks on up to
-/// `workers` threads.
-pub fn read_binary_parallel<R: Read>(reader: R, workers: usize) -> Result<Trace, IoError> {
-    let r = ParallelBinaryReader::new(reader, workers)?;
-    let kind = r.kind();
-    let events = r.collect::<Result<Vec<_>, _>>()?;
-    Ok(Trace::from_events(kind, events))
-}
-
 /// Reads a whole trace of either format, auto-detected by magic bytes.
 pub fn read_trace<R: Read>(reader: R) -> Result<Trace, IoError> {
     let r = AnyTraceReader::open(reader)?;
@@ -592,6 +580,27 @@ mod tests {
             let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
             assert_eq!(events, t.events(), "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn open_parallel_with_zero_workers_is_the_serial_reader() {
+        let (t, buf) = blocky(64, 3);
+        // The serial variant owns no `ppa-decode-*` thread; asserting on
+        // the variant (not on the process's thread list) keeps the check
+        // independent of tests running beside this one.
+        let r = AnyTraceReader::open_parallel(buf.as_slice(), 0).unwrap();
+        assert!(matches!(r, AnyTraceReader::Binary(_)));
+        let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
+        let serial: Vec<Event> = AnyTraceReader::open(buf.as_slice())
+            .unwrap()
+            .map(|e| e.unwrap())
+            .collect();
+        assert_eq!(events, serial);
+        assert_eq!(events, t.events());
+        assert!(matches!(
+            AnyTraceReader::open_parallel(buf.as_slice(), 1).unwrap(),
+            AnyTraceReader::BinaryParallel(_)
+        ));
     }
 
     #[test]

@@ -43,10 +43,9 @@ mod validate;
 pub use buffer::{apply_buffers, BoundedBuffer, OverflowPolicy};
 pub use builder::TraceBuilder;
 pub use codec::{
-    crc32, crc32_chain, read_binary, read_binary_parallel, read_trace, read_trace_parallel,
-    write_binary, write_trace, AnyTraceReader, AnyTraceWriter, BinaryTraceReader,
-    BinaryTraceWriter, BlockSummary, ParallelBinaryReader, TraceFormat, BINARY_FORMAT_NAME,
-    BINARY_MAGIC, DEFAULT_BLOCK_EVENTS,
+    crc32, crc32_chain, read_binary, read_trace, read_trace_parallel, write_binary, write_trace,
+    AnyTraceReader, AnyTraceWriter, BinaryTraceReader, BinaryTraceWriter, BlockSummary,
+    ParallelBinaryReader, TraceFormat, BINARY_FORMAT_NAME, BINARY_MAGIC, DEFAULT_BLOCK_EVENTS,
 };
 pub use event::{Event, EventKind, REPEAT_MAX_PATTERN};
 pub use gap::{GapCause, TraceGap};
@@ -59,9 +58,7 @@ pub use reorder::{ReorderBuffer, ReorderSnapshot};
 pub use selftrace::{
     spans_to_events, write_chrome_trace, write_self_trace, SelfTraceSummary, DEPTH_LANES,
 };
-pub use stream::{
-    split_by_processor, MergedStreams, Shard, StreamProbes, TraceStreamReader, TraceStreamWriter,
-};
+pub use stream::{StreamProbes, TraceStreamReader, TraceStreamWriter};
 pub use time::{ClockRate, Span, Time};
 pub use trace::{merge_streams, Trace, TraceKind};
 pub use validate::{
@@ -143,7 +140,7 @@ mod proptests {
             write_binary(&trace, &mut buf).unwrap();
             let back = read_binary(buf.as_slice()).unwrap();
             prop_assert_eq!(&trace, &back);
-            let parallel = read_binary_parallel(buf.as_slice(), 4).unwrap();
+            let parallel = read_trace_parallel(buf.as_slice(), 4).unwrap();
             prop_assert_eq!(&trace, &parallel);
         }
 

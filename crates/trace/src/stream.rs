@@ -1,5 +1,4 @@
-//! Streaming trace I/O: bounded-memory JSONL reading and writing,
-//! per-processor shard splitting, and k-way order-preserving merging.
+//! Streaming trace I/O: bounded-memory JSONL reading and writing.
 //!
 //! [`read_jsonl`](crate::read_jsonl)/[`write_jsonl`](crate::write_jsonl)
 //! materialize whole traces; the types here process one event at a time so
@@ -8,26 +7,14 @@
 //! - [`TraceStreamReader`] iterates the events of a JSONL trace without
 //!   collecting them ([`read_jsonl`](crate::read_jsonl) collects it);
 //! - [`TraceStreamWriter`] emits the JSONL format incrementally
-//!   ([`write_jsonl`](crate::write_jsonl) feeds it a whole trace);
-//! - [`split_by_processor`] fans a stream out into one shard per
-//!   processor, holding only the shard writers;
-//! - [`MergedStreams`] performs a k-way merge of sorted event streams
-//!   (e.g. shards) back into the global total order, holding one
-//!   lookahead event per stream.
-//!
-//! Splitting then merging round-trips exactly: per-processor subsequences
-//! preserve the total order, and the merge is stable (ties in
-//! [`Event::order_key`] resolve in stream-index order).
+//!   ([`write_jsonl`](crate::write_jsonl) feeds it a whole trace).
 
 use crate::codec::jsonl::{decode_event, decode_terminated, encode_event};
 use crate::event::Event;
 use crate::gap::{GapCause, TraceGap};
-use crate::ids::ProcessorId;
 use crate::io::{Header, IoError, FORMAT_NAME};
 use crate::trace::TraceKind;
 use ppa_obs::{Counter, Registry};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 /// Observability probes for streaming trace I/O.
@@ -498,165 +485,6 @@ impl<R: Read> Iterator for TraceStreamReader<R> {
     }
 }
 
-/// One finished per-processor shard from [`split_by_processor`].
-#[derive(Debug)]
-pub struct Shard<W> {
-    /// The flushed sink the shard was written to.
-    pub sink: W,
-    /// How many events the shard holds.
-    pub events: usize,
-}
-
-/// Fans a sorted event stream out into one JSONL shard per processor.
-///
-/// `make_sink` is called once per processor, on first sight, to open that
-/// shard's output; only the shard writers are held in memory. Each shard
-/// receives the processor's events in stream order, so shards of a totally
-/// ordered trace are themselves totally ordered and can be recombined with
-/// [`MergedStreams`]. Returns the flushed sinks with per-shard counts.
-///
-/// Shard headers carry an advisory event count of `0` (unknowable in a
-/// single pass); readers treat the count as a buffer-sizing hint only.
-pub fn split_by_processor<I, W, F>(
-    events: I,
-    kind: TraceKind,
-    mut make_sink: F,
-) -> Result<BTreeMap<ProcessorId, Shard<W>>, IoError>
-where
-    I: IntoIterator<Item = Result<Event, IoError>>,
-    W: Write,
-    F: FnMut(ProcessorId) -> Result<W, IoError>,
-{
-    let mut shards: BTreeMap<ProcessorId, TraceStreamWriter<W>> = BTreeMap::new();
-    for event in events {
-        let event = event?;
-        let shard = match shards.entry(event.proc) {
-            std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(TraceStreamWriter::new(make_sink(event.proc)?, kind, 0)?)
-            }
-        };
-        shard.write_event(&event)?;
-    }
-    let mut out = BTreeMap::new();
-    for (proc, shard) in shards {
-        let events = shard.written();
-        out.insert(
-            proc,
-            Shard {
-                sink: shard.finish()?,
-                events,
-            },
-        );
-    }
-    Ok(out)
-}
-
-/// An entry in the merge heap: the head event of one stream.
-struct Head {
-    key: (crate::time::Time, u64, ProcessorId),
-    stream: usize,
-    event: Event,
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.stream) == (other.key, other.stream)
-    }
-}
-impl Eq for Head {}
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.stream).cmp(&(other.key, other.stream))
-    }
-}
-
-/// K-way merge of sorted event streams into the global total order.
-///
-/// Holds exactly one lookahead event per live stream, so merging `k`
-/// shards of an `n`-event trace takes `O(k)` memory and `O(n log k)`
-/// time. Input streams must each be sorted by [`Event::order_key`].
-///
-/// # Tie-breaking
-///
-/// The merge order is fully deterministic. Events compare by
-/// [`Event::order_key`] — `(time, seq, proc)` — so two events with equal
-/// timestamps order by emission sequence first and processor id second,
-/// regardless of which stream they arrive on. Only events whose *entire*
-/// key ties (possible across independently produced streams) fall through
-/// to the final tie-breaker: the lower stream index wins. This makes
-/// merging per-processor shards of a trace reproduce the original trace
-/// exactly (shard splitting preserves relative order).
-pub struct MergedStreams<I: Iterator<Item = Result<Event, IoError>>> {
-    streams: Vec<I>,
-    heap: BinaryHeap<Reverse<Head>>,
-    started: bool,
-    pending_error: Option<IoError>,
-}
-
-impl<I: Iterator<Item = Result<Event, IoError>>> MergedStreams<I> {
-    /// Prepares a merge over `streams`; no input is consumed until the
-    /// first call to [`Iterator::next`].
-    pub fn new(streams: Vec<I>) -> Self {
-        MergedStreams {
-            streams,
-            heap: BinaryHeap::new(),
-            started: false,
-            pending_error: None,
-        }
-    }
-
-    fn pull(&mut self, stream: usize) {
-        match self.streams[stream].next() {
-            Some(Ok(event)) => self.heap.push(Reverse(Head {
-                key: event.order_key(),
-                stream,
-                event,
-            })),
-            // Surface the first error on the next pull; the stream is
-            // dropped and later errors are subsumed.
-            Some(Err(e)) if self.pending_error.is_none() => self.pending_error = Some(e),
-            Some(Err(_)) | None => {}
-        }
-    }
-}
-
-impl<I: Iterator<Item = Result<Event, IoError>>> Iterator for MergedStreams<I> {
-    type Item = Result<Event, IoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if !self.started {
-            self.started = true;
-            // The initial heap fill reads the head of every stream — the
-            // bounded, I/O-heavy part of the k-way merge.
-            let _span = ppa_obs::span_enter(ppa_obs::Stage::Merge);
-            for i in 0..self.streams.len() {
-                self.pull(i);
-            }
-        }
-        if let Some(e) = self.pending_error.take() {
-            return Some(Err(e));
-        }
-        let Reverse(head) = self.heap.pop()?;
-        self.pull(head.stream);
-        if let Some(e) = self.pending_error.take() {
-            // Deliver errors as soon as discovered, ahead of buffered events.
-            self.heap.push(Reverse(Head {
-                key: head.key,
-                stream: head.stream,
-                event: head.event,
-            }));
-            return Some(Err(e));
-        }
-        Some(Ok(head.event))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,47 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn split_then_merge_reproduces_the_trace() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_jsonl(&t, &mut buf).unwrap();
-
-        let reader = TraceStreamReader::new(buf.as_slice()).unwrap();
-        let shards = split_by_processor(reader, t.kind(), |_proc| Ok(Vec::new())).unwrap();
-        assert_eq!(shards.len(), 3);
-        let total: usize = shards.values().map(|s| s.events).sum();
-        assert_eq!(total, t.len());
-
-        // Each shard is a valid single-processor trace.
-        let readers: Vec<_> = shards
-            .values()
-            .map(|s| TraceStreamReader::new(s.sink.as_slice()).unwrap())
-            .collect();
-        let merged: Vec<Event> = MergedStreams::new(readers).map(|e| e.unwrap()).collect();
-        assert_eq!(merged, t.events());
-    }
-
-    #[test]
-    fn merge_is_stable_across_key_ties() {
-        // Two streams with an identical order key; the lower stream index
-        // must win, matching a stable global sort.
-        let a = TraceBuilder::measured().on(0).at(10).stmt(0).build();
-        let b = TraceBuilder::measured().on(0).at(10).stmt(1).build();
-        let (mut ab, mut bb) = (Vec::new(), Vec::new());
-        write_jsonl(&a, &mut ab).unwrap();
-        write_jsonl(&b, &mut bb).unwrap();
-        let merged: Vec<Event> = MergedStreams::new(vec![
-            TraceStreamReader::new(ab.as_slice()).unwrap(),
-            TraceStreamReader::new(bb.as_slice()).unwrap(),
-        ])
-        .map(|e| e.unwrap())
-        .collect();
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0], a.events()[0]);
-        assert_eq!(merged[1], b.events()[0]);
-    }
-
-    #[test]
     fn reader_errors_on_truncated_input() {
         let t = sample();
         let mut buf = Vec::new();
@@ -873,7 +660,8 @@ mod tests {
 
     #[test]
     fn reader_accepts_advisory_zero_count_streams() {
-        // Shard headers declare 0 events; ending early is not truncation.
+        // A header may declare 0 events (count unknown when the stream
+        // was opened); ending early is then not truncation.
         let mut w = TraceStreamWriter::new(Vec::new(), TraceKind::Measured, 0).unwrap();
         for e in sample().iter().take(2) {
             w.write_event(e).unwrap();
@@ -881,48 +669,6 @@ mod tests {
         let buf = w.finish().unwrap();
         let r = TraceStreamReader::new(buf.as_slice()).unwrap();
         assert_eq!(r.filter_map(|e| e.ok()).count(), 2);
-    }
-
-    #[test]
-    fn equal_timestamps_across_processors_merge_deterministically() {
-        // Same timestamp on different processors: order_key falls back to
-        // emission seq, then processor id — never stream arrival order.
-        use crate::event::EventKind;
-        use crate::ids::StatementId;
-        use crate::time::Time;
-        let t = Time::from_nanos(10);
-        let ev = |proc: u16, seq: u64, stmt: u32| {
-            Event::new(
-                t,
-                ProcessorId(proc),
-                seq,
-                EventKind::Statement {
-                    stmt: StatementId(stmt),
-                },
-            )
-        };
-        // Stream 0 carries the *higher* seq; stream order must not matter.
-        let streams = vec![
-            vec![Ok(ev(0, 3, 0))].into_iter(),
-            vec![Ok(ev(1, 1, 1))].into_iter(),
-            vec![Ok(ev(2, 2, 2))].into_iter(),
-        ];
-        let merged: Vec<Event> = MergedStreams::new(streams).map(|e| e.unwrap()).collect();
-        let seqs: Vec<u64> = merged.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
-
-        // Full-key ties (same time, seq, AND proc) resolve in stream-index
-        // order: the documented final tie-breaker.
-        let dup = ev(0, 5, 7);
-        let streams = vec![vec![Ok(ev(0, 5, 8))].into_iter(), vec![Ok(dup)].into_iter()];
-        let merged: Vec<Event> = MergedStreams::new(streams).map(|e| e.unwrap()).collect();
-        assert_eq!(
-            merged[0].kind,
-            EventKind::Statement {
-                stmt: StatementId(8)
-            }
-        );
-        assert_eq!(merged[1], dup);
     }
 
     #[cfg(feature = "obs")]
@@ -961,18 +707,5 @@ mod tests {
             Some(Err(IoError::Truncated { .. }))
         ));
         assert_eq!(ep.parse_errors.get(), 1);
-    }
-
-    #[test]
-    fn merge_surfaces_stream_errors() {
-        let mut buf = Vec::new();
-        write_jsonl(&sample(), &mut buf).unwrap();
-        buf.extend_from_slice(b"{broken\n");
-        let reader = TraceStreamReader::new(buf.as_slice()).unwrap();
-        let outcomes: Vec<_> = MergedStreams::new(vec![reader]).collect();
-        let errors = outcomes.iter().filter(|r| r.is_err()).count();
-        assert_eq!(errors, 1);
-        let events = outcomes.iter().filter(|r| r.is_ok()).count();
-        assert_eq!(events, sample().len());
     }
 }
