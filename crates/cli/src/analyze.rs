@@ -653,10 +653,21 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
         ));
     }
     lines.push(format!("final approximated time: {}", run.sink.last_time));
-    lines.push(format!(
+    let mut resident = format!(
         "peak resident state: {} events (parked {}, buffered {})",
         run.stats.peak_resident, run.stats.peak_parked, run.stats.peak_buffered
-    ));
+    );
+    // Non-zero only when the input left the analyzer's order-aware
+    // structures for their general paths; large counts explain a slow run.
+    for (n, what) in [
+        (run.spills.emit, "emission"),
+        (run.spills.advance, "advance"),
+    ] {
+        if n > 0 {
+            resident.push_str(&format!(", {n} {what} spill(s)"));
+        }
+    }
+    lines.push(resident);
     if run.stats.clamped > 0 {
         lines.push(format!(
             "clamped approximations: {} (overhead exceeded the measured \

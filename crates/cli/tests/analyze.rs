@@ -210,6 +210,62 @@ fn analyze_default_summary_reports_clamps_and_resident_state() {
     assert_eq!(out.stdout, flagged.stdout);
 }
 
+/// An input that leaves the analyzer's order-aware structures says so:
+/// the summary's resident-state line and `--metrics-out` both count the
+/// entries that took the spill paths; a well-formed DOACROSS trace
+/// reports neither.
+#[test]
+fn analyze_summary_and_metrics_count_spills() {
+    use ppa::trace::{Trace, TraceBuilder};
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let write = |trace: &Trace, name: &str| {
+        let path = dir.join(name);
+        ppa::trace::write_jsonl(trace, fs::File::create(&path).unwrap()).unwrap();
+        path
+    };
+    // Two statements 1 ns apart (one approximated time, descending seq:
+    // an emission spill) and an advance tag far from the first (a
+    // hash-spilled key).
+    let hostile = TraceBuilder::measured()
+        .on(0)
+        .at(5_000_001)
+        .stmt(1)
+        .at(5_000_000)
+        .stmt(0)
+        .at(6_000_000)
+        .advance(0, 0)
+        .at(7_000_000)
+        .advance(0, 1 << 40)
+        .build();
+    let input = write(&hostile, "spill_summary_in.jsonl");
+    let metrics = dir.join("spill_summary.prom");
+    let out = ppa_analyze(&[
+        input.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{:?}", out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("peak resident state: "))
+        .expect("resident line");
+    assert!(
+        line.ends_with(", 1 emission spill(s), 1 advance spill(s)"),
+        "{line}"
+    );
+    let snapshot = fs::read_to_string(&metrics).unwrap();
+    for series in ["ppa_emit_spill_total 1", "ppa_advance_spill_total 1"] {
+        assert!(snapshot.lines().any(|l| l == series), "missing {series:?}");
+    }
+
+    let input = measured_jsonl(&dir, "no_spill_summary_in.jsonl");
+    let out = ppa_analyze(&[input.to_str().unwrap()]);
+    assert!(out.status.success(), "{:?}", out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("spill"), "{stdout}");
+}
+
 /// Every file `analyze` writes is created (or renamed into place) while
 /// the input is still being read, so an output path that is the input
 /// is refused up front: exit 64, input byte-identical afterwards.

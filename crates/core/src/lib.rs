@@ -25,7 +25,9 @@
 #![warn(missing_docs)]
 
 mod accuracy;
+mod advance_table;
 mod checkpoint;
+mod emit_lanes;
 mod error;
 mod estimate;
 mod event_based;
@@ -53,8 +55,8 @@ pub use pipeline::{
     CheckpointPolicy, Pipeline, PipelineConfig, PipelineError, ReportFilter, Step, Summary,
 };
 pub use streaming::{
-    AnalyzerDelta, AnalyzerProbes, AnalyzerSnapshot, EventBasedAnalyzer, StreamOutput, StreamStats,
-    StreamTail,
+    AnalyzerDelta, AnalyzerProbes, AnalyzerSnapshot, EventBasedAnalyzer, SpillCounts, StreamOutput,
+    StreamStats, StreamTail,
 };
 pub use time_based::{time_based, time_based_total, TimeBasedResult};
 

@@ -59,7 +59,9 @@ use crate::checkpoint::{
 };
 use crate::error::AnalysisError;
 use crate::expand::{ExpandError, RepeatExpander};
-use crate::streaming::{AnalyzerProbes, EventBasedAnalyzer, StreamOutput, StreamStats};
+use crate::streaming::{
+    AnalyzerProbes, EventBasedAnalyzer, SpillCounts, StreamOutput, StreamStats,
+};
 use ppa_obs::{span_enter, Stage};
 use ppa_trace::{
     AnyTraceReader, AnyTraceWriter, Event, IoError, OverheadSpec, ReorderBuffer, ReorderSnapshot,
@@ -186,6 +188,9 @@ pub struct Summary {
     pub filtered: u64,
     /// The analyzer's resource counters.
     pub stats: StreamStats,
+    /// How often this process's analyzer left its fast structures for
+    /// their spill paths (not carried across a resume).
+    pub spills: SpillCounts,
     /// Events left parked at end of stream (lenient runs only).
     pub unresolved: usize,
     /// Every decode gap, in stream order.
@@ -502,6 +507,7 @@ impl<R: Read> Pipeline<R> {
             sink: report.sink,
             filtered: report.filtered,
             stats: stream_tail.stats,
+            spills: stream_tail.spills,
             unresolved: stream_tail.unresolved,
             gaps,
             events_lost: self.prior_lost + self.reader.events_lost(),

@@ -30,22 +30,58 @@
 //!   `awaitE` whose partner `advance` has not arrived, a barrier exit
 //!   whose episode is still open — each holding the unresolved
 //!   dependencies that will wake it;
-//! - a small reorder buffer of resolved events not yet safe to emit.
+//! - a small reorder buffer of resolved events not yet safe to emit;
+//! - per semaphore, the V's no P has consumed yet (consumed ones are
+//!   dropped as they are consumed).
 //!
 //! Emission is watermark-driven: a resolved event leaves the buffer once
 //! every event that could still resolve earlier provably cannot precede
-//! it. The watermark is the minimum over the per-processor frontiers
-//! (advanced by the global measured clock, which bounds any future
-//! same-thread event from below), the fork anchor, and the registered
-//! floors of open synchronization constructs. In a feasible trace every
-//! construct closes within a bounded horizon, so the buffer stays small;
-//! [`StreamStats::peak_resident`] reports the observed maximum.
+//! it. The watermark is the minimum over the frontiers of the processors
+//! the trace has used (advanced by the global measured clock, which
+//! bounds any future same-thread event from below), the fork anchor, and
+//! the registered floors of open synchronization constructs. In a
+//! feasible trace every construct closes within a bounded horizon, so the
+//! buffer stays small; [`StreamStats::peak_resident`] reports the
+//! observed maximum.
 //!
-//! The advance tag table is the one structure that grows with the number
-//! of *distinct* tags (as in the batch analysis): lenient pairing allows
-//! an `awaitE` to precede its partner `advance` event, so no tag can be
-//! retired before the trace ends.
+//! # State shaped by the order the analysis guarantees
+//!
+//! Three structures sit on the per-event path, and each follows an order
+//! the rules above already guarantee instead of paying for a general one:
+//!
+//! - **Emission lanes + spill** ([`emit_lanes`](crate::emit_lanes)). Under
+//!   every rule except the two fork bases (loop-begin anchor, task spawn)
+//!   approximated time is non-decreasing along a processor's chain, so
+//!   the reorder buffer is one FIFO lane per processor, appended in O(1);
+//!   an entry that does sort before its lane's tail goes to a small spill
+//!   heap. The next event out is the smaller of the spill's top and the
+//!   top of a heap of *non-empty* lanes' heads: O(log P + log spill) per
+//!   event, whatever is buffered and however sparse the processor ids,
+//!   and exactly the sequence one binary heap over all entries pops.
+//! - **Dense advance table + spill**
+//!   ([`advance_table`](crate::advance_table)). The one structure that
+//!   grows with the number of *distinct* tags (lenient pairing lets an
+//!   `awaitE` precede its `advance`, so no tag can be retired before the
+//!   trace ends). Advance tags are non-negative and, per variable,
+//!   consecutive in DOACROSS traces: records live in a per-variable
+//!   vector indexed by tag, which never grows past twice its occupied
+//!   slots — a tag that would break that occupancy goes to a hash map.
+//!   Memory is ≤ a constant × advances seen on any input; snapshots walk
+//!   it already sorted.
+//! - **Dirty log, only when someone will read it.** Incremental
+//!   checkpoints carry the advance keys touched since the last one. They
+//!   are appended to a log that starts recording at the first
+//!   [`clear_advance_dirty`](EventBasedAnalyzer::clear_advance_dirty) (a
+//!   checkpoint writer's first record is always a full snapshot) and is
+//!   sorted and de-duplicated once per delta; a run that never
+//!   checkpoints records nothing.
+//!
+//! What leaves the fast structures is counted ([`SpillCounts`],
+//! `ppa_emit_spill_total`, `ppa_advance_spill_total`): a handful or zero
+//! on well-formed traces, and the first thing to look at on a slow run.
 
+use crate::advance_table::{AdvanceRec, AdvanceTable, Inserted};
+use crate::emit_lanes::{EmitEntry, EmitLanes};
 use crate::error::AnalysisError;
 use crate::event_based::{AwaitOutcome, BarrierOutcome, EpisodeOutcome};
 use ppa_obs::{Counter, Gauge, Registry};
@@ -54,8 +90,7 @@ use ppa_trace::{
     SyncTag, SyncVarId, TaskId, Time, TraceError,
 };
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Observability probes for [`EventBasedAnalyzer`].
@@ -83,6 +118,12 @@ pub struct AnalyzerProbes {
     /// Approximated-time computations clamped at an underflow on the
     /// §4.2.3 hot path (`ppa_core_clamped_approx_total`).
     pub clamped_approx: Counter,
+    /// Resolved events that sorted before their processor's emission
+    /// lane tail and went to the spill heap (`ppa_emit_spill_total`).
+    pub emit_spill: Counter,
+    /// Advance keys that went to the advance table's hash spill instead
+    /// of their variable's vector (`ppa_advance_spill_total`).
+    pub advance_spill: Counter,
 }
 
 impl AnalyzerProbes {
@@ -120,6 +161,16 @@ impl AnalyzerProbes {
                  overhead exceeded the inter-event delta, so the would-be-negative \
                  correction was clamped to zero).",
             ),
+            emit_spill: registry.counter(
+                "ppa_emit_spill_total",
+                "Resolved events buffered in the emission spill heap because they \
+                 sorted before their processor lane's tail.",
+            ),
+            advance_spill: registry.counter(
+                "ppa_advance_spill_total",
+                "Advance keys stored in the advance table's hash spill because their \
+                 tag would have left the variable's vector under half occupied.",
+            ),
         }
     }
 }
@@ -128,7 +179,7 @@ impl AnalyzerProbes {
 /// is a small fixed-size integer tuple, where the default SipHash's
 /// per-call setup cost dominates the whole map operation.
 #[derive(Clone, Copy, Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -189,7 +240,7 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One item of analyzer output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -251,6 +302,20 @@ pub struct StreamStats {
     pub clamped: usize,
 }
 
+/// How often an input defeated the analyzer's order-aware structures
+/// and fell back to their general (slower) spill paths. A handful on a
+/// well-formed trace; a count near the number of events explains a slow
+/// run. Like the probe counters these meter *this* process — they are
+/// not part of a checkpoint and restart at zero on resume.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpillCounts {
+    /// Resolved events that sorted before their processor's emission
+    /// lane tail and were buffered in the spill heap.
+    pub emit: u64,
+    /// Advance keys stored in the advance table's hash spill.
+    pub advance: u64,
+}
+
 /// Everything the analyzer still owes its caller after the last push.
 #[derive(Debug, Clone)]
 pub struct StreamTail {
@@ -258,6 +323,8 @@ pub struct StreamTail {
     pub outputs: Vec<StreamOutput>,
     /// Final resource counters.
     pub stats: StreamStats,
+    /// Spill-path counters of this process.
+    pub spills: SpillCounts,
     /// Events still parked when the stream ended — their dependencies
     /// never resolved. Always `0` from [`EventBasedAnalyzer::finish`]
     /// (it fails instead); nonzero only from
@@ -354,12 +421,6 @@ struct LoopAnchor {
     ta: Option<Time>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AdvanceRec {
-    id: usize,
-    ta: Option<Time>,
-}
-
 /// Per-lock scan state (the streaming twin of the batch validator's).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LockSt {
@@ -370,6 +431,11 @@ struct LockSt {
 }
 
 /// Per-semaphore scan state: V's in arrival order, consumed FIFO.
+/// `releases[acquired..]` are the outstanding V's; the consumed prefix is
+/// dropped as soon as it is at least as long as what is outstanding, so
+/// the state is O(outstanding V's), not O(V's in the trace). (A snapshot
+/// written before the prefix was trimmed restores as it is and trims at
+/// its next P.)
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct SemSt {
     releases: Vec<usize>,
@@ -379,11 +445,14 @@ struct SemSt {
 impl SemSt {
     /// The next unconsumed V's arrival index, if the count is positive.
     fn pop_release(&mut self) -> Option<usize> {
-        let d = self.releases.get(self.acquired).copied();
-        if d.is_some() {
-            self.acquired += 1;
+        let d = self.releases.get(self.acquired).copied()?;
+        self.acquired += 1;
+        if self.acquired * 2 >= self.releases.len() {
+            // Moves at most `acquired` survivors: amortized O(1) per P.
+            self.releases.drain(..self.acquired);
+            self.acquired = 0;
         }
-        d
+        Some(d)
     }
 }
 
@@ -428,39 +497,6 @@ struct Episode {
     closed: bool,
     /// Watermark floors registered by resolved enters.
     anchors: Vec<Time>,
-}
-
-/// An entry of the emission reorder buffer, ordered like the final trace:
-/// by the approximated event's own sort key, with the arrival index as the
-/// final tie-break (mirroring the batch analysis's stable sort).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct EmitEntry {
-    event: Event,
-    idx: usize,
-}
-
-impl EmitEntry {
-    #[inline]
-    fn key(&self) -> (Time, u64, ProcessorId, usize) {
-        (self.event.time, self.event.seq, self.event.proc, self.idx)
-    }
-}
-
-impl PartialEq for EmitEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for EmitEntry {}
-impl PartialOrd for EmitEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EmitEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
 }
 
 /// Serializable image of an [`EventBasedAnalyzer`]'s complete state.
@@ -610,12 +646,21 @@ pub struct EventBasedAnalyzer {
 
     // Validation (scan) state.
     procs: Vec<Option<ProcState>>,
-    advances: FxMap<(SyncVarId, SyncTag), AdvanceRec>,
-    /// Advance-table entries inserted or mutated since the last
+    /// Indices of the occupied `procs` slots, so the watermark visits
+    /// the processors the trace uses and not every slot up to the
+    /// largest id.
+    seen_procs: Vec<usize>,
+    advances: AdvanceTable,
+    /// Advance-table keys inserted or resolved since the last
     /// [`clear_advance_dirty`](Self::clear_advance_dirty) — the working
-    /// set an incremental checkpoint must carry. Ordered so delta
-    /// snapshots serialize deterministically without a sort.
-    dirty_advances: BTreeSet<(SyncVarId, SyncTag)>,
+    /// set an incremental checkpoint must carry — appended as they
+    /// happen (an advance appears twice: arrival, resolution) and sorted
+    /// and de-duplicated by [`delta_snapshot`](Self::delta_snapshot).
+    /// `None` until the first `clear_advance_dirty`: a checkpoint
+    /// writer's first record is always a full snapshot, so nothing reads
+    /// a delta before that, and a run that never checkpoints records
+    /// nothing at all.
+    dirty_log: Option<Vec<(SyncVarId, SyncTag)>>,
     /// `awaitE`s whose partner advance has not arrived, by end arrival
     /// index — the batch validator's `MissingAdvance` candidates.
     missing_adv: BTreeMap<usize, (SyncVarId, SyncTag)>,
@@ -650,14 +695,41 @@ pub struct EventBasedAnalyzer {
     anchors: BTreeMap<Time, u32>,
 
     // Emission.
-    buffer: BinaryHeap<Reverse<EmitEntry>>,
+    buffer: EmitLanes,
     out: VecDeque<StreamOutput>,
     /// Pushes since the last watermark check (drains run on a cadence to
     /// amortize the watermark computation).
     since_drain: u32,
 
     stats: StreamStats,
+    spills: SpillCounts,
     probes: AnalyzerProbes,
+
+    // Allocations reused across pushes: the delivery queue of one
+    // resolution cascade, and the vectors of resolved `Node`s and
+    // drained `awaiting_advance` / `missing_by_tag` entries.
+    queue: VecDeque<usize>,
+    spare_anchors: Vec<Vec<Time>>,
+    spare_waiters: Vec<Vec<(usize, Slot)>>,
+    spare_ids: Vec<Vec<usize>>,
+}
+
+/// Appends one advance record as a flat quad — the
+/// [`AnalyzerSnapshot::advances`] layout.
+fn pack_advance(out: &mut Vec<u64>, key: (SyncVarId, SyncTag), rec: &AdvanceRec) {
+    out.push(u64::from(key.0 .0));
+    out.push(((key.1 .0 << 1) ^ (key.1 .0 >> 63)) as u64);
+    out.push(rec.id as u64);
+    out.push(rec.ta.map_or(0, |t| t.as_nanos() + 1));
+}
+
+/// Returns a drained vector to a pool of spares. The pool stays small:
+/// it only ever needs as many vectors as are live at once.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, mut v: Vec<T>) {
+    if v.capacity() > 0 && pool.len() < 64 {
+        v.clear();
+        pool.push(v);
+    }
 }
 
 impl EventBasedAnalyzer {
@@ -686,8 +758,9 @@ impl EventBasedAnalyzer {
             barrier_error: None,
             episode_error: None,
             procs: Vec::new(),
-            advances: FxMap::default(),
-            dirty_advances: BTreeSet::new(),
+            seen_procs: Vec::new(),
+            advances: AdvanceTable::default(),
+            dirty_log: None,
             missing_adv: BTreeMap::new(),
             missing_by_tag: FxMap::default(),
             latest_lb: None,
@@ -703,11 +776,16 @@ impl EventBasedAnalyzer {
             parked: FxMap::default(),
             awaiting_advance: FxMap::default(),
             anchors: BTreeMap::new(),
-            buffer: BinaryHeap::new(),
+            buffer: EmitLanes::default(),
             out: VecDeque::new(),
             since_drain: 0,
             stats: StreamStats::default(),
+            spills: SpillCounts::default(),
             probes: AnalyzerProbes::noop(),
+            queue: VecDeque::new(),
+            spare_anchors: Vec::new(),
+            spare_waiters: Vec::new(),
+            spare_ids: Vec::new(),
         }
     }
 
@@ -834,13 +912,7 @@ impl EventBasedAnalyzer {
                     if oh > delta {
                         self.note_clamp();
                     }
-                    self.buffer.push(Reverse(EmitEntry {
-                        event: Event {
-                            time: value,
-                            ..event
-                        },
-                        idx,
-                    }));
+                    self.buffer_event(event, idx, value);
                     self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
                     let resident = self.parked.len() + self.buffer.len() + self.episodes.len();
                     self.stats.peak_resident = self.stats.peak_resident.max(resident);
@@ -859,18 +931,25 @@ impl EventBasedAnalyzer {
                     if tag.is_pre_advanced() {
                         self.scan_error = Some(TraceError::NegativeAdvanceTag { var, tag });
                     } else {
-                        match self.advances.entry((var, tag)) {
-                            std::collections::hash_map::Entry::Occupied(_) => {
+                        let rec = AdvanceRec { id: idx, ta: None };
+                        match self.advances.insert(var, tag, rec) {
+                            Inserted::Duplicate => {
                                 self.scan_error = Some(TraceError::DuplicateAdvance { var, tag });
                             }
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                v.insert(AdvanceRec { id: idx, ta: None });
-                                self.dirty_advances.insert((var, tag));
+                            stored => {
+                                if stored == Inserted::Spilled {
+                                    self.spills.advance += 1;
+                                    self.probes.advance_spill.inc();
+                                }
+                                if let Some(log) = &mut self.dirty_log {
+                                    log.push((var, tag));
+                                }
                                 if !self.missing_by_tag.is_empty() {
                                     if let Some(ends) = self.missing_by_tag.remove(&(var, tag)) {
-                                        for end in ends {
-                                            self.missing_adv.remove(&end);
+                                        for end in &ends {
+                                            self.missing_adv.remove(end);
                                         }
+                                        recycle(&mut self.spare_ids, ends);
                                     }
                                 }
                             }
@@ -904,6 +983,7 @@ impl EventBasedAnalyzer {
                                     last_ta: None,
                                     pending_await: Some(pending),
                                 });
+                                self.seen_procs.push(pi);
                             }
                         }
                     }
@@ -912,9 +992,13 @@ impl EventBasedAnalyzer {
                     let taken = self.procs[pi].as_mut().and_then(|s| s.pending_await.take());
                     match taken {
                         Some(p) if p.var == var && p.tag == tag => {
-                            if !tag.is_pre_advanced() && !self.advances.contains_key(&(var, tag)) {
+                            if !tag.is_pre_advanced() && self.advances.get(var, tag).is_none() {
                                 self.missing_adv.insert(idx, (var, tag));
-                                self.missing_by_tag.entry((var, tag)).or_default().push(idx);
+                                let spare = &mut self.spare_ids;
+                                self.missing_by_tag
+                                    .entry((var, tag))
+                                    .or_insert_with(|| spare.pop().unwrap_or_default())
+                                    .push(idx);
                             }
                             await_info = Some(p);
                         }
@@ -1287,18 +1371,11 @@ impl EventBasedAnalyzer {
             });
         }
         // Flush the reorder buffer: nothing can precede anything now.
-        let mut drained = 0u64;
-        while let Some(Reverse(entry)) = self.buffer.pop() {
-            self.out.push_back(StreamOutput::Event(entry.event));
-            drained += 1;
-        }
-        self.probes.events_emitted.add(drained);
-        self.probes.watermark_lag.set(0.0);
-        self.probes.resident_events.set(0.0);
-        self.probes.open_sync_episodes.set(0.0);
+        self.flush_buffer();
         Ok(StreamTail {
             outputs: self.out.into_iter().collect(),
             stats: self.stats,
+            spills: self.spills,
             unresolved: 0,
         })
     }
@@ -1318,20 +1395,24 @@ impl EventBasedAnalyzer {
     /// computable.
     pub fn finish_lenient(mut self) -> StreamTail {
         let unresolved = self.parked.len();
-        let mut drained = 0u64;
-        while let Some(Reverse(entry)) = self.buffer.pop() {
-            self.out.push_back(StreamOutput::Event(entry.event));
-            drained += 1;
-        }
-        self.probes.events_emitted.add(drained);
-        self.probes.watermark_lag.set(0.0);
-        self.probes.resident_events.set(0.0);
-        self.probes.open_sync_episodes.set(0.0);
+        self.flush_buffer();
         StreamTail {
             outputs: self.out.into_iter().collect(),
             stats: self.stats,
+            spills: self.spills,
             unresolved,
         }
+    }
+
+    /// Empties the reorder buffer into the output at end of stream.
+    fn flush_buffer(&mut self) {
+        self.probes.events_emitted.add(self.buffer.len() as u64);
+        while let Some(entry) = self.buffer.pop() {
+            self.out.push_back(StreamOutput::Event(entry.event));
+        }
+        self.probes.watermark_lag.set(0.0);
+        self.probes.resident_events.set(0.0);
+        self.probes.open_sync_episodes.set(0.0);
     }
 
     /// Serializes the analyzer's complete state into a plain data image.
@@ -1344,24 +1425,11 @@ impl EventBasedAnalyzer {
     /// stopped. Internal hash maps are stored key-sorted, so equal states
     /// serialize to equal bytes.
     pub fn snapshot(&self) -> AnalyzerSnapshot {
-        let mut keys: Vec<(SyncVarId, SyncTag)> = self.advances.keys().copied().collect();
-        keys.sort_unstable();
-        let advances = self.pack_advances(keys.iter().copied());
-        self.snapshot_with_advances(advances)
-    }
-
-    /// Packs the advance records for `keys` (which must be sorted) as
-    /// flat quads — the [`AnalyzerSnapshot::advances`] layout.
-    fn pack_advances(&self, keys: impl Iterator<Item = (SyncVarId, SyncTag)>) -> Vec<u64> {
-        let mut out = Vec::with_capacity(keys.size_hint().0 * 4);
-        for key in keys {
-            let rec = &self.advances[&key];
-            out.push(u64::from(key.0 .0));
-            out.push(((key.1 .0 << 1) ^ (key.1 .0 >> 63)) as u64);
-            out.push(rec.id as u64);
-            out.push(rec.ta.map_or(0, |t| t.as_nanos() + 1));
+        let mut advances = Vec::with_capacity(self.advances.len() * 4);
+        for (key, rec) in self.advances.iter() {
+            pack_advance(&mut advances, key, rec);
         }
-        out
+        self.snapshot_with_advances(advances)
     }
 
     fn snapshot_with_advances(&self, advances: Vec<u64>) -> AnalyzerSnapshot {
@@ -1370,8 +1438,6 @@ impl EventBasedAnalyzer {
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
         }
-        let mut buffer: Vec<EmitEntry> = self.buffer.iter().map(|Reverse(e)| e.clone()).collect();
-        buffer.sort_by_key(|e| e.key());
         AnalyzerSnapshot {
             oh: self.oh,
             next_idx: self.next_idx,
@@ -1397,7 +1463,7 @@ impl EventBasedAnalyzer {
             dep_ta: sorted(&self.dep_ta),
             spawn_watch: sorted(&self.spawn_watch),
             anchors: self.anchors.iter().map(|(k, v)| (*k, *v)).collect(),
-            buffer,
+            buffer: self.buffer.sorted(),
             out: self.out.iter().copied().collect(),
             since_drain: self.since_drain,
             stats: self.stats,
@@ -1412,20 +1478,41 @@ impl EventBasedAnalyzer {
     /// previous snapshot with [`AnalyzerSnapshot::apply_delta`] yields
     /// exactly [`snapshot`](Self::snapshot)'s image.
     ///
-    /// The dirty set is *not* cleared here — the caller clears it once
+    /// The dirty log is *not* cleared here — the caller clears it once
     /// the delta is durably written, so a failed write loses nothing.
+    /// Before the first [`clear_advance_dirty`](Self::clear_advance_dirty)
+    /// there is no "last checkpoint", and the delta carries the whole
+    /// table.
     pub fn delta_snapshot(&self) -> AnalyzerDelta {
-        let advances = self.pack_advances(self.dirty_advances.iter().copied());
+        let Some(log) = &self.dirty_log else {
+            return AnalyzerDelta {
+                frontier: self.snapshot(),
+                advances_len: self.advances.len() as u64,
+            };
+        };
+        let mut keys = log.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut advances = Vec::with_capacity(keys.len() * 4);
+        for key in keys {
+            let rec = self.advances.get(key.0, key.1);
+            pack_advance(
+                &mut advances,
+                key,
+                rec.expect("logged keys are in the table"),
+            );
+        }
         AnalyzerDelta {
             frontier: self.snapshot_with_advances(advances),
             advances_len: self.advances.len() as u64,
         }
     }
 
-    /// Resets the dirty-advance set after a delta (or full) checkpoint
-    /// has been durably written.
+    /// Forgets the dirty advances after a delta (or full) checkpoint has
+    /// been durably written, and — on the first call — starts recording
+    /// them.
     pub fn clear_advance_dirty(&mut self) {
-        self.dirty_advances.clear();
+        self.dirty_log.get_or_insert_with(Vec::new).clear();
     }
 
     /// Rebuilds an analyzer from a [`snapshot`](Self::snapshot) image,
@@ -1439,26 +1526,6 @@ impl EventBasedAnalyzer {
     /// meter the work of *this* process, not the cumulative analysis,
     /// which [`StreamStats`] carries across the checkpoint).
     pub fn restore_with_probes(snapshot: &AnalyzerSnapshot, probes: AnalyzerProbes) -> Self {
-        fn unpack_advances(packed: &[u64]) -> FxMap<(SyncVarId, SyncTag), AdvanceRec> {
-            packed
-                .chunks_exact(4)
-                .map(|quad| {
-                    let var = SyncVarId(quad[0] as u32);
-                    let tag = SyncTag(((quad[1] >> 1) as i64) ^ -((quad[1] & 1) as i64));
-                    let ta = match quad[3] {
-                        0 => None,
-                        ns => Some(Time::from_nanos(ns - 1)),
-                    };
-                    (
-                        (var, tag),
-                        AdvanceRec {
-                            id: quad[2] as usize,
-                            ta,
-                        },
-                    )
-                })
-                .collect()
-        }
         let s = snapshot.clone();
         let mut a = EventBasedAnalyzer::new(&s.oh);
         a.probes = probes;
@@ -1471,7 +1538,21 @@ impl EventBasedAnalyzer {
         a.barrier_error = s.barrier_error;
         a.episode_error = s.episode_error;
         a.procs = s.procs;
-        a.advances = unpack_advances(&s.advances);
+        a.seen_procs = (0..a.procs.len())
+            .filter(|&i| a.procs[i].is_some())
+            .collect();
+        // Key-sorted, so each variable's tags arrive ascending and land
+        // in its vector wherever the occupancy rule allows.
+        for quad in s.advances.chunks_exact(4) {
+            let var = SyncVarId(quad[0] as u32);
+            let tag = SyncTag(((quad[1] >> 1) as i64) ^ -((quad[1] & 1) as i64));
+            let ta = match quad[3] {
+                0 => None,
+                ns => Some(Time::from_nanos(ns - 1)),
+            };
+            let id = quad[2] as usize;
+            a.advances.insert(var, tag, AdvanceRec { id, ta });
+        }
         a.missing_adv = s.missing_adv.into_iter().collect();
         // `missing_by_tag` indexes `missing_adv` by tag, in end-arrival
         // order — which is exactly the BTreeMap's ascending key order.
@@ -1497,7 +1578,7 @@ impl EventBasedAnalyzer {
         a.dep_ta = s.dep_ta.into_iter().collect();
         a.spawn_watch = s.spawn_watch.into_iter().collect();
         a.anchors = s.anchors.into_iter().collect();
-        a.buffer = s.buffer.into_iter().map(Reverse).collect();
+        a.buffer = s.buffer.into_iter().collect();
         a.out = s.out.into_iter().collect();
         a.since_drain = s.since_drain;
         a.stats = s.stats;
@@ -1519,7 +1600,8 @@ impl EventBasedAnalyzer {
         blocked: Option<Option<(usize, Option<Time>)>>,
         basis_override: Option<(usize, Time, Option<Time>)>,
     ) {
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        // Empty between pushes; taken so the cascade can borrow `self`.
+        let mut queue = std::mem::take(&mut self.queue);
 
         // The fork anchor includes the current event (`last_loop_begin[i]`
         // covers position `i` itself in the batch analysis).
@@ -1577,6 +1659,7 @@ impl EventBasedAnalyzer {
                     last_ta: None,
                     pending_await: None,
                 });
+                self.seen_procs.push(pi);
             }
         }
 
@@ -1612,7 +1695,7 @@ impl EventBasedAnalyzer {
             let adv = if tag.is_pre_advanced() {
                 Adv::NotNeeded
             } else {
-                match self.advances.get(&(var, tag)) {
+                match self.advances.get(var, tag) {
                     Some(rec) => match rec.ta {
                         Some(v) => {
                             ready_anchors[n_ready] = v;
@@ -1628,9 +1711,10 @@ impl EventBasedAnalyzer {
                     },
                     None => {
                         pending += 1;
+                        let spare = &mut self.spare_ids;
                         self.awaiting_advance
                             .entry((var, tag))
-                            .or_default()
+                            .or_insert_with(|| spare.pop().unwrap_or_default())
                             .push(idx);
                         Adv::Pending
                     }
@@ -1744,7 +1828,11 @@ impl EventBasedAnalyzer {
                     }
                     let value = event.time.saturating_sub_span(oh);
                     self.finish_resolution(event, idx, value, &mut queue);
+                    // (An advance that opens its processor's chain wakes
+                    // its early awaiters like any other.)
+                    self.wake_awaiting_advance(&event, idx, &mut queue);
                     self.run_queue(&mut queue);
+                    self.queue = queue;
                     return;
                 }
                 Some((b_id, b_tm, b_ta)) => {
@@ -1771,7 +1859,7 @@ impl EventBasedAnalyzer {
             self.emit_await_outcome(&event, idx, &rule, value);
             self.finish_resolution(event, idx, value, &mut queue);
         } else {
-            let mut anchors = Vec::with_capacity(n_ready + 1);
+            let mut anchors = self.spare_anchors.pop().unwrap_or_default();
             if let Some(a) = transferred_anchor {
                 anchors.push(a); // already in the multiset
             }
@@ -1786,7 +1874,7 @@ impl EventBasedAnalyzer {
                     pending,
                     rule,
                     anchors,
-                    waiters: Vec::new(),
+                    waiters: self.spare_waiters.pop().unwrap_or_default(),
                 },
             );
             for &(dep, slot) in &pending_deps[..n_deps] {
@@ -1809,32 +1897,44 @@ impl EventBasedAnalyzer {
             }
         }
 
-        // A newly arrived advance may wake parked awaitEs.
-        if !self.awaiting_advance.is_empty() {
-            if let EventKind::Advance { var, tag } = event.kind {
-                if let Some(rec) = self.advances.get(&(var, tag)) {
-                    if rec.id == idx {
-                        let rec_ta = rec.ta;
-                        if let Some(waiters) = self.awaiting_advance.remove(&(var, tag)) {
-                            for w in waiters {
-                                match rec_ta {
-                                    Some(v) => self.deliver(w, Slot::Advance, v, &mut queue),
-                                    None => self
-                                        .parked
-                                        .get_mut(&idx)
-                                        .expect("unresolved advance is parked")
-                                        .waiters
-                                        .push((w, Slot::Advance)),
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.wake_awaiting_advance(&event, idx, &mut queue);
 
         let _ = enter_ep; // membership is tracked via `ep_of_enter`
         self.run_queue(&mut queue);
+        self.queue = queue;
+    }
+
+    /// A newly arrived advance may wake parked `awaitE`s that preceded it.
+    fn wake_awaiting_advance(&mut self, event: &Event, idx: usize, queue: &mut VecDeque<usize>) {
+        if self.awaiting_advance.is_empty() {
+            return;
+        }
+        let EventKind::Advance { var, tag } = event.kind else {
+            return;
+        };
+        let Some(rec_ta) = self
+            .advances
+            .get(var, tag)
+            .filter(|rec| rec.id == idx)
+            .map(|rec| rec.ta)
+        else {
+            return;
+        };
+        let Some(waiters) = self.awaiting_advance.remove(&(var, tag)) else {
+            return;
+        };
+        for &w in &waiters {
+            match rec_ta {
+                Some(v) => self.deliver(w, Slot::Advance, v, queue),
+                None => self
+                    .parked
+                    .get_mut(&idx)
+                    .expect("unresolved advance is parked")
+                    .waiters
+                    .push((w, Slot::Advance)),
+            }
+        }
+        recycle(&mut self.spare_ids, waiters);
     }
 
     /// Consumes a live enabling event's resolved time — the blocked side
@@ -1874,9 +1974,11 @@ impl EventBasedAnalyzer {
             let value = self.compute_value(&node.event, &node.rule);
             self.emit_await_outcome(&node.event, id, &node.rule, value);
             self.finish_resolution(node.event, id, value, queue);
-            for (w, slot) in node.waiters {
+            for &(w, slot) in &node.waiters {
                 self.deliver(w, slot, value, queue);
             }
+            recycle(&mut self.spare_anchors, node.anchors);
+            recycle(&mut self.spare_waiters, node.waiters);
         }
     }
 
@@ -2024,10 +2126,12 @@ impl EventBasedAnalyzer {
     ) {
         match event.kind {
             EventKind::Advance { var, tag } => {
-                if let Some(rec) = self.advances.get_mut(&(var, tag)) {
+                if let Some(rec) = self.advances.get_mut(var, tag) {
                     if rec.id == idx {
                         rec.ta = Some(value);
-                        self.dirty_advances.insert((var, tag));
+                        if let Some(log) = &mut self.dirty_log {
+                            log.push((var, tag));
+                        }
                     }
                 }
             }
@@ -2101,13 +2205,21 @@ impl EventBasedAnalyzer {
                 s.last_ta = Some(value);
             }
         }
-        self.buffer.push(Reverse(EmitEntry {
-            event: Event {
-                time: value,
-                ..event
-            },
-            idx,
-        }));
+        self.buffer_event(event, idx, value);
+    }
+
+    /// Buffers `event`, re-timed to its approximated `value`, for ordered
+    /// emission.
+    #[inline]
+    fn buffer_event(&mut self, event: Event, idx: usize, value: Time) {
+        let event = Event {
+            time: value,
+            ..event
+        };
+        if self.buffer.push(EmitEntry { event, idx }) {
+            self.spills.emit += 1;
+            self.probes.emit_spill.inc();
+        }
     }
 
     /// A closed episode with all enters resolved: computes the release,
@@ -2192,7 +2304,11 @@ impl EventBasedAnalyzer {
         // frontier, and the measured clock has advanced by
         // `last_tm - frontier.tm` since, of which at most `max_instr_oh`
         // is deductible.
-        for s in self.procs.iter().flatten() {
+        for s in self
+            .seen_procs
+            .iter()
+            .filter_map(|&i| self.procs[i].as_ref())
+        {
             if let Some(ta) = s.last_ta {
                 let gained = self.last_tm.saturating_since(s.last_tm);
                 wm = wm.min(ta + gained.saturating_sub(self.max_instr_oh));
@@ -2225,13 +2341,7 @@ impl EventBasedAnalyzer {
     fn drain_emission(&mut self) {
         let wm = self.watermark();
         let mut drained = 0u64;
-        while let Some(Reverse(entry)) = self.buffer.peek() {
-            if entry.event.time >= wm {
-                break;
-            }
-            let Some(Reverse(entry)) = self.buffer.pop() else {
-                unreachable!()
-            };
+        while let Some(entry) = self.buffer.pop_below(wm) {
             self.out.push_back(StreamOutput::Event(entry.event));
             drained += 1;
         }
@@ -2246,5 +2356,160 @@ impl EventBasedAnalyzer {
         self.probes
             .open_sync_episodes
             .set(self.open_by_barrier.len() as f64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppa_sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
+    use ppa_trace::TraceBuilder;
+
+    /// Pushes `events`, collecting every output including the tail's.
+    fn run(mut a: EventBasedAnalyzer, events: &[Event]) -> (Vec<StreamOutput>, StreamStats) {
+        let mut out = Vec::new();
+        for e in events {
+            a.push(*e).unwrap();
+            out.extend(std::iter::from_fn(|| a.next_output()));
+        }
+        let tail = a.finish().unwrap();
+        out.extend(tail.outputs);
+        (out, tail.stats)
+    }
+
+    fn semaphore_events(rounds: usize) -> Vec<Event> {
+        let cfg = ScenarioConfig {
+            rounds,
+            ..ScenarioConfig::small(ScenarioFamily::Semaphore)
+        };
+        scenario_trace(11, &cfg).events().to_vec()
+    }
+
+    /// `SemSt::releases` used to keep one slot per V for the life of the
+    /// trace; it now holds the outstanding V's (and at most as many
+    /// consumed ones again).
+    #[test]
+    fn semaphore_state_is_bounded_by_outstanding_releases() {
+        let events = semaphore_events(400);
+        let oh = OverheadSpec::alliant_default();
+        let mut a = EventBasedAnalyzer::new(&oh);
+        let (mut total, mut outstanding, mut peak_outstanding) = (0usize, 0usize, 0usize);
+        for e in &events {
+            a.push(*e).unwrap();
+            while a.next_output().is_some() {}
+            match e.kind {
+                EventKind::SemRelease { .. } => (total, outstanding) = (total + 1, outstanding + 1),
+                EventKind::SemAcquire { .. } => outstanding -= 1,
+                _ => {}
+            }
+            peak_outstanding = peak_outstanding.max(outstanding);
+            let held: usize = a.sems.values().map(|s| s.releases.len()).sum();
+            let live: usize = a.sems.values().map(|s| s.releases.len() - s.acquired).sum();
+            assert_eq!(live, outstanding);
+            assert!(
+                held <= 2 * outstanding + a.sems.len(),
+                "{held} slots for {outstanding} V's"
+            );
+        }
+        assert!(
+            total > 20 * peak_outstanding,
+            "the trace must make the bound mean something"
+        );
+        a.finish().unwrap();
+    }
+
+    /// A snapshot written before consumed slots were trimmed — the whole
+    /// V history with `acquired` pointing into it — restores and resumes
+    /// to exactly the uninterrupted run's outputs.
+    #[test]
+    fn untrimmed_semaphore_snapshot_resumes_identically() {
+        let events = semaphore_events(60);
+        let oh = OverheadSpec::alliant_default();
+        let (want, want_stats) = run(EventBasedAnalyzer::new(&oh), &events);
+        for split in [events.len() / 3, events.len() / 2, events.len() - 5] {
+            let mut first = EventBasedAnalyzer::new(&oh);
+            let mut got = Vec::new();
+            let mut consumed = BTreeMap::<SemId, Vec<usize>>::new();
+            for e in &events[..split] {
+                // What the old analyzer would still be holding: every V
+                // a P has consumed, in arrival order.
+                if let EventKind::SemAcquire { sem } = e.kind {
+                    let st = &first.sems[&sem];
+                    consumed
+                        .entry(sem)
+                        .or_default()
+                        .push(st.releases[st.acquired]);
+                }
+                first.push(*e).unwrap();
+                got.extend(std::iter::from_fn(|| first.next_output()));
+            }
+            let mut image = first.snapshot();
+            let mut untrimmed = 0;
+            for (sem, st) in &mut image.sems {
+                let history = consumed.remove(sem).unwrap_or_default();
+                let outstanding = st.releases.split_off(st.acquired);
+                st.releases = history;
+                st.acquired = st.releases.len();
+                st.releases.extend(outstanding);
+                untrimmed += st.acquired;
+            }
+            assert!(untrimmed > 0, "the old layout must differ from the new one");
+            let json = serde_json::to_string(&image).unwrap();
+            let image: AnalyzerSnapshot = serde_json::from_str(&json).unwrap();
+            let (rest, stats) = run(EventBasedAnalyzer::restore(&image), &events[split..]);
+            got.extend(rest);
+            assert_eq!(got, want, "split at {split}");
+            assert_eq!(stats, want_stats);
+        }
+    }
+
+    /// The dirty log costs nothing until a checkpoint writer shows up,
+    /// and from then on a delta carries each touched key once.
+    #[test]
+    fn dirty_log_starts_at_the_first_clear_and_deduplicates() {
+        let trace = TraceBuilder::measured()
+            .on(0)
+            .at(10)
+            .advance(0, 0)
+            .at(20)
+            .advance(0, 1)
+            .at(30)
+            .advance(0, 2)
+            .at(40)
+            .advance(1, 0)
+            .build();
+        let events = trace.events();
+        let mut a = EventBasedAnalyzer::new(&OverheadSpec::alliant_default());
+        a.push(events[0]).unwrap();
+        a.push(events[1]).unwrap();
+        assert!(a.dirty_log.is_none(), "nobody asked for deltas yet");
+        // With no checkpoint behind it, a delta is the whole table.
+        let delta = a.delta_snapshot();
+        assert_eq!(delta.frontier.advances, a.snapshot().advances);
+        assert_eq!(delta.advances_len, 2);
+
+        let mut base = a.snapshot();
+        a.clear_advance_dirty();
+        assert!(a.delta_snapshot().frontier.advances.is_empty());
+        a.push(events[2]).unwrap();
+        a.push(events[3]).unwrap();
+        // Arrival and resolution each logged the key...
+        assert_eq!(a.dirty_log.as_ref().map(Vec::len), Some(4));
+        // ...and the delta carries it once, in key order.
+        let delta = a.delta_snapshot();
+        let keys: Vec<(u64, u64)> = delta
+            .frontier
+            .advances
+            .chunks_exact(4)
+            .map(|q| (q[0], q[1]))
+            .collect();
+        assert_eq!(keys, [(0, 2 << 1), (1, 0)]);
+        base.apply_delta(&delta).unwrap();
+        assert_eq!(
+            serde_json::to_string(&base).unwrap(),
+            serde_json::to_string(&a.snapshot()).unwrap()
+        );
+        a.clear_advance_dirty();
+        assert_eq!(a.dirty_log.as_ref().map(Vec::len), Some(0));
     }
 }

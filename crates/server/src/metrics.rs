@@ -41,6 +41,12 @@ pub struct TenantMetrics {
     pub events_lost: Counter,
     /// `ppa_server_protocol_errors_total` — `ERROR` frames sent.
     pub errors: Counter,
+    /// `ppa_emit_spill_total` — resolved events the tenant's analyzers
+    /// buffered in the emission spill heap (see `ppa_core::SpillCounts`).
+    pub emit_spill: Counter,
+    /// `ppa_advance_spill_total` — advance keys the tenant's analyzers
+    /// stored in the advance table's hash spill.
+    pub advance_spill: Counter,
 }
 
 /// The daemon's metric surface. Clone-cheap (shared registry + cache).
@@ -140,6 +146,14 @@ impl ServerMetrics {
             errors: c(
                 "ppa_server_protocol_errors_total",
                 "ERROR frames sent to this tenant's clients.",
+            ),
+            emit_spill: c(
+                "ppa_emit_spill_total",
+                "Resolved events buffered in the emission spill heap for this tenant.",
+            ),
+            advance_spill: c(
+                "ppa_advance_spill_total",
+                "Advance keys stored in the advance table's hash spill for this tenant.",
             ),
         });
         map.insert(tenant.to_string(), m.clone());

@@ -27,7 +27,8 @@ use crate::protocol::{
     FT_DATA, FT_DONE, FT_ERROR, FT_FIN, FT_HELLO, FT_OK,
 };
 use ppa_core::{
-    read_checkpoint, Checkpoint, CheckpointPolicy, Pipeline, PipelineConfig, PipelineError,
+    read_checkpoint, AnalyzerProbes, Checkpoint, CheckpointPolicy, Pipeline, PipelineConfig,
+    PipelineError,
 };
 use ppa_trace::{AnyTraceReader, Event, IoError, TraceFormat};
 use std::fs::{self, File};
@@ -664,6 +665,13 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
             every: ctx.config.checkpoint_every,
             compact_every: ctx.config.checkpoint_compact_every,
         }),
+        // The two spill counters are the analyzer's only live series
+        // here: they cost nothing until an input leaves the fast paths.
+        analyzer_probes: AnalyzerProbes {
+            emit_spill: tm.emit_spill.clone(),
+            advance_spill: tm.advance_spill.clone(),
+            ..AnalyzerProbes::noop()
+        },
         ..PipelineConfig::new(ctx.config.overheads)
     };
     let report = Some((report_path.as_path(), TraceFormat::Jsonl));
