@@ -14,12 +14,17 @@
 //!    suppressed measured trace yields a report byte-identical (in both
 //!    container formats) to analyzing the original.
 
-use ppa_core::event_based;
+use ppa_core::{event_based, expand_events};
 use ppa_program::synth::{synthesize, SynthConfig};
 use ppa_program::InstrumentationPlan;
-use ppa_sim::{run_measured, SchedulePolicy, SimConfig};
+use ppa_sim::{
+    run_measured, scenario_trace, ScenarioConfig, ScenarioFamily, SchedulePolicy, SimConfig,
+};
 use ppa_slice::{slice_stream, suppress_events, SliceOptions, SliceProbes, SliceSpec};
-use ppa_trace::{write_binary, write_jsonl, AnyTraceReader, ClockRate, Event, OverheadSpec, Trace};
+use ppa_trace::{
+    write_binary, write_jsonl, AnyTraceReader, ClockRate, Event, EventKind, OverheadSpec,
+    ProcessorId, StatementId, Time, Trace,
+};
 use proptest::prelude::*;
 
 fn static_config(seed: u64) -> SimConfig {
@@ -136,4 +141,43 @@ proptest! {
         write_binary(&via, &mut via_bin).unwrap();
         prop_assert_eq!(direct_bin, via_bin, "binary reports differ");
     }
+}
+
+/// The expander keeps each processor's history in a fixed ring: over
+/// suppressed scenario fixtures (jittered lock, semaphore and fork/join
+/// traces) and a periodic trace that really collapses, expansion still
+/// gives back every fixture event for event.
+#[test]
+fn expanding_suppressed_scenario_fixtures_restores_them() {
+    let mut fixtures: Vec<Vec<Event>> = Vec::new();
+    for family in ScenarioFamily::ALL {
+        for seed in [0x0E91_50DE, 7, 1991] {
+            let cfg = ScenarioConfig {
+                rounds: 200,
+                ..ScenarioConfig::small(family)
+            };
+            fixtures.push(scenario_trace(seed, &cfg).events().to_vec());
+        }
+    }
+    let periodic: Vec<Event> = (0..3_000u64)
+        .map(|i| {
+            let (round, proc) = (i / 3, i % 3);
+            Event::new(
+                Time::from_nanos(1_000 + round * 90 + proc),
+                ProcessorId(proc as u16),
+                i,
+                EventKind::Statement {
+                    stmt: StatementId(proc as u32 + (round % 4) as u32),
+                },
+            )
+        })
+        .collect();
+    fixtures.push(periodic);
+    let mut collapsed = 0;
+    for (i, events) in fixtures.iter().enumerate() {
+        let suppressed = suppress_events(events);
+        collapsed += usize::from(suppressed.len() < events.len());
+        assert_eq!(&expand_events(&suppressed).unwrap(), events, "fixture {i}");
+    }
+    assert!(collapsed > 0, "some fixture must exercise the records");
 }

@@ -4,8 +4,7 @@
 //! stdout summary, and the sysexits mapping).
 
 use crate::{
-    default_decode_workers, export_metrics, parse_decode_workers, refuse_output_onto_input,
-    CliError, MetricsFormat,
+    export_metrics, parse_decode_workers, refuse_output_onto_input, CliError, MetricsFormat,
 };
 use std::fs::File;
 use std::path::Path;
@@ -483,7 +482,9 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
     };
 
     let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
-    let workers = o.decode_workers.unwrap_or_else(default_decode_workers);
+    let workers = o
+        .decode_workers
+        .unwrap_or_else(ppa::trace::default_decode_workers);
     if want_metrics {
         registry
             .gauge(

@@ -669,12 +669,6 @@ fn parse_decode_workers(n: &str) -> Result<usize, CliError> {
         })
 }
 
-/// The decode-worker count to use when `--decode-workers` is absent:
-/// one worker per available core.
-fn default_decode_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Refuses a run whose output would land on its own input. Every
 /// writer here creates (truncates) or renames onto its output while the
 /// input is still being read, so `ppa analyze x --out x` would destroy
@@ -938,7 +932,7 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
     };
 
     let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
-    let workers = decode_workers.unwrap_or_else(default_decode_workers);
+    let workers = decode_workers.unwrap_or_else(ppa::trace::default_decode_workers);
     let mut reader = AnyTraceReader::open_parallel(BufReader::new(file), workers)
         .map_err(|e| CliError::from(e).prefixed(input))?;
     if lenient {

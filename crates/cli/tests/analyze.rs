@@ -385,6 +385,44 @@ fn analyze_reports_truncated_input_with_exit_65() {
     }
 }
 
+/// A report the disk refuses is an output I/O failure (exit 74) with one
+/// message, whichever container it is written in and whether a
+/// checkpoint barrier or the end of the run met the error — the report
+/// thread's error reaches the driver unchanged.
+#[test]
+fn analyze_report_to_a_full_disk_exits_74_with_one_message() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "full_disk_in.jsonl");
+    let input = input.to_str().unwrap();
+    let ckpt = dir.join("full_disk.ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let out = ["--out", "/dev/full"];
+    let mut messages = Vec::new();
+    for extra in [
+        &[][..],
+        &["--format", "bin"][..],
+        &["--checkpoint", ckpt][..],
+        &["--checkpoint", ckpt, "--checkpoint-every", "50"][..],
+    ] {
+        fs::remove_file(ckpt).ok();
+        let mut args = vec![input];
+        args.extend(out);
+        args.extend(extra);
+        let run = ppa_analyze(&args);
+        assert_eq!(run.status.code(), Some(74), "{args:?}: {run:?}");
+        messages.push(String::from_utf8_lossy(&run.stderr).into_owned());
+    }
+    assert!(
+        messages[0].starts_with("ppa: /dev/full: ") && messages[0].contains("os error 28"),
+        "{}",
+        messages[0]
+    );
+    assert!(messages.iter().all(|m| *m == messages[0]), "{messages:#?}");
+}
+
 #[cfg(feature = "obs")]
 #[test]
 fn analyze_stream_exports_prometheus_metrics() {
@@ -405,6 +443,7 @@ fn analyze_stream_exports_prometheus_metrics() {
         "# TYPE ppa_events_pushed_total counter",
         "# TYPE ppa_watermark_lag gauge",
         "# TYPE ppa_resident_events gauge",
+        "# TYPE ppa_resident_bytes gauge",
         "ppa_stream_bytes_total{dir=\"read\"}",
         "ppa_stream_bytes_total{dir=\"write\"}",
         "ppa_shard_events_total{shard=\"p0\"}",

@@ -74,6 +74,16 @@ impl AdvanceTable {
         self.len
     }
 
+    /// Heap bytes held: every variable's vector, the variable map's
+    /// entries and the spill's slots (capacity × element size).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let slots: usize = self.vars.values().map(|t| t.slots.capacity()).sum();
+        self.vars.len() * size_of::<(SyncVarId, VarTable)>()
+            + slots * size_of::<Option<AdvanceRec>>()
+            + self.spill.capacity() * size_of::<((SyncVarId, SyncTag), AdvanceRec)>()
+    }
+
     /// Stores `rec` under `(var, tag)` unless the key is taken.
     pub(crate) fn insert(&mut self, var: SyncVarId, tag: SyncTag, rec: AdvanceRec) -> Inserted {
         if !self.spill.is_empty() && self.spill.contains_key(&(var, tag)) {

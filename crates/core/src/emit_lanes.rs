@@ -157,6 +157,17 @@ impl EmitLanes {
         entry
     }
 
+    /// Heap bytes held: the lane table, every lane, the head heap and the
+    /// spill heap (capacity × element size).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let lanes: usize = self.lanes.iter().map(VecDeque::capacity).sum();
+        self.lanes.capacity() * size_of::<VecDeque<EmitEntry>>()
+            + lanes * size_of::<EmitEntry>()
+            + self.heads.capacity() * size_of::<Reverse<EmitKey>>()
+            + self.spill.capacity() * size_of::<Reverse<EmitEntry>>()
+    }
+
     /// Every buffered entry, ascending by key — the order
     /// [`AnalyzerSnapshot`](crate::AnalyzerSnapshot) stores them in.
     pub(crate) fn sorted(&self) -> Vec<EmitEntry> {

@@ -15,7 +15,6 @@
 //! back-to-back records on one processor chain correctly.
 
 use ppa_trace::{Event, EventKind, Trace, REPEAT_MAX_PATTERN};
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Why expansion failed.
@@ -84,6 +83,41 @@ impl RunCursor {
     }
 }
 
+/// One processor's last [`REPEAT_MAX_PATTERN`] logical events: a fixed
+/// ring, allocated on the processor's first event.
+#[derive(Default)]
+struct Ring {
+    events: Vec<Event>,
+    /// Where the oldest event sits once the ring is full (0 until then).
+    start: usize,
+}
+
+impl Ring {
+    #[inline]
+    fn push(&mut self, event: Event) {
+        if self.events.len() < REPEAT_MAX_PATTERN {
+            self.events
+                .reserve_exact(REPEAT_MAX_PATTERN - self.events.len());
+            self.events.push(event);
+        } else {
+            self.events[self.start] = event;
+            self.start = (self.start + 1) % REPEAT_MAX_PATTERN;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The newest `n` events (`n <= len`), oldest first.
+    fn newest(&self, n: usize) -> Vec<Event> {
+        let len = self.events.len();
+        (len - n..len)
+            .map(|i| self.events[(self.start + i) % len])
+            .collect()
+    }
+}
+
 /// Streaming repeat-record expander.
 ///
 /// Feed physical events (the suppressed stream) in total order via
@@ -92,7 +126,8 @@ impl RunCursor {
 /// that extend past the last physical event.
 #[derive(Default)]
 pub struct RepeatExpander {
-    history: BTreeMap<u16, VecDeque<Event>>,
+    /// Per-processor history, indexed by processor.
+    history: Vec<Ring>,
     cursors: Vec<RunCursor>,
     records: u64,
     expanded: u64,
@@ -114,12 +149,33 @@ impl RepeatExpander {
         self.expanded
     }
 
-    fn remember(history: &mut BTreeMap<u16, VecDeque<Event>>, event: Event) {
-        let h = history.entry(event.proc.0).or_default();
-        h.push_back(event);
-        if h.len() > REPEAT_MAX_PATTERN {
-            h.pop_front();
+    /// `event`'s processor's history, created on first use.
+    #[inline]
+    fn ring(&mut self, event: &Event) -> &mut Ring {
+        let pi = event.proc.index();
+        if pi >= self.history.len() {
+            self.history.resize_with(pi + 1, Ring::default);
         }
+        &mut self.history[pi]
+    }
+
+    #[inline]
+    fn remember(&mut self, event: Event) {
+        self.ring(&event).push(event);
+    }
+
+    /// The fast path of [`push`](Self::push): with no occurrence pending,
+    /// a plain event stands for itself. Records it in its processor's
+    /// history and returns true, and the caller hands it on as it is;
+    /// false for a record or while occurrences are pending (call
+    /// [`push`](Self::push)).
+    #[inline]
+    pub(crate) fn pass_through(&mut self, event: &Event) -> bool {
+        if !self.cursors.is_empty() || matches!(event.kind, EventKind::Repeat { .. }) {
+            return false;
+        }
+        self.remember(*event);
+        true
     }
 
     /// Emits every pending occurrence ordering before `limit` (all of
@@ -145,7 +201,7 @@ impl RepeatExpander {
             if limit.is_some_and(|key| next.order_key() > key) {
                 break;
             }
-            Self::remember(&mut self.history, next);
+            self.remember(next);
             out.push(next);
             self.expanded += 1;
             if !self.cursors[idx].advance() {
@@ -157,6 +213,10 @@ impl RepeatExpander {
     /// Accepts the next physical event; appends the logical events it
     /// (and any pending occurrences ordering before it) stands for.
     pub fn push(&mut self, event: Event, out: &mut Vec<Event>) -> Result<(), ExpandError> {
+        if self.pass_through(&event) {
+            out.push(event);
+            return Ok(());
+        }
         self.drain(Some(event.order_key()), out);
         match event.kind {
             EventKind::Repeat {
@@ -169,7 +229,7 @@ impl RepeatExpander {
                 if len == 0 || count == 0 {
                     return Err(ExpandError::EmptyRecord { seq: event.seq });
                 }
-                let history = self.history.entry(event.proc.0).or_default();
+                let history = self.ring(&event);
                 if history.len() < len as usize {
                     return Err(ExpandError::MissingPattern {
                         seq: event.seq,
@@ -177,11 +237,7 @@ impl RepeatExpander {
                         have: history.len(),
                     });
                 }
-                let pattern: Vec<Event> = history
-                    .iter()
-                    .skip(history.len() - len as usize)
-                    .copied()
-                    .collect();
+                let pattern = history.newest(len as usize);
                 self.records += 1;
                 self.cursors.push(RunCursor {
                     pattern,
@@ -197,7 +253,7 @@ impl RepeatExpander {
                 self.drain(Some(event.order_key()), out);
             }
             _ => {
-                Self::remember(&mut self.history, event);
+                self.remember(event);
                 out.push(event);
             }
         }
@@ -359,6 +415,97 @@ mod tests {
             expand_events(&events),
             Err(ExpandError::MissingPattern {
                 seq: 1,
+                needed: 2,
+                have: 1
+            })
+        );
+    }
+
+    fn record(t: u64, proc: u16, seq: u64, len: u32, count: u32, dt_ns: u64, dseq: u64) -> Event {
+        Event::new(
+            Time::from_nanos(t),
+            ProcessorId(proc),
+            seq,
+            EventKind::Repeat {
+                len,
+                count,
+                dt_ns,
+                dseq,
+                dfield: 0,
+            },
+        )
+    }
+
+    /// The history is a vector indexed by processor: the two ends of the
+    /// id range each keep their own, and a record on one replays only
+    /// its own processor's pattern.
+    #[test]
+    fn processors_zero_and_max_keep_separate_histories() {
+        let hi = u16::MAX;
+        let (a, b) = (stmt(5, hi, 1, 2), stmt(15, hi, 3, 4));
+        let events = vec![
+            stmt(0, 0, 0, 1),
+            a,
+            stmt(10, 0, 2, 3),
+            b,
+            // Processor MAX repeats its two-event pattern twice more; the
+            // record sits where its first occurrence begins.
+            record(25, hi, 5, 2, 2, 20, 4),
+            stmt(30, 0, 6, 5),
+        ];
+        let mut want = vec![stmt(0, 0, 0, 1), a, stmt(10, 0, 2, 3), b, stmt(30, 0, 6, 5)];
+        for r in 1..=2 {
+            want.extend([a, b].map(|e| e.repeat_shifted(r, 20, 4, 0)));
+        }
+        want.sort_by_key(Event::order_key);
+        assert_eq!(expand_events(&events).unwrap(), want);
+    }
+
+    /// Records of every pattern length after the ring has wrapped (more
+    /// than `REPEAT_MAX_PATTERN` events of history) replay exactly the
+    /// newest `len` events, oldest first.
+    #[test]
+    fn every_pattern_length_replays_the_newest_events_after_wraparound() {
+        for len in 1..=REPEAT_MAX_PATTERN as u64 {
+            let history: Vec<Event> = (0..20).map(|i| stmt(i * 10, 3, i, i as u32)).collect();
+            let mut events = history.clone();
+            events.push(record(200, 3, 20, len as u32, 2, 10 * len, len));
+            let pattern = &history[history.len() - len as usize..];
+            let mut want = history.clone();
+            for r in 1..=2 {
+                want.extend(
+                    pattern
+                        .iter()
+                        .map(|e| e.repeat_shifted(r, 10 * len, len, 0)),
+                );
+            }
+            assert_eq!(expand_events(&events).unwrap(), want, "len {len}");
+        }
+    }
+
+    /// An orphaned record reports the history its processor really has:
+    /// what it saw, capped at the ring's size, and nothing from others.
+    #[test]
+    fn orphaned_records_report_the_available_history() {
+        let mut events: Vec<Event> = (0..20).map(|i| stmt(i * 10, 1, i, 0)).collect();
+        events.push(record(200, 1, 20, 17, 1, 10, 1));
+        assert_eq!(
+            expand_events(&events),
+            Err(ExpandError::MissingPattern {
+                seq: 20,
+                needed: 17,
+                have: REPEAT_MAX_PATTERN
+            })
+        );
+        let events = vec![
+            stmt(0, 1, 0, 0),
+            stmt(10, 2, 1, 0),
+            record(20, 2, 2, 2, 1, 10, 1),
+        ];
+        assert_eq!(
+            expand_events(&events),
+            Err(ExpandError::MissingPattern {
+                seq: 2,
                 needed: 2,
                 have: 1
             })

@@ -53,6 +53,7 @@ pub use expand::{expand_events, expand_trace, has_repeat_records, ExpandError, R
 pub use liberal::{liberal_reschedule, LiberalResult};
 pub use pipeline::{
     CheckpointPolicy, Pipeline, PipelineConfig, PipelineError, ReportFilter, Step, Summary,
+    RESIDENT_SAMPLE_EVERY,
 };
 pub use streaming::{
     AnalyzerDelta, AnalyzerProbes, AnalyzerSnapshot, EventBasedAnalyzer, SpillCounts, StreamOutput,

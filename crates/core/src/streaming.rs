@@ -124,6 +124,12 @@ pub struct AnalyzerProbes {
     /// Advance keys that went to the advance table's hash spill instead
     /// of their variable's vector (`ppa_advance_spill_total`).
     pub advance_spill: Counter,
+    /// Heap bytes of the whole [`Pipeline`](crate::Pipeline)'s resident
+    /// state — every analyzer table, the reorder buffer, the report
+    /// stage's batches (`ppa_resident_bytes`). The pipeline refreshes it
+    /// every [`RESIDENT_SAMPLE_EVERY`](crate::RESIDENT_SAMPLE_EVERY)
+    /// events; a bare analyzer leaves it alone.
+    pub resident_bytes: Gauge,
 }
 
 impl AnalyzerProbes {
@@ -171,8 +177,56 @@ impl AnalyzerProbes {
                 "Advance keys stored in the advance table's hash spill because their \
                  tag would have left the variable's vector under half occupied.",
             ),
+            resident_bytes: registry.gauge(
+                "ppa_resident_bytes",
+                "Heap bytes of the pipeline's resident state: every analyzer table, \
+                 the reorder buffer and the report stage's batches (capacity x \
+                 element size).",
+            ),
         }
     }
+}
+
+/// Pushes between two watermark drains: the cadence the analyzer
+/// releases output on and its gauges are refreshed on.
+pub(crate) const DRAIN_EVERY: u32 = 16;
+
+/// Where a drain puts what the analyzer releases, in release order:
+/// the outcomes a push resolved, then the approximated events the
+/// watermark let go of.
+pub(crate) trait OutputSink {
+    /// The next approximated event of the final trace.
+    fn event(&mut self, event: Event);
+    /// Any output, outcomes included.
+    fn output(&mut self, output: StreamOutput);
+}
+
+/// The queue [`EventBasedAnalyzer::next_output`] reads.
+impl OutputSink for VecDeque<StreamOutput> {
+    #[inline]
+    fn event(&mut self, event: Event) {
+        self.push_back(StreamOutput::Event(event));
+    }
+
+    #[inline]
+    fn output(&mut self, output: StreamOutput) {
+        self.push_back(output);
+    }
+}
+
+/// Heap bytes of a vector's buffer.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Heap bytes of a hash map's slots.
+fn map_bytes<K, V>(m: &FxMap<K, V>) -> usize {
+    m.capacity() * std::mem::size_of::<(K, V)>()
+}
+
+/// Heap bytes of a B-tree map's entries (node overhead not counted).
+fn btree_bytes<K, V>(m: &BTreeMap<K, V>) -> usize {
+    m.len() * std::mem::size_of::<(K, V)>()
 }
 
 /// FxHash-style multiply-rotate hasher. Every key hashed by the analyzer
@@ -661,9 +715,9 @@ pub struct EventBasedAnalyzer {
     /// a delta before that, and a run that never checkpoints records
     /// nothing at all.
     dirty_log: Option<Vec<(SyncVarId, SyncTag)>>,
-    /// `awaitE`s whose partner advance has not arrived, by end arrival
-    /// index — the batch validator's `MissingAdvance` candidates.
-    missing_adv: BTreeMap<usize, (SyncVarId, SyncTag)>,
+    /// `awaitE`s whose partner advance has not arrived, by tag, each
+    /// list in end arrival order — the batch validator's
+    /// `MissingAdvance` candidates (the earliest end is the verdict).
     missing_by_tag: FxMap<(SyncVarId, SyncTag), Vec<usize>>,
 
     // Structure state.
@@ -696,10 +750,15 @@ pub struct EventBasedAnalyzer {
 
     // Emission.
     buffer: EmitLanes,
+    /// Outcomes resolved but not yet drained, and — for
+    /// [`next_output`](Self::next_output) — the drained events too.
     out: VecDeque<StreamOutput>,
     /// Pushes since the last watermark check (drains run on a cadence to
     /// amortize the watermark computation).
     since_drain: u32,
+    /// The push that just ended brought the cadence due: drain before
+    /// the next one. Always false between pushes.
+    drain_due: bool,
 
     stats: StreamStats,
     spills: SpillCounts,
@@ -761,7 +820,6 @@ impl EventBasedAnalyzer {
             seen_procs: Vec::new(),
             advances: AdvanceTable::default(),
             dirty_log: None,
-            missing_adv: BTreeMap::new(),
             missing_by_tag: FxMap::default(),
             latest_lb: None,
             episodes: FxMap::default(),
@@ -779,6 +837,7 @@ impl EventBasedAnalyzer {
             buffer: EmitLanes::default(),
             out: VecDeque::new(),
             since_drain: 0,
+            drain_due: false,
             stats: StreamStats::default(),
             spills: SpillCounts::default(),
             probes: AnalyzerProbes::noop(),
@@ -817,13 +876,92 @@ impl EventBasedAnalyzer {
         self.parked.len() + self.buffer.len() + self.episodes.len()
     }
 
+    /// Heap bytes of the analyzer's state: capacity × element size,
+    /// summed over every table — the advance table and its spill, the
+    /// emission lanes and their spill, the parked nodes, the `(var, tag)`
+    /// maps, the episode / lock / semaphore / task tables and the watermark
+    /// anchors. Unlike [`resident`](Self::resident) this sees the
+    /// structures that grow with the trace's synchronization history.
+    /// Cost is O(tables + live synchronization objects), so callers
+    /// sample it ([`RESIDENT_SAMPLE_EVERY`](crate::RESIDENT_SAMPLE_EVERY))
+    /// rather than compute it per push. (Each parked node's two short
+    /// dependency lists are not walked: that would make it O(parked).)
+    pub fn resident_bytes(&self) -> usize {
+        let inner = |lists: &FxMap<(SyncVarId, SyncTag), Vec<usize>>| -> usize {
+            map_bytes(lists) + lists.values().map(vec_bytes).sum::<usize>()
+        };
+        let episodes: usize = self
+            .episodes
+            .values()
+            .map(|ep| vec_bytes(&ep.enters) + vec_bytes(&ep.exits) + vec_bytes(&ep.anchors))
+            .sum();
+        let sems: usize = self.sems.values().map(|s| vec_bytes(&s.releases)).sum();
+        let spares: usize = self.spare_anchors.iter().map(vec_bytes).sum::<usize>()
+            + self.spare_waiters.iter().map(vec_bytes).sum::<usize>()
+            + self.spare_ids.iter().map(vec_bytes).sum::<usize>();
+        vec_bytes(&self.procs)
+            + vec_bytes(&self.seen_procs)
+            + self.advances.resident_bytes()
+            + self.dirty_log.as_ref().map_or(0, vec_bytes)
+            + inner(&self.missing_by_tag)
+            + inner(&self.awaiting_advance)
+            + map_bytes(&self.episodes)
+            + episodes
+            + btree_bytes(&self.open_by_barrier)
+            + map_bytes(&self.ep_of_enter)
+            + btree_bytes(&self.locks)
+            + btree_bytes(&self.sems)
+            + sems
+            + btree_bytes(&self.tasks)
+            + map_bytes(&self.dep_ta)
+            + map_bytes(&self.spawn_watch)
+            + map_bytes(&self.parked)
+            + btree_bytes(&self.anchors)
+            + self.buffer.resident_bytes()
+            + self.out.capacity() * std::mem::size_of::<StreamOutput>()
+            + self.queue.capacity() * std::mem::size_of::<usize>()
+            + spares
+    }
+
     /// Feeds the next measured event.
     ///
     /// Returns an error only for a broken total order — the one condition
     /// that cannot wait, because it invalidates every later judgment. All
     /// other validation failures are deferred to [`finish`](Self::finish)
     /// so that the reported error matches the batch validator's choice.
+    /// What the push releases is queued for
+    /// [`next_output`](Self::next_output).
     pub fn push(&mut self, event: Event) -> Result<(), AnalysisError> {
+        self.analyze(event)?;
+        if std::mem::take(&mut self.drain_due) {
+            let mut out = std::mem::take(&mut self.out);
+            self.drain_emission(&mut out);
+            self.out = out;
+        }
+        Ok(())
+    }
+
+    /// [`push`](Self::push), handing what it releases to `sink` instead
+    /// of the queue: the outcomes it resolved, then — when the cadence
+    /// comes due — the events below the watermark, popped from the
+    /// emission lanes straight into the sink.
+    pub(crate) fn push_into(
+        &mut self,
+        event: Event,
+        sink: &mut impl OutputSink,
+    ) -> Result<(), AnalysisError> {
+        self.analyze(event)?;
+        while let Some(o) = self.out.pop_front() {
+            sink.output(o);
+        }
+        if std::mem::take(&mut self.drain_due) {
+            self.drain_emission(sink);
+        }
+        Ok(())
+    }
+
+    /// The analysis half of a push: everything but the drain.
+    fn analyze(&mut self, event: Event) -> Result<(), AnalysisError> {
         if let Some(e) = &self.fatal {
             return Err(e.clone().into());
         }
@@ -946,9 +1084,6 @@ impl EventBasedAnalyzer {
                                 }
                                 if !self.missing_by_tag.is_empty() {
                                     if let Some(ends) = self.missing_by_tag.remove(&(var, tag)) {
-                                        for end in &ends {
-                                            self.missing_adv.remove(end);
-                                        }
                                         recycle(&mut self.spare_ids, ends);
                                     }
                                 }
@@ -993,7 +1128,6 @@ impl EventBasedAnalyzer {
                     match taken {
                         Some(p) if p.var == var && p.tag == tag => {
                             if !tag.is_pre_advanced() && self.advances.get(var, tag).is_none() {
-                                self.missing_adv.insert(idx, (var, tag));
                                 let spare = &mut self.spare_ids;
                                 self.missing_by_tag
                                     .entry((var, tag))
@@ -1275,22 +1409,6 @@ impl EventBasedAnalyzer {
         self.out.pop_front()
     }
 
-    /// Hands every available output to `sink` in place, oldest first —
-    /// [`next_output`](Self::next_output) without copying each 64-byte
-    /// output out of the queue first, for the per-event loop of
-    /// [`Pipeline`](crate::Pipeline). Stops at the first error; that
-    /// output stays queued.
-    pub(crate) fn drain_outputs<E>(
-        &mut self,
-        mut sink: impl FnMut(&StreamOutput) -> Result<(), E>,
-    ) -> Result<(), E> {
-        while let Some(o) = self.out.front() {
-            sink(o)?;
-            self.out.pop_front();
-        }
-        Ok(())
-    }
-
     /// Current resource counters.
     pub fn stats(&self) -> StreamStats {
         self.stats
@@ -1333,7 +1451,14 @@ impl EventBasedAnalyzer {
                 .into());
             }
         }
-        if let Some((_, &(var, tag))) = self.missing_adv.iter().next() {
+        // The awaitE that arrived first among those whose advance never
+        // did; each list is in arrival order.
+        let missing = self
+            .missing_by_tag
+            .iter()
+            .filter_map(|(&key, ends)| Some((*ends.first()?, key)))
+            .min();
+        if let Some((_, (var, tag))) = missing {
             return Err(TraceError::MissingAdvance { var, tag }.into());
         }
         if let Some(e) = self.barrier_error {
@@ -1450,7 +1575,16 @@ impl EventBasedAnalyzer {
             episode_error: self.episode_error.clone(),
             procs: self.procs.clone(),
             advances,
-            missing_adv: self.missing_adv.iter().map(|(k, v)| (*k, *v)).collect(),
+            missing_adv: {
+                let mut ends: Vec<_> = self
+                    .missing_by_tag
+                    .iter()
+                    .flat_map(|(&key, ends)| ends.iter().map(move |&end| (end, key)))
+                    .collect();
+                // Ends are distinct arrival indices: the order is total.
+                ends.sort_unstable_by_key(|&(end, _)| end);
+                ends
+            },
             latest_lb: self.latest_lb,
             episodes: sorted(&self.episodes),
             open_by_barrier: self.open_by_barrier.iter().map(|(k, v)| (*k, *v)).collect(),
@@ -1553,10 +1687,9 @@ impl EventBasedAnalyzer {
             let id = quad[2] as usize;
             a.advances.insert(var, tag, AdvanceRec { id, ta });
         }
-        a.missing_adv = s.missing_adv.into_iter().collect();
-        // `missing_by_tag` indexes `missing_adv` by tag, in end-arrival
-        // order — which is exactly the BTreeMap's ascending key order.
-        for (&end, &key) in &a.missing_adv {
+        // The image lists ends ascending, so each tag's list comes back
+        // in end-arrival order.
+        for (end, key) in s.missing_adv {
             a.missing_by_tag.entry(key).or_default().push(end);
         }
         a.latest_lb = s.latest_lb;
@@ -2326,26 +2459,27 @@ impl EventBasedAnalyzer {
         wm
     }
 
-    /// Runs a drain every 16 pushes: the watermark moves little between
-    /// consecutive events, so checking it per push buys nothing but cost.
+    /// Brings a drain due every [`DRAIN_EVERY`] pushes: the watermark
+    /// moves little between consecutive events, so checking it per push
+    /// buys nothing but cost.
     #[inline]
     fn maybe_drain(&mut self) {
         self.since_drain += 1;
-        if self.since_drain >= 16 {
+        if self.since_drain >= DRAIN_EVERY {
             self.since_drain = 0;
-            self.drain_emission();
+            self.drain_due = true;
         }
     }
 
-    /// Moves every buffered event that is provably final into the output.
-    fn drain_emission(&mut self) {
+    /// Hands every buffered event that is provably final to `sink`.
+    fn drain_emission(&mut self, sink: &mut impl OutputSink) {
         let wm = self.watermark();
         let mut drained = 0u64;
         while let Some(entry) = self.buffer.pop_below(wm) {
-            self.out.push_back(StreamOutput::Event(entry.event));
+            sink.event(entry.event);
             drained += 1;
         }
-        // Gauge refresh rides the drain cadence (every 16 pushes), keeping
+        // Gauge refresh rides the drain cadence (DRAIN_EVERY pushes), keeping
         // observability cost off the per-event path.
         self.probes.events_emitted.add(drained);
         self.probes

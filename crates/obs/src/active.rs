@@ -90,6 +90,13 @@ impl Gauge {
             .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
             .unwrap_or(0.0)
     }
+
+    /// Whether a registry reads this gauge: a caller whose value is
+    /// costly to compute skips the work for a detached one.
+    #[inline]
+    pub fn is_attached(&self) -> bool {
+        self.cell.is_some()
+    }
 }
 
 #[derive(Debug)]

@@ -61,6 +61,12 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         0.0
     }
+
+    /// Always false: nothing would read a value.
+    #[inline]
+    pub fn is_attached(&self) -> bool {
+        false
+    }
 }
 
 /// No-op mirror of [`crate::active::Histogram`].

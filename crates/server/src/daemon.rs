@@ -92,7 +92,7 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(30),
             lenient: false,
             reorder_window: None,
-            decode_workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            decode_workers: ppa_trace::default_decode_workers(),
             overheads: OverheadSpec::default(),
             log_format: LogFormat::Text,
             log_level: LogLevel::Info,

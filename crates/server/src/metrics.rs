@@ -47,6 +47,9 @@ pub struct TenantMetrics {
     /// `ppa_advance_spill_total` — advance keys the tenant's analyzers
     /// stored in the advance table's hash spill.
     pub advance_spill: Counter,
+    /// `ppa_resident_bytes` — heap bytes of the tenant's live sessions'
+    /// pipelines, summed: what the resident quota charges.
+    pub resident_bytes: Gauge,
 }
 
 /// The daemon's metric surface. Clone-cheap (shared registry + cache).
@@ -154,6 +157,12 @@ impl ServerMetrics {
             advance_spill: c(
                 "ppa_advance_spill_total",
                 "Advance keys stored in the advance table's hash spill for this tenant.",
+            ),
+            resident_bytes: self.registry.gauge_with(
+                "ppa_resident_bytes",
+                &labels,
+                "Heap bytes of this tenant's live session pipelines, summed: what \
+                 --tenant-max-resident-bytes charges.",
             ),
         });
         map.insert(tenant.to_string(), m.clone());

@@ -12,6 +12,7 @@
 //! flow control.
 
 use crate::protocol::{EC_SERVER_FULL, EC_SESSION_BUSY, EC_TENANT_SESSIONS};
+use ppa_obs::Gauge;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,9 +26,11 @@ pub struct Quotas {
     pub tenant_max_sessions: usize,
     /// Per-tenant ingest rate cap, events per second (0 = unlimited).
     pub tenant_max_eps: u64,
-    /// Per-tenant resident-state cap, bytes (0 = unlimited). Counts the
-    /// analyzer's live state plus the reorder buffer, summed over the
-    /// tenant's sessions.
+    /// Per-tenant resident-state cap, bytes (0 = unlimited). Charges each
+    /// session's `Pipeline::resident_bytes` — every analyzer table (the
+    /// advance table that grows with the trace included), the reorder
+    /// buffer and the report stage's batches — summed over the tenant's
+    /// sessions.
     pub tenant_max_resident_bytes: u64,
 }
 
@@ -152,6 +155,7 @@ impl SessionTable {
             tenant: tenant.to_string(),
             stream: stream.to_string(),
             resident: std::cell::Cell::new(0),
+            gauge: Gauge::default(),
         })
     }
 
@@ -182,21 +186,23 @@ impl SessionTable {
         Duration::from_secs(1).saturating_sub(elapsed)
     }
 
-    fn update_resident(&self, tenant: &str, before: u64, now: u64) -> bool {
+    fn update_resident(&self, tenant: &str, before: u64, now: u64, gauge: &Gauge) -> bool {
         let cap = self.quotas.tenant_max_resident_bytes;
         let mut inner = self.inner.lock().expect("session table poisoned");
         let t = inner.tenants.entry(tenant.to_string()).or_default();
         t.resident_bytes = t.resident_bytes.saturating_sub(before).saturating_add(now);
+        gauge.set(t.resident_bytes as f64);
         cap > 0 && t.resident_bytes > cap
     }
 
-    fn release(&self, tenant: &str, stream: &str, resident: u64) {
+    fn release(&self, tenant: &str, stream: &str, resident: u64, gauge: &Gauge) {
         let mut inner = self.inner.lock().expect("session table poisoned");
         inner.total_active = inner.total_active.saturating_sub(1);
         if let Some(t) = inner.tenants.get_mut(tenant) {
             t.active = t.active.saturating_sub(1);
             t.live_streams.remove(stream);
             t.resident_bytes = t.resident_bytes.saturating_sub(resident);
+            gauge.set(t.resident_bytes as f64);
         }
     }
 }
@@ -211,6 +217,9 @@ pub struct SessionPermit {
     stream: String,
     /// This session's last-reported resident bytes (released on drop).
     resident: std::cell::Cell<u64>,
+    /// Set to the tenant's resident total at every charge and release
+    /// (detached until [`SessionPermit::export_resident`]).
+    gauge: Gauge,
 }
 
 impl SessionPermit {
@@ -218,7 +227,14 @@ impl SessionPermit {
     /// returns `true` if the tenant is over its resident quota.
     pub fn set_resident(&self, now: u64) -> bool {
         let before = self.resident.replace(now);
-        self.table.update_resident(&self.tenant, before, now)
+        self.table
+            .update_resident(&self.tenant, before, now, &self.gauge)
+    }
+
+    /// Keeps `gauge` at the tenant's resident total, sessions summed, as
+    /// this permit charges and releases it (`ppa_resident_bytes`).
+    pub fn export_resident(&mut self, gauge: Gauge) {
+        self.gauge = gauge;
     }
 }
 
@@ -235,7 +251,7 @@ impl std::fmt::Debug for SessionPermit {
 impl Drop for SessionPermit {
     fn drop(&mut self) {
         self.table
-            .release(&self.tenant, &self.stream, self.resident.get());
+            .release(&self.tenant, &self.stream, self.resident.get(), &self.gauge);
     }
 }
 
@@ -308,5 +324,24 @@ mod tests {
         drop(p1); // releases p1's 60; tenant total back to 30
         assert!(!p2.set_resident(90));
         assert!(p2.set_resident(101));
+    }
+
+    #[test]
+    fn exported_resident_gauge_follows_the_tenant_total() {
+        let table = SessionTable::new(quotas(0, 0));
+        let registry = ppa_obs::Registry::new();
+        let gauge = registry.gauge_with("ppa_resident_bytes", &[("tenant", "t")], "");
+        let want = |v: f64| if ppa_obs::ENABLED { v } else { 0.0 };
+        let mut p1 = table.admit("t", "s1").unwrap();
+        let mut p2 = table.admit("t", "s2").unwrap();
+        p1.export_resident(gauge.clone());
+        p2.export_resident(gauge.clone());
+        assert!(!p1.set_resident(60)); // no cap: charged, never over
+        assert!(!p2.set_resident(40));
+        assert_eq!(gauge.get(), want(100.0));
+        drop(p1);
+        assert_eq!(gauge.get(), want(40.0));
+        drop(p2);
+        assert_eq!(gauge.get(), 0.0);
     }
 }

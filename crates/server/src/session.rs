@@ -28,9 +28,9 @@ use crate::protocol::{
 };
 use ppa_core::{
     read_checkpoint, AnalyzerProbes, Checkpoint, CheckpointPolicy, Pipeline, PipelineConfig,
-    PipelineError,
+    PipelineError, RESIDENT_SAMPLE_EVERY,
 };
-use ppa_trace::{AnyTraceReader, Event, IoError, TraceFormat};
+use ppa_trace::{AnyTraceReader, IoError, TraceFormat};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -44,9 +44,6 @@ pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How long a response write may block before the peer is declared dead.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Events between resident-quota samples (cheap, but no need per-event).
-const RESIDENT_CHECK_EVERY: u64 = 1024;
 
 /// A bidirectional byte stream a session can run over. Both halves of
 /// the protocol flow on one socket; the session clones the handle so
@@ -554,7 +551,7 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
     let tm = ctx.metrics.tenant(&tenant);
 
     // --- Admission ----------------------------------------------------
-    let permit = match ctx.table.admit(&tenant, &stream) {
+    let mut permit = match ctx.table.admit(&tenant, &stream) {
         Ok(p) => p,
         Err(e) => {
             tm.rejections.inc();
@@ -563,6 +560,7 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
             return outcome(SessionEnd::Rejected { code: e.code() });
         }
     };
+    permit.export_resident(tm.resident_bytes.clone());
     tm.sessions.inc();
     ctx.metrics.active_sessions.add(1.0);
     // Decrement the gauge on every exit path.
@@ -683,6 +681,8 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
     // --- The event loop ------------------------------------------------
     let mut since_resident: u64 = 0;
     let quotas = ctx.table.quotas().clone();
+    // Sampled for the quota, and for `ppa_resident_bytes` when exported.
+    let charge_resident = quotas.tenant_max_resident_bytes > 0 || tm.resident_bytes.is_attached();
     // Only borrows the pipeline, so on a checkpoint-worthy failure
     // (idle, shutdown, vanished client, resident quota) the state is
     // still here to snapshot.
@@ -713,9 +713,9 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
                     std::thread::sleep(sleep);
                 }
             }
-            if quotas.tenant_max_resident_bytes > 0 && since_resident >= RESIDENT_CHECK_EVERY {
+            if charge_resident && since_resident >= RESIDENT_SAMPLE_EVERY {
                 since_resident = 0;
-                let bytes = (pipeline.resident() * std::mem::size_of::<Event>()) as u64;
+                let bytes = pipeline.resident_bytes() as u64;
                 if permit.set_resident(bytes) {
                     return Err(Fail::QuotaResident(format!(
                         "tenant resident state exceeds the {}-byte quota \

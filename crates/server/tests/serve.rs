@@ -474,3 +474,103 @@ fn sessions_write_self_traces_that_lint_clean() {
         .expect("run stage series");
     assert!(ingest_ns > 0, "metrics:\n{metrics}");
 }
+
+/// The highest [`ppa_core::Pipeline::resident_bytes`] a session's
+/// pipeline reaches on `trace`, stepped the way a session steps it.
+fn peak_resident_bytes(dir: &Path, trace: &Path) -> usize {
+    use ppa_core::{CheckpointPolicy, Pipeline, PipelineConfig};
+    let config = PipelineConfig {
+        checkpoint: Some(CheckpointPolicy {
+            path: dir.join("peak.ckpt"),
+            every: serve_config(dir).checkpoint_every,
+            compact_every: ppa_core::DEFAULT_COMPACT_EVERY,
+        }),
+        ..PipelineConfig::new(overheads())
+    };
+    let reader = AnyTraceReader::open(BufReader::new(File::open(trace).unwrap())).unwrap();
+    let report = dir.join("peak.report.jsonl");
+    let mut p = Pipeline::new(reader, config, Some((&report, TraceFormat::Jsonl)), None).unwrap();
+    let mut peak = 0;
+    while p.step().unwrap().is_some() {
+        peak = peak.max(p.resident_bytes());
+    }
+    p.finish().unwrap();
+    peak
+}
+
+/// The resident quota charges the tables that grow with the trace: a
+/// 20 000-iteration DOACROSS stream holds one advance record per
+/// iteration, so a 64 KiB quota parks it (resumably), while a quota
+/// above its true peak lets it finish. (Charging resident *events* ×
+/// event size saw ~60 × 64 B here and parked nothing.)
+#[test]
+fn resident_quota_sees_the_advance_table() {
+    let dir = tmp("resident_quota");
+    let trace = measured_jsonl(&dir, "measured.jsonl", 20_000);
+    let peak = peak_resident_bytes(&dir, &trace);
+    assert!(
+        peak > 65_536,
+        "the stream must outgrow the small quota: {peak}"
+    );
+
+    let mut cfg = serve_config(&dir);
+    cfg.quotas.tenant_max_resident_bytes = 65_536;
+    let server = RunningServer::start(cfg);
+    let unix = Target::Unix(server.unix.clone().unwrap());
+    match send_trace(
+        &unix,
+        "acme",
+        "big",
+        &trace,
+        ppa_server::DEFAULT_FRAME_BYTES,
+    ) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, protocol::EC_QUOTA_RESIDENT, "{message}");
+        }
+        other => panic!("expected a quota-resident park, got {other:?}"),
+    }
+    let ckpt = dir.join("state").join("acme").join("big.ckpt");
+    assert!(ckpt.exists(), "a parked session is resumable");
+    drop(server);
+
+    let mut cfg = serve_config(&dir);
+    cfg.quotas.tenant_max_resident_bytes = 2 * peak as u64;
+    let server = RunningServer::start(cfg);
+    let unix = Target::Unix(server.unix.clone().unwrap());
+    let outcome = send_trace(
+        &unix,
+        "acme",
+        "roomy",
+        &trace,
+        ppa_server::DEFAULT_FRAME_BYTES,
+    );
+    assert!(
+        matches!(outcome, Ok(SendOutcome::Done { .. })),
+        "{outcome:?}"
+    );
+}
+
+/// A session whose report the disk refuses answers with that error.
+#[test]
+fn a_session_answers_with_its_report_error() {
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = tmp("report_error");
+    let trace = measured_jsonl(&dir, "measured.jsonl", 256);
+    let tenant_dir = dir.join("state").join("acme");
+    fs::create_dir_all(&tenant_dir).unwrap();
+    let report = tenant_dir.join("full.report.jsonl");
+    fs::remove_file(&report).ok();
+    std::os::unix::fs::symlink("/dev/full", &report).unwrap();
+
+    let server = RunningServer::start(serve_config(&dir));
+    let unix = Target::Unix(server.unix.clone().unwrap());
+    match send_trace(&unix, "acme", "full", &trace, 4096) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, protocol::EC_INTERNAL, "{message}");
+            assert!(message.contains("os error 28"), "{message}");
+        }
+        other => panic!("expected the report error, got {other:?}"),
+    }
+}

@@ -6,7 +6,7 @@
 //! advisory event count as a little-endian `u64` — followed by framed
 //! blocks (see [`super::block`]). Blocks are independently decodable, so:
 //!
-//! - [`BinaryTraceWriter`] buffers events into blocks of
+//! - [`BinaryTraceWriter`] encodes events into blocks of
 //!   [`DEFAULT_BLOCK_EVENTS`] and frames each with its summary and CRC;
 //! - [`BinaryTraceReader`] is the serial streaming decoder, a drop-in
 //!   sibling of [`TraceStreamReader`](crate::TraceStreamReader);
@@ -16,7 +16,7 @@
 //!   threads and stitches the results back in file (seq) order.
 
 use super::block::{
-    decode_block, decode_block_into, encode_block, BlockCursor, BlockFrame, BlockSummary, FRAME_LEN,
+    decode_block, decode_block_into, BlockCursor, BlockEncoder, BlockFrame, BlockSummary, FRAME_LEN,
 };
 use crate::event::Event;
 use crate::gap::{GapCause, TraceGap};
@@ -83,14 +83,16 @@ fn read_up_to<R: Read>(reader: &mut R, buf: &mut [u8]) -> std::io::Result<usize>
 
 /// Incremental writer for the `ppa-trace-bin-v1` format.
 ///
-/// Buffers events into blocks of a configurable size (default
-/// [`DEFAULT_BLOCK_EVENTS`]) and frames each finished block with its
-/// event count, first/last seq and time, and a payload CRC32. Only the
-/// current block resides in memory. As with the JSONL writer, the
+/// Encodes each event into the current block's payload as it is written
+/// and frames every finished block (default [`DEFAULT_BLOCK_EVENTS`]
+/// events) with its event count, first/last seq and time, and a payload
+/// CRC32. Only the current block's encoded bytes reside in memory, in
+/// one buffer reused from block to block. As with the JSONL writer, the
 /// header's event count is advisory; pass `0` when it is unknown.
 pub struct BinaryTraceWriter<W: Write> {
     sink: BufWriter<CountingWriter<W>>,
-    block: Vec<Event>,
+    /// The current block, encoded as its events arrive.
+    block: BlockEncoder,
     block_events: usize,
     written: usize,
     events: ppa_obs::Counter,
@@ -134,7 +136,7 @@ impl<W: Write> BinaryTraceWriter<W> {
         let block_events = block_events.max(1);
         Ok(BinaryTraceWriter {
             sink,
-            block: Vec::with_capacity(block_events),
+            block: BlockEncoder::default(),
             block_events,
             written: 0,
             events: probes.events,
@@ -144,7 +146,7 @@ impl<W: Write> BinaryTraceWriter<W> {
 
     /// Appends one event, flushing a block whenever one fills up.
     pub fn write_event(&mut self, event: &Event) -> Result<(), IoError> {
-        self.block.push(*event);
+        self.block.push(event);
         self.written += 1;
         self.events.inc();
         if self.block.len() >= self.block_events {
@@ -154,12 +156,11 @@ impl<W: Write> BinaryTraceWriter<W> {
     }
 
     fn flush_block(&mut self) -> Result<(), IoError> {
-        if self.block.is_empty() {
+        if self.block.len() == 0 {
             return Ok(());
         }
-        let (frame, payload) = encode_block(&self.block);
-        self.sink.write_all(&frame.to_bytes())?;
-        self.sink.write_all(&payload)?;
+        self.sink.write_all(&self.block.frame().to_bytes())?;
+        self.sink.write_all(self.block.payload())?;
         self.block.clear();
         self.blocks.inc();
         Ok(())
@@ -858,6 +859,15 @@ fn decode_worker(jobs: Arc<Mutex<mpsc::Receiver<DecodeJob>>>, results: mpsc::Sen
             return; // consumer gone; nothing left to report to
         }
     }
+}
+
+/// The decode-worker count when the caller names none (`ppa analyze`,
+/// `slice`, `convert`, `serve` without `--decode-workers`): one per core
+/// except the core the consumer itself runs on, so the workers and the
+/// thread they feed do not oversubscribe the host. On one core that is
+/// 0, serial decode with no threads. (EXPERIMENTS.md, "Decode workers".)
+pub fn default_decode_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) - 1
 }
 
 /// Pipelined parallel block decoder for the `ppa-trace-bin-v1` format.

@@ -387,39 +387,83 @@ fn read_kind(tag: u8, input: &[u8], pos: &mut usize) -> Option<EventKind> {
 
 // --- Block encode / decode ----------------------------------------------
 
-/// Encodes one block of events into a frame and its payload bytes.
+/// Encodes one block an event at a time: each event goes into the
+/// payload as it arrives, the first/last summary is tracked alongside,
+/// and the CRC is computed once, when the block is framed. The payload
+/// buffer is kept across [`clear`](Self::clear), so a writer encodes
+/// every block into the same allocation.
 ///
-/// `events` must be non-empty; the caller controls the block size. The
-/// events need not be time-ordered (deltas are signed), though ordered
+/// Events need not be time-ordered (deltas are signed), though ordered
 /// input is what makes them compress well.
+#[derive(Debug, Default)]
+pub(crate) struct BlockEncoder {
+    payload: Vec<u8>,
+    count: u32,
+    first: (Time, u64),
+    /// Time (ns) and seq of the latest event: the next one's delta base.
+    last: (u64, u64),
+}
+
+impl BlockEncoder {
+    /// Events encoded since the last [`clear`](Self::clear).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Appends `e` to the payload.
+    #[inline]
+    pub(crate) fn push(&mut self, e: &Event) {
+        let t = e.time.as_nanos();
+        if self.count == 0 {
+            // The frame's first time/seq seed the chain: two zero deltas.
+            self.first = (e.time, e.seq);
+            self.last = (t, e.seq);
+        }
+        let payload = &mut self.payload;
+        write_kind(payload, &e.kind);
+        write_varint_signed(payload, t.wrapping_sub(self.last.0) as i64);
+        write_varint_signed(payload, e.seq.wrapping_sub(self.last.1) as i64);
+        write_varint(payload, u64::from(e.proc.0));
+        self.last = (t, e.seq);
+        self.count += 1;
+    }
+
+    /// The frame of the block encoded so far (at least one event).
+    pub(crate) fn frame(&self) -> BlockFrame {
+        debug_assert!(self.count > 0, "blocks hold at least one event");
+        BlockFrame {
+            payload_len: self.payload.len() as u32,
+            summary: BlockSummary {
+                count: self.count,
+                first_seq: self.first.1,
+                last_seq: self.last.1,
+                first_time: self.first.0,
+                last_time: Time::from_nanos(self.last.0),
+            },
+            crc: crc32(&self.payload),
+        }
+    }
+
+    /// The payload bytes encoded so far.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// Starts the next block, keeping the payload's allocation.
+    pub(crate) fn clear(&mut self) {
+        self.payload.clear();
+        self.count = 0;
+    }
+}
+
+/// Encodes one non-empty block of events into a frame and its payload.
+#[cfg(test)]
 pub(crate) fn encode_block(events: &[Event]) -> (BlockFrame, Vec<u8>) {
     assert!(!events.is_empty(), "blocks hold at least one event");
-    let first = &events[0];
-    let last = &events[events.len() - 1];
-    let mut payload = Vec::with_capacity(events.len() * 6);
-    let mut prev_time = first.time.as_nanos();
-    let mut prev_seq = first.seq;
-    for e in events {
-        write_kind(&mut payload, &e.kind);
-        let t = e.time.as_nanos();
-        write_varint_signed(&mut payload, t.wrapping_sub(prev_time) as i64);
-        write_varint_signed(&mut payload, e.seq.wrapping_sub(prev_seq) as i64);
-        write_varint(&mut payload, u64::from(e.proc.0));
-        prev_time = t;
-        prev_seq = e.seq;
-    }
-    let frame = BlockFrame {
-        payload_len: payload.len() as u32,
-        summary: BlockSummary {
-            count: events.len() as u32,
-            first_seq: first.seq,
-            last_seq: last.seq,
-            first_time: first.time,
-            last_time: last.time,
-        },
-        crc: crc32(&payload),
-    };
-    (frame, payload)
+    let mut block = BlockEncoder::default();
+    events.iter().for_each(|e| block.push(e));
+    (block.frame(), block.payload)
 }
 
 /// A zero-copy decoding view over one block payload.

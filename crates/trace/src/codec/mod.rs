@@ -28,8 +28,9 @@ pub(crate) mod jsonl;
 mod varint;
 
 pub use binary::{
-    BinaryBlockReader, BinaryTraceReader, BinaryTraceWriter, ParallelBinaryReader, RawBlock,
-    BINARY_FORMAT_NAME, BINARY_MAGIC, BINARY_VERSION, DEFAULT_BLOCK_EVENTS,
+    default_decode_workers, BinaryBlockReader, BinaryTraceReader, BinaryTraceWriter,
+    ParallelBinaryReader, RawBlock, BINARY_FORMAT_NAME, BINARY_MAGIC, BINARY_VERSION,
+    DEFAULT_BLOCK_EVENTS,
 };
 pub use block::{crc32, crc32_chain, BlockSummary};
 

@@ -43,9 +43,10 @@ mod validate;
 pub use buffer::{apply_buffers, BoundedBuffer, OverflowPolicy};
 pub use builder::TraceBuilder;
 pub use codec::{
-    crc32, crc32_chain, read_binary, read_trace, read_trace_parallel, write_binary, write_trace,
-    AnyTraceReader, AnyTraceWriter, BinaryTraceReader, BinaryTraceWriter, BlockSummary,
-    ParallelBinaryReader, TraceFormat, BINARY_FORMAT_NAME, BINARY_MAGIC, DEFAULT_BLOCK_EVENTS,
+    crc32, crc32_chain, default_decode_workers, read_binary, read_trace, read_trace_parallel,
+    write_binary, write_trace, AnyTraceReader, AnyTraceWriter, BinaryTraceReader,
+    BinaryTraceWriter, BlockSummary, ParallelBinaryReader, TraceFormat, BINARY_FORMAT_NAME,
+    BINARY_MAGIC, DEFAULT_BLOCK_EVENTS,
 };
 pub use event::{Event, EventKind, REPEAT_MAX_PATTERN};
 pub use gap::{GapCause, TraceGap};

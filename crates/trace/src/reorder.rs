@@ -139,6 +139,11 @@ impl ReorderBuffer {
         self.heap.is_empty()
     }
 
+    /// Heap bytes the buffer holds: its capacity times the entry size.
+    pub fn resident_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<Reverse<Keyed>>()
+    }
+
     /// Events rejected for arriving beyond the window.
     pub fn rejected(&self) -> u64 {
         self.rejected
