@@ -99,35 +99,73 @@ fn analyze_stream_matches_batch() {
 }
 
 /// The flags that used to demand `--stream` configure the default
-/// invocation, and none of them changes the report.
+/// invocation, and none of them changes the report: observing a run
+/// (metrics, progress, a self-trace in either format) never changes
+/// what it writes, in either container.
 #[test]
 fn analyze_fault_and_metrics_flags_need_no_stream_flag() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let input = measured_jsonl(&dir, "no_stream_flag_in.jsonl");
-    let input = input.to_str().unwrap();
-    let reference = dir.join("no_stream_flag_reference.jsonl");
-    let out = ppa_analyze(&[input, "--out", reference.to_str().unwrap()]);
-    assert!(out.status.success(), "{:?}", out);
+    let jsonl = measured_jsonl(&dir, "no_stream_flag_in.jsonl");
+    let bin = dir.join("no_stream_flag_in.bin");
+    ppa_convert_to_bin(&jsonl, &bin);
 
-    let snap = dir.join("no_stream_flag.prom");
-    let ckpt = dir.join("no_stream_flag.ckpt");
-    for extra in [
-        &["--metrics-out", snap.to_str().unwrap()][..],
-        &["--lenient"][..],
-        &["--checkpoint", ckpt.to_str().unwrap()][..],
-    ] {
-        let report = dir.join("no_stream_flag_report.jsonl");
-        let mut args = vec![input, "--out", report.to_str().unwrap()];
-        args.extend_from_slice(extra);
-        let out = ppa_analyze(&args);
-        assert!(out.status.success(), "{extra:?}: {out:?}");
-        assert_eq!(
-            fs::read(&report).unwrap(),
-            fs::read(&reference).unwrap(),
-            "{extra:?}"
+    for (input, tag, format) in [(&jsonl, "jsonl", "jsonl"), (&bin, "bin", "bin")] {
+        let input = input.to_str().unwrap();
+        let path = |suffix: &str| dir.join(format!("no_stream_flag_{tag}{suffix}"));
+        let reference = path("_reference");
+        let out = ppa_analyze(&[
+            input,
+            "--out",
+            reference.to_str().unwrap(),
+            "--format",
+            format,
+        ]);
+        assert!(out.status.success(), "{tag}: {out:?}");
+
+        let (snap, ckpt) = (path(".prom"), path(".ckpt"));
+        let (every, spans, chrome) = (
+            path("_every.prom"),
+            path("_spans.jsonl"),
+            path("_spans.json"),
         );
+        for extra in [
+            &["--metrics-out", snap.to_str().unwrap()][..],
+            &["--lenient"][..],
+            &["--checkpoint", ckpt.to_str().unwrap()][..],
+            &["--self-trace", spans.to_str().unwrap()][..],
+            &[
+                "--self-trace",
+                chrome.to_str().unwrap(),
+                "--self-trace-format",
+                "chrome",
+            ][..],
+            &["--progress"][..],
+            &[
+                "--metrics-out",
+                every.to_str().unwrap(),
+                "--metrics-every",
+                "1",
+            ][..],
+        ] {
+            // A checkpoint chain is defined for JSONL reports only.
+            if format == "bin" && extra[0] == "--checkpoint" {
+                continue;
+            }
+            let report = path("_report");
+            let mut args = vec![input, "--out", report.to_str().unwrap(), "--format", format];
+            args.extend_from_slice(extra);
+            let out = ppa_analyze(&args);
+            assert!(out.status.success(), "{tag} {extra:?}: {out:?}");
+            assert_eq!(
+                fs::read(&report).unwrap(),
+                fs::read(&reference).unwrap(),
+                "{tag} {extra:?}"
+            );
+        }
+        for written in [&snap, &spans, &chrome, &every] {
+            assert!(written.exists(), "{tag}: {}", written.display());
+        }
     }
-    assert!(snap.exists());
 }
 
 /// The analyzer consumes sorted input. A fully shuffled trace is bad
@@ -423,7 +461,6 @@ fn analyze_report_to_a_full_disk_exits_74_with_one_message() {
     assert!(messages.iter().all(|m| *m == messages[0]), "{messages:#?}");
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn analyze_stream_exports_prometheus_metrics() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -462,7 +499,50 @@ fn analyze_stream_exports_prometheus_metrics() {
     assert!(pushed > 0);
 }
 
-#[cfg(feature = "obs")]
+/// README's metric table is the inventory: every family a plain
+/// binary-input run with a checkpoint exports has a row there.
+#[test]
+fn analyze_metric_families_all_have_a_readme_row() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let jsonl = measured_jsonl(&dir, "inventory_in.jsonl");
+    let bin = dir.join("inventory_in.bin");
+    ppa_convert_to_bin(&jsonl, &bin);
+    let (report, snap, ckpt) = (
+        dir.join("inventory_report.jsonl"),
+        dir.join("inventory.prom"),
+        dir.join("inventory.ckpt"),
+    );
+    let out = ppa_analyze(&[
+        bin.to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+        "--metrics-out",
+        snap.to_str().unwrap(),
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+
+    let readme_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let readme = fs::read_to_string(readme_path).expect("read README.md");
+    let text = fs::read_to_string(&snap).expect("read snapshot");
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(families.len() > 10, "snapshot:\n{text}");
+    let missing: Vec<&str> = families
+        .into_iter()
+        .filter(|name| {
+            !readme.lines().any(|row| {
+                row.starts_with(&format!("| `{name}`")) || row.starts_with(&format!("| `{name}{{"))
+            })
+        })
+        .collect();
+    assert!(missing.is_empty(), "README metric table lacks {missing:?}");
+}
+
 #[test]
 fn analyze_stream_exports_json_metrics() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -492,7 +572,6 @@ fn analyze_stream_exports_json_metrics() {
 /// The dogfood loop: a `--self-trace` of a streaming run must itself be
 /// a valid ppa trace — `ppa check` lints it clean and `ppa analyze`
 /// turns it into a well-formed report — in both container formats.
-#[cfg(feature = "obs")]
 #[test]
 fn analyze_self_trace_dogfoods_through_analyze_and_check() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -525,7 +604,6 @@ fn analyze_self_trace_dogfoods_through_analyze_and_check() {
 
 /// The Chrome exporter writes one valid JSON document whose events all
 /// carry complete-phase spans named after real pipeline stages.
-#[cfg(feature = "obs")]
 #[test]
 fn analyze_self_trace_chrome_export_parses() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));

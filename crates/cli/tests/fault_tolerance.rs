@@ -296,14 +296,11 @@ fn non_utf8_jsonl_line_is_bad_data_not_an_io_error() {
         "stdout: {stdout}"
     );
     assert!(stdout.contains("malformed-line"), "stdout: {stdout}");
-    #[cfg(feature = "obs")]
-    {
-        let text = fs::read_to_string(&snap).expect("read snapshot");
-        assert!(
-            text.contains("ppa_stream_parse_errors_total{dir=\"read\"} 1"),
-            "snapshot:\n{text}"
-        );
-    }
+    let text = fs::read_to_string(&snap).expect("read snapshot");
+    assert!(
+        text.contains("ppa_stream_parse_errors_total{dir=\"read\"} 1"),
+        "snapshot:\n{text}"
+    );
 }
 
 #[test]

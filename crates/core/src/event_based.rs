@@ -1020,7 +1020,6 @@ mod tests {
             .all(|e| e.time <= Time::from_nanos(10)));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn clamp_counter_exports_through_obs() {
         use crate::streaming::AnalyzerProbes;

@@ -1,8 +1,4 @@
-//! The real (atomic-backed) metric implementations.
-//!
-//! This module is always compiled so it can be tested and calibrated even
-//! in builds where the crate-level aliases point at [`crate::noop`]; the
-//! `enabled` feature only decides which module the aliases re-export.
+//! The atomic-backed metric handles the crate root re-exports.
 
 use crate::snapshot::{MetricKind, MetricSnapshot, MetricValue, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};

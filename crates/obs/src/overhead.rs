@@ -5,7 +5,7 @@
 //! tight loop (the same in-vitro technique as the clock calibration in
 //! `crates/native`) so snapshots can report their own perturbation.
 
-use crate::active;
+use crate::Registry;
 use std::time::Instant;
 
 /// Calibrated per-operation cost of the active probes, in nanoseconds.
@@ -36,9 +36,7 @@ impl SelfOverhead {
     /// carries its own perturbation estimate:
     /// `ppa_obs_self_overhead_ns_per_probe` plus one
     /// `ppa_obs_self_overhead_ns{probe=...}` gauge per probe kind.
-    ///
-    /// On a no-op registry (observability erased) this is itself a no-op.
-    pub fn export(&self, registry: &crate::Registry) {
+    pub fn export(&self, registry: &Registry) {
         registry
             .gauge(
                 "ppa_obs_self_overhead_ns_per_probe",
@@ -77,11 +75,11 @@ fn time_loop(mut op: impl FnMut(u64)) -> f64 {
 /// Measures the per-operation cost of attached active probes on the
 /// running machine.
 ///
-/// Always times the [`active`](crate::active) implementation — even in a
-/// build where observability is erased, the question "what would a probe
-/// cost here?" has a real answer. Takes a few hundred microseconds.
+/// Times probes of a private registry, so "what would a probe cost
+/// here?" has an answer whether or not the caller attached any. Takes a
+/// few hundred microseconds.
 pub fn calibrate_self_overhead() -> SelfOverhead {
-    let registry = active::Registry::new();
+    let registry = Registry::new();
     let counter = registry.counter("ppa_obs_calibration_counter", "calibration scratch");
     let gauge = registry.gauge("ppa_obs_calibration_gauge", "calibration scratch");
     let histogram = registry.histogram(
@@ -133,14 +131,10 @@ mod tests {
             gauge_set_ns: 5.0,
             histogram_observe_ns: 10.0,
         };
-        let registry = crate::Registry::new();
+        let registry = Registry::new();
         oh.export(&registry);
         let text = crate::prometheus_text(&registry.snapshot());
-        if crate::ENABLED {
-            assert!(text.contains("ppa_obs_self_overhead_ns_per_probe 6\n"));
-            assert!(text.contains("ppa_obs_self_overhead_ns{probe=\"counter_inc\"} 3\n"));
-        } else {
-            assert!(text.is_empty());
-        }
+        assert!(text.contains("ppa_obs_self_overhead_ns_per_probe 6\n"));
+        assert!(text.contains("ppa_obs_self_overhead_ns{probe=\"counter_inc\"} 3\n"));
     }
 }

@@ -18,12 +18,6 @@
 //! - **RAII nesting.** [`span_enter`] returns a [`SpanGuard`]; guards
 //!   are strictly LIFO per thread, so parent/depth attribution falls
 //!   out of scope discipline.
-//! - **Compile-time erasable.** When the `enabled` feature is off the
-//!   crate root aliases the zero-sized mirrors in [`crate::noop`]; a
-//!   `span_enter` call then compiles to nothing and `drain` returns an
-//!   empty [`SpanLog`]. The data types here ([`Stage`], [`SpanEvent`],
-//!   [`SpanLog`]) stay real in both configurations so exporters
-//!   downstream keep one code path.
 //!
 //! Recorders reach code that cannot be handed one explicitly in two
 //! ways: [`SpanRecorder::bind_current_thread`] pins a recorder to the
@@ -100,25 +94,11 @@ impl Stage {
         Stage::Suppress,
     ];
 
-    /// Dense index, `0..STAGE_COUNT` (per-stage array slot and the
-    /// sync-variable id in the ppa-trace export).
+    /// Dense index, `0..STAGE_COUNT`, in declaration order (per-stage
+    /// array slot and the sync-variable id in the ppa-trace export, so
+    /// a new stage goes at the end).
     pub const fn index(self) -> usize {
-        match self {
-            Stage::Run => 0,
-            Stage::Decode => 1,
-            Stage::CrcVerify => 2,
-            Stage::Reorder => 3,
-            Stage::AnalyzePush => 4,
-            Stage::AnalyzeEmit => 5,
-            Stage::CheckpointWrite => 6,
-            Stage::FrameRead => 7,
-            Stage::Ingest => 8,
-            Stage::Park => 9,
-            Stage::Reassemble => 10,
-            Stage::DeltaWrite => 11,
-            Stage::Slice => 12,
-            Stage::Suppress => 13,
-        }
+        self as usize
     }
 
     /// The `stage` label value / exported span name.
@@ -530,6 +510,19 @@ mod tests {
     /// The global recorder slot is process-wide; tests that install or
     /// depend on its absence serialize through this lock.
     static GLOBAL_TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn stage_index_follows_all_and_names_are_distinct() {
+        let mut names = std::collections::HashSet::new();
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i, "{stage:?}");
+            assert!(
+                names.insert(stage.name()),
+                "duplicate name {}",
+                stage.name()
+            );
+        }
+    }
 
     #[test]
     fn spans_record_nesting_and_attribution() {

@@ -4,8 +4,6 @@
 //! their parents, non-ancestor spans on one thread disjoint, and the
 //! per-stage totals exactly the sum of span durations.
 
-#![cfg(feature = "enabled")]
-
 use ppa_obs::{span_enter, SpanEvent, SpanRecorder, Stage, STAGE_COUNT};
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -187,13 +187,13 @@ mod tests {
         let b = m.tenant("acme");
         a.events.add(3);
         // The same underlying series: both handles observe the add.
-        assert_eq!(b.events.get(), if ppa_obs::ENABLED { 3 } else { 0 });
+        assert_eq!(b.events.get(), 3);
         let snapshot = m.registry().snapshot();
         let events_series = snapshot
             .entries
             .iter()
             .filter(|e| e.name == "ppa_server_events_total")
             .count();
-        assert_eq!(events_series, if ppa_obs::ENABLED { 1 } else { 0 });
+        assert_eq!(events_series, 1);
     }
 }

@@ -331,16 +331,15 @@ mod tests {
         let table = SessionTable::new(quotas(0, 0));
         let registry = ppa_obs::Registry::new();
         let gauge = registry.gauge_with("ppa_resident_bytes", &[("tenant", "t")], "");
-        let want = |v: f64| if ppa_obs::ENABLED { v } else { 0.0 };
         let mut p1 = table.admit("t", "s1").unwrap();
         let mut p2 = table.admit("t", "s2").unwrap();
         p1.export_resident(gauge.clone());
         p2.export_resident(gauge.clone());
         assert!(!p1.set_resident(60)); // no cap: charged, never over
         assert!(!p2.set_resident(40));
-        assert_eq!(gauge.get(), want(100.0));
+        assert_eq!(gauge.get(), 100.0);
         drop(p1);
-        assert_eq!(gauge.get(), want(40.0));
+        assert_eq!(gauge.get(), 40.0);
         drop(p2);
         assert_eq!(gauge.get(), 0.0);
     }

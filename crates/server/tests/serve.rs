@@ -383,25 +383,23 @@ fn metrics_endpoint_exports_per_tenant_series_and_health() {
 
     let scrape = http_get(metrics_addr, "/metrics");
     assert!(scrape.starts_with("HTTP/1.1 200"), "metrics: {scrape}");
-    if ppa_obs::ENABLED {
-        for series in [
-            "ppa_server_connections_total",
-            "ppa_server_sessions_started_total{tenant=\"acme\"}",
-            "ppa_server_sessions_completed_total{tenant=\"acme\"}",
-            "ppa_server_events_total{tenant=\"acme\"}",
-            "ppa_server_bytes_total{tenant=\"acme\"}",
-        ] {
-            let line = scrape
-                .lines()
-                .find(|l| l.starts_with(series))
-                .unwrap_or_else(|| panic!("missing series {series} in scrape:\n{scrape}"));
-            let value: f64 = line
-                .rsplit(' ')
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("unparseable sample: {line}"));
-            assert!(value > 0.0, "series {series} is zero");
-        }
+    for series in [
+        "ppa_server_connections_total",
+        "ppa_server_sessions_started_total{tenant=\"acme\"}",
+        "ppa_server_sessions_completed_total{tenant=\"acme\"}",
+        "ppa_server_events_total{tenant=\"acme\"}",
+        "ppa_server_bytes_total{tenant=\"acme\"}",
+    ] {
+        let line = scrape
+            .lines()
+            .find(|l| l.starts_with(series))
+            .unwrap_or_else(|| panic!("missing series {series} in scrape:\n{scrape}"));
+        let value: f64 = line
+            .rsplit(' ')
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("unparseable sample: {line}"));
+        assert!(value > 0.0, "series {series} is zero");
     }
 
     let missing = http_get(metrics_addr, "/nope");
@@ -412,7 +410,6 @@ fn metrics_endpoint_exports_per_tenant_series_and_health() {
 /// `self_trace_dir` is set: a valid measured ppa trace of the session's
 /// own stages that passes the trace lint, while the shared registry
 /// accumulates `ppa_stage_ns_total` from every session.
-#[cfg(feature = "obs")]
 #[test]
 fn sessions_write_self_traces_that_lint_clean() {
     let dir = tmp("selftrace");

@@ -679,7 +679,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn probes_count_emitted_events_and_dispatches() {
         use crate::eventq::run_actual_eventq_probed;

@@ -1000,7 +1000,6 @@ mod tests {
         assert_eq!(r.collect::<Result<Vec<_>, _>>().unwrap().len(), 3);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn probes_count_binary_bytes_events_and_blocks() {
         let registry = ppa_obs::Registry::new();

@@ -671,7 +671,6 @@ mod tests {
         assert_eq!(r.filter_map(|e| e.ok()).count(), 2);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn probes_count_bytes_events_and_parse_errors() {
         let t = sample();
