@@ -41,6 +41,10 @@ pub(crate) struct EmitEntry {
     pub(crate) idx: usize,
 }
 
+// The lanes copy every resolved event in and out at this size: the
+// 64-byte `Event` plus its arrival index.
+const _: () = assert!(std::mem::size_of::<EmitEntry>() == 72);
+
 impl EmitEntry {
     #[inline]
     pub(crate) fn key(&self) -> EmitKey {

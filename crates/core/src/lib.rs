@@ -32,6 +32,7 @@ mod error;
 mod estimate;
 mod event_based;
 mod expand;
+mod floors;
 mod liberal;
 mod pipeline;
 mod streaming;

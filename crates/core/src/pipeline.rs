@@ -1176,26 +1176,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The resident-bytes total sees the advance table: on a DOACROSS-like
-    /// stream it grows with the iterations while `resident()` does not.
-    #[test]
-    fn resident_bytes_counts_the_tables_that_grow() {
-        let advances: Vec<Event> = (0..4_000u64)
-            .map(|i| {
-                Event::new(
-                    Time::from_nanos(10_000 * i),
-                    ProcessorId((i % 4) as u16),
-                    i,
-                    EventKind::Advance {
-                        var: SyncVarId(0),
-                        tag: SyncTag(i as i64),
-                    },
-                )
-            })
-            .collect();
+    /// `(resident(), resident_bytes())` every 1 000 events of a binary
+    /// pipeline run over `events`.
+    fn resident_samples(events: &[Event]) -> Vec<(usize, usize)> {
         let mut w =
             AnyTraceWriter::new(Vec::new(), TraceFormat::Binary, TraceKind::Measured, 0).unwrap();
-        advances.iter().for_each(|e| w.write_event(e).unwrap());
+        events.iter().for_each(|e| w.write_event(e).unwrap());
         let input = w.finish().unwrap();
         let reader = AnyTraceReader::open(&input[..]).unwrap();
         let config = PipelineConfig::new(OverheadSpec::alliant_default());
@@ -1206,6 +1192,32 @@ mod tests {
                 samples.push((p.resident(), p.resident_bytes()));
             }
         }
+        samples
+    }
+
+    /// The resident-bytes total sees the advance table: on a DOACROSS-like
+    /// stream it grows with the iterations while `resident()` does not.
+    /// And it sees what waits: when every `awaitE` precedes its advance,
+    /// the ends waiting in the advance table's spill, their parked nodes
+    /// and their watermark floors are all charged until the advances
+    /// arrive.
+    #[test]
+    fn resident_bytes_counts_the_tables_that_grow() {
+        let advance = |i: u64, t: u64, proc: u16| {
+            Event::new(
+                Time::from_nanos(t),
+                ProcessorId(proc),
+                i,
+                EventKind::Advance {
+                    var: SyncVarId(0),
+                    tag: SyncTag(i as i64),
+                },
+            )
+        };
+        let advances: Vec<Event> = (0..4_000u64)
+            .map(|i| advance(i, 10_000 * i, (i % 4) as u16))
+            .collect();
+        let samples = resident_samples(&advances);
         let (first, last) = (samples[0], samples[samples.len() - 1]);
         assert!(
             last.0 <= first.0 + 16,
@@ -1214,6 +1226,45 @@ mod tests {
         assert!(
             last.1 >= first.1 + 3_000 * std::mem::size_of::<Option<u64>>(),
             "resident bytes follow the advance table: {samples:?}"
+        );
+
+        // 2 000 await pairs on four processors, then their 2 000 advances.
+        let ends = 2_000u64;
+        let mut events = Vec::new();
+        for i in 0..ends {
+            let (proc, tag) = (ProcessorId((i % 4) as u16), SyncTag(i as i64));
+            let var = SyncVarId(0);
+            let t = 10_000 * i;
+            events.push(Event::new(
+                Time::from_nanos(t),
+                proc,
+                2 * i,
+                EventKind::AwaitBegin { var, tag },
+            ));
+            events.push(Event::new(
+                Time::from_nanos(t + 5_000),
+                proc,
+                2 * i + 1,
+                EventKind::AwaitEnd { var, tag },
+            ));
+        }
+        events.extend((0..ends).map(|i| {
+            let mut e = advance(i, 10_000 * (ends + i), 4);
+            e.seq = 2 * ends + i;
+            e
+        }));
+        let samples = resident_samples(&events);
+        // Samples 0 and 3: 500 and 2 000 ends waiting.
+        let (early, waiting) = (samples[0], samples[3]);
+        assert_eq!(
+            waiting.0 - early.0,
+            2 * 1_500,
+            "every later end is parked, its awaitB held in the buffer"
+        );
+        let per_end = std::mem::size_of::<Event>() + 2 * std::mem::size_of::<Time>();
+        assert!(
+            waiting.1 >= early.1 + 1_500 * per_end,
+            "resident bytes follow the waiting ends: {samples:?}"
         );
     }
 }

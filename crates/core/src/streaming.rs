@@ -46,8 +46,12 @@
 //!
 //! # State shaped by the order the analysis guarantees
 //!
-//! Three structures sit on the per-event path, and each follows an order
-//! the rules above already guarantee instead of paying for a general one:
+//! Most events resolve on arrival — their basis and partner have already
+//! resolved — so resolution checks readiness first and applies the rule
+//! on the spot; only an event that really waits builds a dependency list
+//! and a parked node. The structures on the per-event path each follow
+//! an order the rules above already guarantee instead of paying for a
+//! general one:
 //!
 //! - **Emission lanes + spill** ([`emit_lanes`](crate::emit_lanes)). Under
 //!   every rule except the two fork bases (loop-begin anchor, task spawn)
@@ -58,16 +62,22 @@
 //!   top of a heap of *non-empty* lanes' heads: O(log P + log spill) per
 //!   event, whatever is buffered and however sparse the processor ids,
 //!   and exactly the sequence one binary heap over all entries pops.
-//! - **Dense advance table + spill**
+//! - **Dense advance table + spill, with waiter slots**
 //!   ([`advance_table`](crate::advance_table)). The one structure that
 //!   grows with the number of *distinct* tags (lenient pairing lets an
 //!   `awaitE` precede its `advance`, so no tag can be retired before the
 //!   trace ends). Advance tags are non-negative and, per variable,
-//!   consecutive in DOACROSS traces: records live in a per-variable
-//!   vector indexed by tag, which never grows past twice its occupied
-//!   slots — a tag that would break that occupancy goes to a hash map.
-//!   Memory is ≤ a constant × advances seen on any input; snapshots walk
-//!   it already sorted.
+//!   consecutive in DOACROSS traces: slots live in a per-variable vector
+//!   indexed by tag, which never grows past twice its advances — a tag
+//!   that would break that occupancy goes to a hash map. A slot holds the
+//!   advance's record, or, until it arrives, the `awaitE`s waiting for
+//!   it: the arrival takes them from its own slot, and the earliest of
+//!   them is the `MissingAdvance` verdict. Memory is ≤ a constant ×
+//!   (advances + waiting ends) on any input; snapshots walk it already
+//!   sorted.
+//! - **Floor heaps** ([`floors`](crate::floors)). The watermark's floor
+//!   multiset is a min-heap of floors beside a min-heap of pending
+//!   removals: O(log n) add and remove, an exact minimum.
 //! - **Dirty log, only when someone will read it.** Incremental
 //!   checkpoints carry the advance keys touched since the last one. They
 //!   are appended to a log that starts recording at the first
@@ -80,10 +90,11 @@
 //! `ppa_emit_spill_total`, `ppa_advance_spill_total`): a handful or zero
 //! on well-formed traces, and the first thing to look at on a slow run.
 
-use crate::advance_table::{AdvanceRec, AdvanceTable, Inserted};
+use crate::advance_table::{AdvanceRec, AdvanceTable, Inserted, WaitingEnds};
 use crate::emit_lanes::{EmitEntry, EmitLanes};
 use crate::error::AnalysisError;
 use crate::event_based::{AwaitOutcome, BarrierOutcome, EpisodeOutcome};
+use crate::floors::Floors;
 use ppa_obs::{Counter, Gauge, Registry};
 use ppa_trace::{
     BarrierId, EpisodeFamily, Event, EventKind, LockId, OverheadSpec, ProcessorId, SemId, Span,
@@ -435,6 +446,54 @@ enum Adv {
     Got(Time),
 }
 
+/// How [`EventBasedAnalyzer::resolve_event`] applies an arriving event.
+enum Ready {
+    /// No basis: the origin rule, `tm − overhead`.
+    Origin,
+    /// Every input has resolved: apply the rule now.
+    Now(Rule),
+    /// Some input is still unresolved: park.
+    Wait,
+}
+
+/// What a parking event waits for, and the floors of the inputs it
+/// already has. Both lists have small static bounds (begin + advance +
+/// basis), so they live on the stack.
+struct Deps {
+    pending: u32,
+    waits_on: [(usize, Slot); 3],
+    n_waits: usize,
+    floors: [Time; 2],
+    n_floors: usize,
+}
+
+impl Default for Deps {
+    fn default() -> Self {
+        Deps {
+            pending: 0,
+            waits_on: [(0, Slot::Basis); 3],
+            n_waits: 0,
+            floors: [Time::ZERO; 2],
+            n_floors: 0,
+        }
+    }
+}
+
+impl Deps {
+    /// Waits on the parked event `dep.0` to fill slot `dep.1`.
+    fn need(&mut self, dep: (usize, Slot)) {
+        self.pending += 1;
+        self.waits_on[self.n_waits] = dep;
+        self.n_waits += 1;
+    }
+
+    /// Holds the watermark at an input already resolved at `t`.
+    fn have(&mut self, t: Time) {
+        self.floors[self.n_floors] = t;
+        self.n_floors += 1;
+    }
+}
+
 /// A parked event: pushed, but not yet resolvable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Node {
@@ -715,10 +774,15 @@ pub struct EventBasedAnalyzer {
     /// a delta before that, and a run that never checkpoints records
     /// nothing at all.
     dirty_log: Option<Vec<(SyncVarId, SyncTag)>>,
-    /// `awaitE`s whose partner advance has not arrived, by tag, each
-    /// list in end arrival order — the batch validator's
-    /// `MissingAdvance` candidates (the earliest end is the verdict).
-    missing_by_tag: FxMap<(SyncVarId, SyncTag), Vec<usize>>,
+    /// Ends the advance this push inserted took from its slot, for the
+    /// resolution step to wake.
+    woken: Vec<usize>,
+    /// The waiting ends as they stood when the first barrier or episode
+    /// error stopped resolution. From then on an arriving advance still
+    /// clears its tag's `MissingAdvance` candidates from the table, but
+    /// nothing wakes the ends it would have woken, and the snapshot's
+    /// `awaiting_advance` keeps showing them.
+    frozen_awaiting: Option<WaitingEnds>,
 
     // Structure state.
     latest_lb: Option<LoopAnchor>,
@@ -743,10 +807,8 @@ pub struct EventBasedAnalyzer {
 
     // Dataflow resolution.
     parked: FxMap<usize, Node>,
-    /// Parked `awaitE`s waiting for an advance on this tag to *arrive*.
-    awaiting_advance: FxMap<(SyncVarId, SyncTag), Vec<usize>>,
     /// Watermark floor multiset.
-    anchors: BTreeMap<Time, u32>,
+    floors: Floors,
 
     // Emission.
     buffer: EmitLanes,
@@ -765,12 +827,10 @@ pub struct EventBasedAnalyzer {
     probes: AnalyzerProbes,
 
     // Allocations reused across pushes: the delivery queue of one
-    // resolution cascade, and the vectors of resolved `Node`s and
-    // drained `awaiting_advance` / `missing_by_tag` entries.
+    // resolution cascade, and the vectors of resolved `Node`s.
     queue: VecDeque<usize>,
     spare_anchors: Vec<Vec<Time>>,
     spare_waiters: Vec<Vec<(usize, Slot)>>,
-    spare_ids: Vec<Vec<usize>>,
 }
 
 /// Appends one advance record as a flat quad — the
@@ -820,7 +880,8 @@ impl EventBasedAnalyzer {
             seen_procs: Vec::new(),
             advances: AdvanceTable::default(),
             dirty_log: None,
-            missing_by_tag: FxMap::default(),
+            woken: Vec::new(),
+            frozen_awaiting: None,
             latest_lb: None,
             episodes: FxMap::default(),
             open_by_barrier: BTreeMap::new(),
@@ -832,8 +893,7 @@ impl EventBasedAnalyzer {
             dep_ta: FxMap::default(),
             spawn_watch: FxMap::default(),
             parked: FxMap::default(),
-            awaiting_advance: FxMap::default(),
-            anchors: BTreeMap::new(),
+            floors: Floors::default(),
             buffer: EmitLanes::default(),
             out: VecDeque::new(),
             since_drain: 0,
@@ -844,7 +904,6 @@ impl EventBasedAnalyzer {
             queue: VecDeque::new(),
             spare_anchors: Vec::new(),
             spare_waiters: Vec::new(),
-            spare_ids: Vec::new(),
         }
     }
 
@@ -877,19 +936,20 @@ impl EventBasedAnalyzer {
     }
 
     /// Heap bytes of the analyzer's state: capacity × element size,
-    /// summed over every table — the advance table and its spill, the
-    /// emission lanes and their spill, the parked nodes, the `(var, tag)`
-    /// maps, the episode / lock / semaphore / task tables and the watermark
-    /// anchors. Unlike [`resident`](Self::resident) this sees the
-    /// structures that grow with the trace's synchronization history.
+    /// summed over every table — the advance table with its spill and
+    /// waiter arena, the emission lanes and their spill, the parked
+    /// nodes, the episode / lock / semaphore / task tables and the
+    /// watermark floor heaps. Unlike [`resident`](Self::resident) this
+    /// sees the structures that grow with the trace's synchronization
+    /// history.
     /// Cost is O(tables + live synchronization objects), so callers
     /// sample it ([`RESIDENT_SAMPLE_EVERY`](crate::RESIDENT_SAMPLE_EVERY))
     /// rather than compute it per push. (Each parked node's two short
     /// dependency lists are not walked: that would make it O(parked).)
     pub fn resident_bytes(&self) -> usize {
-        let inner = |lists: &FxMap<(SyncVarId, SyncTag), Vec<usize>>| -> usize {
-            map_bytes(lists) + lists.values().map(vec_bytes).sum::<usize>()
-        };
+        let frozen: usize = self.frozen_awaiting.as_ref().map_or(0, |lists| {
+            vec_bytes(lists) + lists.iter().map(|(_, ends)| vec_bytes(ends)).sum::<usize>()
+        });
         let episodes: usize = self
             .episodes
             .values()
@@ -897,14 +957,13 @@ impl EventBasedAnalyzer {
             .sum();
         let sems: usize = self.sems.values().map(|s| vec_bytes(&s.releases)).sum();
         let spares: usize = self.spare_anchors.iter().map(vec_bytes).sum::<usize>()
-            + self.spare_waiters.iter().map(vec_bytes).sum::<usize>()
-            + self.spare_ids.iter().map(vec_bytes).sum::<usize>();
+            + self.spare_waiters.iter().map(vec_bytes).sum::<usize>();
         vec_bytes(&self.procs)
             + vec_bytes(&self.seen_procs)
             + self.advances.resident_bytes()
             + self.dirty_log.as_ref().map_or(0, vec_bytes)
-            + inner(&self.missing_by_tag)
-            + inner(&self.awaiting_advance)
+            + vec_bytes(&self.woken)
+            + frozen
             + map_bytes(&self.episodes)
             + episodes
             + btree_bytes(&self.open_by_barrier)
@@ -916,7 +975,7 @@ impl EventBasedAnalyzer {
             + map_bytes(&self.dep_ta)
             + map_bytes(&self.spawn_watch)
             + map_bytes(&self.parked)
-            + btree_bytes(&self.anchors)
+            + self.floors.resident_bytes()
             + self.buffer.resident_bytes()
             + self.out.capacity() * std::mem::size_of::<StreamOutput>()
             + self.queue.capacity() * std::mem::size_of::<usize>()
@@ -1003,9 +1062,9 @@ impl EventBasedAnalyzer {
 
         // --- Fast path ---------------------------------------------------
         // A plain chain event (no sync/barrier/loop-begin semantics) whose
-        // basis is already resolved needs none of the dataflow machinery:
-        // apply the generic §4.2.3 rule and buffer it directly. This is the
-        // bulk of any trace.
+        // basis is already resolved needs none of the validation steps or
+        // the dataflow machinery: apply the generic §4.2.3 rule and buffer
+        // it directly. This is the bulk of any trace.
         if self.scan_error.is_none()
             && self.barrier_error.is_none()
             && self.episode_error.is_none()
@@ -1024,45 +1083,27 @@ impl EventBasedAnalyzer {
                     | EventKind::TaskFork { .. }
                     | EventKind::TaskJoin { .. }
             )
+            && self.procs[pi].is_some()
         {
-            let latest_lb = self.latest_lb;
-            let is_serial = Some(event.proc) == self.serial_proc;
-            if let Some(s) = self.procs[pi].as_mut() {
-                // Basis selection, prev-exists case — identical to the
-                // general path below.
-                let fork = !is_serial && latest_lb.map(|l| l.id > s.last_id).unwrap_or(false);
-                let basis = if fork {
-                    let l = latest_lb.expect("fork implies an anchor");
-                    l.ta.map(|ta| (l.tm, ta))
-                } else {
-                    s.last_ta.map(|ta| (s.last_tm, ta))
-                };
-                if let Some((b_tm, b_ta)) = basis {
-                    let oh = self.oh.instr_overhead(&event.kind);
-                    // The total-order check above guarantees the basis is
-                    // not in the future; only the overhead can underflow.
-                    debug_assert!(event.time >= b_tm, "basis precedes the event");
-                    let delta = event.time.saturating_since(b_tm);
-                    let value = b_ta + delta.saturating_sub(oh);
-                    s.last_id = idx;
-                    s.last_tm = event.time;
-                    s.last_ta = Some(value);
-                    if oh > delta {
-                        self.note_clamp();
-                    }
-                    self.buffer_event(event, idx, value);
-                    self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
-                    let resident = self.parked.len() + self.buffer.len() + self.episodes.len();
-                    self.stats.peak_resident = self.stats.peak_resident.max(resident);
-                    self.maybe_drain();
-                    return Ok(());
-                }
+            if let Some((_, b_tm, Some(b_ta))) = self.select_basis(event.proc, idx) {
+                let value = self.chain_value(&event, b_tm, b_ta);
+                let s = self.procs[pi].as_mut().expect("checked above");
+                s.last_id = idx;
+                s.last_tm = event.time;
+                s.last_ta = Some(value);
+                self.buffer_event(event, idx, value);
+                self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
+                let resident = self.parked.len() + self.buffer.len() + self.episodes.len();
+                self.stats.peak_resident = self.stats.peak_resident.max(resident);
+                self.maybe_drain();
+                return Ok(());
             }
-            // No predecessor, or a parked basis: take the general path.
+            // A parked basis: take the general path.
         }
 
         // --- Scan (validation) step, frozen by the first scan error. ----
-        let mut await_info: Option<PendingAwait> = None;
+        // An `awaitE`'s pending await, and its advance if it has arrived.
+        let mut await_info: Option<(PendingAwait, Option<AdvanceRec>)> = None;
         if self.scan_error.is_none() {
             match event.kind {
                 EventKind::Advance { var, tag } => {
@@ -1070,7 +1111,10 @@ impl EventBasedAnalyzer {
                         self.scan_error = Some(TraceError::NegativeAdvanceTag { var, tag });
                     } else {
                         let rec = AdvanceRec { id: idx, ta: None };
-                        match self.advances.insert(var, tag, rec) {
+                        // Takes the ends waiting on the tag — they stop
+                        // being `MissingAdvance` candidates — for the
+                        // resolution step to wake.
+                        match self.advances.insert(var, tag, rec, &mut self.woken) {
                             Inserted::Duplicate => {
                                 self.scan_error = Some(TraceError::DuplicateAdvance { var, tag });
                             }
@@ -1081,11 +1125,6 @@ impl EventBasedAnalyzer {
                                 }
                                 if let Some(log) = &mut self.dirty_log {
                                     log.push((var, tag));
-                                }
-                                if !self.missing_by_tag.is_empty() {
-                                    if let Some(ends) = self.missing_by_tag.remove(&(var, tag)) {
-                                        recycle(&mut self.spare_ids, ends);
-                                    }
                                 }
                             }
                         }
@@ -1127,14 +1166,17 @@ impl EventBasedAnalyzer {
                     let taken = self.procs[pi].as_mut().and_then(|s| s.pending_await.take());
                     match taken {
                         Some(p) if p.var == var && p.tag == tag => {
-                            if !tag.is_pre_advanced() && self.advances.get(var, tag).is_none() {
-                                let spare = &mut self.spare_ids;
-                                self.missing_by_tag
-                                    .entry((var, tag))
-                                    .or_insert_with(|| spare.pop().unwrap_or_default())
-                                    .push(idx);
+                            let mut partner = None;
+                            if !tag.is_pre_advanced() {
+                                partner = self.advances.get(var, tag).copied();
+                                if partner.is_none() {
+                                    // Waits in the advance's slot: the
+                                    // advance's arrival wakes it, and until
+                                    // then it is a `MissingAdvance` candidate.
+                                    self.advances.add_waiter(var, tag, idx);
+                                }
                             }
-                            await_info = Some(p);
+                            await_info = Some((p, partner));
                         }
                         _ => {
                             self.scan_error = Some(TraceError::UnmatchedAwaitEnd {
@@ -1156,7 +1198,6 @@ impl EventBasedAnalyzer {
         }
 
         // --- Barrier (episode) step, frozen by the first barrier error. --
-        let mut enter_ep: Option<u64> = None;
         let mut exit_ep: Option<u64> = None;
         if self.barrier_error.is_none() {
             match event.kind {
@@ -1193,7 +1234,6 @@ impl EventBasedAnalyzer {
                         });
                         ep.unresolved_enters += 1;
                         self.ep_of_enter.insert(idx, uid);
-                        enter_ep = Some(uid);
                     }
                 }
                 EventKind::BarrierExit { barrier } => {
@@ -1384,15 +1424,14 @@ impl EventBasedAnalyzer {
 
         // --- Resolution step, meaningful only while no error is pending. -
         if self.barrier_error.is_none() && self.episode_error.is_none() {
-            self.resolve_event(
-                event,
-                idx,
-                await_info,
-                enter_ep,
-                exit_ep,
-                blocked,
-                basis_override,
-            );
+            self.resolve_event(event, idx, await_info, exit_ep, blocked, basis_override);
+        } else {
+            // Both errors are sticky, so resolution has stopped for good:
+            // keep the waiting ends as they stand now, and wake nobody.
+            if self.frozen_awaiting.is_none() {
+                self.frozen_awaiting = Some(self.advances.waiting_ends());
+            }
+            self.woken.clear();
         }
 
         // Stats + emission.
@@ -1452,11 +1491,12 @@ impl EventBasedAnalyzer {
             }
         }
         // The awaitE that arrived first among those whose advance never
-        // did; each list is in arrival order.
+        // did; each tag's ends are in arrival order.
         let missing = self
-            .missing_by_tag
-            .iter()
-            .filter_map(|(&key, ends)| Some((*ends.first()?, key)))
+            .advances
+            .waiting_ends()
+            .into_iter()
+            .map(|(key, ends)| (ends[0], key))
             .min();
         if let Some((_, (var, tag))) = missing {
             return Err(TraceError::MissingAdvance { var, tag }.into());
@@ -1563,6 +1603,7 @@ impl EventBasedAnalyzer {
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
         }
+        let waiting = self.advances.waiting_ends();
         AnalyzerSnapshot {
             oh: self.oh,
             next_idx: self.next_idx,
@@ -1576,10 +1617,9 @@ impl EventBasedAnalyzer {
             procs: self.procs.clone(),
             advances,
             missing_adv: {
-                let mut ends: Vec<_> = self
-                    .missing_by_tag
+                let mut ends: Vec<_> = waiting
                     .iter()
-                    .flat_map(|(&key, ends)| ends.iter().map(move |&end| (end, key)))
+                    .flat_map(|&(key, ref ends)| ends.iter().map(move |&end| (end, key)))
                     .collect();
                 // Ends are distinct arrival indices: the order is total.
                 ends.sort_unstable_by_key(|&(end, _)| end);
@@ -1590,13 +1630,18 @@ impl EventBasedAnalyzer {
             open_by_barrier: self.open_by_barrier.iter().map(|(k, v)| (*k, *v)).collect(),
             next_ep_uid: self.next_ep_uid,
             parked: sorted(&self.parked),
-            awaiting_advance: sorted(&self.awaiting_advance),
+            awaiting_advance: match &self.frozen_awaiting {
+                Some(frozen) => frozen.clone(),
+                // While resolution runs, every waiting end is also parked
+                // on its tag's arrival.
+                None => waiting,
+            },
             locks: self.locks.iter().map(|(k, v)| (*k, v.clone())).collect(),
             sems: self.sems.iter().map(|(k, v)| (*k, v.clone())).collect(),
             tasks: self.tasks.iter().map(|(k, v)| (*k, v.clone())).collect(),
             dep_ta: sorted(&self.dep_ta),
             spawn_watch: sorted(&self.spawn_watch),
-            anchors: self.anchors.iter().map(|(k, v)| (*k, *v)).collect(),
+            anchors: self.floors.counts(),
             buffer: self.buffer.sorted(),
             out: self.out.iter().copied().collect(),
             since_drain: self.since_drain,
@@ -1685,12 +1730,16 @@ impl EventBasedAnalyzer {
                 ns => Some(Time::from_nanos(ns - 1)),
             };
             let id = quad[2] as usize;
-            a.advances.insert(var, tag, AdvanceRec { id, ta });
+            a.advances
+                .insert(var, tag, AdvanceRec { id, ta }, &mut a.woken);
         }
-        // The image lists ends ascending, so each tag's list comes back
-        // in end-arrival order.
-        for (end, key) in s.missing_adv {
-            a.missing_by_tag.entry(key).or_default().push(end);
+        // The image lists ends ascending, so each tag's ends come back in
+        // arrival order.
+        for (end, (var, tag)) in s.missing_adv {
+            a.advances.add_waiter(var, tag, end);
+        }
+        if a.barrier_error.is_some() || a.episode_error.is_some() {
+            a.frozen_awaiting = Some(s.awaiting_advance);
         }
         a.latest_lb = s.latest_lb;
         a.episodes = s.episodes.into_iter().collect();
@@ -1704,13 +1753,12 @@ impl EventBasedAnalyzer {
         }
         a.next_ep_uid = s.next_ep_uid;
         a.parked = s.parked.into_iter().collect();
-        a.awaiting_advance = s.awaiting_advance.into_iter().collect();
         a.locks = s.locks.into_iter().collect();
         a.sems = s.sems.into_iter().collect();
         a.tasks = s.tasks.into_iter().collect();
         a.dep_ta = s.dep_ta.into_iter().collect();
         a.spawn_watch = s.spawn_watch.into_iter().collect();
-        a.anchors = s.anchors.into_iter().collect();
+        a.floors = s.anchors.into_iter().collect();
         a.buffer = s.buffer.into_iter().collect();
         a.out = s.out.into_iter().collect();
         a.since_drain = s.since_drain;
@@ -1720,15 +1768,52 @@ impl EventBasedAnalyzer {
 
     // --- Resolution internals -------------------------------------------
 
-    /// Computes this event's dependencies, then either resolves it on the
-    /// spot or parks it.
-    #[allow(clippy::too_many_arguments)]
+    /// The event's time basis, as `(arrival index, tm, ta once
+    /// resolved)`: its processor's previous event, or the latest
+    /// loop-begin marker when that forks after it (or when the processor
+    /// has no previous event) — identical to the batch analysis. The one
+    /// basis selection of both the fast path and
+    /// [`resolve_event`](Self::resolve_event).
+    #[inline]
+    fn select_basis(&self, proc: ProcessorId, idx: usize) -> Option<(usize, Time, Option<Time>)> {
+        let prev = self.procs[proc.index()]
+            .as_ref()
+            // A state created by this very push (awaitB on a fresh
+            // processor) holds no predecessor.
+            .filter(|s| s.last_id != idx);
+        match (prev, self.latest_lb) {
+            (Some(s), Some(l)) if Some(proc) != self.serial_proc && l.id > s.last_id => {
+                Some((l.id, l.tm, l.ta))
+            }
+            (Some(s), _) => Some((s.last_id, s.last_tm, s.last_ta)),
+            (None, Some(l)) if l.id != idx => Some((l.id, l.tm, l.ta)),
+            (None, _) => None,
+        }
+    }
+
+    /// The generic §4.2.3 value rule, `ta(basis) + (tm − tm(basis)) −
+    /// overhead`, held at the basis (and counted) where the overhead
+    /// exceeds the delta.
+    #[inline]
+    fn chain_value(&mut self, event: &Event, basis_tm: Time, basis_ta: Time) -> Time {
+        let oh = self.oh.instr_overhead(&event.kind);
+        // The basis is an earlier event of the total order, so the delta
+        // itself cannot underflow — only the overhead can.
+        debug_assert!(event.time >= basis_tm, "basis precedes the event");
+        let delta = event.time.saturating_since(basis_tm);
+        if oh > delta {
+            self.note_clamp();
+        }
+        basis_ta + delta.saturating_sub(oh)
+    }
+
+    /// Selects this event's basis, then resolves it on the spot if every
+    /// input has resolved, or parks it.
     fn resolve_event(
         &mut self,
         event: Event,
         idx: usize,
-        await_info: Option<PendingAwait>,
-        enter_ep: Option<u64>,
+        await_info: Option<(PendingAwait, Option<AdvanceRec>)>,
         exit_ep: Option<u64>,
         blocked: Option<Option<(usize, Option<Time>)>>,
         basis_override: Option<(usize, Time, Option<Time>)>,
@@ -1746,39 +1831,13 @@ impl EventBasedAnalyzer {
             });
         }
 
-        // Basis selection — identical to the batch analysis.
-        let pi = event.proc.index();
-        let prev = self.procs[pi]
-            .as_ref()
-            // A state created by this very push (awaitB on a fresh
-            // processor) holds no predecessor.
-            .filter(|s| s.last_id != idx)
-            .map(|s| (s.last_id, s.last_tm, s.last_ta));
-        let is_serial = Some(event.proc) == self.serial_proc;
-        let basis: Option<(usize, Time, Option<Time>)> = match prev {
-            Some((p_id, p_tm, p_ta)) => {
-                let fork = !is_serial && self.latest_lb.map(|l| l.id > p_id).unwrap_or(false);
-                if fork {
-                    let l = self.latest_lb.expect("fork implies an anchor");
-                    Some((l.id, l.tm, l.ta))
-                } else {
-                    Some((p_id, p_tm, p_ta))
-                }
-            }
-            None => match self.latest_lb {
-                Some(l) if l.id != idx => Some((l.id, l.tm, l.ta)),
-                _ => None,
-            },
-        };
         // A child's begin fork chains from its spawn, wherever the child
         // processor's own frontier stands.
-        let basis = match basis_override {
-            Some(over) => Some(over),
-            None => basis,
-        };
+        let basis = basis_override.or_else(|| self.select_basis(event.proc, idx));
 
         // Advance the frontier before resolving, so the resolution hook
         // sees this event as its processor's latest.
+        let pi = event.proc.index();
         match &mut self.procs[pi] {
             Some(s) => {
                 s.last_id = idx;
@@ -1796,75 +1855,141 @@ impl EventBasedAnalyzer {
             }
         }
 
-        // Assemble the rule and its dependencies. Both scratch lists have
-        // small static bounds (begin + advance + basis), so they live on
-        // the stack.
-        let mut pending = 0u32;
-        let mut pending_deps = [(0usize, Slot::Basis); 3];
-        let mut n_deps = 0usize;
-        let mut ready_anchors = [Time::ZERO; 2];
-        let mut n_ready = 0usize;
         // A floor already registered by the awaitB hook (or, for a child's
         // begin fork, by the spawn hook) whose ownership transfers to this
-        // event (it must persist until resolution, but is already counted
-        // in the multiset).
-        let mut transferred_anchor: Option<Time> = None;
-        if let Some((_, _, Some(v))) = basis_override {
-            transferred_anchor = Some(v);
+        // event: it persists until the event resolves.
+        let held_floor = match (await_info, basis_override) {
+            (Some((info, _)), _) => info.begin_ta,
+            (None, Some((_, _, spawn_ta))) => spawn_ta,
+            (None, None) => None,
+        };
+
+        // Readiness first: an event whose inputs have all resolved takes
+        // its rule's value here. Only one that really waits builds its
+        // dependencies and a parked node.
+        match Self::ready_rule(basis, await_info, exit_ep.is_some(), blocked) {
+            Ready::Origin => {
+                let oh = self.oh.instr_overhead(&event.kind);
+                if event.time.checked_sub_span(oh).is_none() {
+                    self.note_clamp();
+                }
+                let value = event.time.saturating_sub_span(oh);
+                self.finish_resolution(event, idx, value, &mut queue);
+            }
+            Ready::Now(rule) => {
+                if let Some(a) = held_floor {
+                    self.floors.remove(a);
+                }
+                let value = self.compute_value(&event, &rule);
+                self.emit_await_outcome(&event, idx, &rule, value);
+                self.finish_resolution(event, idx, value, &mut queue);
+            }
+            Ready::Wait => {
+                self.park(event, idx, basis, await_info, exit_ep, blocked, held_floor);
+                // A just-closed episode may already be fully resolved.
+                if let Some(uid) = exit_ep {
+                    let ep = &self.episodes[&uid];
+                    if ep.closed && ep.unresolved_enters == 0 {
+                        self.finalize_episode(uid, &mut queue);
+                    }
+                }
+            }
         }
 
-        let rule = if let Some(info) = await_info {
-            if let Some(tb) = info.begin_ta {
-                transferred_anchor = Some(tb);
-            } else {
-                pending += 1;
-                pending_deps[n_deps] = (info.begin_id, Slot::Begin);
-                n_deps += 1;
+        self.wake_waiters(&event, idx, &mut queue);
+        self.run_queue(&mut queue);
+        self.queue = queue;
+    }
+
+    /// The rule of an arriving event whose inputs have all resolved: its
+    /// basis; for an `awaitE` its `awaitB` and partner advance; for a
+    /// blocked completion its enabling event. A barrier exit always
+    /// waits for its episode.
+    fn ready_rule(
+        basis: Option<(usize, Time, Option<Time>)>,
+        await_info: Option<(PendingAwait, Option<AdvanceRec>)>,
+        exit: bool,
+        blocked: Option<Option<(usize, Option<Time>)>>,
+    ) -> Ready {
+        let basis = match basis {
+            _ if exit => return Ready::Wait,
+            Some((_, _, None)) => return Ready::Wait,
+            Some((_, tm, Some(ta))) => Some((tm, ta)),
+            None => None,
+        };
+        if let Some((info, partner)) = await_info {
+            let adv = match partner {
+                _ if info.tag.is_pre_advanced() => Adv::NotNeeded,
+                Some(AdvanceRec { ta: Some(v), .. }) => Adv::Got(v),
+                _ => return Ready::Wait,
+            };
+            return match info.begin_ta {
+                Some(tb) => Ready::Now(Rule::AwaitEnd {
+                    begin_ta: Some(tb),
+                    adv,
+                }),
+                None => Ready::Wait,
+            };
+        }
+        if let Some(dep) = blocked {
+            let dep = match dep {
+                None => Adv::NotNeeded,
+                Some((_, Some(v))) => Adv::Got(v),
+                Some((_, None)) => return Ready::Wait,
+            };
+            return Ready::Now(Rule::Blocked {
+                basis_tm: basis.map(|(tm, _)| tm),
+                basis_ta: basis.map(|(_, ta)| ta),
+                dep,
+            });
+        }
+        match basis {
+            Some((tm, ta)) => Ready::Now(Rule::Chain {
+                basis_tm: tm,
+                basis_ta: Some(ta),
+            }),
+            None => Ready::Origin,
+        }
+    }
+
+    /// Parks an event that must wait: registers the floors of its
+    /// resolved inputs and subscribes it to the unresolved ones.
+    #[allow(clippy::too_many_arguments)]
+    fn park(
+        &mut self,
+        event: Event,
+        idx: usize,
+        basis: Option<(usize, Time, Option<Time>)>,
+        await_info: Option<(PendingAwait, Option<AdvanceRec>)>,
+        exit_ep: Option<u64>,
+        blocked: Option<Option<(usize, Option<Time>)>>,
+        held_floor: Option<Time>,
+    ) {
+        let mut deps = Deps::default();
+        let rule = if let Some((info, partner)) = await_info {
+            if info.begin_ta.is_none() {
+                deps.need((info.begin_id, Slot::Begin));
             }
-            let (var, tag) = match event.kind {
-                EventKind::AwaitEnd { var, tag } => (var, tag),
-                _ => unreachable!("await_info implies an awaitE"),
-            };
-            let adv = if tag.is_pre_advanced() {
-                Adv::NotNeeded
-            } else {
-                match self.advances.get(var, tag) {
-                    Some(rec) => match rec.ta {
-                        Some(v) => {
-                            ready_anchors[n_ready] = v;
-                            n_ready += 1;
-                            Adv::Got(v)
-                        }
-                        None => {
-                            pending += 1;
-                            pending_deps[n_deps] = (rec.id, Slot::Advance);
-                            n_deps += 1;
-                            Adv::Pending
-                        }
-                    },
-                    None => {
-                        pending += 1;
-                        let spare = &mut self.spare_ids;
-                        self.awaiting_advance
-                            .entry((var, tag))
-                            .or_insert_with(|| spare.pop().unwrap_or_default())
-                            .push(idx);
-                        Adv::Pending
-                    }
+            let adv = match partner {
+                _ if info.tag.is_pre_advanced() => Adv::NotNeeded,
+                Some(AdvanceRec { ta: Some(v), .. }) => {
+                    deps.have(v);
+                    Adv::Got(v)
+                }
+                Some(AdvanceRec { id, ta: None }) => {
+                    deps.need((id, Slot::Advance));
+                    Adv::Pending
+                }
+                None => {
+                    // Waiting in the advance's slot: its arrival delivers.
+                    deps.pending += 1;
+                    Adv::Pending
                 }
             };
-            if let Some((b_id, _, b_ta)) = basis {
-                match b_ta {
-                    Some(v) => {
-                        ready_anchors[n_ready] = v;
-                        n_ready += 1;
-                    }
-                    None => {
-                        pending += 1;
-                        pending_deps[n_deps] = (b_id, Slot::Order);
-                        n_deps += 1;
-                    }
-                }
+            match basis {
+                Some((_, _, Some(v))) => deps.have(v),
+                Some((b_id, _, None)) => deps.need((b_id, Slot::Order)),
+                None => {}
             }
             Rule::AwaitEnd {
                 begin_ta: info.begin_ta,
@@ -1872,36 +1997,20 @@ impl EventBasedAnalyzer {
             }
         } else if let Some(uid) = exit_ep {
             // The episode delivers the exit time as a whole.
-            pending += 1;
-            let ep = &self.episodes[&uid];
-            let own = ep
+            deps.pending += 1;
+            let own = self.episodes[&uid]
                 .enters
                 .iter()
                 .find(|r| r.proc == event.proc)
                 .expect("exit protocol guarantees an enter");
             match own.ta {
-                Some(v) => {
-                    ready_anchors[n_ready] = v;
-                    n_ready += 1;
-                }
-                None => {
-                    pending += 1;
-                    pending_deps[n_deps] = (own.id, Slot::Order);
-                    n_deps += 1;
-                }
+                Some(v) => deps.have(v),
+                None => deps.need((own.id, Slot::Order)),
             }
-            if let Some((b_id, _, b_ta)) = basis {
-                match b_ta {
-                    Some(v) => {
-                        ready_anchors[n_ready] = v;
-                        n_ready += 1;
-                    }
-                    None => {
-                        pending += 1;
-                        pending_deps[n_deps] = (b_id, Slot::Order);
-                        n_deps += 1;
-                    }
-                }
+            match basis {
+                Some((_, _, Some(v))) => deps.have(v),
+                Some((b_id, _, None)) => deps.need((b_id, Slot::Order)),
+                None => {}
             }
             Rule::Exit { value: None }
         } else if let Some(dep) = blocked {
@@ -1911,29 +2020,19 @@ impl EventBasedAnalyzer {
             let adv = match dep {
                 None => Adv::NotNeeded,
                 Some((_, Some(v))) => {
-                    ready_anchors[n_ready] = v;
-                    n_ready += 1;
+                    deps.have(v);
                     Adv::Got(v)
                 }
                 Some((d_id, None)) => {
-                    pending += 1;
-                    pending_deps[n_deps] = (d_id, Slot::Advance);
-                    n_deps += 1;
+                    deps.need((d_id, Slot::Advance));
                     Adv::Pending
                 }
             };
             let basis_tm = match basis {
                 Some((b_id, b_tm, b_ta)) => {
                     match b_ta {
-                        Some(v) => {
-                            ready_anchors[n_ready] = v;
-                            n_ready += 1;
-                        }
-                        None => {
-                            pending += 1;
-                            pending_deps[n_deps] = (b_id, Slot::Basis);
-                            n_deps += 1;
-                        }
+                        Some(v) => deps.have(v),
+                        None => deps.need((b_id, Slot::Basis)),
                     }
                     Some(b_tm)
                 }
@@ -1941,8 +2040,7 @@ impl EventBasedAnalyzer {
                     // Origin ready rule: floor the watermark at the
                     // event's own measured time less its overhead.
                     let oh = self.oh.instr_overhead(&event.kind);
-                    ready_anchors[n_ready] = event.time.saturating_sub_span(oh);
-                    n_ready += 1;
+                    deps.have(event.time.saturating_sub_span(oh));
                     None
                 }
             };
@@ -1952,112 +2050,61 @@ impl EventBasedAnalyzer {
                 dep: adv,
             }
         } else {
-            match basis {
-                None => {
-                    // Origin rule: resolves immediately.
-                    let oh = self.oh.instr_overhead(&event.kind);
-                    if event.time.checked_sub_span(oh).is_none() {
-                        self.note_clamp();
-                    }
-                    let value = event.time.saturating_sub_span(oh);
-                    self.finish_resolution(event, idx, value, &mut queue);
-                    // (An advance that opens its processor's chain wakes
-                    // its early awaiters like any other.)
-                    self.wake_awaiting_advance(&event, idx, &mut queue);
-                    self.run_queue(&mut queue);
-                    self.queue = queue;
-                    return;
-                }
-                Some((b_id, b_tm, b_ta)) => {
-                    if b_ta.is_none() {
-                        pending += 1;
-                        pending_deps[n_deps] = (b_id, Slot::Basis);
-                        n_deps += 1;
-                    }
-                    Rule::Chain {
-                        basis_tm: b_tm,
-                        basis_ta: b_ta,
-                    }
-                }
+            let (b_id, b_tm, b_ta) = basis.expect("a ready origin event does not park");
+            if b_ta.is_none() {
+                deps.need((b_id, Slot::Basis));
+            }
+            Rule::Chain {
+                basis_tm: b_tm,
+                basis_ta: b_ta,
             }
         };
 
-        if pending == 0 {
-            // Resolvable on the spot; drop any floor we held through the
-            // pending await, and discard ready anchors (never registered).
-            if let Some(a) = transferred_anchor {
-                self.anchor_remove(a);
-            }
-            let value = self.compute_value(&event, &rule);
-            self.emit_await_outcome(&event, idx, &rule, value);
-            self.finish_resolution(event, idx, value, &mut queue);
-        } else {
-            let mut anchors = self.spare_anchors.pop().unwrap_or_default();
-            if let Some(a) = transferred_anchor {
-                anchors.push(a); // already in the multiset
-            }
-            for &a in &ready_anchors[..n_ready] {
-                self.anchor_add(a);
-                anchors.push(a);
-            }
-            self.parked.insert(
-                idx,
-                Node {
-                    event,
-                    pending,
-                    rule,
-                    anchors,
-                    waiters: self.spare_waiters.pop().unwrap_or_default(),
-                },
-            );
-            for &(dep, slot) in &pending_deps[..n_deps] {
-                self.parked
-                    .get_mut(&dep)
-                    .expect("unresolved dependencies are parked")
-                    .waiters
-                    .push((idx, slot));
-            }
+        let mut anchors = self.spare_anchors.pop().unwrap_or_default();
+        if let Some(a) = held_floor {
+            anchors.push(a); // already in the multiset
         }
-
-        // A just-closed episode may already be fully resolved.
-        if let Some(uid) = exit_ep {
-            let ready = {
-                let ep = &self.episodes[&uid];
-                ep.closed && ep.unresolved_enters == 0
-            };
-            if ready {
-                self.finalize_episode(uid, &mut queue);
-            }
+        for &a in &deps.floors[..deps.n_floors] {
+            self.floors.add(a);
+            anchors.push(a);
         }
-
-        self.wake_awaiting_advance(&event, idx, &mut queue);
-
-        let _ = enter_ep; // membership is tracked via `ep_of_enter`
-        self.run_queue(&mut queue);
-        self.queue = queue;
+        self.parked.insert(
+            idx,
+            Node {
+                event,
+                pending: deps.pending,
+                rule,
+                anchors,
+                waiters: self.spare_waiters.pop().unwrap_or_default(),
+            },
+        );
+        for &(dep, slot) in &deps.waits_on[..deps.n_waits] {
+            self.parked
+                .get_mut(&dep)
+                .expect("unresolved dependencies are parked")
+                .waiters
+                .push((idx, slot));
+        }
     }
 
-    /// A newly arrived advance may wake parked `awaitE`s that preceded it.
-    fn wake_awaiting_advance(&mut self, event: &Event, idx: usize, queue: &mut VecDeque<usize>) {
-        if self.awaiting_advance.is_empty() {
+    /// An advance that took waiting ends from its slot on arrival wakes
+    /// them: each gets the advance's value, or subscribes to the parked
+    /// advance.
+    fn wake_waiters(&mut self, event: &Event, idx: usize, queue: &mut VecDeque<usize>) {
+        if self.woken.is_empty() {
             return;
         }
         let EventKind::Advance { var, tag } = event.kind else {
-            return;
+            unreachable!("only an arriving advance takes waiters");
         };
-        let Some(rec_ta) = self
+        let ta = self
             .advances
             .get(var, tag)
-            .filter(|rec| rec.id == idx)
-            .map(|rec| rec.ta)
-        else {
-            return;
-        };
-        let Some(waiters) = self.awaiting_advance.remove(&(var, tag)) else {
-            return;
-        };
-        for &w in &waiters {
-            match rec_ta {
+            .expect("the advance was stored by this push")
+            .ta;
+        let woken = std::mem::take(&mut self.woken);
+        for &w in &woken {
+            match ta {
                 Some(v) => self.deliver(w, Slot::Advance, v, queue),
                 None => self
                     .parked
@@ -2067,7 +2114,8 @@ impl EventBasedAnalyzer {
                     .push((w, Slot::Advance)),
             }
         }
-        recycle(&mut self.spare_ids, waiters);
+        self.woken = woken;
+        self.woken.clear();
     }
 
     /// Consumes a live enabling event's resolved time — the blocked side
@@ -2088,12 +2136,14 @@ impl EventBasedAnalyzer {
             (Slot::Order, _) => {}
             (slot, rule) => unreachable!("slot {slot:?} does not fit rule {rule:?}"),
         }
-        node.anchors.push(value);
         node.pending -= 1;
-        let ready = node.pending == 0;
-        self.anchor_add(value);
-        if ready {
+        if node.pending == 0 {
+            // Resolves in this cascade, before anything reads the
+            // watermark: a floor added now would only be removed again.
             queue.push_back(id);
+        } else {
+            node.anchors.push(value);
+            self.floors.add(value);
         }
     }
 
@@ -2102,7 +2152,7 @@ impl EventBasedAnalyzer {
         while let Some(id) = queue.pop_front() {
             let node = self.parked.remove(&id).expect("queued events are parked");
             for a in &node.anchors {
-                self.anchor_remove(*a);
+                self.floors.remove(*a);
             }
             let value = self.compute_value(&node.event, &node.rule);
             self.emit_await_outcome(&node.event, id, &node.rule, value);
@@ -2119,16 +2169,7 @@ impl EventBasedAnalyzer {
     fn compute_value(&mut self, event: &Event, rule: &Rule) -> Time {
         match rule {
             Rule::Chain { basis_tm, basis_ta } => {
-                let tb = basis_ta.expect("basis resolved first");
-                let oh = self.oh.instr_overhead(&event.kind);
-                // The basis is an earlier event of the total order, so the
-                // delta itself cannot underflow — only the overhead can.
-                debug_assert!(event.time >= *basis_tm, "basis precedes the event");
-                let delta = event.time.saturating_since(*basis_tm);
-                if oh > delta {
-                    self.note_clamp();
-                }
-                tb + delta.saturating_sub(oh)
+                self.chain_value(event, *basis_tm, basis_ta.expect("basis resolved first"))
             }
             Rule::AwaitEnd { begin_ta, adv } => {
                 let tb = begin_ta.expect("awaitB resolved before awaitE");
@@ -2150,18 +2191,12 @@ impl EventBasedAnalyzer {
                 basis_ta,
                 dep,
             } => {
-                let oh = self.oh.instr_overhead(&event.kind);
                 let ready = match basis_tm {
                     Some(b_tm) => {
-                        let tb = basis_ta.expect("basis resolved first");
-                        debug_assert!(event.time >= *b_tm, "basis precedes the event");
-                        let delta = event.time.saturating_since(*b_tm);
-                        if oh > delta {
-                            self.note_clamp();
-                        }
-                        tb + delta.saturating_sub(oh)
+                        self.chain_value(event, *b_tm, basis_ta.expect("basis resolved first"))
                     }
                     None => {
+                        let oh = self.oh.instr_overhead(&event.kind);
                         if event.time.checked_sub_span(oh).is_none() {
                             self.note_clamp();
                         }
@@ -2276,7 +2311,7 @@ impl EventBasedAnalyzer {
                 {
                     if p.begin_id == idx {
                         p.begin_ta = Some(value);
-                        self.anchor_add(value);
+                        self.floors.add(value);
                     }
                 }
             }
@@ -2295,7 +2330,7 @@ impl EventBasedAnalyzer {
                     ep.anchors.push(value);
                     ep.unresolved_enters -= 1;
                     let ready = ep.closed && ep.unresolved_enters == 0;
-                    self.anchor_add(value);
+                    self.floors.add(value);
                     if ready {
                         self.finalize_episode(uid, queue);
                     }
@@ -2325,7 +2360,7 @@ impl EventBasedAnalyzer {
                     if let Some(st) = self.tasks.get_mut(&task) {
                         if st.spawn_id == idx {
                             st.spawn_ta = Some(value);
-                            self.anchor_add(value);
+                            self.floors.add(value);
                         }
                     }
                 }
@@ -2363,7 +2398,7 @@ impl EventBasedAnalyzer {
             .remove(&uid)
             .expect("finalized episode is live");
         for a in &ep.anchors {
-            self.anchor_remove(*a);
+            self.floors.remove(*a);
         }
         let release = ep
             .enters
@@ -2405,20 +2440,6 @@ impl EventBasedAnalyzer {
 
     // --- Watermark-driven emission --------------------------------------
 
-    fn anchor_add(&mut self, t: Time) {
-        *self.anchors.entry(t).or_insert(0) += 1;
-    }
-
-    fn anchor_remove(&mut self, t: Time) {
-        match self.anchors.get_mut(&t) {
-            Some(1) => {
-                self.anchors.remove(&t);
-            }
-            Some(n) => *n -= 1,
-            None => unreachable!("anchor removed twice"),
-        }
-    }
-
     /// A lower bound on the approximated time of every event that has not
     /// yet been emitted — the buffered ones excepted.
     ///
@@ -2453,7 +2474,7 @@ impl EventBasedAnalyzer {
                 wm = wm.min(ta + gained.saturating_sub(self.max_instr_oh));
             }
         }
-        if let Some((&floor, _)) = self.anchors.iter().next() {
+        if let Some(floor) = self.floors.min() {
             wm = wm.min(floor);
         }
         wm
@@ -2595,6 +2616,81 @@ mod tests {
             assert_eq!(got, want, "split at {split}");
             assert_eq!(stats, want_stats);
         }
+    }
+
+    /// A DOACROSS stream caught mid-park: two ends wait in the slot of an
+    /// advance that has not arrived (one inline, one in the waiter
+    /// arena), and a parked advance — its basis is a parked end — has an
+    /// end waiting on it. The image round-trips to identical bytes, and
+    /// the restored analyzer finishes the stream exactly like the
+    /// uninterrupted one.
+    #[test]
+    fn mid_park_snapshot_round_trips_to_identical_bytes() {
+        let trace = TraceBuilder::measured()
+            .on(0)
+            .at(5)
+            .advance(0, 0)
+            .on(1)
+            .at(10)
+            .await_begin(0, 1)
+            .at(20)
+            .await_end(0, 1)
+            .at(30)
+            .advance(0, 2)
+            .on(2)
+            .at(40)
+            .await_begin(0, 2)
+            .at(50)
+            .await_end(0, 2)
+            .on(3)
+            .at(60)
+            .await_begin(0, 1)
+            .at(70)
+            .await_end(0, 1)
+            .on(0)
+            .at(80)
+            .advance(0, 1)
+            .build();
+        let events = trace.events();
+        let split = events.len() - 1;
+        let oh = OverheadSpec::alliant_default();
+        let mut a = EventBasedAnalyzer::new(&oh);
+        let mut got = Vec::new();
+        for e in &events[..split] {
+            a.push(*e).unwrap();
+            got.extend(std::iter::from_fn(|| a.next_output()));
+        }
+        let image = a.snapshot();
+        assert_eq!(
+            image.missing_adv,
+            [
+                (2, (SyncVarId(0), SyncTag(1))),
+                (7, (SyncVarId(0), SyncTag(1)))
+            ]
+        );
+        assert_eq!(
+            image.awaiting_advance,
+            [((SyncVarId(0), SyncTag(1)), vec![2, 7])]
+        );
+        let parked_advance = image
+            .parked
+            .iter()
+            .find(|(id, _)| *id == 3)
+            .expect("parked");
+        assert_eq!(
+            parked_advance.1.waiters.len(),
+            1,
+            "the end on tag 2 waits on it"
+        );
+        let json = serde_json::to_string(&image).unwrap();
+        let restored = EventBasedAnalyzer::restore(&serde_json::from_str(&json).unwrap());
+        assert_eq!(serde_json::to_string(&restored.snapshot()).unwrap(), json);
+
+        let (want, want_stats) = run(EventBasedAnalyzer::new(&oh), events);
+        let (rest, stats) = run(restored, &events[split..]);
+        got.extend(rest);
+        assert_eq!(got, want);
+        assert_eq!(stats, want_stats);
     }
 
     /// The dirty log costs nothing until a checkpoint writer shows up,

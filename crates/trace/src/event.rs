@@ -302,6 +302,10 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+// Every decoded, buffered and emitted event is copied at this size, and
+// `EventKind::Repeat`'s 32-byte payload is what sets it.
+const _: () = assert!(std::mem::size_of::<Event>() == 64);
+
 impl Event {
     /// Creates an event; `seq` is usually assigned by [`crate::Trace`]
     /// builders.
