@@ -1,5 +1,5 @@
-//! The `ppa-trace-bin-v1` binary trace format: writer, serial reader,
-//! raw block access, and a parallel block decoder.
+//! The `ppa-trace-bin-v1` binary trace format: writer, block framing,
+//! and the one decoder.
 //!
 //! A binary trace is an 18-byte header — the 8-byte magic
 //! [`BINARY_MAGIC`], a format version byte, a [`TraceKind`] byte, and the
@@ -8,23 +8,19 @@
 //!
 //! - [`BinaryTraceWriter`] encodes events into blocks of
 //!   [`DEFAULT_BLOCK_EVENTS`] and frames each with its summary and CRC;
-//! - [`BinaryTraceReader`] is the serial streaming decoder, a drop-in
-//!   sibling of [`TraceStreamReader`](crate::TraceStreamReader);
-//! - [`BinaryBlockReader`] yields raw framed blocks without decoding,
+//! - `BinaryBlockReader` yields raw framed blocks without decoding,
 //!   using the frame summaries as a skip index for time-bounded reads;
-//! - [`ParallelBinaryReader`] decodes batches of blocks on worker
-//!   threads and stitches the results back in file (seq) order.
+//! - [`BinaryTraceReader`] decodes those blocks on 0..N worker threads
+//!   and stitches them back in file (seq) order; with no worker it
+//!   decodes each block on the caller's thread, through the same steps.
 
-use super::block::{
-    decode_block, decode_block_into, BlockCursor, BlockEncoder, BlockFrame, BlockSummary, FRAME_LEN,
-};
+use super::block::{decode_block, BlockEncoder, BlockFrame, BlockSummary, FRAME_LEN};
 use crate::event::Event;
 use crate::gap::{GapCause, TraceGap};
 use crate::io::IoError;
 use crate::stream::{CountingWriter, StreamProbes};
 use crate::time::Time;
 use crate::trace::TraceKind;
-use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -190,67 +186,26 @@ impl<W: Write> BinaryTraceWriter<W> {
     }
 }
 
-// --- Raw block reader ---------------------------------------------------
+// --- Block framing ------------------------------------------------------
 
 /// One framed block read from a binary trace, not yet decoded.
-#[derive(Debug, Clone)]
-pub struct RawBlock {
+pub(crate) struct RawBlock {
+    /// 1-based position in the file, reported as `line` in
+    /// [`IoError::Parse`] errors.
     index: usize,
     frame: BlockFrame,
     payload: Vec<u8>,
+    /// Leading events a resume seek still owes on this block; they are
+    /// dropped once it decodes.
+    skip: usize,
 }
 
-impl RawBlock {
-    /// The block's 1-based position in the file (reported as `line` in
-    /// [`IoError::Parse`] errors).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The frame summary: event count, first/last seq and time.
-    pub fn summary(&self) -> BlockSummary {
-        self.frame.summary
-    }
-
-    /// Verifies the payload CRC and decodes the block's events.
-    pub fn decode(&self) -> Result<Vec<Event>, IoError> {
-        let mut span = ppa_obs::span_enter(ppa_obs::Stage::Decode);
-        span.attr_block(self.index as u64);
-        span.attr_seq(self.frame.summary.first_seq);
-        decode_block(&self.frame, &self.payload, self.index)
-    }
-
-    /// Like [`RawBlock::decode`], appending into a caller-recycled
-    /// buffer instead of allocating a fresh `Vec` per block.
-    pub fn decode_into(&self, out: &mut Vec<Event>) -> Result<(), IoError> {
-        let mut span = ppa_obs::span_enter(ppa_obs::Stage::Decode);
-        span.attr_block(self.index as u64);
-        span.attr_seq(self.frame.summary.first_seq);
-        decode_block_into(&self.frame, &self.payload, self.index, out)
-    }
-
-    /// Consumes the block, returning its payload buffer so the caller
-    /// can hand it back to [`BinaryBlockReader::recycle_payload`].
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
-    }
-
-    /// Classifies why [`RawBlock::decode`] failed, for gap reporting: a
-    /// stored-vs-computed CRC mismatch, or payload bytes that passed the
-    /// CRC but did not decode to the events the frame promised.
-    pub fn gap_cause(&self) -> GapCause {
-        if super::block::crc32(&self.payload) != self.frame.crc {
-            GapCause::CrcMismatch
-        } else {
-            GapCause::MalformedPayload
-        }
-    }
-
-    /// The gap record for this whole block, used when lenient decoding
-    /// skips it.
-    pub fn to_gap(&self, cause: GapCause) -> TraceGap {
-        block_gap(self.index, self.frame.summary, cause)
-    }
+/// Where a binary stream stops: the error a strict reader reports, and
+/// the gaps a lenient one records in its place. An [`IoError::Io`] is
+/// fatal in either mode.
+struct Damage {
+    error: IoError,
+    gaps: Vec<TraceGap>,
 }
 
 /// A gap describing `summary`'s whole block — the exact span a damaged
@@ -269,42 +224,33 @@ fn block_gap(block: usize, summary: BlockSummary, cause: GapCause) -> TraceGap {
 
 /// Reads the framed blocks of a binary trace without decoding payloads.
 ///
-/// This is the layer both decoders share: [`BinaryTraceReader`] decodes
-/// each block inline, [`ParallelBinaryReader`] fans batches out to
-/// worker threads. The frame summaries also serve as a skip index —
-/// [`BinaryBlockReader::set_min_time`] makes the reader discard (read
-/// but neither CRC-check nor decode) every block that ends before a
-/// time bound, the cheap path for watermark-bounded re-reads.
-pub struct BinaryBlockReader<R: Read> {
+/// The frame summaries also serve as a skip index: with a time bound set
+/// the reader discards (reads but neither CRC-checks nor decodes) every
+/// block wholly outside it, the cheap path for watermark-bounded
+/// re-reads, and a resume seek discards whole already-processed blocks
+/// by their frame counts.
+pub(crate) struct BinaryBlockReader<R: Read> {
     input: R,
     kind: TraceKind,
     expected: usize,
-    /// Events delivered (or skipped) by fully-read blocks so far.
+    /// Events in the frames of every block read so far (delivered,
+    /// skipped, or lost to a damaged payload).
     seen: usize,
-    /// 1-based index of the next block.
+    /// 1-based index of the last block whose frame was read.
     index: usize,
+    /// Blocks whose `last_time` is before it are discarded undecoded.
     min_time: Option<Time>,
-    /// Exclusive upper time bound of the skip index; blocks whose
-    /// `first_time` is at or past it are discarded undecoded.
+    /// Exclusive upper bound: blocks whose `first_time` is at or past it
+    /// are discarded undecoded.
     max_time: Option<Time>,
     skipped_blocks: usize,
-    /// Events inside blocks the skip index discarded. These are in
-    /// `seen` (the blocks were fully read) but are neither delivered
-    /// nor lost, so lenient accounting must treat them as a third
-    /// bucket: `delivered + lost + skipped == expected`.
+    /// Events inside the blocks the skip index discarded: neither
+    /// delivered nor lost, the third bucket of
+    /// `delivered + lost + skipped == expected`.
     skipped_events: u64,
-    done: bool,
-    /// Record damaged regions as gaps instead of failing; see
-    /// [`BinaryBlockReader::set_lenient`].
-    lenient: bool,
-    /// Stream positions (events) still to skip without decoding.
+    /// Stream positions (events) a resume seek still has to pass.
     skip_events: u64,
-    /// Residual partial skip inside the block just returned; consumers
-    /// collect it with [`BinaryBlockReader::take_event_skip`].
-    event_skip: u64,
-    gaps: Vec<TraceGap>,
-    /// Events swallowed by the gaps recorded so far.
-    lost: u64,
+    done: bool,
     /// Returned payload buffers awaiting reuse; bounds allocation churn
     /// to a steady state of one buffer per in-flight block.
     spare_payloads: Vec<Vec<u8>>,
@@ -313,13 +259,7 @@ pub struct BinaryBlockReader<R: Read> {
 
 impl<R: Read> BinaryBlockReader<R> {
     /// Opens a binary trace, reading and validating the 18-byte header.
-    pub fn new(reader: R) -> Result<Self, IoError> {
-        Self::with_probes(reader, StreamProbes::noop())
-    }
-
-    /// Like [`BinaryBlockReader::new`], recording bytes, blocks, and
-    /// parse errors into `probes`.
-    pub fn with_probes(mut reader: R, probes: StreamProbes) -> Result<Self, IoError> {
+    fn new(mut reader: R, probes: StreamProbes) -> Result<Self, IoError> {
         let mut header = [0u8; HEADER_LEN];
         let got = read_up_to(&mut reader, &mut header)?;
         if got < HEADER_LEN {
@@ -353,21 +293,16 @@ impl<R: Read> BinaryBlockReader<R> {
             max_time: None,
             skipped_blocks: 0,
             skipped_events: 0,
-            done: false,
-            lenient: false,
             skip_events: 0,
-            event_skip: 0,
-            gaps: Vec::new(),
-            lost: 0,
+            done: false,
             spare_payloads: Vec::new(),
             probes,
         })
     }
 
     /// Hands a payload buffer back for reuse by a later
-    /// [`BinaryBlockReader::next_block`]. Dropping the buffer instead is
-    /// always correct — recycling only saves the allocator round trip.
-    pub fn recycle_payload(&mut self, mut buf: Vec<u8>) {
+    /// [`BinaryBlockReader::next_block`].
+    fn recycle_payload(&mut self, mut buf: Vec<u8>) {
         // A small cap keeps a burst of recycled buffers (e.g. a parallel
         // decoder draining) from pinning memory indefinitely.
         if self.spare_payloads.len() < 64 {
@@ -376,131 +311,15 @@ impl<R: Read> BinaryBlockReader<R> {
         }
     }
 
-    /// The trace kind announced by the header.
-    pub fn kind(&self) -> TraceKind {
-        self.kind
-    }
-
-    /// The event count announced by the header (advisory).
-    pub fn expected_events(&self) -> usize {
-        self.expected
-    }
-
-    /// Engages the skip index: blocks whose `last_time` is strictly
-    /// before `t` are discarded without CRC verification or decoding
-    /// (their events still count toward truncation accounting). The
-    /// first surviving block may begin before `t`; callers wanting an
-    /// exact bound filter the leading events themselves.
-    ///
-    /// Skipped events are accounted separately from lenient-mode
-    /// losses — a skipped block is never CRC-checked, so damage inside
-    /// it is invisible and must not surface as a [`TraceGap`]. With
-    /// skipping active the conservation law is
-    /// `delivered + events_lost() + skipped_events() == expected`
-    /// (for a stream that is not itself truncated).
-    pub fn set_min_time(&mut self, t: Time) {
-        self.min_time = Some(t);
-    }
-
-    /// The other half of the skip index: blocks whose `first_time` is at
-    /// or past `t` (exclusive upper bound, matching the half-open
-    /// windows of the slice layer) are discarded without CRC
-    /// verification or decoding. The last surviving block may extend
-    /// past `t`; callers wanting an exact bound filter the trailing
-    /// events themselves. Unlike [`set_min_time`], skipping continues to
-    /// read frames to the end of input, so truncation detection and the
-    /// conservation law documented on [`set_min_time`] are unaffected.
-    ///
-    /// [`set_min_time`]: BinaryBlockReader::set_min_time
-    pub fn set_max_time(&mut self, t: Time) {
-        self.max_time = Some(t);
-    }
-
-    /// How many blocks the skip index has discarded so far.
-    pub fn skipped_blocks(&self) -> usize {
-        self.skipped_blocks
-    }
-
-    /// How many events were inside the blocks the skip index discarded.
-    /// These are neither delivered nor counted in [`events_lost`]; they
-    /// are the third bucket of the conservation law documented on
-    /// [`set_min_time`].
-    ///
-    /// [`events_lost`]: BinaryBlockReader::events_lost
-    /// [`set_min_time`]: BinaryBlockReader::set_min_time
-    pub fn skipped_events(&self) -> u64 {
-        self.skipped_events
-    }
-
-    /// Switches the reader into lenient mode.
-    ///
-    /// Damaged regions are then recorded as [`TraceGap`]s instead of
-    /// ending the stream with an error: input that ends mid-block or
-    /// short of the declared count records a truncation gap and yields a
-    /// clean end of stream, and a malformed frame records a gap covering
-    /// the rest of the stream (a corrupt frame cannot be trusted to
-    /// locate the next block, so resynchronization is impossible).
-    /// Payload-level damage — CRC mismatches — is detected at decode
-    /// time; decoders record those gaps through
-    /// [`BinaryBlockReader::record_gap`] and keep going, skipping just
-    /// the damaged block. I/O errors remain fatal in either mode.
-    pub fn set_lenient(&mut self, lenient: bool) {
-        self.lenient = lenient;
-    }
-
-    /// Whether the reader is in lenient mode.
-    pub fn lenient(&self) -> bool {
-        self.lenient
-    }
-
-    /// Seeks past the first `n` stream positions (events) using the
-    /// frame summaries: whole blocks are discarded without CRC checks or
-    /// decoding. When `n` lands inside a block, that block is returned
-    /// normally and the leftover intra-block skip is reported through
-    /// [`BinaryBlockReader::take_event_skip`] for the decoder to apply.
-    /// Positions count events a previous run *consumed* — delivered or
-    /// lost to lenient gaps — which is exactly the frame `count` total,
-    /// so a resume never re-verifies the prefix it already processed.
-    pub fn set_skip_events(&mut self, n: u64) {
-        self.skip_events = n;
-    }
-
-    /// Takes the residual intra-block skip owed on the block most
-    /// recently returned by [`BinaryBlockReader::next_block`] (zero when
-    /// the skip ended on a block boundary). The caller must drop that
-    /// many events from the front of the decoded block.
-    pub fn take_event_skip(&mut self) -> u64 {
-        std::mem::take(&mut self.event_skip)
-    }
-
-    /// The gaps lenient decoding has recorded so far.
-    pub fn gaps(&self) -> &[TraceGap] {
-        &self.gaps
-    }
-
-    /// Total events swallowed by the recorded gaps.
-    pub fn events_lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Records one lenient-mode gap, updating the loss accounting and
-    /// the gap probes. Decoders call this for payload-level damage (CRC
-    /// mismatches, malformed payloads) that only decoding can detect.
-    pub fn record_gap(&mut self, gap: TraceGap) {
-        self.lost += gap.events;
-        self.probes.gaps.inc();
-        self.probes.events_lost.add(gap.events);
-        self.gaps.push(gap);
-    }
-
-    /// Ends the stream leniently, recording a gap for whatever the
-    /// header still promised beyond the events already read (`seen`
-    /// counts every event of every fully read block, so events a decoder
-    /// separately lost to CRC gaps are not double-counted here).
-    fn end_with_gap(&mut self, block: usize, cause: GapCause) -> Option<Result<RawBlock, IoError>> {
+    fn damage(&mut self, error: IoError, gaps: Vec<TraceGap>) -> Option<Result<RawBlock, Damage>> {
         self.done = true;
-        self.probes.parse_errors.inc();
-        self.record_gap(TraceGap {
+        Some(Err(Damage { error, gaps }))
+    }
+
+    /// A gap for whatever the header still promised beyond the events of
+    /// every block read so far.
+    fn rest_gap(&self, block: usize, cause: GapCause) -> TraceGap {
+        TraceGap {
             block,
             events: (self.expected as u64).saturating_sub(self.seen as u64),
             first_seq: None,
@@ -508,26 +327,19 @@ impl<R: Read> BinaryBlockReader<R> {
             first_time: None,
             last_time: None,
             cause,
-        });
-        None
-    }
-
-    fn fail(&mut self, e: IoError) -> Option<Result<RawBlock, IoError>> {
-        self.done = true;
-        if !matches!(e, IoError::Io(_)) {
-            self.probes.parse_errors.inc();
         }
-        Some(Err(e))
     }
 
-    fn truncated(&mut self, at_least: usize) -> Option<Result<RawBlock, IoError>> {
-        let expected = self.expected.max(at_least);
-        let got = self.seen;
-        self.fail(IoError::Truncated { expected, got })
+    fn truncated(&self, at_least: usize) -> IoError {
+        IoError::Truncated {
+            expected: self.expected.max(at_least),
+            got: self.seen,
+        }
     }
 
-    /// Reads the next frame + payload. `None` means clean end of input.
-    pub fn next_block(&mut self) -> Option<Result<RawBlock, IoError>> {
+    /// Reads the next frame and payload. `None` is a clean end of input;
+    /// a [`Damage`] ends the stream too.
+    fn next_block(&mut self) -> Option<Result<RawBlock, Damage>> {
         loop {
             if self.done {
                 return None;
@@ -535,79 +347,63 @@ impl<R: Read> BinaryBlockReader<R> {
             let mut frame_bytes = [0u8; FRAME_LEN];
             let got = match read_up_to(&mut self.input, &mut frame_bytes) {
                 Ok(n) => n,
-                Err(e) => return self.fail(IoError::Io(e)),
+                Err(e) => return self.damage(IoError::Io(e), Vec::new()),
             };
             if got == 0 {
-                // Clean end of input: complain only if the header
-                // promised more events than the blocks delivered.
-                if self.expected > 0 && self.seen < self.expected {
-                    if self.lenient {
-                        return self.end_with_gap(self.index + 1, GapCause::TruncatedStream);
-                    }
-                    self.done = true;
-                    self.probes.parse_errors.inc();
-                    return Some(Err(IoError::Truncated {
-                        expected: self.expected,
-                        got: self.seen,
-                    }));
+                // Clean end of input: damage only if the header promised
+                // more events than the blocks delivered.
+                if self.seen < self.expected {
+                    let gap = self.rest_gap(self.index + 1, GapCause::TruncatedStream);
+                    return self.damage(self.truncated(self.expected), vec![gap]);
                 }
                 self.done = true;
                 return None;
             }
             if got < FRAME_LEN {
                 // The file ends inside a frame: a short final block.
-                if self.lenient {
-                    return self.end_with_gap(self.index + 1, GapCause::TruncatedStream);
-                }
-                return self.truncated(self.seen + 1);
+                let gap = self.rest_gap(self.index + 1, GapCause::TruncatedStream);
+                return self.damage(self.truncated(self.seen + 1), vec![gap]);
             }
             self.index += 1;
             let frame = match BlockFrame::from_bytes(&frame_bytes, self.index) {
                 Ok(f) => f,
                 Err(e) => {
-                    if self.lenient {
-                        // The frame cannot be trusted to locate the next
-                        // block; the rest of the stream is one gap.
-                        return self.end_with_gap(self.index, GapCause::MalformedFrame);
-                    }
-                    return self.fail(e);
+                    // The frame cannot be trusted to locate the next
+                    // block; the rest of the stream is one gap.
+                    let gap = self.rest_gap(self.index, GapCause::MalformedFrame);
+                    return self.damage(e, vec![gap]);
                 }
             };
             let count = frame.summary.count as usize;
+            // The buffer grows with the bytes that arrive, never to the
+            // length the frame announces.
             let mut payload = self.spare_payloads.pop().unwrap_or_default();
-            payload.resize(frame.payload_len as usize, 0);
-            let got = match read_up_to(&mut self.input, &mut payload) {
-                Ok(n) => n,
-                Err(e) => return self.fail(IoError::Io(e)),
-            };
-            if got < payload.len() {
-                // The file ends inside this block's payload.
-                if self.lenient {
-                    self.done = true;
-                    self.probes.parse_errors.inc();
-                    let gap = block_gap(self.index, frame.summary, GapCause::TruncatedBlock);
-                    self.record_gap(gap);
-                    // The frame's events are accounted as lost; anything
-                    // the header promised beyond them is a second gap.
-                    self.seen += count;
-                    if self.expected > 0 && self.seen < self.expected {
-                        self.record_gap(TraceGap {
-                            block: self.index + 1,
-                            events: (self.expected - self.seen) as u64,
-                            first_seq: None,
-                            last_seq: None,
-                            first_time: None,
-                            last_time: None,
-                            cause: GapCause::TruncatedStream,
-                        });
-                    }
-                    return None;
+            let read = (&mut self.input)
+                .take(u64::from(frame.payload_len))
+                .read_to_end(&mut payload);
+            if let Err(e) = read {
+                return self.damage(IoError::Io(e), Vec::new());
+            }
+            if payload.len() < frame.payload_len as usize {
+                // The file ends inside this block's payload: the frame's
+                // events are lost, and anything the header promised
+                // beyond them is a second gap.
+                let error = self.truncated(self.seen + count);
+                let mut gaps = vec![block_gap(
+                    self.index,
+                    frame.summary,
+                    GapCause::TruncatedBlock,
+                )];
+                self.seen += count;
+                if self.seen < self.expected {
+                    gaps.push(self.rest_gap(self.index + 1, GapCause::TruncatedStream));
                 }
-                return self.truncated(self.seen + count);
+                return self.damage(error, gaps);
             }
             self.probes.bytes.add((FRAME_LEN + payload.len()) as u64);
             self.probes.blocks.inc();
             self.seen += count;
+            let mut skip = 0;
             if self.skip_events > 0 {
                 // Resume seek: discard whole already-processed blocks by
                 // their frame count, without CRC checks or decoding.
@@ -616,8 +412,7 @@ impl<R: Read> BinaryBlockReader<R> {
                     self.recycle_payload(payload);
                     continue;
                 }
-                self.event_skip = self.skip_events;
-                self.skip_events = 0;
+                skip = std::mem::take(&mut self.skip_events) as usize;
             }
             let below = self
                 .min_time
@@ -638,186 +433,68 @@ impl<R: Read> BinaryBlockReader<R> {
                 index: self.index,
                 frame,
                 payload,
+                skip,
             }));
         }
     }
 }
 
-// --- Serial reader ------------------------------------------------------
+// --- Decoder ------------------------------------------------------------
 
-/// Serial streaming decoder for the `ppa-trace-bin-v1` format.
-///
-/// The binary sibling of [`TraceStreamReader`](crate::TraceStreamReader):
-/// parses the header eagerly, then yields one event per [`Iterator`]
-/// call, holding at most one decoded block in memory. Error mapping
-/// follows the JSONL reader's conventions — [`IoError::BadHeader`] for a
-/// wrong magic or version, [`IoError::Truncated`] for input that ends
-/// mid-block or short of the header's declared count, and
-/// [`IoError::Parse`] (with the 1-based *block* index as `line`) for a
-/// CRC mismatch or malformed payload. After an error the iterator fuses.
-pub struct BinaryTraceReader<R: Read> {
-    blocks: BinaryBlockReader<R>,
-    /// The current decoded block, reused across blocks (cleared, never
-    /// freed) so steady-state decoding allocates nothing per block.
-    pending: Vec<Event>,
-    /// Cursor into `pending`; events before it were already yielded (or
-    /// dropped by a resume skip).
-    pos: usize,
-    failed: bool,
-    probes: StreamProbes,
-}
-
-impl<R: Read> BinaryTraceReader<R> {
-    /// Opens a binary stream, reading and validating the header.
-    pub fn new(reader: R) -> Result<Self, IoError> {
-        Self::with_probes(reader, StreamProbes::noop())
-    }
-
-    /// Like [`BinaryTraceReader::new`], recording bytes, events, blocks,
-    /// and parse errors into `probes` as the stream is consumed.
-    pub fn with_probes(reader: R, probes: StreamProbes) -> Result<Self, IoError> {
-        let blocks = BinaryBlockReader::with_probes(reader, probes.clone())?;
-        Ok(BinaryTraceReader {
-            blocks,
-            pending: Vec::new(),
-            pos: 0,
-            failed: false,
-            probes,
-        })
-    }
-
-    /// The trace kind announced by the header.
-    pub fn kind(&self) -> TraceKind {
-        self.blocks.kind()
-    }
-
-    /// The event count announced by the header (advisory).
-    pub fn expected_events(&self) -> usize {
-        self.blocks.expected_events()
-    }
-
-    /// Engages the block skip index; see
-    /// [`BinaryBlockReader::set_min_time`].
-    pub fn set_min_time(&mut self, t: Time) {
-        self.blocks.set_min_time(t);
-    }
-
-    /// Engages the upper bound of the skip index; see
-    /// [`BinaryBlockReader::set_max_time`].
-    pub fn set_max_time(&mut self, t: Time) {
-        self.blocks.set_max_time(t);
-    }
-
-    /// How many blocks the skip index has discarded so far.
-    pub fn skipped_blocks(&self) -> usize {
-        self.blocks.skipped_blocks()
-    }
-
-    /// How many events were inside the skipped blocks; see
-    /// [`BinaryBlockReader::skipped_events`].
-    pub fn skipped_events(&self) -> u64 {
-        self.blocks.skipped_events()
-    }
-
-    /// Switches the reader into lenient mode: CRC-failed or malformed
-    /// blocks are skipped and recorded as [`TraceGap`]s instead of
-    /// ending the stream; see [`BinaryBlockReader::set_lenient`].
-    pub fn set_lenient(&mut self, lenient: bool) {
-        self.blocks.set_lenient(lenient);
-    }
-
-    /// Seeks past the first `n` stream positions without decoding whole
-    /// skipped blocks; see [`BinaryBlockReader::set_skip_events`].
-    pub fn set_skip_events(&mut self, n: u64) {
-        self.blocks.set_skip_events(n);
-    }
-
-    /// The gaps lenient decoding has recorded so far.
-    pub fn gaps(&self) -> &[TraceGap] {
-        self.blocks.gaps()
-    }
-
-    /// Total events swallowed by the recorded gaps.
-    pub fn events_lost(&self) -> u64 {
-        self.blocks.events_lost()
-    }
-}
-
-impl<R: Read> Iterator for BinaryTraceReader<R> {
-    type Item = Result<Event, IoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(&e) = self.pending.get(self.pos) {
-                self.pos += 1;
-                self.probes.events.inc();
-                return Some(Ok(e));
-            }
-            match self.blocks.next_block()? {
-                Ok(block) => {
-                    self.pending.clear();
-                    match block.decode_into(&mut self.pending) {
-                        Ok(()) => {
-                            self.pos =
-                                (self.blocks.take_event_skip() as usize).min(self.pending.len());
-                            self.blocks.recycle_payload(block.into_payload());
-                        }
-                        Err(e) => {
-                            // A partial decode may have pushed events;
-                            // discard them with the block.
-                            self.pending.clear();
-                            if self.blocks.lenient() {
-                                let gap = block.to_gap(block.gap_cause());
-                                self.probes.parse_errors.inc();
-                                self.blocks.record_gap(gap);
-                                self.blocks.recycle_payload(block.into_payload());
-                                continue;
-                            }
-                            self.failed = true;
-                            self.probes.parse_errors.inc();
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
-// --- Parallel reader ----------------------------------------------------
-
-/// One block handed to a decode worker: everything it needs, owned.
+/// One block on its way to [`decode`], with an empty recycled event
+/// buffer to decode into.
 struct DecodeJob {
-    /// Submission order (0-based); emission happens in this order.
-    seq: u64,
-    index: usize,
-    frame: BlockFrame,
-    payload: Vec<u8>,
-    /// A recycled event buffer to decode into.
-    scratch: Vec<Event>,
+    /// Submission order (0-based); blocks are accepted in this order.
+    seq: usize,
+    block: RawBlock,
+    events: Vec<Event>,
 }
 
-/// A worker's answer: the decoded events (or the classified failure),
-/// plus both buffers so the consumer can recycle them.
-struct DecodedBlock {
-    seq: u64,
-    index: usize,
-    summary: BlockSummary,
-    result: Result<(), (IoError, GapCause)>,
+/// One stream item at its turn in the stitcher: a block's events and
+/// the resume skip still owed on them, or the damage found there. Carries
+/// its buffers back for recycling.
+struct Decoded {
+    seq: usize,
+    result: Result<usize, Damage>,
     events: Vec<Event>,
     payload: Vec<u8>,
 }
 
+/// Decodes one block — the step every block takes, on a worker thread
+/// or inline on the consumer's.
+fn decode(job: DecodeJob) -> Decoded {
+    let DecodeJob {
+        seq,
+        block,
+        mut events,
+    } = job;
+    let RawBlock {
+        index,
+        frame,
+        payload,
+        skip,
+    } = block;
+    let mut span = ppa_obs::span_enter(ppa_obs::Stage::Decode);
+    span.attr_block(index as u64);
+    span.attr_seq(frame.summary.first_seq);
+    let result = match decode_block(&frame, &payload, index, &mut events) {
+        Ok(()) => Ok(skip),
+        Err((error, cause)) => Err(Damage {
+            error,
+            gaps: vec![block_gap(index, frame.summary, cause)],
+        }),
+    };
+    Decoded {
+        seq,
+        result,
+        events,
+        payload,
+    }
+}
+
 /// Decode-worker loop: pull jobs off the shared queue until the sender
 /// closes, decode each block, send the result back.
-fn decode_worker(jobs: Arc<Mutex<mpsc::Receiver<DecodeJob>>>, results: mpsc::Sender<DecodedBlock>) {
+fn decode_worker(jobs: Arc<Mutex<mpsc::Receiver<DecodeJob>>>, results: mpsc::Sender<Decoded>) {
     loop {
         // Hold the lock only for the blocking recv; decoding happens
         // outside it so workers overlap.
@@ -830,32 +507,7 @@ fn decode_worker(jobs: Arc<Mutex<mpsc::Receiver<DecodeJob>>>, results: mpsc::Sen
                 Err(_) => return, // reader dropped: no more blocks
             }
         };
-        let mut events = job.scratch;
-        events.clear();
-        let result = {
-            let mut span = ppa_obs::span_enter(ppa_obs::Stage::Decode);
-            span.attr_block(job.index as u64);
-            span.attr_seq(job.frame.summary.first_seq);
-            match BlockCursor::new(&job.frame, &job.payload, job.index) {
-                Err(e) => Err((e, GapCause::CrcMismatch)),
-                Ok(mut cursor) => loop {
-                    match cursor.next_event() {
-                        Ok(Some(event)) => events.push(event),
-                        Ok(None) => break Ok(()),
-                        Err(e) => break Err((e, GapCause::MalformedPayload)),
-                    }
-                },
-            }
-        };
-        let decoded = DecodedBlock {
-            seq: job.seq,
-            index: job.index,
-            summary: job.frame.summary,
-            result,
-            events,
-            payload: job.payload,
-        };
-        if results.send(decoded).is_err() {
+        if results.send(decode(job)).is_err() {
             return; // consumer gone; nothing left to report to
         }
     }
@@ -865,72 +517,25 @@ fn decode_worker(jobs: Arc<Mutex<mpsc::Receiver<DecodeJob>>>, results: mpsc::Sen
 /// `slice`, `convert`, `serve` without `--decode-workers`): one per core
 /// except the core the consumer itself runs on, so the workers and the
 /// thread they feed do not oversubscribe the host. On one core that is
-/// 0, serial decode with no threads. (EXPERIMENTS.md, "Decode workers".)
+/// 0, decode on the consumer's thread. (EXPERIMENTS.md, "Decode workers".)
 pub fn default_decode_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()) - 1
 }
 
-/// Pipelined parallel block decoder for the `ppa-trace-bin-v1` format.
-///
-/// A stage pipeline rather than a batch loop: the consuming thread reads
-/// framed blocks (cheap — the payload stays opaque) and feeds them to
-/// `workers` persistent decode threads; decoded blocks stream back and
-/// are stitched into file order, which *is* seq order for any writer fed
-/// a totally ordered trace. Because submission is throttled only by the
-/// in-flight window (not a per-batch barrier), decode overlaps both the
-/// framing reads and whatever analysis the caller runs between `next()`
-/// calls. Yields exactly the event sequence of [`BinaryTraceReader`] on
-/// the same input, including the position of the first error, after
-/// which the iterator fuses.
-///
-/// At most `4 * workers` blocks are in flight, so peak memory is
-/// `O(workers * block_events)` decoded events; payload and event buffers
-/// recirculate through pools instead of being reallocated per block.
-pub struct ParallelBinaryReader<R: Read> {
-    blocks: BinaryBlockReader<R>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
+/// A reader's persistent `ppa-decode-*` threads and their queues.
+struct Workers {
+    handles: Vec<std::thread::JoinHandle<()>>,
     /// Closed (dropped) to tell workers to exit.
-    job_tx: Option<mpsc::Sender<DecodeJob>>,
-    result_rx: mpsc::Receiver<DecodedBlock>,
-    /// In-flight window: blocks submitted but not yet accepted.
-    max_in_flight: usize,
-    in_flight: usize,
-    /// Submission counter (the next job's `seq`).
-    submitted: u64,
-    /// The `seq` the stitcher emits next.
-    next_emit: u64,
-    /// Results that arrived ahead of their emission turn.
-    stash: HashMap<u64, DecodedBlock>,
-    /// The block currently being emitted, and the cursor into it.
-    current: Vec<Event>,
-    pos: usize,
-    /// Recycled event buffers for future jobs.
-    spare_events: Vec<Vec<Event>>,
-    reader_done: bool,
-    pending_error: Option<IoError>,
-    failed: bool,
-    /// Residual resume skip to drop from the next decoded block (the
-    /// straddling block is always the first block submitted after the
-    /// skip is consumed).
-    drop_next: usize,
-    probes: StreamProbes,
+    jobs: Option<mpsc::Sender<DecodeJob>>,
+    results: mpsc::Receiver<Decoded>,
 }
 
-impl<R: Read> ParallelBinaryReader<R> {
-    /// Opens a binary stream for parallel decoding on up to `workers`
-    /// threads (clamped to at least 1).
-    pub fn new(reader: R, workers: usize) -> Result<Self, IoError> {
-        Self::with_probes(reader, workers, StreamProbes::noop())
-    }
-
-    /// Like [`ParallelBinaryReader::new`], with stream probes.
-    pub fn with_probes(reader: R, workers: usize, probes: StreamProbes) -> Result<Self, IoError> {
-        let blocks = BinaryBlockReader::with_probes(reader, probes.clone())?;
-        let workers = workers.max(1);
+impl Workers {
+    fn spawn(n: usize) -> Self {
         let (job_tx, job_rx) = mpsc::channel::<DecodeJob>();
-        let (result_tx, result_rx) = mpsc::channel::<DecodedBlock>();
+        let (result_tx, results) = mpsc::channel::<Decoded>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let worker_handles = (0..workers)
+        let handles = (0..n)
             .map(|i| {
                 let jobs = Arc::clone(&job_rx);
                 let results = result_tx.clone();
@@ -940,86 +545,202 @@ impl<R: Read> ParallelBinaryReader<R> {
                     .expect("spawn decode worker thread")
             })
             .collect();
-        Ok(ParallelBinaryReader {
+        Workers {
+            handles,
+            jobs: Some(job_tx),
+            results,
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        // Closing the job channel is the shutdown signal; workers finish
+        // whatever is in flight (sends to the unbounded result channel
+        // never block) and exit.
+        self.jobs.take();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Streaming decoder for the `ppa-trace-bin-v1` format, on 0..N decode
+/// worker threads.
+///
+/// The binary sibling of [`TraceStreamReader`](crate::TraceStreamReader):
+/// parses the header eagerly, then yields one event per [`Iterator`]
+/// call. The consuming thread reads the framed blocks (cheap — the
+/// payload stays opaque). With no worker it decodes each block itself as
+/// it is read; with `workers` ≥ 1 it keeps up to `4 * workers` blocks in
+/// flight on persistent `ppa-decode-*` threads, so decode overlaps both
+/// the framing reads and whatever analysis the caller runs between
+/// `next()` calls. Either way every block, and every damaged region the
+/// framing finds, passes through the same decode and in-order accept
+/// steps, so the events, the position and text of the first error, and
+/// the lenient gaps do not depend on the worker count.
+///
+/// Error mapping follows the JSONL reader's conventions —
+/// [`IoError::BadHeader`] for a wrong magic or version,
+/// [`IoError::Truncated`] for input that ends mid-block or short of the
+/// header's declared count, and [`IoError::Parse`] (with the 1-based
+/// *block* index as `line`) for a malformed frame, a CRC mismatch or a
+/// malformed payload. After an error the iterator fuses. Payload and
+/// event buffers recirculate through pools, so steady-state decoding
+/// allocates nothing per block.
+pub struct BinaryTraceReader<R: Read> {
+    blocks: BinaryBlockReader<R>,
+    /// The decode threads; `None` decodes inline.
+    workers: Option<Workers>,
+    /// Submission counter: the next item's `seq`.
+    submitted: usize,
+    /// The `seq` the stitcher accepts next.
+    next_emit: usize,
+    /// Items ready ahead of their turn (inline: the one just decoded),
+    /// item `seq` in slot `seq % stash.len()`. Its length is the
+    /// in-flight window, so the items in flight never share a slot.
+    stash: Vec<Option<Decoded>>,
+    /// The block currently being emitted, and the cursor into it.
+    current: Vec<Event>,
+    pos: usize,
+    /// Recycled event buffers for future blocks.
+    spare_events: Vec<Vec<Event>>,
+    reader_done: bool,
+    failed: bool,
+    lenient: bool,
+    gaps: Vec<TraceGap>,
+    /// Events swallowed by the recorded gaps.
+    lost: u64,
+}
+
+impl<R: Read> BinaryTraceReader<R> {
+    /// Opens a binary stream, reading and validating the header, to
+    /// decode on `workers` threads (0: on the caller's thread, spawning
+    /// none).
+    pub fn new(reader: R, workers: usize) -> Result<Self, IoError> {
+        Self::with_probes(reader, workers, StreamProbes::noop())
+    }
+
+    /// Like [`BinaryTraceReader::new`], recording bytes, events, blocks,
+    /// parse errors and gaps into `probes` as the stream is consumed.
+    pub fn with_probes(reader: R, workers: usize, probes: StreamProbes) -> Result<Self, IoError> {
+        let blocks = BinaryBlockReader::new(reader, probes)?;
+        let window = (4 * workers).max(1);
+        Ok(BinaryTraceReader {
             blocks,
-            worker_handles,
-            job_tx: Some(job_tx),
-            result_rx,
-            max_in_flight: workers * 4,
-            in_flight: 0,
+            workers: (workers > 0).then(|| Workers::spawn(workers)),
             submitted: 0,
             next_emit: 0,
-            stash: HashMap::new(),
+            stash: (0..window).map(|_| None).collect(),
             current: Vec::new(),
             pos: 0,
             spare_events: Vec::new(),
             reader_done: false,
-            pending_error: None,
             failed: false,
-            drop_next: 0,
-            probes,
+            lenient: false,
+            gaps: Vec::new(),
+            lost: 0,
         })
+    }
+
+    /// How many decode threads the reader owns.
+    #[cfg(test)]
+    pub(crate) fn decode_threads(&self) -> usize {
+        self.workers.as_ref().map_or(0, |w| w.handles.len())
     }
 
     /// The trace kind announced by the header.
     pub fn kind(&self) -> TraceKind {
-        self.blocks.kind()
+        self.blocks.kind
     }
 
     /// The event count announced by the header (advisory).
     pub fn expected_events(&self) -> usize {
-        self.blocks.expected_events()
+        self.blocks.expected
     }
 
-    /// Switches the reader into lenient mode: CRC-failed or malformed
-    /// blocks are skipped and recorded as [`TraceGap`]s instead of
-    /// ending the stream; see [`BinaryBlockReader::set_lenient`].
+    /// Switches the reader into lenient mode.
+    ///
+    /// Damaged regions are then recorded as [`TraceGap`]s instead of
+    /// ending the stream with an error: a block whose payload fails its
+    /// CRC or does not decode loses just that block; input that ends
+    /// mid-block or short of the declared count records a truncation gap
+    /// and yields a clean end of stream; and a malformed frame records a
+    /// gap covering the rest of the stream (a corrupt frame cannot be
+    /// trusted to locate the next block, so resynchronization is
+    /// impossible). I/O errors remain fatal in either mode.
     pub fn set_lenient(&mut self, lenient: bool) {
-        self.blocks.set_lenient(lenient);
+        self.lenient = lenient;
     }
 
-    /// Seeks past the first `n` stream positions without decoding whole
-    /// skipped blocks; see [`BinaryBlockReader::set_skip_events`].
+    /// Seeks past the first `n` stream positions (events) using the
+    /// frame summaries: whole blocks are discarded without CRC checks or
+    /// decoding, and the block `n` lands inside is decoded and its
+    /// leading events dropped. Positions count events a previous run
+    /// *consumed* — delivered or lost to lenient gaps — which is exactly
+    /// the frame `count` total, so a resume never re-verifies the prefix
+    /// it already processed.
     pub fn set_skip_events(&mut self, n: u64) {
-        self.blocks.set_skip_events(n);
+        self.blocks.skip_events = n;
     }
 
-    /// Engages the block skip index; see
-    /// [`BinaryBlockReader::set_min_time`]. The inner block reader skips
-    /// before jobs are submitted, so skipped blocks never reach a decode
-    /// worker.
+    /// Engages the skip index: blocks whose `last_time` is strictly
+    /// before `t` are discarded without CRC verification or decoding
+    /// (their events still count toward truncation accounting). The
+    /// first surviving block may begin before `t`; callers wanting an
+    /// exact bound filter the leading events themselves.
+    ///
+    /// Skipped events are accounted separately from lenient-mode
+    /// losses — a skipped block is never CRC-checked, so damage inside
+    /// it is invisible and must not surface as a [`TraceGap`]. With
+    /// skipping active the conservation law is
+    /// `delivered + events_lost() + skipped_events() == expected`
+    /// (for a stream that is not itself truncated).
     pub fn set_min_time(&mut self, t: Time) {
-        self.blocks.set_min_time(t);
+        self.blocks.min_time = Some(t);
     }
 
-    /// Engages the upper bound of the skip index; see
-    /// [`BinaryBlockReader::set_max_time`].
+    /// The other half of the skip index: blocks whose `first_time` is at
+    /// or past `t` (exclusive upper bound, matching the half-open
+    /// windows of the slice layer) are discarded without CRC
+    /// verification or decoding. The last surviving block may extend
+    /// past `t`; callers wanting an exact bound filter the trailing
+    /// events themselves. Skipping continues to read frames to the end
+    /// of input, so truncation detection and the conservation law
+    /// documented on [`set_min_time`] are unaffected.
+    ///
+    /// [`set_min_time`]: BinaryTraceReader::set_min_time
     pub fn set_max_time(&mut self, t: Time) {
-        self.blocks.set_max_time(t);
+        self.blocks.max_time = Some(t);
     }
 
     /// How many blocks the skip index has discarded so far.
     pub fn skipped_blocks(&self) -> usize {
-        self.blocks.skipped_blocks()
+        self.blocks.skipped_blocks
     }
 
-    /// How many events were inside the skipped blocks; see
-    /// [`BinaryBlockReader::skipped_events`].
+    /// How many events were inside the blocks the skip index discarded.
+    /// These are neither delivered nor counted in [`events_lost`]; they
+    /// are the third bucket of the conservation law documented on
+    /// [`set_min_time`].
+    ///
+    /// [`events_lost`]: BinaryTraceReader::events_lost
+    /// [`set_min_time`]: BinaryTraceReader::set_min_time
     pub fn skipped_events(&self) -> u64 {
-        self.blocks.skipped_events()
+        self.blocks.skipped_events
     }
 
     /// The gaps lenient decoding has recorded so far.
     pub fn gaps(&self) -> &[TraceGap] {
-        self.blocks.gaps()
+        &self.gaps
     }
 
     /// Total events swallowed by the recorded gaps.
     pub fn events_lost(&self) -> u64 {
-        self.blocks.events_lost()
+        self.lost
     }
 
-    /// Returns an event buffer to the pool feeding future jobs.
+    /// Returns an event buffer to the pool feeding future blocks.
     fn recycle_events(&mut self, mut buf: Vec<Event>) {
         if self.spare_events.len() < 64 {
             buf.clear();
@@ -1027,77 +748,117 @@ impl<R: Read> ParallelBinaryReader<R> {
         }
     }
 
-    /// Keeps the in-flight window full: reads frames and submits decode
-    /// jobs until the window cap, end of input, or a reader error (which
-    /// is stashed and surfaced only after the in-flight blocks drain —
-    /// they precede it in stream order).
+    /// Keeps the in-flight window full: reads blocks and hands each to a
+    /// worker, or with none decodes it on the spot, until the window is
+    /// full or the framing ends. Damage the framing finds is an item in
+    /// stream order too, so it surfaces only after the blocks before it.
     fn pump(&mut self) {
-        while !self.reader_done && self.in_flight < self.max_in_flight {
-            match self.blocks.next_block() {
+        while !self.reader_done && self.submitted - self.next_emit < self.stash.len() {
+            let seq = self.submitted;
+            let ready = match self.blocks.next_block() {
+                None => {
+                    self.reader_done = true;
+                    return;
+                }
                 Some(Ok(block)) => {
-                    // A resume skip that ends mid-block surfaces here,
-                    // attached to the first block returned after the
-                    // skip was consumed.
-                    self.drop_next += self.blocks.take_event_skip() as usize;
-                    let job = DecodeJob {
-                        seq: self.submitted,
-                        index: block.index,
-                        frame: block.frame,
-                        payload: block.payload,
-                        scratch: self.spare_events.pop().unwrap_or_default(),
-                    };
-                    self.submitted += 1;
-                    self.in_flight += 1;
-                    if let Some(tx) = &self.job_tx {
+                    let events = self.spare_events.pop().unwrap_or_default();
+                    let job = DecodeJob { seq, block, events };
+                    match &self.workers {
                         // Send fails only if every worker died; the recv
-                        // in `next()` will surface that as a panic.
-                        let _ = tx.send(job);
+                        // in `next_item` surfaces that as a panic.
+                        Some(Workers { jobs: Some(tx), .. }) => {
+                            let _ = tx.send(job);
+                            None
+                        }
+                        Some(_) => None,
+                        None => Some(decode(job)),
                     }
                 }
-                Some(Err(e)) => {
-                    self.pending_error = Some(e);
+                Some(Err(damage)) => {
                     self.reader_done = true;
+                    Some(Decoded {
+                        seq,
+                        result: Err(damage),
+                        events: Vec::new(),
+                        payload: Vec::new(),
+                    })
                 }
-                None => self.reader_done = true,
+            };
+            if let Some(item) = ready {
+                let slot = seq % self.stash.len();
+                self.stash[slot] = Some(item);
             }
+            self.submitted += 1;
         }
     }
 
-    /// Accepts the next in-order decoded block: recycles its buffers,
-    /// installs its events as the current emission run (minus any resume
-    /// skip), or — for a failed block — records the lenient gap or
-    /// returns the error to surface at exactly this stream position.
-    fn accept(&mut self, decoded: DecodedBlock) -> Result<(), IoError> {
-        debug_assert_eq!(decoded.seq, self.next_emit);
+    /// The item whose turn it is: from the stash if it is ready, else by
+    /// waiting on the workers.
+    fn next_item(&mut self) -> Decoded {
+        let slot = self.next_emit % self.stash.len();
+        if let Some(item) = self.stash[slot].take() {
+            return item;
+        }
+        let workers = self
+            .workers
+            .as_ref()
+            .expect("inline items are stashed when submitted");
+        let _span = ppa_obs::span_enter(ppa_obs::Stage::Reassemble);
+        loop {
+            let item = workers
+                .results
+                .recv()
+                .expect("block decode worker panicked");
+            if item.seq == self.next_emit {
+                return item;
+            }
+            let slot = item.seq % self.stash.len();
+            self.stash[slot] = Some(item);
+        }
+    }
+
+    /// Accepts the item whose turn it is and recycles its buffers: a
+    /// block's events become the current run (minus its resume skip);
+    /// damage records its lenient gaps, or returns the error to surface
+    /// at exactly this stream position.
+    fn accept(&mut self, item: Decoded) -> Result<(), IoError> {
+        debug_assert_eq!(item.seq, self.next_emit);
         self.next_emit += 1;
-        self.in_flight -= 1;
-        self.blocks.recycle_payload(decoded.payload);
-        match decoded.result {
-            Ok(()) => {
-                let drop = std::mem::take(&mut self.drop_next).min(decoded.events.len());
-                self.probes.events.add((decoded.events.len() - drop) as u64);
-                let old = std::mem::replace(&mut self.current, decoded.events);
-                self.recycle_events(old);
-                self.pos = drop;
+        self.blocks.recycle_payload(item.payload);
+        match item.result {
+            Ok(skip) => {
+                let skip = skip.min(item.events.len());
+                self.blocks
+                    .probes
+                    .events
+                    .add((item.events.len() - skip) as u64);
+                let done = std::mem::replace(&mut self.current, item.events);
+                self.recycle_events(done);
+                self.pos = skip;
                 Ok(())
             }
-            Err((e, cause)) => {
-                self.probes.parse_errors.inc();
-                if self.blocks.lenient() {
-                    // Skip just the damaged block and keep stitching.
-                    self.blocks
-                        .record_gap(block_gap(decoded.index, decoded.summary, cause));
-                    self.recycle_events(decoded.events);
-                    Ok(())
-                } else {
-                    Err(e)
+            Err(Damage { error, gaps }) => {
+                self.recycle_events(item.events);
+                if matches!(error, IoError::Io(_)) {
+                    return Err(error);
                 }
+                self.blocks.probes.parse_errors.inc();
+                if !self.lenient {
+                    return Err(error);
+                }
+                for gap in gaps {
+                    self.lost += gap.events;
+                    self.blocks.probes.gaps.inc();
+                    self.blocks.probes.events_lost.add(gap.events);
+                    self.gaps.push(gap);
+                }
+                Ok(())
             }
         }
     }
 }
 
-impl<R: Read> Iterator for ParallelBinaryReader<R> {
+impl<R: Read> Iterator for BinaryTraceReader<R> {
     type Item = Result<Event, IoError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1110,50 +871,14 @@ impl<R: Read> Iterator for ParallelBinaryReader<R> {
                 return Some(Ok(e));
             }
             self.pump();
-            if self.in_flight == 0 {
-                if let Some(e) = self.pending_error.take() {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                if self.reader_done {
-                    return None;
-                }
-                continue;
+            if self.next_emit == self.submitted {
+                return None; // the framing ended and every item is in
             }
-            // Fetch the block whose emission turn it is: from the stash
-            // if it already arrived, else by waiting on the workers.
-            let decoded = match self.stash.remove(&self.next_emit) {
-                Some(d) => d,
-                None => {
-                    let _span = ppa_obs::span_enter(ppa_obs::Stage::Reassemble);
-                    loop {
-                        let d = self.result_rx.recv().expect("block decode worker panicked");
-                        if d.seq == self.next_emit {
-                            break d;
-                        }
-                        self.stash.insert(d.seq, d);
-                    }
-                }
-            };
-            match self.accept(decoded) {
-                Ok(()) => continue,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
+            let item = self.next_item();
+            if let Err(e) = self.accept(item) {
+                self.failed = true;
+                return Some(Err(e));
             }
-        }
-    }
-}
-
-impl<R: Read> Drop for ParallelBinaryReader<R> {
-    fn drop(&mut self) {
-        // Closing the job channel is the shutdown signal; workers finish
-        // whatever is in flight (sends to the unbounded result channel
-        // never block) and exit.
-        self.job_tx.take();
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }

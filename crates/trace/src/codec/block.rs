@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  payload_len   bytes of varint payload that follow
-//!      4     4  count         events in the block (>= 1)
+//!      4     4  count         events in the block (1 ..= payload_len / 4)
 //!      8     8  first_seq     seq of the first event
 //!     16     8  last_seq      seq of the last event
 //!     24     8  first_time    timestamp of the first event (ns)
@@ -31,6 +31,7 @@
 
 use super::varint::{read_varint, read_varint_signed, write_varint, write_varint_signed};
 use crate::event::{Event, EventKind};
+use crate::gap::GapCause;
 use crate::ids::{
     BarrierId, LockId, LoopId, ProcessorId, SemId, StatementId, SyncTag, SyncVarId, TaskId,
 };
@@ -41,12 +42,8 @@ use crate::time::Time;
 pub(crate) const FRAME_LEN: usize = 44;
 
 /// Upper bound accepted for a frame's `payload_len` (64 MiB). A frame
-/// announcing more is treated as corrupt rather than allocated.
+/// announcing more is treated as corrupt.
 pub(crate) const MAX_PAYLOAD_LEN: u32 = 64 << 20;
-
-/// Upper bound accepted for a frame's `count`. A block never legitimately
-/// holds more events than bytes of payload (every event costs >= 4 bytes).
-pub(crate) const MAX_BLOCK_COUNT: u32 = MAX_PAYLOAD_LEN / 4;
 
 /// The per-block summary carried by every frame of a binary trace.
 ///
@@ -91,6 +88,9 @@ impl BlockFrame {
     }
 
     /// Parses a frame; `block` is the 1-based block index used in errors.
+    /// A frame must hold at least one event and no more than its payload
+    /// can: every event costs at least 4 bytes (tag, time delta, seq
+    /// delta, processor).
     pub(crate) fn from_bytes(bytes: &[u8; FRAME_LEN], block: usize) -> Result<Self, IoError> {
         let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
@@ -106,8 +106,7 @@ impl BlockFrame {
             crc: u32_at(40),
         };
         if frame.summary.count == 0
-            || frame.summary.count > MAX_BLOCK_COUNT
-            || frame.payload_len == 0
+            || frame.summary.count > frame.payload_len / 4
             || frame.payload_len > MAX_PAYLOAD_LEN
         {
             return Err(IoError::Parse {
@@ -474,7 +473,7 @@ pub(crate) fn encode_block(events: &[Event]) -> (BlockFrame, Vec<u8>) {
 /// verified up front (corrupt payloads are rejected before any event is
 /// parsed); the trailing-bytes and frame-summary checks run when the
 /// cursor yields its final `None`, so a drained cursor has performed
-/// exactly the validation [`decode_block`] always did.
+/// every check [`decode_block`] makes.
 pub(crate) struct BlockCursor<'a> {
     payload: &'a [u8],
     summary: BlockSummary,
@@ -590,42 +589,43 @@ impl<'a> BlockCursor<'a> {
 }
 
 /// Decodes a block payload against its frame, appending the events to
-/// `out` (which the caller typically recycles between blocks — this is
-/// the allocation-free path the hot readers use).
+/// `out` — the one payload decoder behind every binary read.
 ///
 /// Verifies the CRC32 before touching the payload, then checks that the
 /// decode consumed exactly `payload_len` bytes, produced exactly `count`
 /// events, and reproduced the frame's first/last summary. `block` is the
-/// 1-based block index reported (as `line`) in [`IoError::Parse`] errors.
-pub(crate) fn decode_block_into(
+/// 1-based block index reported (as `line`) in [`IoError::Parse`] errors;
+/// the [`GapCause`] beside an error says which check failed. Room for
+/// `count` events is reserved up front, which [`BlockFrame::from_bytes`]
+/// bounds by the payload's length.
+pub(crate) fn decode_block(
     frame: &BlockFrame,
     payload: &[u8],
     block: usize,
     out: &mut Vec<Event>,
-) -> Result<(), IoError> {
-    let mut cursor = BlockCursor::new(frame, payload, block)?;
+) -> Result<(), (IoError, GapCause)> {
+    let mut cursor =
+        BlockCursor::new(frame, payload, block).map_err(|e| (e, GapCause::CrcMismatch))?;
     out.reserve(frame.summary.count as usize);
-    while let Some(event) = cursor.next_event()? {
+    while let Some(event) = cursor
+        .next_event()
+        .map_err(|e| (e, GapCause::MalformedPayload))?
+    {
         out.push(event);
     }
     Ok(())
 }
 
-/// [`decode_block_into`] into a fresh `Vec` — the allocating
-/// convenience wrapper.
-pub(crate) fn decode_block(
-    frame: &BlockFrame,
-    payload: &[u8],
-    block: usize,
-) -> Result<Vec<Event>, IoError> {
-    let mut events = Vec::with_capacity(frame.summary.count as usize);
-    decode_block_into(frame, payload, block, &mut events)?;
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`decode_block`] into a fresh `Vec`.
+    fn decode(frame: &BlockFrame, payload: &[u8], block: usize) -> Result<Vec<Event>, IoError> {
+        let mut out = Vec::new();
+        decode_block(frame, payload, block, &mut out).map_err(|(e, _)| e)?;
+        Ok(out)
+    }
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -679,7 +679,7 @@ mod tests {
         assert_eq!(frame.summary.last_time, Time::from_nanos(900));
         assert_eq!(frame.summary.first_seq, 0);
         assert_eq!(frame.summary.last_seq, 4);
-        let back = decode_block(&frame, &payload, 1).unwrap();
+        let back = decode(&frame, &payload, 1).unwrap();
         assert_eq!(back, events);
     }
 
@@ -708,7 +708,7 @@ mod tests {
             })
             .collect();
         let (frame, payload) = encode_block(&events);
-        assert_eq!(decode_block(&frame, &payload, 1).unwrap(), events);
+        assert_eq!(decode(&frame, &payload, 1).unwrap(), events);
     }
 
     #[test]
@@ -722,13 +722,15 @@ mod tests {
     fn corrupted_payload_fails_crc_with_block_index() {
         let (frame, mut payload) = encode_block(&sample_events());
         payload[3] ^= 0xff;
-        match decode_block(&frame, &payload, 7) {
+        match decode(&frame, &payload, 7) {
             Err(IoError::Parse { line, message }) => {
                 assert_eq!(line, 7);
                 assert!(message.contains("CRC mismatch"), "{message}");
             }
             other => panic!("expected CRC parse error, got {other:?}"),
         }
+        let cause = decode_block(&frame, &payload, 7, &mut Vec::new()).map_err(|(_, c)| c);
+        assert_eq!(cause, Err(GapCause::CrcMismatch));
     }
 
     #[test]
@@ -746,6 +748,15 @@ mod tests {
             BlockFrame::from_bytes(&huge.to_bytes(), 1),
             Err(IoError::Parse { .. })
         ));
+        // More events than the payload has room for, at 4 bytes each.
+        let mut crowded = frame;
+        crowded.summary.count = frame.payload_len / 4 + 1;
+        assert!(matches!(
+            BlockFrame::from_bytes(&crowded.to_bytes(), 1),
+            Err(IoError::Parse { .. })
+        ));
+        crowded.summary.count -= 1;
+        assert!(BlockFrame::from_bytes(&crowded.to_bytes(), 1).is_ok());
     }
 
     #[test]
@@ -801,10 +812,10 @@ mod tests {
         while let Some(e) = cursor.next_event().unwrap() {
             stepped.push(e);
         }
-        assert_eq!(stepped, decode_block(&frame, &payload, 1).unwrap());
+        assert_eq!(stepped, decode(&frame, &payload, 1).unwrap());
         // And the reuse path appends without clearing.
         let mut out = stepped.clone();
-        decode_block_into(&frame, &payload, 1, &mut out).unwrap();
+        decode_block(&frame, &payload, 1, &mut out).unwrap();
         assert_eq!(out.len(), events.len() * 2);
         assert_eq!(&out[events.len()..], &events[..]);
     }
@@ -828,6 +839,8 @@ mod tests {
             }
             other => panic!("expected summary mismatch, got {other:?}"),
         }
+        let cause = decode_block(&frame, &payload, 3, &mut Vec::new()).map_err(|(_, c)| c);
+        assert_eq!(cause, Err(GapCause::MalformedPayload));
     }
 
     #[test]
@@ -836,7 +849,7 @@ mod tests {
         let mut events = sample_events();
         events.reverse();
         let (frame, payload) = encode_block(&events);
-        assert_eq!(decode_block(&frame, &payload, 1).unwrap(), events);
+        assert_eq!(decode(&frame, &payload, 1).unwrap(), events);
     }
 
     #[test]
@@ -862,6 +875,6 @@ mod tests {
             ),
         ];
         let (frame, payload) = encode_block(&events);
-        assert_eq!(decode_block(&frame, &payload, 1).unwrap(), events);
+        assert_eq!(decode(&frame, &payload, 1).unwrap(), events);
     }
 }

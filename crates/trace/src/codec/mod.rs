@@ -6,8 +6,11 @@
 //! greppable but spends some seventy-five bytes of text on an event.
 //! The binary format trades that for LEB128 varints with delta-encoded
 //! timestamps and sequence numbers, framed into independently decodable
-//! blocks — about a tenth of the bytes and faster to decode, with
-//! block-parallel decoding on top ([`ParallelBinaryReader`]).
+//! blocks — about a tenth of the bytes and faster to decode. One reader,
+//! [`BinaryTraceReader`], decodes those blocks on 0..N worker threads:
+//! with none it decodes each block on the caller's thread, with N it
+//! keeps blocks in flight on N threads, and either way the blocks pass
+//! through the same decode and in-order accept steps.
 //!
 //! Every reader entry point here auto-detects the format from the first
 //! bytes of the stream ([`BINARY_MAGIC`] opens a binary trace; anything
@@ -18,8 +21,8 @@
 //! - [`AnyTraceWriter`] — streaming writer for a caller-chosen
 //!   [`TraceFormat`];
 //! - [`read_trace`] / [`read_trace_parallel`] — materialize a whole
-//!   [`Trace`] from either format, optionally decoding binary blocks on
-//!   worker threads;
+//!   [`Trace`] from either format, decoding binary blocks on the
+//!   caller's thread or on worker threads;
 //! - [`write_trace`] — write a whole [`Trace`] in a chosen format.
 
 mod binary;
@@ -28,9 +31,8 @@ pub(crate) mod jsonl;
 mod varint;
 
 pub use binary::{
-    default_decode_workers, BinaryBlockReader, BinaryTraceReader, BinaryTraceWriter,
-    ParallelBinaryReader, RawBlock, BINARY_FORMAT_NAME, BINARY_MAGIC, BINARY_VERSION,
-    DEFAULT_BLOCK_EVENTS,
+    default_decode_workers, BinaryTraceReader, BinaryTraceWriter, BINARY_FORMAT_NAME, BINARY_MAGIC,
+    BINARY_VERSION, DEFAULT_BLOCK_EVENTS,
 };
 pub use block::{crc32, crc32_chain, BlockSummary};
 
@@ -92,22 +94,19 @@ pub type Sniffed<R> = Chain<Cursor<Vec<u8>>, R>;
 ///
 /// Presents the union of the per-format reader APIs ([`kind`],
 /// [`expected_events`], the event [`Iterator`]) so pipelines accept both
-/// formats transparently. Binary input decodes serially by default; open
-/// with [`AnyTraceReader::open_parallel`] to decode binary blocks on
-/// worker threads instead (JSONL input is unaffected — it has no
-/// parallel decode path).
+/// formats transparently. Binary input is decoded by a
+/// [`BinaryTraceReader`] on the worker count the caller opens it with:
+/// [`AnyTraceReader::open`] decodes on the caller's thread,
+/// [`AnyTraceReader::open_parallel`] on up to N threads (JSONL input is
+/// unaffected — it has no parallel decode path).
 ///
 /// [`kind`]: AnyTraceReader::kind
 /// [`expected_events`]: AnyTraceReader::expected_events
 pub enum AnyTraceReader<R: Read> {
     /// A detected `ppa-trace-v1` JSONL stream.
     Jsonl(TraceStreamReader<Sniffed<R>>),
-    /// A detected `ppa-trace-bin-v1` stream, decoded serially.
+    /// A detected `ppa-trace-bin-v1` stream.
     Binary(BinaryTraceReader<Sniffed<R>>),
-    /// A detected `ppa-trace-bin-v1` stream, decoded block-parallel.
-    /// Boxed: the pipelined reader carries channel endpoints and
-    /// reassembly buffers that dwarf the other variants.
-    BinaryParallel(Box<ParallelBinaryReader<Sniffed<R>>>),
 }
 
 /// Reads up to `BINARY_MAGIC.len()` bytes and rebuilds a full stream
@@ -129,21 +128,16 @@ fn sniff_stream<R: Read>(mut reader: R) -> Result<(TraceFormat, Sniffed<R>), IoE
 }
 
 impl<R: Read> AnyTraceReader<R> {
-    /// Opens a trace stream of either format (serial binary decode).
+    /// Opens a trace stream of either format, decoding binary blocks on
+    /// the caller's thread.
     pub fn open(reader: R) -> Result<Self, IoError> {
-        Self::with_probes(reader, StreamProbes::noop())
-    }
-
-    /// Like [`AnyTraceReader::open`], with stream probes.
-    pub fn with_probes(reader: R, probes: StreamProbes) -> Result<Self, IoError> {
-        Self::open_parallel_with_probes(reader, 0, probes)
+        Self::open_parallel(reader, 0)
     }
 
     /// Opens a trace stream of either format, decoding binary blocks on
-    /// up to `workers` threads. JSONL input falls back to the ordinary
-    /// serial reader, and so does binary input when `workers` is 0 (no
-    /// thread is spawned) — callers pass their worker count through
-    /// without forking on it.
+    /// up to `workers` threads; 0 spawns none and decodes on the
+    /// caller's thread, so callers pass their worker count through
+    /// without forking on it. JSONL input reads serially either way.
     pub fn open_parallel(reader: R, workers: usize) -> Result<Self, IoError> {
         Self::open_parallel_with_probes(reader, workers, StreamProbes::noop())
     }
@@ -159,12 +153,9 @@ impl<R: Read> AnyTraceReader<R> {
             TraceFormat::Jsonl => {
                 AnyTraceReader::Jsonl(TraceStreamReader::with_probes(stream, probes)?)
             }
-            TraceFormat::Binary if workers == 0 => {
-                AnyTraceReader::Binary(BinaryTraceReader::with_probes(stream, probes)?)
+            TraceFormat::Binary => {
+                AnyTraceReader::Binary(BinaryTraceReader::with_probes(stream, workers, probes)?)
             }
-            TraceFormat::Binary => AnyTraceReader::BinaryParallel(Box::new(
-                ParallelBinaryReader::with_probes(stream, workers, probes)?,
-            )),
         })
     }
 
@@ -172,7 +163,7 @@ impl<R: Read> AnyTraceReader<R> {
     pub fn format(&self) -> TraceFormat {
         match self {
             AnyTraceReader::Jsonl(_) => TraceFormat::Jsonl,
-            AnyTraceReader::Binary(_) | AnyTraceReader::BinaryParallel(_) => TraceFormat::Binary,
+            AnyTraceReader::Binary(_) => TraceFormat::Binary,
         }
     }
 
@@ -181,7 +172,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.kind(),
             AnyTraceReader::Binary(r) => r.kind(),
-            AnyTraceReader::BinaryParallel(r) => r.kind(),
         }
     }
 
@@ -190,7 +180,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.expected_events(),
             AnyTraceReader::Binary(r) => r.expected_events(),
-            AnyTraceReader::BinaryParallel(r) => r.expected_events(),
         }
     }
 
@@ -205,7 +194,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.set_lenient(lenient),
             AnyTraceReader::Binary(r) => r.set_lenient(lenient),
-            AnyTraceReader::BinaryParallel(r) => r.set_lenient(lenient),
         }
     }
 
@@ -219,31 +207,26 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.set_skip_events(n),
             AnyTraceReader::Binary(r) => r.set_skip_events(n),
-            AnyTraceReader::BinaryParallel(r) => r.set_skip_events(n),
         }
     }
 
     /// Engages the binary block skip index's lower bound: whole blocks
     /// that end strictly before `t` are discarded without CRC checks or
-    /// decoding (see [`BinaryBlockReader::set_min_time`]). The surviving
+    /// decoding (see [`BinaryTraceReader::set_min_time`]). The surviving
     /// stream may still begin before `t`. JSONL input has no skip index;
     /// the call is a no-op there and callers filter every event.
     pub fn set_min_time(&mut self, t: crate::time::Time) {
-        match self {
-            AnyTraceReader::Jsonl(_) => {}
-            AnyTraceReader::Binary(r) => r.set_min_time(t),
-            AnyTraceReader::BinaryParallel(r) => r.set_min_time(t),
+        if let AnyTraceReader::Binary(r) = self {
+            r.set_min_time(t);
         }
     }
 
     /// Engages the binary block skip index's exclusive upper bound:
     /// whole blocks that begin at or past `t` are discarded undecoded
-    /// (see [`BinaryBlockReader::set_max_time`]). No-op for JSONL input.
+    /// (see [`BinaryTraceReader::set_max_time`]). No-op for JSONL input.
     pub fn set_max_time(&mut self, t: crate::time::Time) {
-        match self {
-            AnyTraceReader::Jsonl(_) => {}
-            AnyTraceReader::Binary(r) => r.set_max_time(t),
-            AnyTraceReader::BinaryParallel(r) => r.set_max_time(t),
+        if let AnyTraceReader::Binary(r) = self {
+            r.set_max_time(t);
         }
     }
 
@@ -253,7 +236,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(_) => 0,
             AnyTraceReader::Binary(r) => r.skipped_blocks(),
-            AnyTraceReader::BinaryParallel(r) => r.skipped_blocks(),
         }
     }
 
@@ -265,7 +247,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(_) => 0,
             AnyTraceReader::Binary(r) => r.skipped_events(),
-            AnyTraceReader::BinaryParallel(r) => r.skipped_events(),
         }
     }
 
@@ -274,7 +255,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.gaps(),
             AnyTraceReader::Binary(r) => r.gaps(),
-            AnyTraceReader::BinaryParallel(r) => r.gaps(),
         }
     }
 
@@ -283,7 +263,6 @@ impl<R: Read> AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.events_lost(),
             AnyTraceReader::Binary(r) => r.events_lost(),
-            AnyTraceReader::BinaryParallel(r) => r.events_lost(),
         }
     }
 }
@@ -295,7 +274,6 @@ impl<R: Read> Iterator for AnyTraceReader<R> {
         match self {
             AnyTraceReader::Jsonl(r) => r.next(),
             AnyTraceReader::Binary(r) => r.next(),
-            AnyTraceReader::BinaryParallel(r) => r.next(),
         }
     }
 }
@@ -402,9 +380,10 @@ pub fn write_binary<W: Write>(trace: &Trace, writer: W) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Reads a whole `ppa-trace-bin-v1` trace (serial decode).
+/// Reads a whole `ppa-trace-bin-v1` trace, decoding on the caller's
+/// thread.
 pub fn read_binary<R: Read>(reader: R) -> Result<Trace, IoError> {
-    let r = BinaryTraceReader::new(reader)?;
+    let r = BinaryTraceReader::new(reader, 0)?;
     let kind = r.kind();
     let events = r.collect::<Result<Vec<_>, _>>()?;
     Ok(Trace::from_events(kind, events))
@@ -412,14 +391,11 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Trace, IoError> {
 
 /// Reads a whole trace of either format, auto-detected by magic bytes.
 pub fn read_trace<R: Read>(reader: R) -> Result<Trace, IoError> {
-    let r = AnyTraceReader::open(reader)?;
-    let kind = r.kind();
-    let events = r.collect::<Result<Vec<_>, _>>()?;
-    Ok(Trace::from_events(kind, events))
+    read_trace_parallel(reader, 0)
 }
 
 /// Reads a whole trace of either format, decoding binary blocks on up
-/// to `workers` threads (JSONL input reads serially).
+/// to `workers` threads (0: on the caller's; JSONL input reads serially).
 pub fn read_trace_parallel<R: Read>(reader: R, workers: usize) -> Result<Trace, IoError> {
     let r = AnyTraceReader::open_parallel(reader, workers)?;
     let kind = r.kind();
@@ -441,6 +417,10 @@ mod tests {
     use crate::builder::TraceBuilder;
     use crate::io::write_jsonl;
     use crate::time::Time;
+
+    /// Every binary reader test runs at each of these worker counts: the
+    /// inline decode, one worker, and several.
+    const WORKERS: [usize; 3] = [0, 1, 3];
 
     fn sample() -> Trace {
         TraceBuilder::measured()
@@ -576,8 +556,8 @@ mod tests {
     #[test]
     fn parallel_decode_matches_serial() {
         let (t, buf) = blocky(64, 7);
-        for workers in [1, 2, 4, 16] {
-            let r = ParallelBinaryReader::new(buf.as_slice(), workers).unwrap();
+        for workers in [0, 1, 2, 4, 16] {
+            let r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
             let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
             assert_eq!(events, t.events(), "workers = {workers}");
         }
@@ -586,11 +566,15 @@ mod tests {
     #[test]
     fn open_parallel_with_zero_workers_is_the_serial_reader() {
         let (t, buf) = blocky(64, 3);
-        // The serial variant owns no `ppa-decode-*` thread; asserting on
-        // the variant (not on the process's thread list) keeps the check
-        // independent of tests running beside this one.
+        // Zero workers own no `ppa-decode-*` thread; asserting on the
+        // reader's handles (not on the process's thread list) keeps the
+        // check independent of tests running beside this one.
+        let threads = |r: &AnyTraceReader<&[u8]>| match r {
+            AnyTraceReader::Binary(b) => b.decode_threads(),
+            AnyTraceReader::Jsonl(_) => panic!("binary input detected as JSONL"),
+        };
         let r = AnyTraceReader::open_parallel(buf.as_slice(), 0).unwrap();
-        assert!(matches!(r, AnyTraceReader::Binary(_)));
+        assert_eq!(threads(&r), 0);
         let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
         let serial: Vec<Event> = AnyTraceReader::open(buf.as_slice())
             .unwrap()
@@ -598,10 +582,8 @@ mod tests {
             .collect();
         assert_eq!(events, serial);
         assert_eq!(events, t.events());
-        assert!(matches!(
-            AnyTraceReader::open_parallel(buf.as_slice(), 1).unwrap(),
-            AnyTraceReader::BinaryParallel(_)
-        ));
+        let r = AnyTraceReader::open_parallel(buf.as_slice(), 1).unwrap();
+        assert_eq!(threads(&r), 1);
     }
 
     #[test]
@@ -619,59 +601,54 @@ mod tests {
         let target = b2 + frame + 10;
         buf[target] ^= 0xff;
 
-        let outcomes: Vec<_> = BinaryTraceReader::new(buf.as_slice()).unwrap().collect();
-        assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 64);
-        match outcomes.last() {
-            Some(Err(IoError::Parse { line, message })) => {
-                assert_eq!(*line, 2, "block index is reported as the line");
-                assert!(message.contains("CRC"), "{message}");
+        for workers in WORKERS {
+            let mut r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+            let outcomes: Vec<_> = r.by_ref().collect();
+            assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 64);
+            match outcomes.last() {
+                Some(Err(IoError::Parse { line, message })) => {
+                    assert_eq!(*line, 2, "block index is reported as the line");
+                    assert!(message.contains("CRC"), "{message}");
+                }
+                other => panic!("workers = {workers}: expected CRC error, got {other:?}"),
             }
-            other => panic!("expected CRC error, got {other:?}"),
+            assert!(r.next().is_none(), "workers = {workers}: fused");
         }
-
-        // The parallel reader surfaces the same error at the same point.
-        let outcomes: Vec<_> = ParallelBinaryReader::new(buf.as_slice(), 4)
-            .unwrap()
-            .collect();
-        assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 64);
-        assert!(matches!(
-            outcomes.last(),
-            Some(Err(IoError::Parse { line: 2, .. }))
-        ));
     }
 
     #[test]
     fn truncated_binary_input_is_detected() {
         let (t, buf) = blocky(64, 3);
-        // Cut inside the final block's payload.
-        let cut = &buf[..buf.len() - 7];
-        let outcomes: Vec<_> = BinaryTraceReader::new(cut).unwrap().collect();
-        assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 128);
-        match outcomes.last() {
-            Some(Err(IoError::Truncated { expected, got })) => {
-                assert_eq!((*expected, *got), (t.len(), 128));
-            }
-            other => panic!("expected truncation, got {other:?}"),
-        }
-
-        // Cut inside a frame header.
-        let cut = &buf[..18 + 20];
-        let outcomes: Vec<_> = BinaryTraceReader::new(cut).unwrap().collect();
-        assert!(matches!(
-            outcomes.last(),
-            Some(Err(IoError::Truncated { .. }))
-        ));
-
-        // A whole missing block (clean frame boundary) is caught by the
-        // header's declared count.
         let payload_len = u32::from_le_bytes(buf[18..22].try_into().unwrap()) as usize;
-        let cut = &buf[..18 + 44 + payload_len];
-        let outcomes: Vec<_> = BinaryTraceReader::new(cut).unwrap().collect();
-        match outcomes.last() {
-            Some(Err(IoError::Truncated { expected, got })) => {
-                assert_eq!((*expected, *got), (t.len(), 64));
+        for workers in WORKERS {
+            let read =
+                |cut: &[u8]| -> Vec<_> { BinaryTraceReader::new(cut, workers).unwrap().collect() };
+            // Cut inside the final block's payload.
+            let outcomes = read(&buf[..buf.len() - 7]);
+            assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 128);
+            match outcomes.last() {
+                Some(Err(IoError::Truncated { expected, got })) => {
+                    assert_eq!((*expected, *got), (t.len(), 128));
+                }
+                other => panic!("workers = {workers}: expected truncation, got {other:?}"),
             }
-            other => panic!("expected truncation, got {other:?}"),
+
+            // Cut inside a frame header.
+            let outcomes = read(&buf[..18 + 20]);
+            assert!(matches!(
+                outcomes.last(),
+                Some(Err(IoError::Truncated { .. }))
+            ));
+
+            // A whole missing block (clean frame boundary) is caught by
+            // the header's declared count.
+            let outcomes = read(&buf[..18 + 44 + payload_len]);
+            match outcomes.last() {
+                Some(Err(IoError::Truncated { expected, got })) => {
+                    assert_eq!((*expected, *got), (t.len(), 64));
+                }
+                other => panic!("workers = {workers}: expected truncation, got {other:?}"),
+            }
         }
     }
 
@@ -680,43 +657,41 @@ mod tests {
         let t = sample();
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
-        assert!(matches!(
-            BinaryTraceReader::new(&buf[..10]),
-            Err(IoError::BadHeader(_))
-        ));
         let mut wrong_version = buf.clone();
         wrong_version[8] = 9;
-        assert!(matches!(
-            BinaryTraceReader::new(wrong_version.as_slice()),
-            Err(IoError::BadHeader(_))
-        ));
         let mut wrong_kind = buf.clone();
         wrong_kind[9] = 7;
-        assert!(matches!(
-            BinaryTraceReader::new(wrong_kind.as_slice()),
-            Err(IoError::BadHeader(_))
-        ));
+        for workers in WORKERS {
+            for bad in [&buf[..10], &wrong_version, &wrong_kind] {
+                assert!(matches!(
+                    BinaryTraceReader::new(bad, workers),
+                    Err(IoError::BadHeader(_))
+                ));
+            }
+        }
     }
 
     #[test]
     fn skip_index_bounds_reads_by_time() {
         let (t, buf) = blocky(64, 8); // times 0, 10, ..., 5110
         let bound = Time::from_nanos(3000);
-        let mut r = BinaryTraceReader::new(buf.as_slice()).unwrap();
-        r.set_min_time(bound);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        // Whole blocks strictly before the bound were skipped...
-        assert!(r.skipped_blocks() >= 4, "skipped {}", r.skipped_blocks());
-        // ...every event at/after the bound survived...
         let expected: Vec<&Event> = t.iter().filter(|e| e.time >= bound).collect();
-        assert!(events.len() >= expected.len());
-        assert_eq!(
-            events.iter().filter(|e| e.time >= bound).count(),
-            expected.len()
-        );
-        // ...and the survivors are a suffix of the trace.
-        let suffix = &t.events()[t.len() - events.len()..];
-        assert_eq!(events, suffix);
+        for workers in WORKERS {
+            let mut r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+            r.set_min_time(bound);
+            let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+            // Whole blocks strictly before the bound were skipped...
+            assert!(r.skipped_blocks() >= 4, "skipped {}", r.skipped_blocks());
+            // ...every event at/after the bound survived...
+            assert!(events.len() >= expected.len());
+            assert_eq!(
+                events.iter().filter(|e| e.time >= bound).count(),
+                expected.len()
+            );
+            // ...and the survivors are a suffix of the trace.
+            let suffix = &t.events()[t.len() - events.len()..];
+            assert_eq!(events, suffix, "workers = {workers}");
+        }
     }
 
     #[test]
@@ -739,52 +714,48 @@ mod tests {
             .copied()
             .collect();
 
-        let mut r = BinaryTraceReader::new(buf.as_slice()).unwrap();
-        r.set_lenient(true);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        assert_eq!(events, expected);
-        assert_eq!(r.events_lost(), 64);
-        let gaps = r.gaps();
-        assert_eq!(gaps.len(), 1);
-        assert_eq!(gaps[0].block, 2);
-        assert_eq!(gaps[0].events, 64);
-        assert_eq!(gaps[0].cause, GapCause::CrcMismatch);
-        assert_eq!(gaps[0].first_seq, Some(64));
-        assert_eq!(gaps[0].last_seq, Some(127));
-
-        // The parallel decoder skips the same block with the same gap.
-        let mut r = ParallelBinaryReader::new(buf.as_slice(), 4).unwrap();
-        r.set_lenient(true);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        assert_eq!(events, expected);
-        assert_eq!(r.gaps().len(), 1);
-        assert_eq!(r.events_lost(), 64);
+        for workers in WORKERS {
+            let mut r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+            r.set_lenient(true);
+            let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+            assert_eq!(events, expected, "workers = {workers}");
+            assert_eq!(r.events_lost(), 64);
+            let gaps = r.gaps();
+            assert_eq!(gaps.len(), 1);
+            assert_eq!(gaps[0].block, 2);
+            assert_eq!(gaps[0].events, 64);
+            assert_eq!(gaps[0].cause, GapCause::CrcMismatch);
+            assert_eq!(gaps[0].first_seq, Some(64));
+            assert_eq!(gaps[0].last_seq, Some(127));
+        }
     }
 
     #[test]
     fn lenient_decode_accounts_truncated_input_as_gaps() {
         use crate::gap::GapCause;
         let (t, buf) = blocky(64, 3);
-        // Cut inside the final block's payload: the block frame is known,
-        // so the gap carries its exact span.
-        let cut = &buf[..buf.len() - 7];
-        let mut r = BinaryTraceReader::new(cut).unwrap();
-        r.set_lenient(true);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        assert_eq!(events.len(), 128);
-        assert_eq!(r.events_lost() as usize + events.len(), t.len());
-        assert_eq!(r.gaps().last().unwrap().cause, GapCause::TruncatedBlock);
-
-        // A whole missing final block surfaces as a truncated-stream gap
-        // via the header's declared count.
         let payload_len = u32::from_le_bytes(buf[18..22].try_into().unwrap()) as usize;
-        let cut = &buf[..18 + 44 + payload_len];
-        let mut r = BinaryTraceReader::new(cut).unwrap();
-        r.set_lenient(true);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        assert_eq!(events.len(), 64);
-        assert_eq!(r.events_lost(), 128);
-        assert_eq!(r.gaps().last().unwrap().cause, GapCause::TruncatedStream);
+        for workers in WORKERS {
+            // Cut inside the final block's payload: the block frame is
+            // known, so the gap carries its exact span.
+            let cut = &buf[..buf.len() - 7];
+            let mut r = BinaryTraceReader::new(cut, workers).unwrap();
+            r.set_lenient(true);
+            let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+            assert_eq!(events.len(), 128, "workers = {workers}");
+            assert_eq!(r.events_lost() as usize + events.len(), t.len());
+            assert_eq!(r.gaps().last().unwrap().cause, GapCause::TruncatedBlock);
+
+            // A whole missing final block surfaces as a truncated-stream
+            // gap via the header's declared count.
+            let cut = &buf[..18 + 44 + payload_len];
+            let mut r = BinaryTraceReader::new(cut, workers).unwrap();
+            r.set_lenient(true);
+            let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+            assert_eq!(events.len(), 64, "workers = {workers}");
+            assert_eq!(r.events_lost(), 128);
+            assert_eq!(r.gaps().last().unwrap().cause, GapCause::TruncatedStream);
+        }
     }
 
     #[test]
@@ -826,44 +797,43 @@ mod tests {
             at
         };
 
+        let bound = Time::from_nanos(3000);
         // Case 1: the corruption sits inside block 2 (times 640..1270),
         // entirely before the bound — skipped, so invisible by design.
-        let bound = Time::from_nanos(3000);
-        let mut wrecked = buf.clone();
-        let b2 = block_start(&wrecked, 1);
-        wrecked[b2 + frame + 10] ^= 0xff;
-        let mut r = BinaryTraceReader::new(wrecked.as_slice()).unwrap();
-        r.set_lenient(true);
-        r.set_min_time(bound);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        assert!(r.gaps().is_empty(), "skipped damage must not be a gap");
-        assert_eq!(r.events_lost(), 0);
-        assert_eq!(r.skipped_blocks(), 4);
-        assert_eq!(r.skipped_events(), 256);
-        assert_eq!(
-            events.len() as u64 + r.events_lost() + r.skipped_events(),
-            t.len() as u64,
-            "delivered + lost + skipped == expected"
-        );
-
+        let mut before = buf.clone();
+        let b2 = block_start(&before, 1);
+        before[b2 + frame + 10] ^= 0xff;
         // Case 2: corruption after the bound still records its gap —
         // exactly once — and the conservation law keeps holding.
-        let mut wrecked = buf.clone();
-        let b6 = block_start(&wrecked, 5); // times 3200..3830, past bound
-        wrecked[b6 + frame + 10] ^= 0xff;
-        let mut r = BinaryTraceReader::new(wrecked.as_slice()).unwrap();
-        r.set_lenient(true);
-        r.set_min_time(bound);
-        let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-        assert_eq!(r.gaps().len(), 1);
-        assert_eq!(r.gaps()[0].block, 6);
-        assert_eq!(r.events_lost(), 64);
-        assert_eq!(r.skipped_events(), 256);
-        assert_eq!(
-            events.len() as u64 + r.events_lost() + r.skipped_events(),
-            t.len() as u64,
-            "delivered + lost + skipped == expected"
-        );
+        let mut after = buf.clone();
+        let b6 = block_start(&after, 5); // times 3200..3830, past bound
+        after[b6 + frame + 10] ^= 0xff;
+        for workers in WORKERS {
+            let lenient_from = |wrecked: &[u8]| {
+                let wrecked = std::io::Cursor::new(wrecked.to_vec());
+                let mut r = BinaryTraceReader::new(wrecked, workers).unwrap();
+                r.set_lenient(true);
+                r.set_min_time(bound);
+                let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+                assert_eq!(
+                    events.len() as u64 + r.events_lost() + r.skipped_events(),
+                    t.len() as u64,
+                    "delivered + lost + skipped == expected (workers = {workers})"
+                );
+                r
+            };
+            let r = lenient_from(&before);
+            assert!(r.gaps().is_empty(), "skipped damage must not be a gap");
+            assert_eq!(r.events_lost(), 0);
+            assert_eq!(r.skipped_blocks(), 4);
+            assert_eq!(r.skipped_events(), 256);
+
+            let r = lenient_from(&after);
+            assert_eq!(r.gaps().len(), 1);
+            assert_eq!(r.gaps()[0].block, 6);
+            assert_eq!(r.events_lost(), 64);
+            assert_eq!(r.skipped_events(), 256);
+        }
     }
 
     #[test]
@@ -875,15 +845,12 @@ mod tests {
         for skip in [0usize, 1, 63, 64, 65, 128, 200, 255, 256] {
             let expected = &t.events()[skip..];
 
-            let mut r = BinaryTraceReader::new(bin.as_slice()).unwrap();
-            r.set_skip_events(skip as u64);
-            let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
-            assert_eq!(events, expected, "serial, skip {skip}");
-
-            let mut r = ParallelBinaryReader::new(bin.as_slice(), 3).unwrap();
-            r.set_skip_events(skip as u64);
-            let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
-            assert_eq!(events, expected, "parallel, skip {skip}");
+            for workers in WORKERS {
+                let mut r = BinaryTraceReader::new(bin.as_slice(), workers).unwrap();
+                r.set_skip_events(skip as u64);
+                let events: Vec<Event> = r.map(|e| e.unwrap()).collect();
+                assert_eq!(events, expected, "workers = {workers}, skip {skip}");
+            }
 
             let mut r = AnyTraceReader::open(jl.as_slice()).unwrap();
             r.set_skip_events(skip as u64);
@@ -898,12 +865,8 @@ mod tests {
         let since = Time::from_nanos(1500);
         let until = Time::from_nanos(3500);
 
-        for workers in [0usize, 3] {
-            let mut r = if workers == 0 {
-                AnyTraceReader::open(buf.as_slice()).unwrap()
-            } else {
-                AnyTraceReader::open_parallel(buf.as_slice(), workers).unwrap()
-            };
+        for workers in WORKERS {
+            let mut r = AnyTraceReader::open_parallel(buf.as_slice(), workers).unwrap();
             r.set_min_time(since);
             r.set_max_time(until);
             let events: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
@@ -938,15 +901,17 @@ mod tests {
     fn max_time_skip_still_detects_truncation() {
         let (_, buf) = blocky(64, 4);
         let cut = &buf[..buf.len() - 7];
-        let mut r = BinaryTraceReader::new(cut).unwrap();
-        // Bound below every event: all whole blocks skip, but the
-        // truncated tail must still surface.
-        r.set_max_time(Time::ZERO);
-        let last = r.by_ref().last();
-        assert!(
-            matches!(last, Some(Err(IoError::Truncated { .. }))),
-            "got {last:?}"
-        );
+        for workers in WORKERS {
+            let mut r = BinaryTraceReader::new(cut, workers).unwrap();
+            // Bound below every event: all whole blocks skip, but the
+            // truncated tail must still surface.
+            r.set_max_time(Time::ZERO);
+            let last = r.by_ref().last();
+            assert!(
+                matches!(last, Some(Err(IoError::Truncated { .. }))),
+                "workers = {workers}: got {last:?}"
+            );
+        }
     }
 
     #[test]
@@ -996,8 +961,10 @@ mod tests {
             w.write_event(e).unwrap();
         }
         w.finish().unwrap();
-        let r = BinaryTraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(r.collect::<Result<Vec<_>, _>>().unwrap().len(), 3);
+        for workers in WORKERS {
+            let r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+            assert_eq!(r.collect::<Result<Vec<_>, _>>().unwrap().len(), 3);
+        }
     }
 
     #[test]
@@ -1018,22 +985,24 @@ mod tests {
         assert_eq!(wp.blocks.get(), 4);
         assert_eq!(wp.bytes.get(), buf.len() as u64);
 
-        let rp = StreamProbes::register(&registry, "read");
-        let r = BinaryTraceReader::with_probes(buf.as_slice(), rp.clone()).unwrap();
-        assert_eq!(r.filter_map(|e| e.ok()).count(), t.len());
-        assert_eq!(rp.events.get(), t.len() as u64);
-        assert_eq!(rp.blocks.get(), 4);
-        assert_eq!(rp.bytes.get(), buf.len() as u64);
-        assert_eq!(rp.parse_errors.get(), 0);
-
-        // A corrupted block lands in the shared parse-error metric.
         let mut bad = buf.clone();
         let n = bad.len();
         bad[n - 5] ^= 0xff;
-        let ep = StreamProbes::register(&registry, "read-bad");
-        let _ = BinaryTraceReader::with_probes(bad.as_slice(), ep.clone())
-            .unwrap()
-            .count();
-        assert_eq!(ep.parse_errors.get(), 1);
+        for workers in WORKERS {
+            let rp = StreamProbes::register(&registry, &format!("read-{workers}"));
+            let r = BinaryTraceReader::with_probes(buf.as_slice(), workers, rp.clone()).unwrap();
+            assert_eq!(r.filter_map(|e| e.ok()).count(), t.len());
+            assert_eq!(rp.events.get(), t.len() as u64);
+            assert_eq!(rp.blocks.get(), 4);
+            assert_eq!(rp.bytes.get(), buf.len() as u64);
+            assert_eq!(rp.parse_errors.get(), 0);
+
+            // A corrupted block lands in the shared parse-error metric.
+            let ep = StreamProbes::register(&registry, &format!("read-bad-{workers}"));
+            let _ = BinaryTraceReader::with_probes(bad.as_slice(), workers, ep.clone())
+                .unwrap()
+                .count();
+            assert_eq!(ep.parse_errors.get(), 1, "workers = {workers}");
+        }
     }
 }

@@ -45,8 +45,8 @@ pub use builder::TraceBuilder;
 pub use codec::{
     crc32, crc32_chain, default_decode_workers, read_binary, read_trace, read_trace_parallel,
     write_binary, write_trace, AnyTraceReader, AnyTraceWriter, BinaryTraceReader,
-    BinaryTraceWriter, BlockSummary, ParallelBinaryReader, TraceFormat, BINARY_FORMAT_NAME,
-    BINARY_MAGIC, DEFAULT_BLOCK_EVENTS,
+    BinaryTraceWriter, BlockSummary, TraceFormat, BINARY_FORMAT_NAME, BINARY_MAGIC,
+    DEFAULT_BLOCK_EVENTS,
 };
 pub use event::{Event, EventKind, REPEAT_MAX_PATTERN};
 pub use gap::{GapCause, TraceGap};
@@ -71,6 +71,9 @@ pub use validate::{
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The decode worker counts every binary reader property runs at.
+    const WORKERS: [usize; 3] = [0, 1, 3];
 
     fn arb_kind() -> impl Strategy<Value = EventKind> {
         prop_oneof![
@@ -132,8 +135,8 @@ mod proptests {
             prop_assert_eq!(trace, back);
         }
 
-        /// `ppa-trace-bin-v1` round-trips arbitrary traces losslessly,
-        /// through both the serial and the block-parallel decoder.
+        /// `ppa-trace-bin-v1` round-trips arbitrary traces losslessly, at
+        /// every decode worker count.
         #[test]
         fn binary_round_trips(events in proptest::collection::vec(arb_event(), 0..64)) {
             let trace = Trace::from_events(TraceKind::Approximated, events);
@@ -141,8 +144,10 @@ mod proptests {
             write_binary(&trace, &mut buf).unwrap();
             let back = read_binary(buf.as_slice()).unwrap();
             prop_assert_eq!(&trace, &back);
-            let parallel = read_trace_parallel(buf.as_slice(), 4).unwrap();
-            prop_assert_eq!(&trace, &parallel);
+            for workers in WORKERS {
+                let decoded = read_trace_parallel(buf.as_slice(), workers).unwrap();
+                prop_assert_eq!(&trace, &decoded);
+            }
         }
 
         /// Decoding a trace from its binary encoding equals decoding it
@@ -159,8 +164,8 @@ mod proptests {
         }
 
         /// For any single corrupted block, lenient decode yields exactly
-        /// the serial decode minus that block's events, and the loss is
-        /// fully accounted by one gap — through both binary decoders.
+        /// the strict decode minus that block's events, and the loss is
+        /// fully accounted by one gap — at every decode worker count.
         #[test]
         fn lenient_decode_is_strict_decode_minus_the_corrupted_block(
             events in proptest::collection::vec(arb_event(), 48..160),
@@ -211,20 +216,16 @@ mod proptests {
                 .map(|(_, e)| *e)
                 .collect();
 
-            let mut serial = BinaryTraceReader::new(buf.as_slice()).unwrap();
-            serial.set_lenient(true);
-            let got: Vec<Event> = serial.by_ref().map(|e| e.unwrap()).collect();
-            prop_assert_eq!(&got, &survivors);
-            prop_assert_eq!(serial.gaps().len(), 1);
-            prop_assert_eq!(serial.gaps()[0].block, target + 1);
-            prop_assert_eq!(serial.events_lost(), counts[target] as u64);
-            prop_assert_eq!(got.len() + counts[target], trace.len());
-
-            let mut parallel = ParallelBinaryReader::new(buf.as_slice(), 4).unwrap();
-            parallel.set_lenient(true);
-            let got: Vec<Event> = parallel.by_ref().map(|e| e.unwrap()).collect();
-            prop_assert_eq!(&got, &survivors);
-            prop_assert_eq!(parallel.events_lost(), counts[target] as u64);
+            for workers in WORKERS {
+                let mut r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+                r.set_lenient(true);
+                let got: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+                prop_assert_eq!(&got, &survivors);
+                prop_assert_eq!(r.gaps().len(), 1);
+                prop_assert_eq!(r.gaps()[0].block, target + 1);
+                prop_assert_eq!(r.events_lost(), counts[target] as u64);
+                prop_assert_eq!(got.len() + counts[target], trace.len());
+            }
         }
 
         /// A dropped (whole, excised) block leaves exactly the other
@@ -276,16 +277,18 @@ mod proptests {
                 .map(|(_, e)| *e)
                 .collect();
 
-            let mut r = BinaryTraceReader::new(buf.as_slice()).unwrap();
-            r.set_lenient(true);
-            let got: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
-            prop_assert_eq!(&got, &survivors);
-            prop_assert_eq!(r.events_lost(), dropped_count as u64);
-            prop_assert_eq!(got.len() + dropped_count, trace.len());
+            for workers in WORKERS {
+                let mut r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+                r.set_lenient(true);
+                let got: Vec<Event> = r.by_ref().map(|e| e.unwrap()).collect();
+                prop_assert_eq!(&got, &survivors);
+                prop_assert_eq!(r.events_lost(), dropped_count as u64);
+                prop_assert_eq!(got.len() + dropped_count, trace.len());
+            }
         }
 
         /// Seeking with `set_skip_events` yields exactly the suffix, for
-        /// every skip point and both binary decoders.
+        /// every skip point and decode worker count.
         #[test]
         fn skip_events_yields_the_exact_suffix(
             events in proptest::collection::vec(arb_event(), 16..96),
@@ -309,15 +312,12 @@ mod proptests {
             w.finish().unwrap();
 
             let expected = &trace.events()[skip..];
-            let mut r = BinaryTraceReader::new(buf.as_slice()).unwrap();
-            r.set_skip_events(skip as u64);
-            let got: Vec<Event> = r.map(|e| e.unwrap()).collect();
-            prop_assert_eq!(got.as_slice(), expected);
-
-            let mut r = ParallelBinaryReader::new(buf.as_slice(), 3).unwrap();
-            r.set_skip_events(skip as u64);
-            let got: Vec<Event> = r.map(|e| e.unwrap()).collect();
-            prop_assert_eq!(got.as_slice(), expected);
+            for workers in WORKERS {
+                let mut r = BinaryTraceReader::new(buf.as_slice(), workers).unwrap();
+                r.set_skip_events(skip as u64);
+                let got: Vec<Event> = r.map(|e| e.unwrap()).collect();
+                prop_assert_eq!(got.as_slice(), expected);
+            }
         }
 
         /// Rebasing preserves all pairwise gaps.
