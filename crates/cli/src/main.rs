@@ -577,14 +577,9 @@ fn estimate() {
         "kind", "samples", "estimated", "true", "min", "max"
     );
     for k in &est.kinds {
-        let true_value = match k.kind {
-            "stmt" => cfg.overheads.statement_event,
-            "advance" => cfg.overheads.advance_instr,
-            "awaitB" => cfg.overheads.await_begin_instr,
-            "awaitE" => cfg.overheads.await_end_instr,
-            "barEnter" | "barExit" => cfg.overheads.barrier_instr,
-            _ => cfg.overheads.marker_event,
-        };
+        let true_value = ppa::trace::KindCode::from_mnemonic(k.kind)
+            .and_then(|code| code.overhead_class())
+            .map_or(Span::ZERO, |class| cfg.overheads.instr_cost(class));
         println!(
             "{:<10} {:>8} {:>12} {:>12} {:>12} {:>12}",
             k.kind,

@@ -14,7 +14,9 @@
 //! estimator takes the **median** difference per kind — waits are
 //! outliers in calibration workloads, overheads are the mode.
 
-use ppa_trace::{Event, EventKind, OverheadSpec, ProcessorId, Span, Trace};
+use ppa_trace::{
+    Event, EventKind, KindCode, OverheadClass, OverheadSpec, ProcessorId, Span, Trace,
+};
 use std::collections::HashMap;
 
 /// Per-kind estimation detail.
@@ -46,15 +48,15 @@ pub struct OverheadEstimate {
     pub kinds: Vec<KindEstimate>,
 }
 
-fn kind_slot(kind: &EventKind) -> &'static str {
-    kind.mnemonic()
-}
-
 /// Estimates instrumentation overheads from an (actual, measured) trace
 /// pair of the same execution.
 ///
-/// `baseline` supplies the synchronization processing costs and any kind
-/// the pair cannot estimate (e.g. kinds the plan never recorded).
+/// Each instrumentation overhead takes the median of the first kind of
+/// its [`OverheadClass`], in kind-table order, that has samples: the
+/// statement event's cost from `stmt`, α from `advance` or else from an
+/// advance-like episode release (`lockR`, `semV`, `taskF`), and so on.
+/// `baseline` supplies the synchronization processing costs and any
+/// class the pair cannot estimate (e.g. kinds the plan never recorded).
 pub fn estimate_overheads(
     actual: &Trace,
     measured: &Trace,
@@ -83,7 +85,7 @@ pub fn estimate_overheads(
             let delta_m = e.time.signed_delta(prev_m);
             let delta_a = actual_event.time.signed_delta(prev_a);
             diffs
-                .entry(kind_slot(&e.kind))
+                .entry(e.kind.mnemonic())
                 .or_default()
                 .push(delta_m - delta_a);
         }
@@ -109,26 +111,13 @@ pub fn estimate_overheads(
     };
 
     let mut spec = *baseline;
-    if let Some(v) = median_of("stmt") {
-        spec.statement_event = v;
-    }
-    if let Some(v) = median_of("advance") {
-        spec.advance_instr = v;
-    }
-    if let Some(v) = median_of("awaitB") {
-        spec.await_begin_instr = v;
-    }
-    if let Some(v) = median_of("awaitE") {
-        spec.await_end_instr = v;
-    }
-    if let Some(v) = median_of("barEnter") {
-        spec.barrier_instr = v;
-    }
-    // Markers: pool the program/loop boundary kinds.
-    for slot in ["progB", "progE", "loopB", "loopE", "iterB", "iterE"] {
-        if let Some(v) = median_of(slot) {
-            spec.marker_event = v;
-            break;
+    for class in OverheadClass::ALL {
+        let median = KindCode::ALL
+            .into_iter()
+            .filter(|code| code.overhead_class() == Some(class))
+            .find_map(|code| median_of(code.mnemonic()));
+        if let Some(v) = median {
+            *spec.instr_cost_mut(class) = v;
         }
     }
 
@@ -243,6 +232,45 @@ mod tests {
         let est = estimate_overheads(&actual.trace, &measured.trace, &baseline);
         assert_eq!(est.spec.advance_instr, baseline.advance_instr);
         assert_eq!(est.spec.s_wait, baseline.s_wait);
+    }
+
+    #[test]
+    fn episode_kinds_estimate_their_overhead_class() {
+        // Statements and lock episodes only: no advance or awaitE to
+        // sample, so α comes from the releases and the awaitE cost from
+        // the acquires, as `instr_overhead` charges them.
+        use ppa_trace::{LockId, StatementId};
+        let (stmt, lock) = (StatementId(0), LockId(0));
+        let kinds = [
+            (EventKind::Statement { stmt }, 40),
+            (EventKind::LockAcquire { lock }, 70),
+            (EventKind::Statement { stmt }, 40),
+            (EventKind::LockRelease { lock }, 30),
+        ];
+        let (mut actual, mut measured) = (Vec::new(), Vec::new());
+        let mut shift = 0;
+        for round in 0..10u64 {
+            for (i, &(kind, cost)) in kinds.iter().enumerate() {
+                let seq = round * 4 + i as u64;
+                let t = seq * 100;
+                shift += cost;
+                let at = |t| Event::new(ppa_trace::Time::from_nanos(t), ProcessorId(0), seq, kind);
+                actual.push(at(t));
+                measured.push(at(t + shift));
+            }
+        }
+        let baseline = OverheadSpec::alliant_default();
+        let est = estimate_overheads(
+            &Trace::from_events(ppa_trace::TraceKind::Actual, actual),
+            &Trace::from_events(ppa_trace::TraceKind::Measured, measured),
+            &baseline,
+        );
+        assert_eq!(est.spec.statement_event, Span::from_nanos(40));
+        assert_eq!(est.spec.advance_instr, Span::from_nanos(30));
+        assert_eq!(est.spec.await_end_instr, Span::from_nanos(70));
+        assert_eq!(est.spec.await_begin_instr, baseline.await_begin_instr);
+        let sampled: Vec<&str> = est.kinds.iter().map(|k| k.kind).collect();
+        assert_eq!(sampled, ["lockA", "lockR", "stmt"]);
     }
 
     #[test]

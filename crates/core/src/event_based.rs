@@ -706,18 +706,7 @@ mod tests {
         let times: std::collections::HashMap<&'static str, u64> = r
             .trace
             .iter()
-            .map(|e| {
-                (
-                    match e.kind {
-                        EventKind::Statement { .. } => "stmt",
-                        EventKind::Advance { .. } => "advance",
-                        EventKind::AwaitBegin { .. } => "awaitB",
-                        EventKind::AwaitEnd { .. } => "awaitE",
-                        _ => "other",
-                    },
-                    e.time.as_nanos(),
-                )
-            })
+            .map(|e| (e.kind.mnemonic(), e.time.as_nanos()))
             .collect();
         assert_eq!(times["stmt"], 60);
         assert_eq!(times["advance"], 120);

@@ -7,7 +7,7 @@
 //! [`SliceSpec`]; [`SliceSpec::matches`] evaluates it against one
 //! event.
 
-use ppa_trace::{Event, EventKind, Time};
+use ppa_trace::{Event, EventKind, KindCode, KindGroup, Time};
 use std::fmt;
 
 /// Every clause keyword the parser accepts, in grammar-table order.
@@ -98,41 +98,9 @@ fn parse_ranges<T: Copy + PartialOrd>(
     Ok(ranges)
 }
 
-/// The eighteen event-kind mnemonics selectable by a `kind=` clause,
-/// each paired with its bit in [`KindSet`]. `repeat` records are
-/// container artifacts, not selectable kinds — the engine refuses to
-/// filter them.
-const KIND_MNEMONICS: &[(&str, u32)] = &[
-    ("progB", 1 << 0),
-    ("progE", 1 << 1),
-    ("loopB", 1 << 2),
-    ("loopE", 1 << 3),
-    ("iterB", 1 << 4),
-    ("iterE", 1 << 5),
-    ("stmt", 1 << 6),
-    ("advance", 1 << 7),
-    ("awaitB", 1 << 8),
-    ("awaitE", 1 << 9),
-    ("barEnter", 1 << 10),
-    ("barExit", 1 << 11),
-    ("lockA", 1 << 12),
-    ("lockR", 1 << 13),
-    ("semP", 1 << 14),
-    ("semV", 1 << 15),
-    ("taskF", 1 << 16),
-    ("taskJ", 1 << 17),
-];
-
-const GROUP_SYNC: u32 = (1 << 7) | (1 << 8) | (1 << 9);
-const GROUP_BARRIER: u32 = (1 << 10) | (1 << 11);
-const GROUP_MARKER: u32 = (1 << 6) - 1; // progB..iterE
-const GROUP_LOCK: u32 = (1 << 12) | (1 << 13);
-const GROUP_SEM: u32 = (1 << 14) | (1 << 15);
-const GROUP_TASK: u32 = (1 << 16) | (1 << 17);
-
 /// A set of event kinds, parsed from comma-separated mnemonics
 /// (`kind=stmt,advance`) or the group names `sync`, `barrier`,
-/// `marker`, `lock`, `sem`, `task`.
+/// `marker`, `lock`, `sem`, `task`. Each kind is the bit `1 << code`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindSet {
     bits: u32,
@@ -143,28 +111,11 @@ impl KindSet {
     /// they stand for suppressed events of *other* kinds.
     #[inline]
     pub fn contains(&self, kind: &EventKind) -> bool {
-        let bit = match kind {
-            EventKind::ProgramBegin => 1 << 0,
-            EventKind::ProgramEnd => 1 << 1,
-            EventKind::LoopBegin { .. } => 1 << 2,
-            EventKind::LoopEnd { .. } => 1 << 3,
-            EventKind::IterationBegin { .. } => 1 << 4,
-            EventKind::IterationEnd { .. } => 1 << 5,
-            EventKind::Statement { .. } => 1 << 6,
-            EventKind::Advance { .. } => 1 << 7,
-            EventKind::AwaitBegin { .. } => 1 << 8,
-            EventKind::AwaitEnd { .. } => 1 << 9,
-            EventKind::BarrierEnter { .. } => 1 << 10,
-            EventKind::BarrierExit { .. } => 1 << 11,
-            EventKind::LockAcquire { .. } => 1 << 12,
-            EventKind::LockRelease { .. } => 1 << 13,
-            EventKind::SemAcquire { .. } => 1 << 14,
-            EventKind::SemRelease { .. } => 1 << 15,
-            EventKind::TaskFork { .. } => 1 << 16,
-            EventKind::TaskJoin { .. } => 1 << 17,
-            EventKind::Repeat { .. } => 0,
-        };
-        self.bits & bit != 0
+        self.bits & KindSet::bit(kind.code()) != 0
+    }
+
+    fn bit(code: KindCode) -> u32 {
+        1 << code as u32
     }
 
     fn parse(value: &str) -> Result<KindSet, ParseError> {
@@ -173,16 +124,11 @@ impl KindSet {
         }
         let mut bits = 0u32;
         for name in value.split(',') {
-            bits |= match name {
-                "sync" => GROUP_SYNC,
-                "barrier" => GROUP_BARRIER,
-                "marker" => GROUP_MARKER,
-                "lock" => GROUP_LOCK,
-                "sem" => GROUP_SEM,
-                "task" => GROUP_TASK,
-                _ => match KIND_MNEMONICS.iter().find(|(m, _)| *m == name) {
-                    Some(&(_, bit)) => bit,
-                    None => {
+            bits |= match KindGroup::from_name(name) {
+                Some(group) => group.members().map(KindSet::bit).fold(0, |a, b| a | b),
+                None => match KindCode::from_mnemonic(name) {
+                    Some(code) if code.is_selectable() => KindSet::bit(code),
+                    _ => {
                         return Err(bad_value(
                             "kind",
                             value,
@@ -530,6 +476,28 @@ mod tests {
         let sync = SliceSpec::parse("kind=sync").unwrap();
         for e in [&acquire, &release, &sem_p, &sem_v, &fork, &join] {
             assert!(!sync.matches(e));
+        }
+    }
+
+    /// QUERIES.md's mnemonic table and group table, rendered from the
+    /// kind table: every selectable kind has a row, every group row
+    /// lists exactly its members, and `repeat` has no row.
+    #[test]
+    fn queries_doc_lists_every_kind_and_group() {
+        let doc = include_str!("../../../QUERIES.md");
+        for code in KindCode::ALL {
+            let row = format!("| `{}` |", code.mnemonic());
+            assert_eq!(doc.contains(&row), code.is_selectable(), "{row}");
+            let selectable = SliceSpec::parse(&format!("kind={}", code.mnemonic())).is_ok();
+            assert_eq!(selectable, code.is_selectable(), "{row}");
+        }
+        for (name, group) in KindGroup::SELECTABLE {
+            let members: Vec<String> = group
+                .members()
+                .map(|c| format!("`{}`", c.mnemonic()))
+                .collect();
+            let row = format!("| `{}` | {} |", name, members.join(", "));
+            assert!(doc.contains(&row), "QUERIES.md lacks the group row {row}");
         }
     }
 

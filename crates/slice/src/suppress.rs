@@ -7,8 +7,9 @@
 //! record stands at the position of the first suppressed event and
 //! carries the pattern length, occurrence count, and the per-occurrence
 //! strides; [`Event::repeat_shifted`] defines the exact occurrence
-//! arithmetic, which the expander in `ppa-core` inverts, making
-//! suppress-then-expand an identity.
+//! arithmetic, which the expander in `ppa-core` applies, and the
+//! suppressor finds strides with its inverse [`Event::repeat_stride`],
+//! making suppress-then-expand an identity.
 //!
 //! ## Mechanics
 //!
@@ -108,86 +109,6 @@ struct Detector {
     run: Option<Run>,
 }
 
-/// The per-occurrence stride between two candidate pattern events, if
-/// they are stride-compatible: same kind, same non-shifting
-/// identifiers, non-decreasing time and sequence. `dfield` is `None`
-/// for kinds without an integer field (those must match exactly).
-fn stride_between(a: &Event, b: &Event) -> Option<(u64, u64, Option<i64>)> {
-    if b.time < a.time || b.seq < a.seq {
-        return None;
-    }
-    let dt = b.time.as_nanos() - a.time.as_nanos();
-    let dseq = b.seq - a.seq;
-    use EventKind as K;
-    let dfield = match (&a.kind, &b.kind) {
-        (K::ProgramBegin, K::ProgramBegin) | (K::ProgramEnd, K::ProgramEnd) => None,
-        (K::LoopBegin { loop_id: l1 }, K::LoopBegin { loop_id: l2 })
-        | (K::LoopEnd { loop_id: l1 }, K::LoopEnd { loop_id: l2 })
-            if l1 == l2 =>
-        {
-            None
-        }
-        (
-            K::IterationBegin {
-                loop_id: l1,
-                iter: i1,
-            },
-            K::IterationBegin {
-                loop_id: l2,
-                iter: i2,
-            },
-        )
-        | (
-            K::IterationEnd {
-                loop_id: l1,
-                iter: i1,
-            },
-            K::IterationEnd {
-                loop_id: l2,
-                iter: i2,
-            },
-        ) if l1 == l2 => Some(i2.wrapping_sub(*i1) as i64),
-        (K::Statement { stmt: s1 }, K::Statement { stmt: s2 }) if s1 == s2 => None,
-        (K::Advance { var: v1, tag: t1 }, K::Advance { var: v2, tag: t2 })
-        | (K::AwaitBegin { var: v1, tag: t1 }, K::AwaitBegin { var: v2, tag: t2 })
-        | (K::AwaitEnd { var: v1, tag: t1 }, K::AwaitEnd { var: v2, tag: t2 })
-            if v1 == v2 =>
-        {
-            Some(t2.0.wrapping_sub(t1.0))
-        }
-        (K::BarrierEnter { barrier: b1 }, K::BarrierEnter { barrier: b2 })
-        | (K::BarrierExit { barrier: b1 }, K::BarrierExit { barrier: b2 })
-            if b1 == b2 =>
-        {
-            None
-        }
-        // Episode ids are identities (repeat shifting leaves them
-        // alone), so episode events only repeat on the *same* object:
-        // a critical-section loop on one lock compresses, a fork/join
-        // wave over fresh task ids does not.
-        (K::LockAcquire { lock: l1 }, K::LockAcquire { lock: l2 })
-        | (K::LockRelease { lock: l1 }, K::LockRelease { lock: l2 })
-            if l1 == l2 =>
-        {
-            None
-        }
-        (K::SemAcquire { sem: s1 }, K::SemAcquire { sem: s2 })
-        | (K::SemRelease { sem: s1 }, K::SemRelease { sem: s2 })
-            if s1 == s2 =>
-        {
-            None
-        }
-        (K::TaskFork { task: t1 }, K::TaskFork { task: t2 })
-        | (K::TaskJoin { task: t1 }, K::TaskJoin { task: t2 })
-            if t1 == t2 =>
-        {
-            None
-        }
-        _ => return None,
-    };
-    Some((dt, dseq, dfield))
-}
-
 /// The uniform stride across all `len` pairs `recent[start+j]` →
 /// `recent[start+len+j]`, or `None` if the two halves are not one
 /// pattern occurrence apart. Field-less pairs contribute no `dfield`
@@ -200,8 +121,9 @@ fn uniform_stride(
     let mut stride: Option<(u64, u64)> = None;
     let mut dfield: Option<i64> = None;
     for j in 0..len {
-        let (dt, dseq, df) =
-            stride_between(&recent[start + j].event, &recent[start + len + j].event)?;
+        let (dt, dseq, df) = recent[start + j]
+            .event
+            .repeat_stride(&recent[start + len + j].event)?;
         match stride {
             None => stride = Some((dt, dseq)),
             Some(s) if s != (dt, dseq) => return None,

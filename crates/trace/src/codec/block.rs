@@ -23,19 +23,19 @@
 //!
 //! ## Payload layout
 //!
-//! Per event: a one-byte [`EventKind`] tag, then zigzag-varint deltas for
+//! Per event: a one-byte [`EventKind`] tag, the kind's operands as
+//! varints (signed ones zigzag-mapped; tags and field types are columns
+//! of the kind table in `crate::kind`), then zigzag-varint deltas for
 //! time and seq (relative to the previous event in the block; the frame's
 //! `first_time`/`first_seq` seed the chain, so the first event encodes
-//! two zero deltas), a varint processor id, and the kind's operands as
-//! varints (synchronization tags zigzag-mapped — they are signed).
+//! two zero deltas) and a varint processor id.
 
 use super::varint::{read_varint, read_varint_signed, write_varint, write_varint_signed};
 use crate::event::{Event, EventKind};
 use crate::gap::GapCause;
-use crate::ids::{
-    BarrierId, LockId, LoopId, ProcessorId, SemId, StatementId, SyncTag, SyncVarId, TaskId,
-};
+use crate::ids::ProcessorId;
 use crate::io::IoError;
+use crate::kind::{for_each_kind, Int, Raw};
 use crate::time::Time;
 
 /// Byte length of an encoded block frame.
@@ -205,183 +205,47 @@ pub fn crc32_chain(prev: u32, data: &[u8]) -> u32 {
 
 // --- EventKind tag codec ------------------------------------------------
 
-const TAG_PROGRAM_BEGIN: u8 = 0;
-const TAG_PROGRAM_END: u8 = 1;
-const TAG_LOOP_BEGIN: u8 = 2;
-const TAG_LOOP_END: u8 = 3;
-const TAG_ITERATION_BEGIN: u8 = 4;
-const TAG_ITERATION_END: u8 = 5;
-const TAG_STATEMENT: u8 = 6;
-const TAG_ADVANCE: u8 = 7;
-const TAG_AWAIT_BEGIN: u8 = 8;
-const TAG_AWAIT_END: u8 = 9;
-const TAG_BARRIER_ENTER: u8 = 10;
-const TAG_BARRIER_EXIT: u8 = 11;
-const TAG_REPEAT: u8 = 12;
-const TAG_LOCK_ACQUIRE: u8 = 13;
-const TAG_LOCK_RELEASE: u8 = 14;
-const TAG_SEM_ACQUIRE: u8 = 15;
-const TAG_SEM_RELEASE: u8 = 16;
-const TAG_TASK_FORK: u8 = 17;
-const TAG_TASK_JOIN: u8 = 18;
+/// Declares `write_kind` and `read_kind` from the kind table: the row's
+/// tag byte, then each field in row order as a varint, zigzag-mapped
+/// when it is signed.
+macro_rules! binary_kind_codec {
+    ($($name:ident { $($field:ident: $ty:ty),* } => $tag:literal, $mnem:literal, $group:ident,
+        [$($class:ident)?], [$($shift:ident)?], $fmt:literal;)*) => {
+        fn write_kind(buf: &mut Vec<u8>, kind: &EventKind) {
+            match *kind {
+                $(EventKind::$name { $($field),* } => {
+                    buf.push($tag);
+                    $(write_operand(buf, $field);)*
+                })*
+            }
+        }
 
-fn write_kind(buf: &mut Vec<u8>, kind: &EventKind) {
-    match kind {
-        EventKind::ProgramBegin => buf.push(TAG_PROGRAM_BEGIN),
-        EventKind::ProgramEnd => buf.push(TAG_PROGRAM_END),
-        EventKind::LoopBegin { loop_id } => {
-            buf.push(TAG_LOOP_BEGIN);
-            write_varint(buf, u64::from(loop_id.0));
+        fn read_kind(tag: u8, input: &[u8], pos: &mut usize) -> Option<EventKind> {
+            Some(match tag {
+                $($tag => EventKind::$name { $($field: read_operand(input, pos)?),* },)*
+                _ => return None,
+            })
         }
-        EventKind::LoopEnd { loop_id } => {
-            buf.push(TAG_LOOP_END);
-            write_varint(buf, u64::from(loop_id.0));
-        }
-        EventKind::IterationBegin { loop_id, iter } => {
-            buf.push(TAG_ITERATION_BEGIN);
-            write_varint(buf, u64::from(loop_id.0));
-            write_varint(buf, *iter);
-        }
-        EventKind::IterationEnd { loop_id, iter } => {
-            buf.push(TAG_ITERATION_END);
-            write_varint(buf, u64::from(loop_id.0));
-            write_varint(buf, *iter);
-        }
-        EventKind::Statement { stmt } => {
-            buf.push(TAG_STATEMENT);
-            write_varint(buf, u64::from(stmt.0));
-        }
-        EventKind::Advance { var, tag } => {
-            buf.push(TAG_ADVANCE);
-            write_varint(buf, u64::from(var.0));
-            write_varint_signed(buf, tag.0);
-        }
-        EventKind::AwaitBegin { var, tag } => {
-            buf.push(TAG_AWAIT_BEGIN);
-            write_varint(buf, u64::from(var.0));
-            write_varint_signed(buf, tag.0);
-        }
-        EventKind::AwaitEnd { var, tag } => {
-            buf.push(TAG_AWAIT_END);
-            write_varint(buf, u64::from(var.0));
-            write_varint_signed(buf, tag.0);
-        }
-        EventKind::BarrierEnter { barrier } => {
-            buf.push(TAG_BARRIER_ENTER);
-            write_varint(buf, u64::from(barrier.0));
-        }
-        EventKind::BarrierExit { barrier } => {
-            buf.push(TAG_BARRIER_EXIT);
-            write_varint(buf, u64::from(barrier.0));
-        }
-        EventKind::Repeat {
-            len,
-            count,
-            dt_ns,
-            dseq,
-            dfield,
-        } => {
-            buf.push(TAG_REPEAT);
-            write_varint(buf, u64::from(*len));
-            write_varint(buf, u64::from(*count));
-            write_varint(buf, *dt_ns);
-            write_varint(buf, *dseq);
-            write_varint_signed(buf, *dfield);
-        }
-        EventKind::LockAcquire { lock } => {
-            buf.push(TAG_LOCK_ACQUIRE);
-            write_varint(buf, u64::from(lock.0));
-        }
-        EventKind::LockRelease { lock } => {
-            buf.push(TAG_LOCK_RELEASE);
-            write_varint(buf, u64::from(lock.0));
-        }
-        EventKind::SemAcquire { sem } => {
-            buf.push(TAG_SEM_ACQUIRE);
-            write_varint(buf, u64::from(sem.0));
-        }
-        EventKind::SemRelease { sem } => {
-            buf.push(TAG_SEM_RELEASE);
-            write_varint(buf, u64::from(sem.0));
-        }
-        EventKind::TaskFork { task } => {
-            buf.push(TAG_TASK_FORK);
-            write_varint(buf, u64::from(task.0));
-        }
-        EventKind::TaskJoin { task } => {
-            buf.push(TAG_TASK_JOIN);
-            write_varint(buf, u64::from(task.0));
-        }
+    };
+}
+for_each_kind!(binary_kind_codec);
+
+#[inline]
+fn write_operand<T: Raw>(buf: &mut Vec<u8>, value: T) {
+    match T::INT {
+        Int::U32 | Int::U64 => write_varint(buf, value.to_raw()),
+        Int::I64 => write_varint_signed(buf, value.to_raw() as i64),
     }
 }
 
-fn read_kind(tag: u8, input: &[u8], pos: &mut usize) -> Option<EventKind> {
-    let u32_operand = |pos: &mut usize| read_varint(input, pos).and_then(|v| u32::try_from(v).ok());
-    Some(match tag {
-        TAG_PROGRAM_BEGIN => EventKind::ProgramBegin,
-        TAG_PROGRAM_END => EventKind::ProgramEnd,
-        TAG_LOOP_BEGIN => EventKind::LoopBegin {
-            loop_id: LoopId(u32_operand(pos)?),
-        },
-        TAG_LOOP_END => EventKind::LoopEnd {
-            loop_id: LoopId(u32_operand(pos)?),
-        },
-        TAG_ITERATION_BEGIN => EventKind::IterationBegin {
-            loop_id: LoopId(u32_operand(pos)?),
-            iter: read_varint(input, pos)?,
-        },
-        TAG_ITERATION_END => EventKind::IterationEnd {
-            loop_id: LoopId(u32_operand(pos)?),
-            iter: read_varint(input, pos)?,
-        },
-        TAG_STATEMENT => EventKind::Statement {
-            stmt: StatementId(u32_operand(pos)?),
-        },
-        TAG_ADVANCE => EventKind::Advance {
-            var: SyncVarId(u32_operand(pos)?),
-            tag: SyncTag(read_varint_signed(input, pos)?),
-        },
-        TAG_AWAIT_BEGIN => EventKind::AwaitBegin {
-            var: SyncVarId(u32_operand(pos)?),
-            tag: SyncTag(read_varint_signed(input, pos)?),
-        },
-        TAG_AWAIT_END => EventKind::AwaitEnd {
-            var: SyncVarId(u32_operand(pos)?),
-            tag: SyncTag(read_varint_signed(input, pos)?),
-        },
-        TAG_BARRIER_ENTER => EventKind::BarrierEnter {
-            barrier: BarrierId(u32_operand(pos)?),
-        },
-        TAG_BARRIER_EXIT => EventKind::BarrierExit {
-            barrier: BarrierId(u32_operand(pos)?),
-        },
-        TAG_REPEAT => EventKind::Repeat {
-            len: u32_operand(pos)?,
-            count: u32_operand(pos)?,
-            dt_ns: read_varint(input, pos)?,
-            dseq: read_varint(input, pos)?,
-            dfield: read_varint_signed(input, pos)?,
-        },
-        TAG_LOCK_ACQUIRE => EventKind::LockAcquire {
-            lock: LockId(u32_operand(pos)?),
-        },
-        TAG_LOCK_RELEASE => EventKind::LockRelease {
-            lock: LockId(u32_operand(pos)?),
-        },
-        TAG_SEM_ACQUIRE => EventKind::SemAcquire {
-            sem: SemId(u32_operand(pos)?),
-        },
-        TAG_SEM_RELEASE => EventKind::SemRelease {
-            sem: SemId(u32_operand(pos)?),
-        },
-        TAG_TASK_FORK => EventKind::TaskFork {
-            task: TaskId(u32_operand(pos)?),
-        },
-        TAG_TASK_JOIN => EventKind::TaskJoin {
-            task: TaskId(u32_operand(pos)?),
-        },
-        _ => return None,
-    })
+#[inline]
+fn read_operand<T: Raw>(input: &[u8], pos: &mut usize) -> Option<T> {
+    let raw = match T::INT {
+        Int::U32 => read_varint(input, pos).filter(|&v| v <= u64::from(u32::MAX))?,
+        Int::U64 => read_varint(input, pos)?,
+        Int::I64 => read_varint_signed(input, pos)? as u64,
+    };
+    Some(T::from_raw(raw))
 }
 
 // --- Block encode / decode ----------------------------------------------
@@ -619,6 +483,7 @@ pub(crate) fn decode_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{LockId, LoopId, SemId, StatementId, SyncTag, SyncVarId, TaskId};
 
     /// [`decode_block`] into a fresh `Vec`.
     fn decode(frame: &BlockFrame, payload: &[u8], block: usize) -> Result<Vec<Event>, IoError> {

@@ -14,8 +14,9 @@
 //! those bytes: no whitespace, that key order, plain decimal integers
 //! without sign or leading zeros (a `-` only on a negative signed field)
 //! that fit their field, nothing after the closing brace. Both are
-//! driven by [`KINDS`], one table of the 19 kinds (variant name, ordered
-//! field names, integer type of each field).
+//! driven by [`KINDS`], which this module generates from the kind table
+//! in `crate::kind` (variant name, ordered field names, integer type of
+//! each field); the kind list itself lives there, not here.
 //!
 //! `decode_event` answers `None` for every other line, valid JSON or
 //! not. The caller ([`TraceStreamReader`](crate::TraceStreamReader))
@@ -26,83 +27,9 @@
 //! the tests below compare this module against, line by line.
 
 use crate::event::{Event, EventKind};
-use crate::ids::{
-    BarrierId, LockId, LoopId, ProcessorId, SemId, StatementId, SyncTag, SyncVarId, TaskId,
-};
+use crate::ids::ProcessorId;
+use crate::kind::{for_each_kind, Int, KindCode, Raw};
 use crate::time::Time;
-
-/// The integer type of a payload field: the range the decoder accepts
-/// and whether the encoder may print a sign.
-#[derive(Clone, Copy)]
-enum Int {
-    U32,
-    U64,
-    I64,
-}
-
-/// A payload value as the table-driven code carries it: the field's
-/// bits in a `u64` (two's complement for [`Int::I64`]).
-trait Raw: Copy {
-    const INT: Int;
-    fn to_raw(self) -> u64;
-    /// `raw` came from [`Raw::to_raw`] or from [`Cursor::int`] under
-    /// [`Raw::INT`], so it is in range for `Self`.
-    fn from_raw(raw: u64) -> Self;
-}
-
-impl Raw for u32 {
-    const INT: Int = Int::U32;
-    fn to_raw(self) -> u64 {
-        u64::from(self)
-    }
-    fn from_raw(raw: u64) -> Self {
-        raw as u32
-    }
-}
-
-impl Raw for u64 {
-    const INT: Int = Int::U64;
-    fn to_raw(self) -> u64 {
-        self
-    }
-    fn from_raw(raw: u64) -> Self {
-        raw
-    }
-}
-
-impl Raw for i64 {
-    const INT: Int = Int::I64;
-    fn to_raw(self) -> u64 {
-        self as u64
-    }
-    fn from_raw(raw: u64) -> Self {
-        raw as i64
-    }
-}
-
-macro_rules! raw_newtype {
-    ($($name:ident($inner:ty)),*) => {$(
-        impl Raw for $name {
-            const INT: Int = <$inner>::INT;
-            fn to_raw(self) -> u64 {
-                self.0.to_raw()
-            }
-            fn from_raw(raw: u64) -> Self {
-                $name(<$inner>::from_raw(raw))
-            }
-        }
-    )*};
-}
-raw_newtype!(
-    LoopId(u32),
-    StatementId(u32),
-    SyncVarId(u32),
-    SyncTag(i64),
-    BarrierId(u32),
-    LockId(u32),
-    SemId(u32),
-    TaskId(u32)
-);
 
 /// The line around the three header integers and the kind, in order.
 const ENVELOPE: [&str; 4] = ["{\"time\":", ",\"proc\":", ",\"seq\":", ",\"kind\":"];
@@ -151,17 +78,14 @@ impl KindRow {
     }
 }
 
-/// Declares [`KINDS`] and [`split`] from one list that repeats the
-/// declaration of [`EventKind`]: variant names and field names are the
-/// JSON names, field order is line order. A variant missing here fails
-/// to compile (`split`'s match is exhaustive).
+/// Declares [`KINDS`] and [`split`] from the kind table: variant names
+/// and field names are the JSON names, row field order is line order.
 macro_rules! kind_table {
-    ($($name:ident { $($field:ident: $ty:ty),* }),* $(,)?) => {
-        enum Row { $($name),* }
-
-        /// The 19 event kinds as JSONL prints them.
+    ($($name:ident { $($field:ident: $ty:ty),* } => $tag:literal, $mnem:literal, $group:ident,
+        [$($class:ident)?], [$($shift:ident)?], $fmt:literal;)*) => {
+        /// Every event kind as JSONL prints it, in [`KindCode`] order.
         #[allow(unused_variables, unused_mut)] // unit kinds read no payload
-        const KINDS: [KindRow; 19] = [$(KindRow::new(
+        const KINDS: [KindRow; KindCode::ALL.len()] = [$(KindRow::new(
             concat!("\"", stringify!($name), "\""),
             concat!("{\"", stringify!($name), "\":{"),
             &[$(Field {
@@ -183,34 +107,13 @@ macro_rules! kind_table {
                     let fields: &[u64] = &[$($field.to_raw()),*];
                     let mut payload = [0; MAX_FIELDS];
                     payload[..fields.len()].copy_from_slice(fields);
-                    (&KINDS[Row::$name as usize], payload)
+                    (&KINDS[KindCode::$name as usize], payload)
                 }
             )*}
         }
     };
 }
-
-kind_table! {
-    ProgramBegin {},
-    ProgramEnd {},
-    LoopBegin { loop_id: LoopId },
-    LoopEnd { loop_id: LoopId },
-    IterationBegin { loop_id: LoopId, iter: u64 },
-    IterationEnd { loop_id: LoopId, iter: u64 },
-    Statement { stmt: StatementId },
-    Advance { var: SyncVarId, tag: SyncTag },
-    AwaitBegin { var: SyncVarId, tag: SyncTag },
-    AwaitEnd { var: SyncVarId, tag: SyncTag },
-    BarrierEnter { barrier: BarrierId },
-    BarrierExit { barrier: BarrierId },
-    LockAcquire { lock: LockId },
-    LockRelease { lock: LockId },
-    SemAcquire { sem: SemId },
-    SemRelease { sem: SemId },
-    TaskFork { task: TaskId },
-    TaskJoin { task: TaskId },
-    Repeat { len: u32, count: u32, dt_ns: u64, dseq: u64, dfield: i64 },
-}
+for_each_kind!(kind_table);
 
 /// Appends `value` in decimal.
 fn push_uint(out: &mut Vec<u8>, mut value: u64) {
@@ -469,7 +372,10 @@ mod tests {
             })
             .collect();
         for raw in [0, u64::MAX, i64::MIN as u64, i64::MAX as u64] {
-            for row in [&KINDS[Row::Advance as usize], &KINDS[Row::Repeat as usize]] {
+            for row in [
+                &KINDS[KindCode::Advance as usize],
+                &KINDS[KindCode::Repeat as usize],
+            ] {
                 let mut payload = [raw; MAX_FIELDS];
                 payload[0] = u64::from(raw as u32);
                 payload[1] = if row.fields.len() > 2 {

@@ -26,7 +26,7 @@
 //! - [`write_trace`] — write a whole [`Trace`] in a chosen format.
 
 mod binary;
-mod block;
+pub(crate) mod block;
 pub(crate) mod jsonl;
 mod varint;
 

@@ -10,6 +10,7 @@
 use crate::ids::{
     BarrierId, LockId, LoopId, ProcessorId, SemId, StatementId, SyncTag, SyncVarId, TaskId,
 };
+use crate::kind::KindGroup;
 use crate::time::Time;
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -103,46 +104,31 @@ impl EventKind {
     /// True for the three advance/await synchronization kinds.
     #[inline]
     pub fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            EventKind::Advance { .. } | EventKind::AwaitBegin { .. } | EventKind::AwaitEnd { .. }
-        )
+        self.code().group() == KindGroup::Sync
     }
 
     /// True for barrier kinds.
     #[inline]
     pub fn is_barrier(&self) -> bool {
-        matches!(
-            self,
-            EventKind::BarrierEnter { .. } | EventKind::BarrierExit { .. }
-        )
+        self.code().group() == KindGroup::Barrier
     }
 
     /// True for lock acquire/release kinds.
     #[inline]
     pub fn is_lock(&self) -> bool {
-        matches!(
-            self,
-            EventKind::LockAcquire { .. } | EventKind::LockRelease { .. }
-        )
+        self.code().group() == KindGroup::Lock
     }
 
     /// True for semaphore P/V kinds.
     #[inline]
     pub fn is_sem(&self) -> bool {
-        matches!(
-            self,
-            EventKind::SemAcquire { .. } | EventKind::SemRelease { .. }
-        )
+        self.code().group() == KindGroup::Sem
     }
 
     /// True for fork/join task-episode kinds.
     #[inline]
     pub fn is_task(&self) -> bool {
-        matches!(
-            self,
-            EventKind::TaskFork { .. } | EventKind::TaskJoin { .. }
-        )
+        self.code().group() == KindGroup::Task
     }
 
     /// True for every lock/semaphore/task episode kind — the sync-episode
@@ -182,15 +168,7 @@ impl EventKind {
     /// True for structural markers (program/loop/iteration boundaries).
     #[inline]
     pub fn is_marker(&self) -> bool {
-        matches!(
-            self,
-            EventKind::ProgramBegin
-                | EventKind::ProgramEnd
-                | EventKind::LoopBegin { .. }
-                | EventKind::LoopEnd { .. }
-                | EventKind::IterationBegin { .. }
-                | EventKind::IterationEnd { .. }
-        )
+        self.code().group() == KindGroup::Marker
     }
 
     /// The synchronization variable this event touches, if any.
@@ -217,69 +195,7 @@ impl EventKind {
 
     /// A short mnemonic for table/debug output.
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            EventKind::ProgramBegin => "progB",
-            EventKind::ProgramEnd => "progE",
-            EventKind::LoopBegin { .. } => "loopB",
-            EventKind::LoopEnd { .. } => "loopE",
-            EventKind::IterationBegin { .. } => "iterB",
-            EventKind::IterationEnd { .. } => "iterE",
-            EventKind::Statement { .. } => "stmt",
-            EventKind::Advance { .. } => "advance",
-            EventKind::AwaitBegin { .. } => "awaitB",
-            EventKind::AwaitEnd { .. } => "awaitE",
-            EventKind::BarrierEnter { .. } => "barEnter",
-            EventKind::BarrierExit { .. } => "barExit",
-            EventKind::LockAcquire { .. } => "lockA",
-            EventKind::LockRelease { .. } => "lockR",
-            EventKind::SemAcquire { .. } => "semP",
-            EventKind::SemRelease { .. } => "semV",
-            EventKind::TaskFork { .. } => "taskF",
-            EventKind::TaskJoin { .. } => "taskJ",
-            EventKind::Repeat { .. } => "repeat",
-        }
-    }
-}
-
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventKind::ProgramBegin | EventKind::ProgramEnd => write!(f, "{}", self.mnemonic()),
-            EventKind::LoopBegin { loop_id } | EventKind::LoopEnd { loop_id } => {
-                write!(f, "{}({loop_id})", self.mnemonic())
-            }
-            EventKind::IterationBegin { loop_id, iter }
-            | EventKind::IterationEnd { loop_id, iter } => {
-                write!(f, "{}({loop_id},i{iter})", self.mnemonic())
-            }
-            EventKind::Statement { stmt } => write!(f, "stmt({stmt})"),
-            EventKind::Advance { var, tag }
-            | EventKind::AwaitBegin { var, tag }
-            | EventKind::AwaitEnd { var, tag } => {
-                write!(f, "{}({var},{tag})", self.mnemonic())
-            }
-            EventKind::BarrierEnter { barrier } | EventKind::BarrierExit { barrier } => {
-                write!(f, "{}({barrier})", self.mnemonic())
-            }
-            EventKind::LockAcquire { lock } | EventKind::LockRelease { lock } => {
-                write!(f, "{}({lock})", self.mnemonic())
-            }
-            EventKind::SemAcquire { sem } | EventKind::SemRelease { sem } => {
-                write!(f, "{}({sem})", self.mnemonic())
-            }
-            EventKind::TaskFork { task } | EventKind::TaskJoin { task } => {
-                write!(f, "{}({task})", self.mnemonic())
-            }
-            EventKind::Repeat {
-                len,
-                count,
-                dt_ns,
-                dseq,
-                dfield,
-            } => {
-                write!(f, "repeat({len}x{count},dt{dt_ns},ds{dseq},df{dfield})")
-            }
-        }
+        self.code().mnemonic()
     }
 }
 
@@ -327,36 +243,37 @@ impl Event {
     /// suppressor and the expander both use this exact function, which
     /// is what makes suppress-then-expand an identity.
     pub fn repeat_shifted(&self, r: u64, dt_ns: u64, dseq: u64, dfield: i64) -> Event {
-        let df = (r as i64).wrapping_mul(dfield);
-        let kind = match self.kind {
-            EventKind::IterationBegin { loop_id, iter } => EventKind::IterationBegin {
-                loop_id,
-                iter: iter.wrapping_add(df as u64),
-            },
-            EventKind::IterationEnd { loop_id, iter } => EventKind::IterationEnd {
-                loop_id,
-                iter: iter.wrapping_add(df as u64),
-            },
-            EventKind::Advance { var, tag } => EventKind::Advance {
-                var,
-                tag: SyncTag(tag.0.wrapping_add(df)),
-            },
-            EventKind::AwaitBegin { var, tag } => EventKind::AwaitBegin {
-                var,
-                tag: SyncTag(tag.0.wrapping_add(df)),
-            },
-            EventKind::AwaitEnd { var, tag } => EventKind::AwaitEnd {
-                var,
-                tag: SyncTag(tag.0.wrapping_add(df)),
-            },
-            other => other,
-        };
+        let kind = self.kind.shifted((r as i64).wrapping_mul(dfield));
         Event {
             time: Time::from_nanos(self.time.as_nanos().wrapping_add(r.wrapping_mul(dt_ns))),
             proc: self.proc,
             seq: self.seq.wrapping_add(r.wrapping_mul(dseq)),
             kind,
         }
+    }
+
+    /// The stride from this event to `later` if `later` can be its next
+    /// repeat occurrence: `later == self.repeat_shifted(1, dt_ns, dseq,
+    /// dfield)` with time and sequence not decreasing. Answers `(dt_ns,
+    /// dseq, Some(dfield))` for a kind with a shifting field and
+    /// `(dt_ns, dseq, None)` for one without, whose fields must then
+    /// match exactly; episode ids are identities, so a critical-section
+    /// loop on one lock repeats and a fork/join wave over fresh task ids
+    /// does not. The suppressor finds strides with this function and the
+    /// expander applies them with `repeat_shifted`.
+    pub fn repeat_stride(&self, later: &Event) -> Option<(u64, u64, Option<i64>)> {
+        if later.time < self.time || later.seq < self.seq {
+            return None;
+        }
+        let dfield = match (self.kind.shift_field(), later.kind.shift_field()) {
+            (Some(from), Some(to)) => {
+                let df = to.wrapping_sub(from) as i64;
+                (self.kind.shifted(df) == later.kind).then_some(Some(df))
+            }
+            _ => (self.kind == later.kind).then_some(None),
+        }?;
+        let dt = later.time.as_nanos() - self.time.as_nanos();
+        Some((dt, later.seq - self.seq, dfield))
     }
 
     /// The total-order key used throughout the analyses: time, then
@@ -380,39 +297,6 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_predicates() {
-        let adv = EventKind::Advance {
-            var: SyncVarId(0),
-            tag: SyncTag(3),
-        };
-        let awb = EventKind::AwaitBegin {
-            var: SyncVarId(0),
-            tag: SyncTag(3),
-        };
-        let awe = EventKind::AwaitEnd {
-            var: SyncVarId(0),
-            tag: SyncTag(3),
-        };
-        let stmt = EventKind::Statement {
-            stmt: StatementId(1),
-        };
-        let bar = EventKind::BarrierEnter {
-            barrier: BarrierId(0),
-        };
-
-        assert!(adv.is_sync() && awb.is_sync() && awe.is_sync());
-        assert!(!stmt.is_sync() && !bar.is_sync());
-        assert!(bar.is_barrier());
-        assert!(EventKind::ProgramBegin.is_marker());
-        assert!(EventKind::IterationEnd {
-            loop_id: LoopId(0),
-            iter: 2
-        }
-        .is_marker());
-        assert!(!stmt.is_marker());
-    }
 
     #[test]
     fn episode_predicates_and_accessors() {

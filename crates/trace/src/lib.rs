@@ -32,6 +32,7 @@ mod event;
 mod gap;
 mod ids;
 mod io;
+mod kind;
 mod overhead;
 mod reorder;
 pub mod selftrace;
@@ -54,7 +55,8 @@ pub use ids::{
     BarrierId, LockId, LoopId, ProcessorId, SemId, StatementId, SyncTag, SyncVarId, TaskId,
 };
 pub use io::{read_jsonl, write_csv, write_jsonl, IoError};
-pub use overhead::OverheadSpec;
+pub use kind::{KindCode, KindGroup};
+pub use overhead::{OverheadClass, OverheadSpec};
 pub use reorder::{ReorderBuffer, ReorderSnapshot};
 pub use selftrace::{
     spans_to_events, write_chrome_trace, write_self_trace, SelfTraceSummary, DEPTH_LANES,

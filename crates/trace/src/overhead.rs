@@ -17,6 +17,37 @@ use crate::event::EventKind;
 use crate::time::Span;
 use serde::{Deserialize, Serialize};
 
+/// Which instrumentation overhead of an [`OverheadSpec`] pays for
+/// recording an event kind: the overhead column of the kind table
+/// ([`KindCode::overhead_class`](crate::KindCode::overhead_class)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverheadClass {
+    /// [`OverheadSpec::statement_event`].
+    Statement,
+    /// [`OverheadSpec::marker_event`].
+    Marker,
+    /// [`OverheadSpec::advance_instr`] (α).
+    Advance,
+    /// [`OverheadSpec::await_begin_instr`] (β).
+    AwaitBegin,
+    /// [`OverheadSpec::await_end_instr`].
+    AwaitEnd,
+    /// [`OverheadSpec::barrier_instr`].
+    Barrier,
+}
+
+impl OverheadClass {
+    /// Every class, in [`OverheadSpec`] field order.
+    pub const ALL: [OverheadClass; 6] = [
+        OverheadClass::Statement,
+        OverheadClass::Marker,
+        OverheadClass::Advance,
+        OverheadClass::AwaitBegin,
+        OverheadClass::AwaitEnd,
+        OverheadClass::Barrier,
+    ];
+}
+
 /// All timing constants fed to the perturbation models.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverheadSpec {
@@ -104,59 +135,50 @@ impl OverheadSpec {
     }
 
     /// The instrumentation overhead charged for recording one event of the
-    /// given kind. This is the amount the perturbation models subtract per
-    /// event.
+    /// given kind: the field its kind-table row names. This is the amount
+    /// the perturbation models subtract per event.
     #[inline]
     pub fn instr_overhead(&self, kind: &EventKind) -> Span {
-        match kind {
-            EventKind::Statement { .. } => self.statement_event,
-            EventKind::ProgramBegin
-            | EventKind::ProgramEnd
-            | EventKind::LoopBegin { .. }
-            | EventKind::LoopEnd { .. }
-            | EventKind::IterationBegin { .. }
-            | EventKind::IterationEnd { .. } => self.marker_event,
-            EventKind::Advance { .. } => self.advance_instr,
-            EventKind::AwaitBegin { .. } => self.await_begin_instr,
-            EventKind::AwaitEnd { .. } => self.await_end_instr,
-            EventKind::BarrierEnter { .. } | EventKind::BarrierExit { .. } => self.barrier_instr,
-            // Episode kinds reuse the advance/await cost structure: a
-            // release/V/fork is an advance-like enabling record (α-class),
-            // a blocked completion (acquire/P/join) is awaitE-like.
-            EventKind::LockRelease { .. }
-            | EventKind::SemRelease { .. }
-            | EventKind::TaskFork { .. } => self.advance_instr,
-            EventKind::LockAcquire { .. }
-            | EventKind::SemAcquire { .. }
-            | EventKind::TaskJoin { .. } => self.await_end_instr,
-            // A repeat record is a container artifact, not a recorded
-            // action: it must be expanded before any perturbation model
-            // charges per-event overhead, so its own cost is zero.
-            EventKind::Repeat { .. } => Span::ZERO,
+        match kind.code().overhead_class() {
+            Some(class) => self.instr_cost(class),
+            None => Span::ZERO,
         }
+    }
+
+    /// The field that holds the instrumentation overhead of `class`.
+    pub fn instr_cost_mut(&mut self, class: OverheadClass) -> &mut Span {
+        match class {
+            OverheadClass::Statement => &mut self.statement_event,
+            OverheadClass::Marker => &mut self.marker_event,
+            OverheadClass::Advance => &mut self.advance_instr,
+            OverheadClass::AwaitBegin => &mut self.await_begin_instr,
+            OverheadClass::AwaitEnd => &mut self.await_end_instr,
+            OverheadClass::Barrier => &mut self.barrier_instr,
+        }
+    }
+
+    /// The instrumentation overhead of one [`OverheadClass`].
+    #[inline]
+    pub fn instr_cost(mut self, class: OverheadClass) -> Span {
+        *self.instr_cost_mut(class)
     }
 
     /// Scales every instrumentation overhead by `factor` (synchronization
     /// processing costs are machine properties and stay fixed). Used by the
     /// overhead-sensitivity ablation.
     pub fn scale_instrumentation(mut self, factor: f64) -> OverheadSpec {
-        self.statement_event = self.statement_event.scale_f64(factor);
-        self.marker_event = self.marker_event.scale_f64(factor);
-        self.advance_instr = self.advance_instr.scale_f64(factor);
-        self.await_begin_instr = self.await_begin_instr.scale_f64(factor);
-        self.await_end_instr = self.await_end_instr.scale_f64(factor);
-        self.barrier_instr = self.barrier_instr.scale_f64(factor);
+        for class in OverheadClass::ALL {
+            let cost = self.instr_cost_mut(class);
+            *cost = cost.scale_f64(factor);
+        }
         self
     }
 
     /// True if every instrumentation overhead is zero.
     pub fn is_instrumentation_free(&self) -> bool {
-        self.statement_event.is_zero()
-            && self.marker_event.is_zero()
-            && self.advance_instr.is_zero()
-            && self.await_begin_instr.is_zero()
-            && self.await_end_instr.is_zero()
-            && self.barrier_instr.is_zero()
+        OverheadClass::ALL
+            .into_iter()
+            .all(|class| self.instr_cost(class).is_zero())
     }
 }
 
@@ -169,53 +191,6 @@ impl Default for OverheadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{BarrierId, LoopId, StatementId, SyncTag, SyncVarId};
-
-    #[test]
-    fn instr_overhead_dispatches_by_kind() {
-        let spec = OverheadSpec::alliant_default();
-        assert_eq!(
-            spec.instr_overhead(&EventKind::Statement {
-                stmt: StatementId(1)
-            }),
-            spec.statement_event
-        );
-        assert_eq!(
-            spec.instr_overhead(&EventKind::Advance {
-                var: SyncVarId(0),
-                tag: SyncTag(0)
-            }),
-            spec.advance_instr
-        );
-        assert_eq!(
-            spec.instr_overhead(&EventKind::AwaitBegin {
-                var: SyncVarId(0),
-                tag: SyncTag(0)
-            }),
-            spec.await_begin_instr
-        );
-        assert_eq!(
-            spec.instr_overhead(&EventKind::AwaitEnd {
-                var: SyncVarId(0),
-                tag: SyncTag(0)
-            }),
-            spec.await_end_instr
-        );
-        assert_eq!(
-            spec.instr_overhead(&EventKind::BarrierEnter {
-                barrier: BarrierId(0)
-            }),
-            spec.barrier_instr
-        );
-        assert_eq!(
-            spec.instr_overhead(&EventKind::LoopBegin { loop_id: LoopId(0) }),
-            spec.marker_event
-        );
-        assert_eq!(
-            spec.instr_overhead(&EventKind::ProgramBegin),
-            spec.marker_event
-        );
-    }
 
     #[test]
     fn zero_spec_is_instrumentation_free() {

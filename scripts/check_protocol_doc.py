@@ -8,9 +8,10 @@ Two spec documents are pinned here:
   value and name. (The doc-tested Rust block at the end of PROTOCOL.md
   already guards the doc -> source direction.)
 - QUERIES.md against crates/slice/src/spec.rs: every clause keyword in
-  CLAUSE_KEYWORDS and every kind mnemonic in KIND_MNEMONICS must appear
-  as a grammar-table row, so the query language a user reads cannot
-  drift from what the parser accepts.
+  CLAUSE_KEYWORDS must appear as a grammar-table row, so the query
+  language a user reads cannot drift from what the parser accepts. The
+  kind mnemonic and group tables are checked from the kind table itself
+  by a ppa-slice test (`queries_doc_lists_every_kind_and_group`).
 
 Exit 0 when everything matches; exit 1 with one line per mismatch.
 """
@@ -55,18 +56,6 @@ def parse_str_array(src: str, name: str):
     return re.findall(r'"([^"]+)"', m.group("body"))
 
 
-def parse_mnemonics(src: str):
-    """Return the mnemonic names of the KIND_MNEMONICS table."""
-    m = re.search(
-        r"const KIND_MNEMONICS: &\[\(&str, u32\)\] = &\[(?P<body>.*?)\];",
-        src,
-        re.DOTALL,
-    )
-    if not m:
-        return None
-    return re.findall(r'\("([^"]+)",', m.group("body"))
-
-
 def check_queries_doc(require):
     """Pin QUERIES.md's grammar tables to the parser in spec.rs."""
     src = SPEC_SRC.read_text()
@@ -84,37 +73,6 @@ def check_queries_doc(require):
             f"QUERIES.md grammar table is missing a | `{kw}` | row "
             f"(source: CLAUSE_KEYWORDS in {SPEC_SRC.relative_to(ROOT)})",
         )
-
-    mnemonics = parse_mnemonics(src)
-    require(
-        mnemonics is not None and len(mnemonics) == 18,
-        f"expected 18 KIND_MNEMONICS in {SPEC_SRC}, "
-        f"found {len(mnemonics or [])}",
-    )
-    for m in mnemonics or []:
-        row = re.compile(r"^\|\s*`%s`\s*\|" % re.escape(m), re.MULTILINE)
-        require(
-            bool(row.search(doc)),
-            f"QUERIES.md mnemonic table is missing a | `{m}` | row "
-            f"(source: KIND_MNEMONICS in {SPEC_SRC.relative_to(ROOT)})",
-        )
-
-    # The kind groups the parser special-cases must be documented rows,
-    # and `repeat` must never become a selectable mnemonic silently.
-    for group in ("sync", "barrier", "marker", "lock", "sem", "task"):
-        require(
-            f'"{group}" =>' in src,
-            f"spec.rs no longer special-cases the `{group}` group",
-        )
-        row = re.compile(r"^\|\s*`%s`\s*\|" % group, re.MULTILINE)
-        require(
-            bool(row.search(doc)),
-            f"QUERIES.md group table is missing a | `{group}` | row",
-        )
-    require(
-        "repeat" not in (mnemonics or []),
-        "`repeat` became a selectable mnemonic; QUERIES.md promises it is not",
-    )
 
     # Scalar facts the prose states outright.
     require(
