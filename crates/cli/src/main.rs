@@ -117,6 +117,12 @@ impl From<ppa::trace::IoError> for CliError {
     }
 }
 
+impl From<ppa::analysis::ExpandError> for CliError {
+    fn from(e: ppa::analysis::ExpandError) -> Self {
+        CliError::Data(e.to_string())
+    }
+}
+
 impl From<ppa::analysis::AnalysisError> for CliError {
     fn from(e: ppa::analysis::AnalysisError) -> Self {
         CliError::Data(e.to_string())
@@ -836,7 +842,7 @@ const SLICE_USAGE: &str = "usage: ppa slice <in.{jsonl|bin}> <out> [--expr EXPR]
 /// every input event is emitted, filtered, skipped undecoded,
 /// suppressed into a record, or lost to a lenient-mode gap.
 fn run_slice(args: &[String]) -> Result<(), CliError> {
-    use ppa::slice::{slice_stream, SliceError, SliceOptions, SliceProbes, SliceSpec, SliceStats};
+    use ppa::slice::{slice_stream, SliceError, SliceOptions, SliceProbes, SliceSpec};
     use ppa::trace::{AnyTraceReader, AnyTraceWriter, TraceFormat};
     use std::io::{BufReader, BufWriter, Write as _};
 
@@ -950,46 +956,10 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
         AnyTraceWriter::new(BufWriter::new(out_file), format, kind, 0).map_err(out_err)?;
 
     let (stats, expansion) = if expand {
-        // Expansion must see every record — including ones a skipped
-        // block would hide — so it reads everything undiscarded and
-        // filters after expanding. Conservation is over logical events
-        // here: emitted + filtered == physical input + expanded.
-        let mut stats = SliceStats {
-            expected: reader.expected_events() as u64,
-            ..SliceStats::default()
-        };
-        let mut expander = ppa::analysis::RepeatExpander::new();
-        let mut buf: Vec<ppa::trace::Event> = Vec::new();
-        {
-            let mut deliver = |ev: &ppa::trace::Event| -> Result<(), CliError> {
-                if spec.matches(ev) {
-                    writer.write_event(ev).map_err(out_err)?;
-                    stats.emitted += 1;
-                    probes.events_emitted.inc();
-                } else {
-                    stats.filtered += 1;
-                    probes.events_filtered.inc();
-                }
-                Ok(())
-            };
-            for item in reader.by_ref() {
-                let event = item.map_err(|e| CliError::from(e).prefixed(input))?;
-                buf.clear();
-                expander
-                    .push(event, &mut buf)
-                    .map_err(|e| CliError::Data(format!("{input}: {e}")))?;
-                for ev in &buf {
-                    deliver(ev)?;
-                }
-            }
-            buf.clear();
-            expander.finish(&mut buf);
-            for ev in &buf {
-                deliver(ev)?;
-            }
-        }
-        stats.lost = reader.events_lost();
-        (stats, Some((expander.records(), expander.expanded())))
+        let (stats, expansion) = expand_slice(&mut reader, &spec, &probes, input, |e| {
+            writer.write_event(e).map_err(out_err)
+        })?;
+        (stats, Some(expansion))
     } else {
         let options = SliceOptions {
             spec,
@@ -1043,6 +1013,54 @@ fn run_slice(args: &[String]) -> Result<(), CliError> {
         println!("metrics snapshot written to {path}");
     }
     Ok(())
+}
+
+/// `ppa slice --expand`: expands every repeat record of `reader` and
+/// hands `write` the logical events `spec` selects, each as the expander
+/// produces it, so a record standing for billions of events streams
+/// through in the memory of its pattern. Returns the stats and (records
+/// expanded, events reproduced).
+///
+/// Expansion must see every record — including ones a skipped block
+/// would hide — so it reads everything undiscarded and filters after
+/// expanding. Conservation is over logical events here: emitted +
+/// filtered == physical input + expanded.
+fn expand_slice<R: std::io::Read>(
+    reader: &mut ppa::trace::AnyTraceReader<R>,
+    spec: &ppa::slice::SliceSpec,
+    probes: &ppa::slice::SliceProbes,
+    input: &str,
+    mut write: impl FnMut(&ppa::trace::Event) -> Result<(), CliError>,
+) -> Result<(ppa::slice::SliceStats, (u64, u64)), CliError> {
+    let mut stats = ppa::slice::SliceStats {
+        expected: reader.expected_events() as u64,
+        ..Default::default()
+    };
+    let mut expander = ppa::analysis::RepeatExpander::new();
+    let mut deliver = |ev: ppa::trace::Event| -> Result<(), CliError> {
+        if spec.matches(&ev) {
+            write(&ev)?;
+            stats.emitted += 1;
+            probes.events_emitted.inc();
+        } else {
+            stats.filtered += 1;
+            probes.events_filtered.inc();
+        }
+        Ok(())
+    };
+    // `write` fails only on output; a `Data` error is the expander's,
+    // about the input.
+    let input_named = |e: CliError| match e {
+        CliError::Data(_) => e.prefixed(input),
+        e => e,
+    };
+    for item in reader.by_ref() {
+        let event = item.map_err(|e| CliError::from(e).prefixed(input))?;
+        expander.push(event, &mut deliver).map_err(input_named)?;
+    }
+    expander.finish(&mut deliver)?;
+    stats.lost = reader.events_lost();
+    Ok((stats, (expander.records(), expander.expanded())))
 }
 
 const CHECK_USAGE: &str = "usage: ppa check <trace-report-or-checkpoint.{jsonl|bin|ckpt}> \
@@ -1571,5 +1589,93 @@ impl CliError {
             CliError::NoInput(m) => CliError::NoInput(format!("{path}: {m}")),
             CliError::Io(m) => CliError::Io(format!("{path}: {m}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppa::trace::{
+        AnyTraceReader, Event, EventKind, ProcessorId, StatementId, Time, TraceKind,
+        TraceStreamWriter,
+    };
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Records the largest single allocation or reallocation on any
+    /// thread. One test reads it, so nothing runs beside it.
+    struct LargestAlloc;
+
+    static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+    // SAFETY: defers every operation to `System`; the bookkeeping is one
+    // atomic and never allocates.
+    unsafe impl GlobalAlloc for LargestAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            LARGEST.fetch_max(new_size, Ordering::Relaxed);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: LargestAlloc = LargestAlloc;
+
+    /// `ppa slice --expand` writes a record's occurrences as they are
+    /// produced: a million of them cost no more memory than two.
+    #[test]
+    fn expand_slice_streams_a_million_occurrence_record() {
+        let at =
+            |t: u64, seq: u64, kind| Event::new(Time::from_nanos(t), ProcessorId(0), seq, kind);
+        let events = [
+            at(
+                0,
+                0,
+                EventKind::Statement {
+                    stmt: StatementId(7),
+                },
+            ),
+            at(
+                100,
+                1,
+                EventKind::Repeat {
+                    len: 1,
+                    count: 1_000_000,
+                    dt_ns: 100,
+                    dseq: 1,
+                    dfield: 0,
+                },
+            ),
+        ];
+        let mut w = TraceStreamWriter::new(Vec::new(), TraceKind::Measured, 2).unwrap();
+        events.iter().for_each(|e| w.write_event(e).unwrap());
+        let mut reader = AnyTraceReader::open(std::io::Cursor::new(w.finish().unwrap())).unwrap();
+
+        LARGEST.store(0, Ordering::Relaxed);
+        let (mut written, mut last) = (0u64, None);
+        let (stats, expansion) = expand_slice(
+            &mut reader,
+            &ppa::slice::SliceSpec::default(),
+            &ppa::slice::SliceProbes::noop(),
+            "in.jsonl",
+            |e| {
+                written += 1;
+                last = Some(*e);
+                Ok(())
+            },
+        )
+        .unwrap();
+        let largest = LARGEST.load(Ordering::Relaxed);
+
+        assert_eq!(expansion, (1, 1_000_000));
+        assert_eq!((written, stats.emitted), (1_000_001, 1_000_001));
+        assert_eq!(last.map(|e| e.seq), Some(1_000_000));
+        assert!(largest <= 1 << 20, "a {largest}-byte allocation");
     }
 }

@@ -121,9 +121,11 @@ impl Ring {
 /// Streaming repeat-record expander.
 ///
 /// Feed physical events (the suppressed stream) in total order via
-/// [`RepeatExpander::push`]; logical events come out in total order.
-/// Call [`RepeatExpander::finish`] once at the end to drain occurrences
-/// that extend past the last physical event.
+/// [`RepeatExpander::push`]; logical events come out in total order,
+/// each handed to the caller's consumer as it is produced, so a record
+/// standing for millions of events costs no more memory than one
+/// standing for two. Call [`RepeatExpander::finish`] once at the end to
+/// drain occurrences that extend past the last physical event.
 #[derive(Default)]
 pub struct RepeatExpander {
     /// Per-processor history, indexed by processor.
@@ -178,13 +180,13 @@ impl RepeatExpander {
         true
     }
 
-    /// Emits every pending occurrence ordering before `limit` (all of
-    /// them when `limit` is `None`).
-    fn drain(
+    /// Hands `emit` every pending occurrence ordering before `limit`
+    /// (all of them when `limit` is `None`), one at a time.
+    fn drain<E>(
         &mut self,
         limit: Option<(ppa_trace::Time, u64, ppa_trace::ProcessorId)>,
-        out: &mut Vec<Event>,
-    ) {
+        emit: &mut impl FnMut(Event) -> Result<(), E>,
+    ) -> Result<(), E> {
         loop {
             // The earliest pending occurrence, the first cursor winning
             // ties. Spelled as a loop on purpose: as a `min_by_key` chain
@@ -197,27 +199,34 @@ impl RepeatExpander {
                     earliest = Some((i, e));
                 }
             }
-            let Some((idx, next)) = earliest else { break };
+            let Some((idx, next)) = earliest else {
+                return Ok(());
+            };
             if limit.is_some_and(|key| next.order_key() > key) {
-                break;
+                return Ok(());
             }
             self.remember(next);
-            out.push(next);
             self.expanded += 1;
             if !self.cursors[idx].advance() {
                 self.cursors.swap_remove(idx);
             }
+            emit(next)?;
         }
     }
 
-    /// Accepts the next physical event; appends the logical events it
-    /// (and any pending occurrences ordering before it) stands for.
-    pub fn push(&mut self, event: Event, out: &mut Vec<Event>) -> Result<(), ExpandError> {
+    /// Accepts the next physical event; hands `emit` the logical events
+    /// it (and any pending occurrences ordering before it) stands for,
+    /// in total order, as they are produced. The first error, the
+    /// expander's own or `emit`'s, ends the push.
+    pub fn push<E: From<ExpandError>>(
+        &mut self,
+        event: Event,
+        mut emit: impl FnMut(Event) -> Result<(), E>,
+    ) -> Result<(), E> {
         if self.pass_through(&event) {
-            out.push(event);
-            return Ok(());
+            return emit(event);
         }
-        self.drain(Some(event.order_key()), out);
+        self.drain(Some(event.order_key()), &mut emit)?;
         match event.kind {
             EventKind::Repeat {
                 len,
@@ -227,7 +236,7 @@ impl RepeatExpander {
                 dfield,
             } => {
                 if len == 0 || count == 0 {
-                    return Err(ExpandError::EmptyRecord { seq: event.seq });
+                    return Err(ExpandError::EmptyRecord { seq: event.seq }.into());
                 }
                 let history = self.ring(&event);
                 if history.len() < len as usize {
@@ -235,7 +244,8 @@ impl RepeatExpander {
                         seq: event.seq,
                         needed: len,
                         have: history.len(),
-                    });
+                    }
+                    .into());
                 }
                 let pattern = history.newest(len as usize);
                 self.records += 1;
@@ -250,32 +260,37 @@ impl RepeatExpander {
                 });
                 // The record's own position is its first occurrence's
                 // first event: emit everything up to and including it.
-                self.drain(Some(event.order_key()), out);
+                self.drain(Some(event.order_key()), &mut emit)
             }
             _ => {
                 self.remember(event);
-                out.push(event);
+                emit(event)
             }
         }
-        Ok(())
     }
 
-    /// Drains every remaining occurrence. The expander is reusable (but
-    /// history-free) afterwards.
-    pub fn finish(&mut self, out: &mut Vec<Event>) {
-        self.drain(None, out);
+    /// Hands `emit` every remaining occurrence, one at a time. The
+    /// expander is reusable (but history-free) afterwards.
+    pub fn finish<E>(&mut self, mut emit: impl FnMut(Event) -> Result<(), E>) -> Result<(), E> {
+        let drained = self.drain(None, &mut emit);
         self.history.clear();
+        drained
     }
 }
 
-/// Expands an in-memory event sequence (total order assumed).
+/// Expands an in-memory event sequence (total order assumed), collecting
+/// the logical events.
 pub fn expand_events(events: &[Event]) -> Result<Vec<Event>, ExpandError> {
     let mut x = RepeatExpander::new();
     let mut out = Vec::with_capacity(events.len());
+    let mut collect = |e: Event| -> Result<(), ExpandError> {
+        out.push(e);
+        Ok(())
+    };
     for &e in events {
-        x.push(e, &mut out)?;
+        x.push(e, &mut collect)?;
     }
-    x.finish(&mut out);
+    x.finish(&mut collect)?;
     Ok(out)
 }
 

@@ -201,6 +201,12 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
+impl From<ExpandError> for PipelineError {
+    fn from(e: ExpandError) -> Self {
+        PipelineError::Expand(e)
+    }
+}
+
 /// One consumed input event, as [`Pipeline::step`] reports it.
 #[derive(Debug, Clone, Copy)]
 pub struct Step {
@@ -526,28 +532,19 @@ impl Tail {
 }
 
 /// Hands one totally-ordered event to the expander, if there is one,
-/// and on to the analyzer.
-fn feed(expand: &mut Option<Expand>, tail: &mut Tail, event: Event) -> Result<(), PipelineError> {
+/// and on to the analyzer; a repeat record's occurrences go one by one.
+fn feed(
+    expand: &mut Option<RepeatExpander>,
+    tail: &mut Tail,
+    event: Event,
+) -> Result<(), PipelineError> {
     let Some(x) = expand else {
         return tail.push(event);
     };
-    if x.expander.pass_through(&event) {
+    if x.pass_through(&event) {
         return tail.push(event);
     }
-    x.buf.clear();
-    x.expander
-        .push(event, &mut x.buf)
-        .map_err(PipelineError::Expand)?;
-    for e in x.buf.drain(..) {
-        tail.push(e)?;
-    }
-    Ok(())
-}
-
-/// The expander and the buffer it expands into.
-struct Expand {
-    expander: RepeatExpander,
-    buf: Vec<Event>,
+    x.push(event, |e| tail.push(e))
 }
 
 /// The chain writer and its cadence counter.
@@ -574,7 +571,7 @@ struct Checkpointer {
 pub struct Pipeline<R: Read> {
     reader: AnyTraceReader<R>,
     reorder: Option<ReorderBuffer>,
-    expand: Option<Expand>,
+    expand: Option<RepeatExpander>,
     tail: Tail,
     checkpointer: Option<Checkpointer>,
     report_path: Option<PathBuf>,
@@ -629,10 +626,7 @@ impl<R: Read> Pipeline<R> {
             (None, _) => None,
         };
         let stage = writer.map(ReportStage::spawn).transpose()?;
-        let expand = (config.checkpoint.is_none() && resume.is_none()).then(|| Expand {
-            expander: RepeatExpander::new(),
-            buf: Vec::new(),
-        });
+        let expand = (config.checkpoint.is_none() && resume.is_none()).then(RepeatExpander::new);
         let checkpointer = config.checkpoint.map(|p| Checkpointer {
             writer: DeltaCheckpointWriter::new(p.path, p.compact_every),
             every: p.every,
@@ -766,25 +760,16 @@ impl<R: Read> Pipeline<R> {
             }
         }
         if let Some(x) = &mut self.expand {
-            x.buf.clear();
-            x.expander.finish(&mut x.buf);
-            for e in x.buf.drain(..) {
-                self.tail.push(e)?;
-            }
+            x.finish(|e| self.tail.push(e))?;
         }
         let _span = span_enter(Stage::AnalyzeEmit);
         let Tail {
             analyzer,
             mut report,
         } = self.tail;
-        let stream_tail = if self.lenient {
-            analyzer.finish_lenient()
-        } else {
-            analyzer.finish().map_err(PipelineError::Analysis)?
-        };
-        for o in stream_tail.outputs {
-            report.output(o);
-        }
+        let stream_tail = analyzer
+            .finish_into(&mut report, self.lenient)
+            .map_err(PipelineError::Analysis)?;
         report.finish()?;
         let mut gaps = self.prior_gaps;
         gaps.extend_from_slice(self.reader.gaps());
@@ -796,8 +781,8 @@ impl<R: Read> Pipeline<R> {
             unresolved: stream_tail.unresolved,
             gaps,
             events_lost: self.prior_lost + self.reader.events_lost(),
-            repeat_records: self.expand.as_ref().map_or(0, |x| x.expander.records()),
-            repeat_expanded: self.expand.as_ref().map_or(0, |x| x.expander.expanded()),
+            repeat_records: self.expand.as_ref().map_or(0, RepeatExpander::records),
+            repeat_expanded: self.expand.as_ref().map_or(0, RepeatExpander::expanded),
             reorder: self.reorder.as_ref().map(ReorderBuffer::snapshot),
         })
     }

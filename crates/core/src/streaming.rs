@@ -198,6 +198,36 @@ impl AnalyzerProbes {
     }
 }
 
+/// True for a kind with no synchronization or loop-begin semantics: the
+/// generic §4.2.3 chain rule is all it needs, so with its basis resolved
+/// it takes the analyzer's fast path. Every kind is listed by name, so a
+/// new one does not compile until it is placed on one side.
+#[inline]
+fn is_plain_chain(kind: &EventKind) -> bool {
+    match kind {
+        EventKind::ProgramBegin
+        | EventKind::ProgramEnd
+        | EventKind::LoopEnd { .. }
+        | EventKind::IterationBegin { .. }
+        | EventKind::IterationEnd { .. }
+        | EventKind::Statement { .. } => true,
+        // Refused before analysis; never reaches the fast path.
+        EventKind::Repeat { .. } => false,
+        EventKind::Advance { .. }
+        | EventKind::AwaitBegin { .. }
+        | EventKind::AwaitEnd { .. }
+        | EventKind::BarrierEnter { .. }
+        | EventKind::BarrierExit { .. }
+        | EventKind::LoopBegin { .. }
+        | EventKind::LockAcquire { .. }
+        | EventKind::LockRelease { .. }
+        | EventKind::SemAcquire { .. }
+        | EventKind::SemRelease { .. }
+        | EventKind::TaskFork { .. }
+        | EventKind::TaskJoin { .. } => false,
+    }
+}
+
 /// Pushes between two watermark drains: the cadence the analyzer
 /// releases output on and its gauges are refreshed on.
 pub(crate) const DRAIN_EVERY: u32 = 16;
@@ -1068,21 +1098,7 @@ impl EventBasedAnalyzer {
         if self.scan_error.is_none()
             && self.barrier_error.is_none()
             && self.episode_error.is_none()
-            && !matches!(
-                event.kind,
-                EventKind::Advance { .. }
-                    | EventKind::AwaitBegin { .. }
-                    | EventKind::AwaitEnd { .. }
-                    | EventKind::BarrierEnter { .. }
-                    | EventKind::BarrierExit { .. }
-                    | EventKind::LoopBegin { .. }
-                    | EventKind::LockAcquire { .. }
-                    | EventKind::LockRelease { .. }
-                    | EventKind::SemAcquire { .. }
-                    | EventKind::SemRelease { .. }
-                    | EventKind::TaskFork { .. }
-                    | EventKind::TaskJoin { .. }
-            )
+            && is_plain_chain(&event.kind)
             && self.procs[pi].is_some()
         {
             if let Some((_, b_tm, Some(b_ta))) = self.select_basis(event.proc, idx) {
@@ -1187,7 +1203,22 @@ impl EventBasedAnalyzer {
                         }
                     }
                 }
-                _ => {}
+                EventKind::ProgramBegin
+                | EventKind::ProgramEnd
+                | EventKind::LoopBegin { .. }
+                | EventKind::LoopEnd { .. }
+                | EventKind::IterationBegin { .. }
+                | EventKind::IterationEnd { .. }
+                | EventKind::Statement { .. }
+                | EventKind::BarrierEnter { .. }
+                | EventKind::BarrierExit { .. }
+                | EventKind::LockAcquire { .. }
+                | EventKind::LockRelease { .. }
+                | EventKind::SemAcquire { .. }
+                | EventKind::SemRelease { .. }
+                | EventKind::TaskFork { .. }
+                | EventKind::TaskJoin { .. }
+                | EventKind::Repeat { .. } => {}
             }
             if self.scan_error.is_some() {
                 return Ok(());
@@ -1280,7 +1311,23 @@ impl EventBasedAnalyzer {
                         }
                     }
                 }
-                _ => {}
+                EventKind::ProgramBegin
+                | EventKind::ProgramEnd
+                | EventKind::LoopBegin { .. }
+                | EventKind::LoopEnd { .. }
+                | EventKind::IterationBegin { .. }
+                | EventKind::IterationEnd { .. }
+                | EventKind::Statement { .. }
+                | EventKind::Advance { .. }
+                | EventKind::AwaitBegin { .. }
+                | EventKind::AwaitEnd { .. }
+                | EventKind::LockAcquire { .. }
+                | EventKind::LockRelease { .. }
+                | EventKind::SemAcquire { .. }
+                | EventKind::SemRelease { .. }
+                | EventKind::TaskFork { .. }
+                | EventKind::TaskJoin { .. }
+                | EventKind::Repeat { .. } => {}
             }
         }
 
@@ -1418,7 +1465,19 @@ impl EventBasedAnalyzer {
                         blocked = Some(Some((d, self.take_dep(d))));
                     }
                 }
-                _ => {}
+                EventKind::ProgramBegin
+                | EventKind::ProgramEnd
+                | EventKind::LoopBegin { .. }
+                | EventKind::LoopEnd { .. }
+                | EventKind::IterationBegin { .. }
+                | EventKind::IterationEnd { .. }
+                | EventKind::Statement { .. }
+                | EventKind::Advance { .. }
+                | EventKind::AwaitBegin { .. }
+                | EventKind::AwaitEnd { .. }
+                | EventKind::BarrierEnter { .. }
+                | EventKind::BarrierExit { .. }
+                | EventKind::Repeat { .. } => {}
             }
         }
 
@@ -1473,12 +1532,79 @@ impl EventBasedAnalyzer {
     /// arrival order, then dangling `awaitB`s, missing advances, barrier
     /// protocol violations, open episodes, and finally unresolvable
     /// (cyclic) dependencies.
-    pub fn finish(mut self) -> Result<StreamTail, AnalysisError> {
-        if let Some(e) = self.fatal {
-            return Err(e.into());
+    pub fn finish(self) -> Result<StreamTail, AnalysisError> {
+        let mut out = VecDeque::new();
+        let tail = self.finish_into(&mut out, false)?;
+        Ok(StreamTail {
+            outputs: out.into(),
+            ..tail
+        })
+    }
+
+    /// Ends the stream without a verdict: flushes everything resolvable
+    /// and reports — rather than fails on — whatever could not resolve.
+    ///
+    /// This is the companion of lenient decoding. A decode gap can
+    /// swallow a partner `advance`, one side of an await pair, or a
+    /// barrier participant; [`finish`](Self::finish) would then report
+    /// the trace as infeasible even though every *surviving* event was
+    /// analyzed correctly. `finish_lenient` instead emits all resolved
+    /// events (awaits and barrier passages included) and returns the
+    /// count of still-parked events in [`StreamTail::unresolved`] so the
+    /// caller can account for them alongside the decode gaps. Parked
+    /// events are dropped — their approximated times were never
+    /// computable.
+    pub fn finish_lenient(self) -> StreamTail {
+        let mut out = VecDeque::new();
+        let tail = self
+            .finish_into(&mut out, true)
+            .expect("a lenient finish reaches no verdict");
+        StreamTail {
+            outputs: out.into(),
+            ..tail
         }
-        if let Some(e) = self.scan_error {
-            return Err(e.into());
+    }
+
+    /// [`finish`](Self::finish), or with `lenient`
+    /// [`finish_lenient`](Self::finish_lenient), handing the tail to
+    /// `sink` in release order instead of collecting it: the outputs not
+    /// yet taken, then the emission lanes, popped straight into the sink.
+    /// The returned tail's `outputs` is empty.
+    pub(crate) fn finish_into(
+        mut self,
+        sink: &mut impl OutputSink,
+        lenient: bool,
+    ) -> Result<StreamTail, AnalysisError> {
+        if !lenient {
+            self.verdict()?;
+        }
+        let unresolved = self.parked.len();
+        // Nothing can precede anything now.
+        while let Some(o) = self.out.pop_front() {
+            sink.output(o);
+        }
+        self.probes.events_emitted.add(self.buffer.len() as u64);
+        while let Some(entry) = self.buffer.pop() {
+            sink.event(entry.event);
+        }
+        self.probes.watermark_lag.set(0.0);
+        self.probes.resident_events.set(0.0);
+        self.probes.open_sync_episodes.set(0.0);
+        Ok(StreamTail {
+            outputs: Vec::new(),
+            stats: self.stats,
+            spills: self.spills,
+            unresolved,
+        })
+    }
+
+    /// The deferred validation verdict [`finish`](Self::finish) reports.
+    fn verdict(&self) -> Result<(), AnalysisError> {
+        if let Some(e) = &self.fatal {
+            return Err(e.clone().into());
+        }
+        if let Some(e) = &self.scan_error {
+            return Err(e.clone().into());
         }
         for (i, ps) in self.procs.iter().enumerate() {
             if let Some(p) = ps.as_ref().and_then(|s| s.pending_await) {
@@ -1501,8 +1627,8 @@ impl EventBasedAnalyzer {
         if let Some((_, (var, tag))) = missing {
             return Err(TraceError::MissingAdvance { var, tag }.into());
         }
-        if let Some(e) = self.barrier_error {
-            return Err(e.into());
+        if let Some(e) = &self.barrier_error {
+            return Err(e.clone().into());
         }
         if let Some((&barrier, &uid)) = self.open_by_barrier.iter().next() {
             let ep = &self.episodes[&uid];
@@ -1513,8 +1639,8 @@ impl EventBasedAnalyzer {
             }
             .into());
         }
-        if let Some(e) = self.episode_error {
-            return Err(e.into());
+        if let Some(e) = &self.episode_error {
+            return Err(e.clone().into());
         }
         if let Some((&lock, st)) = self.locks.iter().find(|(_, st)| st.holder.is_some()) {
             return Err(TraceError::LockHeldAtEnd {
@@ -1535,49 +1661,7 @@ impl EventBasedAnalyzer {
                 unresolved: self.parked.len(),
             });
         }
-        // Flush the reorder buffer: nothing can precede anything now.
-        self.flush_buffer();
-        Ok(StreamTail {
-            outputs: self.out.into_iter().collect(),
-            stats: self.stats,
-            spills: self.spills,
-            unresolved: 0,
-        })
-    }
-
-    /// Ends the stream without a verdict: flushes everything resolvable
-    /// and reports — rather than fails on — whatever could not resolve.
-    ///
-    /// This is the companion of lenient decoding. A decode gap can
-    /// swallow a partner `advance`, one side of an await pair, or a
-    /// barrier participant; [`finish`](Self::finish) would then report
-    /// the trace as infeasible even though every *surviving* event was
-    /// analyzed correctly. `finish_lenient` instead emits all resolved
-    /// events (awaits and barrier passages included) and returns the
-    /// count of still-parked events in [`StreamTail::unresolved`] so the
-    /// caller can account for them alongside the decode gaps. Parked
-    /// events are dropped — their approximated times were never
-    /// computable.
-    pub fn finish_lenient(mut self) -> StreamTail {
-        let unresolved = self.parked.len();
-        self.flush_buffer();
-        StreamTail {
-            outputs: self.out.into_iter().collect(),
-            stats: self.stats,
-            spills: self.spills,
-            unresolved,
-        }
-    }
-
-    /// Empties the reorder buffer into the output at end of stream.
-    fn flush_buffer(&mut self) {
-        self.probes.events_emitted.add(self.buffer.len() as u64);
-        while let Some(entry) = self.buffer.pop() {
-            self.out.push_back(StreamOutput::Event(entry.event));
-        }
-        self.probes.watermark_lag.set(0.0);
-        self.probes.resident_events.set(0.0);
-        self.probes.open_sync_episodes.set(0.0);
+        Ok(())
     }
 
     /// Serializes the analyzer's complete state into a plain data image.
@@ -2365,7 +2449,17 @@ impl EventBasedAnalyzer {
                     }
                 }
             }
-            _ => {}
+            EventKind::ProgramBegin
+            | EventKind::ProgramEnd
+            | EventKind::LoopEnd { .. }
+            | EventKind::IterationBegin { .. }
+            | EventKind::IterationEnd { .. }
+            | EventKind::Statement { .. }
+            | EventKind::AwaitEnd { .. }
+            | EventKind::BarrierExit { .. }
+            | EventKind::LockAcquire { .. }
+            | EventKind::SemAcquire { .. }
+            | EventKind::Repeat { .. } => {}
         }
         let pi = event.proc.index();
         if let Some(s) = self.procs[pi].as_mut() {

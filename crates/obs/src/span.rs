@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Number of [`Stage`] variants (the size of per-stage total arrays).
-pub const STAGE_COUNT: usize = 14;
+pub const STAGE_COUNT: usize = 15;
 
 /// The pipeline stage a span measures. One label per instrumented
 /// region of the real pipeline; `name()` is the value of the `stage`
@@ -73,6 +73,9 @@ pub enum Stage {
     /// Redundancy suppression: detecting repeated per-processor
     /// patterns and emitting counted repeat records.
     Suppress,
+    /// Retiring a completed server session's checkpoint file before its
+    /// DONE frame.
+    Retire,
 }
 
 impl Stage {
@@ -92,6 +95,7 @@ impl Stage {
         Stage::DeltaWrite,
         Stage::Slice,
         Stage::Suppress,
+        Stage::Retire,
     ];
 
     /// Dense index, `0..STAGE_COUNT`, in declaration order (per-stage
@@ -118,6 +122,7 @@ impl Stage {
             Stage::DeltaWrite => "delta_write",
             Stage::Slice => "slice",
             Stage::Suppress => "suppress",
+            Stage::Retire => "retire",
         }
     }
 }

@@ -784,8 +784,14 @@ fn session_body<S: SessionStream>(sock: S, ctx: Arc<ServerCtx>) -> SessionOutcom
     };
 
     // The session is complete: the checkpoint (a resume token) is
-    // stale. Delete it so a future HELLO starts fresh.
-    match fs::remove_file(&ckpt_path) {
+    // stale. Delete it so a future HELLO starts fresh. On a filesystem
+    // that discards freed blocks this unlink can take longer than the
+    // whole analysis (EXPERIMENTS.md), hence its own span.
+    let retired = {
+        let _span = ppa_obs::span_enter(ppa_obs::Stage::Retire);
+        fs::remove_file(&ckpt_path)
+    };
+    match retired {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => {

@@ -145,7 +145,7 @@ fn uniform_stride(
 /// [`Suppressor::push`]; call [`Suppressor::finish`] once at the end to
 /// flush. Both append output events (kept events and repeat records, in
 /// the input's order) to the caller's buffer.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Suppressor {
     fifo: VecDeque<Slot>,
     /// Slot id of `fifo[0]`; slot ids increase by one per push, ever.
@@ -155,10 +155,25 @@ pub struct Suppressor {
     suppressed: u64,
 }
 
+impl Default for Suppressor {
+    fn default() -> Suppressor {
+        Suppressor::new()
+    }
+}
+
 impl Suppressor {
-    /// A fresh suppressor with no history.
+    /// A fresh suppressor with no history. The FIFO is allocated once,
+    /// at its bound plus the slot a push adds before forcing the front,
+    /// so it never doubles; its pages stay untouched until slots reach
+    /// them, so a short stream pays for the slots it uses.
     pub fn new() -> Suppressor {
-        Suppressor::default()
+        Suppressor {
+            fifo: VecDeque::with_capacity(FIFO_BOUND + 1),
+            head_id: 0,
+            detectors: BTreeMap::new(),
+            records: 0,
+            suppressed: 0,
+        }
     }
 
     /// Repeat records emitted so far (drained ones only).
@@ -698,6 +713,79 @@ mod tests {
                 .filter(|e| matches!(e.kind, EventKind::Repeat { .. }))
                 .all(|r| matches!(r.kind, EventKind::Repeat { len, .. } if len == 4)),
             "{out:?}"
+        );
+    }
+
+    /// The largest single allocation on the current thread, so tests
+    /// running side by side do not see each other.
+    mod largest {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        struct LargestAlloc;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize) {
+            // `try_with`: the allocator also runs while a thread's locals
+            // are being torn down.
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+        }
+
+        // SAFETY: defers every operation to `System`; the bookkeeping
+        // touches only a const-initialized thread-local `Cell` and never
+        // allocates.
+        unsafe impl GlobalAlloc for LargestAlloc {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc(layout)
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static ALLOC: LargestAlloc = LargestAlloc;
+
+        /// The largest allocation `f` made on this thread.
+        pub(super) fn of(f: impl FnOnce()) -> usize {
+            LARGEST.with(|l| l.set(0));
+            f();
+            LARGEST.with(Cell::get)
+        }
+    }
+
+    /// Eight processors repeating one statement each keep a record open
+    /// on every processor, so the FIFO fills to its bound and forces its
+    /// front from then on — without ever growing past the bound's slots.
+    #[test]
+    fn fifo_stays_at_its_bound() {
+        let events: Vec<Event> = (0..200_000u64)
+            .map(|i| stmt(i * 100, (i % 8) as u16, i, (i % 8) as u32))
+            .collect();
+        let mut s = Suppressor::new();
+        let mut out = Vec::new();
+        let mut peak_fifo = 0;
+        let largest = largest::of(|| {
+            for &e in &events {
+                s.push(e, &mut out);
+                out.clear();
+                peak_fifo = peak_fifo.max(s.fifo.len());
+            }
+            s.finish(&mut out);
+        });
+        assert_eq!(peak_fifo, FIFO_BOUND, "the fixture fills the FIFO");
+        let bound = (FIFO_BOUND + 1) * std::mem::size_of::<Slot>();
+        assert!(
+            largest <= bound,
+            "a {largest}-byte allocation, bound {bound}"
         );
     }
 }

@@ -7,32 +7,43 @@
 
 use ppa_core::expand_events;
 use ppa_slice::suppress_events;
-use ppa_trace::{Event, EventKind, LoopId, ProcessorId, StatementId, SyncTag, SyncVarId, Time};
+use ppa_trace::{Event, EventKind, KindCode, ProcessorId, Time};
 use proptest::prelude::*;
 
-/// A small closed kind vocabulary: few distinct ids so random streams
-/// contain accidental repetition, which is exactly what stresses run
-/// detection and closure.
-fn kind_strategy() -> impl Strategy<Value = EventKind> {
-    prop_oneof![
-        Just(EventKind::ProgramBegin),
-        Just(EventKind::ProgramEnd),
-        (0u32..2).prop_map(|s| EventKind::Statement {
-            stmt: StatementId(s)
-        }),
-        (0u32..2, 0u64..3).prop_map(|(l, i)| EventKind::IterationBegin {
-            loop_id: LoopId(l),
-            iter: i
-        }),
-        (0u32..2, -2i64..3).prop_map(|(v, t)| EventKind::Advance {
-            var: SyncVarId(v),
-            tag: SyncTag(t)
-        }),
-        (0u32..2, -2i64..3).prop_map(|(v, t)| EventKind::AwaitBegin {
-            var: SyncVarId(v),
-            tag: SyncTag(t)
-        }),
-    ]
+/// One drawn event kind: a kind the table lets a trace record (every
+/// kind but the `repeat` container, so a new table row joins here
+/// without an edit), a small id, and a small counter. Few distinct
+/// values, so random streams repeat by accident, which is exactly what
+/// stresses run detection and closure.
+#[derive(Debug, Clone, Copy)]
+struct DrawnKind {
+    code: KindCode,
+    id: u64,
+    counter: i64,
+}
+
+impl DrawnKind {
+    /// The kind, its counter moved by `shift`. A two-field kind is an
+    /// (id, counter) pair — a loop and its iteration, a variable and its
+    /// tag — and its counter is what a repeat stride shifts; the other
+    /// kinds take the id alone and ignore the counter. This restates the
+    /// kind table's shift column independently of it.
+    fn kind(self, shift: i64) -> EventKind {
+        let counter = self.counter.wrapping_add(shift) as u64;
+        self.code.with_fields(&[self.id, counter])
+    }
+}
+
+fn kind_strategy() -> impl Strategy<Value = DrawnKind> {
+    let codes: Vec<KindCode> = KindCode::ALL
+        .into_iter()
+        .filter(|code| code.is_selectable())
+        .collect();
+    (0..codes.len(), 0u64..2, -2i64..3).prop_map(move |(i, id, counter)| DrawnKind {
+        code: codes[i],
+        id,
+        counter,
+    })
 }
 
 /// Arbitrary totally ordered streams: cumulative times, sequential
@@ -45,35 +56,52 @@ fn stream_strategy() -> impl Strategy<Value = Vec<Event>> {
             .enumerate()
             .map(|(i, (dt, proc, kind))| {
                 t += dt;
-                Event::new(Time::from_nanos(t), ProcessorId(proc), i as u64, kind)
+                Event::new(
+                    Time::from_nanos(t),
+                    ProcessorId(proc),
+                    i as u64,
+                    kind.kind(0),
+                )
             })
             .collect()
     })
 }
 
-/// Deliberately repetitive streams: one processor emitting pattern
-/// blocks with uniform strides, the regime suppression targets.
-fn repetitive_strategy() -> impl Strategy<Value = Vec<Event>> {
-    let block = (
-        proptest::collection::vec(kind_strategy(), 1..5), // pattern
-        1usize..40,                                       // occurrences
-        1u64..5,                                          // dt per occurrence step
-    );
-    proptest::collection::vec(block, 1..5).prop_map(|blocks| {
-        let mut events = Vec::new();
-        let mut t = 0u64;
-        let mut seq = 0u64;
-        for (pattern, occurrences, dt) in blocks {
-            for _ in 0..occurrences {
-                for kind in &pattern {
-                    events.push(Event::new(Time::from_nanos(t), ProcessorId(0), seq, *kind));
-                    t += dt;
-                    seq += 1;
-                }
+/// One block of a repetitive stream: a pattern, its occurrence count,
+/// the time step per event, and the counter stride per occurrence.
+type Block = (Vec<DrawnKind>, usize, u64, i64);
+
+fn block_strategy(occurrences: std::ops::Range<usize>) -> impl Strategy<Value = Block> {
+    (
+        proptest::collection::vec(kind_strategy(), 1..5),
+        occurrences,
+        1u64..5,
+        -2i64..3,
+    )
+}
+
+/// One processor emitting the blocks in turn: uniform strides in time,
+/// in sequence and, occurrence by occurrence, in every counter — the
+/// regime suppression targets.
+fn repetitive_events(blocks: Vec<Block>) -> Vec<Event> {
+    let mut events = Vec::new();
+    let mut t = 0u64;
+    let mut seq = 0u64;
+    for (pattern, occurrences, dt, stride) in blocks {
+        for r in 0..occurrences as i64 {
+            for kind in &pattern {
+                let kind = kind.kind(r * stride);
+                events.push(Event::new(Time::from_nanos(t), ProcessorId(0), seq, kind));
+                t += dt;
+                seq += 1;
             }
         }
-        events
-    })
+    }
+    events
+}
+
+fn repetitive_strategy() -> impl Strategy<Value = Vec<Event>> {
+    proptest::collection::vec(block_strategy(1..40), 1..5).prop_map(repetitive_events)
 }
 
 proptest! {
@@ -100,6 +128,21 @@ proptest! {
                 "no suppression on {} repetitive events", events.len()
             );
         }
+    }
+
+    /// One pattern of any kinds repeated four times or more always
+    /// collapses, whatever counter stride its occurrences take: every
+    /// kind whose counter a stride shifts must be one the suppressor can
+    /// stride over.
+    #[test]
+    fn one_repeated_pattern_always_shrinks(block in block_strategy(4..40)) {
+        let events = repetitive_events(vec![block]);
+        let suppressed = suppress_events(&events);
+        prop_assert_eq!(&expand_events(&suppressed).unwrap(), &events);
+        prop_assert!(
+            suppressed.len() < events.len(),
+            "no suppression on {} events", events.len()
+        );
     }
 
     /// The suppressed stream stays totally ordered (records occupy the

@@ -235,6 +235,21 @@ macro_rules! kind_facts {
                     $(KindCode::$name => kind_facts!(@class $($class)?)),*
                 }
             }
+
+            /// The event kind of this code whose fields, in table order,
+            /// hold `fields`: a missing value reads 0, extra ones are
+            /// ignored, and each is cut to its field's integer type. What
+            /// lets a generator draw events of every kind from
+            /// [`KindCode::ALL`].
+            pub fn with_fields(self, fields: &[u64]) -> EventKind {
+                #[allow(unused_mut, unused_variables)] // unit kinds read none
+                let mut fields = fields.iter().copied();
+                match self {
+                    $(KindCode::$name => EventKind::$name {
+                        $($field: <$ty>::from_raw(fields.next().unwrap_or(0))),*
+                    }),*
+                }
+            }
         }
 
         impl EventKind {
@@ -373,6 +388,27 @@ repeat(3x1000,dt250,ds3,df-2)  0c03e807fa010303000007 {"Repeat":{"len":3,"count"
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), KindCode::ALL.len(), "binary tags are unique");
+    }
+
+    #[test]
+    fn with_fields_rebuilds_every_kind() {
+        for (e, line, ..) in golden() {
+            let fields: Vec<u64> = line
+                .rsplit_once(":{")
+                .map_or("", |(_, payload)| payload.trim_end_matches('}'))
+                .split(',')
+                .filter_map(|kv| kv.split_once(':'))
+                .map(|(_, v)| v.parse::<i64>().unwrap() as u64)
+                .collect();
+            assert_eq!(e.kind.code().with_fields(&fields), e.kind, "{line}");
+        }
+        assert_eq!(
+            KindCode::Advance.with_fields(&[]),
+            EventKind::Advance {
+                var: SyncVarId(0),
+                tag: SyncTag(0)
+            }
+        );
     }
 
     #[test]
