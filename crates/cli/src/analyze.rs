@@ -2,18 +2,25 @@
 //! parsing and one driver of [`ppa::analysis::Pipeline`] (what is left
 //! here is the CLI's own: metrics, progress and self-trace export, the
 //! stdout summary, and the sysexits mapping).
+//!
+//! The pipeline is fault-tolerant on demand: `--lenient` skips
+//! undecodable input regions as typed gaps, `--reorder-window N`
+//! re-sorts events arriving up to N sequence numbers late, and
+//! `--checkpoint`/`--resume` make a killed run continue to a
+//! byte-identical report.
 
-use crate::{
-    export_metrics, parse_decode_workers, refuse_output_onto_input, CliError, MetricsFormat,
-};
+use crate::args::{parse_args, MetricsFlags, PipelineFlags};
+use crate::{refuse_output_onto_input, CliError};
+use ppa::analysis::{DEFAULT_CHECKPOINT_EVERY, DEFAULT_COMPACT_EVERY};
+use ppa::trace::TraceFormat;
 use std::fs::File;
+use std::io::IsTerminal as _;
 use std::path::Path;
 
-const ANALYZE_USAGE: &str = "usage: ppa analyze <measured.{jsonl|bin}> \
-     [--out approx] [--format bin|jsonl] [--overheads spec.json] \
-     [--slice EXPR] [--decode-workers N] \
-     [--metrics-out snap.prom] [--metrics-format prom|json] [--metrics-every SECS] \
-     [--progress[=force]] [--self-trace spans.{jsonl|bin|json}] \
+pub(crate) const ANALYZE_USAGE: &str = "usage: ppa analyze <measured.{jsonl|bin}> \
+     [--out approx] [--format bin|jsonl] [--overheads spec.json] [--slice EXPR] \
+     [--decode-workers N] [--metrics-out snap.prom] [--metrics-format prom|json] \
+     [--metrics-every SECS] [--progress[=force]] [--self-trace spans.{jsonl|bin|json}] \
      [--self-trace-format ppa|chrome] [--lenient] [--reorder-window N] \
      [--checkpoint state.ckpt [--checkpoint-every N] [--checkpoint-compact-every N]] \
      [--resume state.ckpt]";
@@ -36,7 +43,7 @@ fn export_self_trace(
     path: &str,
     format: SelfTraceFormat,
 ) -> Result<String, CliError> {
-    use ppa::trace::{write_chrome_trace, write_self_trace, TraceFormat};
+    use ppa::trace::{write_chrome_trace, write_self_trace};
     use std::io::BufWriter;
 
     let log = recorder.drain();
@@ -62,201 +69,82 @@ fn export_self_trace(
     ))
 }
 
-/// Fault-tolerance options of the pipeline (all off by default).
+/// What `ppa analyze` was asked for, parsed and cross-checked.
 #[derive(Default)]
-struct FaultOptions {
-    /// Skip undecodable input regions as typed gaps instead of failing.
-    lenient: bool,
-    /// Re-sort events arriving up to N sequence numbers late.
-    reorder_window: Option<u64>,
+pub(crate) struct AnalyzeOptions<'a> {
+    input: &'a str,
+    out_path: Option<&'a str>,
+    /// The report's container; JSONL when not given.
+    out_format: Option<TraceFormat>,
+    pipeline: PipelineFlags<'a>,
     /// Write resumable checkpoints to this path while analyzing.
-    checkpoint: Option<String>,
-    /// Checkpoint cadence, in events consumed from the input.
-    checkpoint_every: u64,
-    /// Full-snapshot compaction cadence of the incremental checkpoint
-    /// chain (0 = write a full snapshot every time, no deltas).
-    checkpoint_compact_every: usize,
+    checkpoint: Option<&'a str>,
     /// Resume from this checkpoint instead of starting fresh.
-    resume: Option<String>,
+    resume: Option<&'a str>,
+    slice_expr: Option<&'a str>,
+    metrics: MetricsFlags<'a>,
+    self_trace: Option<&'a str>,
+    self_trace_format: Option<SelfTraceFormat>,
+    progress: bool,
 }
 
-/// Default `--checkpoint-every`: 256 binary blocks at the default block
-/// size, i.e. a snapshot every ~1M events. A checkpoint serializes the
-/// analyzer's full live state, whose size tracks the trace's
-/// synchronization history, so the cadence trades snapshot cost against
-/// how much input a resumed run re-analyzes (~1M events is about a
-/// second of pipeline time).
-const DEFAULT_CHECKPOINT_EVERY: u64 = 1_048_576;
-
-pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
-    use ppa::trace::OverheadSpec;
-
-    let mut input: Option<&str> = None;
-    let mut out_path: Option<&str> = None;
-    let mut out_format = ppa::trace::TraceFormat::Jsonl;
-    let mut overheads_path: Option<&str> = None;
-    let mut metrics_out: Option<&str> = None;
-    let mut metrics_format = MetricsFormat::Prom;
-    let mut metrics_every: Option<std::time::Duration> = None;
-    let mut self_trace: Option<&str> = None;
-    let mut self_trace_format: Option<SelfTraceFormat> = None;
-    let mut progress_flag = false;
+pub(crate) fn parse(args: &[String]) -> Result<AnalyzeOptions<'_>, CliError> {
+    let mut o = AnalyzeOptions::default();
     let mut progress_forced = false;
-    let mut faults = FaultOptions {
-        checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-        checkpoint_compact_every: ppa::analysis::DEFAULT_COMPACT_EVERY,
-        ..FaultOptions::default()
-    };
-    let mut checkpoint_every_set = false;
-    let mut compact_every_set = false;
-    let mut decode_workers: Option<usize> = None;
-    let mut slice_expr: Option<&str> = None;
-    let mut it = args.iter();
-    let missing = |flag: &str| CliError::Usage(format!("{flag} needs an argument"));
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let [input] = parse_args(args, |flag, a| {
+        match flag {
             // Every run is the streaming pipeline; the flag that used to
             // select it stays accepted so existing scripts keep working.
             "--stream" => {}
-            "--progress" => progress_flag = true,
-            "--progress=force" => {
-                progress_flag = true;
-                progress_forced = true;
-            }
-            "--lenient" => faults.lenient = true,
-            "--reorder-window" => {
-                let n = it.next().ok_or_else(|| missing("--reorder-window"))?;
-                faults.reorder_window = Some(n.parse::<u64>().map_err(|_| {
-                    CliError::Usage(format!(
-                        "--reorder-window must be a non-negative integer, got {n:?}"
-                    ))
-                })?);
-            }
-            "--checkpoint" => {
-                faults.checkpoint = Some(it.next().ok_or_else(|| missing("--checkpoint"))?.clone());
-            }
-            "--checkpoint-every" => {
-                let n = it.next().ok_or_else(|| missing("--checkpoint-every"))?;
-                faults.checkpoint_every =
-                    n.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--checkpoint-every must be a positive integer, got {n:?}"
-                        ))
-                    })?;
-                checkpoint_every_set = true;
-            }
-            "--checkpoint-compact-every" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| missing("--checkpoint-compact-every"))?;
-                faults.checkpoint_compact_every = n.parse::<usize>().map_err(|_| {
-                    CliError::Usage(format!(
-                        "--checkpoint-compact-every must be a non-negative integer \
-                         (0 = full snapshots only), got {n:?}"
-                    ))
-                })?;
-                compact_every_set = true;
-            }
-            "--resume" => {
-                faults.resume = Some(it.next().ok_or_else(|| missing("--resume"))?.clone());
-            }
-            "--decode-workers" => {
-                let n = it.next().ok_or_else(|| missing("--decode-workers"))?;
-                decode_workers = Some(parse_decode_workers(n)?);
-            }
-            "--slice" => slice_expr = Some(it.next().ok_or_else(|| missing("--slice"))?),
-            "--out" => out_path = Some(it.next().ok_or_else(|| missing("--out"))?),
-            "--format" => {
-                let name = it.next().ok_or_else(|| missing("--format"))?;
-                out_format = ppa::trace::TraceFormat::parse(name).ok_or_else(|| {
-                    CliError::Usage(format!("--format must be `bin` or `jsonl`, got {name:?}"))
-                })?;
-            }
-            "--overheads" => {
-                overheads_path = Some(it.next().ok_or_else(|| missing("--overheads"))?);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or_else(|| missing("--metrics-out"))?);
-            }
-            "--metrics-format" => {
-                metrics_format = match it
-                    .next()
-                    .ok_or_else(|| missing("--metrics-format"))?
-                    .as_str()
-                {
-                    "prom" => MetricsFormat::Prom,
-                    "json" => MetricsFormat::Json,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "--metrics-format must be `prom` or `json`, got {other:?}"
-                        )));
-                    }
-                };
-            }
-            "--metrics-every" => {
-                let n = it.next().ok_or_else(|| missing("--metrics-every"))?;
-                metrics_every = Some(std::time::Duration::from_secs(
-                    n.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--metrics-every must be a positive number of seconds, got {n:?}"
-                        ))
-                    })?,
-                ));
-            }
-            "--self-trace" => {
-                self_trace = Some(it.next().ok_or_else(|| missing("--self-trace"))?);
-            }
+            "--progress" => o.progress = true,
+            "--progress=force" => (o.progress, progress_forced) = (true, true),
+            "--checkpoint" => o.checkpoint = Some(a.value()?),
+            "--resume" => o.resume = Some(a.value()?),
+            "--slice" => o.slice_expr = Some(a.value()?),
+            "--out" => o.out_path = Some(a.value()?),
+            "--format" => o.out_format = Some(a.choice(TraceFormat::parse, "`bin` or `jsonl`")?),
+            "--self-trace" => o.self_trace = Some(a.value()?),
             "--self-trace-format" => {
-                self_trace_format = Some(
-                    match it
-                        .next()
-                        .ok_or_else(|| missing("--self-trace-format"))?
-                        .as_str()
-                    {
-                        "ppa" => SelfTraceFormat::Ppa,
-                        "chrome" => SelfTraceFormat::Chrome,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "--self-trace-format must be `ppa` or `chrome`, got {other:?}"
-                            )));
-                        }
-                    },
-                );
+                let parse = |v: &str| match v {
+                    "ppa" => Some(SelfTraceFormat::Ppa),
+                    "chrome" => Some(SelfTraceFormat::Chrome),
+                    _ => None,
+                };
+                o.self_trace_format = Some(a.choice(parse, "`ppa` or `chrome`")?);
             }
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown flag {flag:?}")));
-            }
-            path if input.is_none() => input = Some(path),
-            extra => return Err(CliError::Usage(format!("unexpected argument {extra:?}"))),
+            _ => return Ok(o.pipeline.take(flag, a)? || o.metrics.take(flag, a)?),
         }
-    }
-    let input = input.ok_or_else(|| CliError::Usage(ANALYZE_USAGE.into()))?;
-    if metrics_every.is_some() && metrics_out.is_none() {
+        Ok(true)
+    })?;
+    o.input = input.ok_or_else(|| CliError::Usage(ANALYZE_USAGE.into()))?;
+    if o.pipeline.metrics_every.is_some() && o.metrics.out.is_none() {
         return Err(CliError::Usage(
             "--metrics-every only applies with --metrics-out".into(),
         ));
     }
-    if self_trace_format.is_some() && self_trace.is_none() {
+    if o.self_trace_format.is_some() && o.self_trace.is_none() {
         return Err(CliError::Usage(
             "--self-trace-format only applies with --self-trace".into(),
         ));
     }
-    if (checkpoint_every_set || compact_every_set) && faults.checkpoint.is_none() {
+    if (o.pipeline.checkpoint_every.is_some() || o.pipeline.checkpoint_compact_every.is_some())
+        && o.checkpoint.is_none()
+    {
         return Err(CliError::Usage(
             "--checkpoint-every and --checkpoint-compact-every only apply with --checkpoint".into(),
         ));
     }
-    if faults.checkpoint.is_some() || faults.resume.is_some() {
+    if o.checkpoint.is_some() || o.resume.is_some() {
         // A checkpoint records a durable byte offset into the report and
         // resume truncates + appends there; only the line-oriented JSONL
         // format has that property (a binary writer holds a partly
         // accumulated block in memory that no flush can frame).
-        if out_path.is_none() {
+        if o.out_path.is_none() {
             return Err(CliError::Usage(
                 "--checkpoint/--resume require --out (the report is what gets resumed)".into(),
             ));
         }
-        if out_format != ppa::trace::TraceFormat::Jsonl {
+        if o.out_format.is_some_and(|f| f != TraceFormat::Jsonl) {
             return Err(CliError::Usage(
                 "--checkpoint/--resume require `--format jsonl` output".into(),
             ));
@@ -265,83 +153,40 @@ pub(crate) fn run_analyze(args: &[String]) -> Result<(), CliError> {
     // A `--resume` checkpoint records the durable frontier of an
     // *unsliced* report (and vice versa); replaying the tail under a
     // different predicate would splice two incompatible reports.
-    if slice_expr.is_some() && faults.resume.is_some() {
+    if o.slice_expr.is_some() && o.resume.is_some() {
         return Err(CliError::Usage(
             "--slice contradicts --resume: the checkpointed report was written \
              under a different (or no) slice expression"
                 .into(),
         ));
     }
-    refuse_output_onto_input(
-        input,
-        &[
-            ("--out", out_path),
-            ("--checkpoint", faults.checkpoint.as_deref()),
-            ("--self-trace", self_trace),
-            ("--metrics-out", metrics_out),
-        ],
-    )?;
-    let slice_spec = match slice_expr {
-        Some(expr) => {
-            let spec =
-                ppa::slice::SliceSpec::parse(expr).map_err(|e| CliError::Usage(e.to_string()))?;
-            if spec.is_empty() {
-                None
-            } else {
-                Some(spec)
-            }
-        }
-        None => None,
-    };
-    let overheads: OverheadSpec = match overheads_path {
-        Some(p) => {
-            let text =
-                std::fs::read_to_string(p).map_err(|e| CliError::NoInput(format!("{p}: {e}")))?;
-            serde_json::from_str(&text).map_err(|e| CliError::Data(format!("{p}: {e}")))?
-        }
-        None => OverheadSpec::alliant_default(),
-    };
-
     // The ticker is for humans watching a terminal; when stderr is a
     // pipe (CI logs, scripted captures) `--progress` stays silent so it
     // cannot pollute machine-read output. `--progress=force` overrides
     // the detection for the rare "tee the ticker to a file" case.
-    let progress = progress_flag
-        && (progress_forced || {
-            use std::io::IsTerminal;
-            std::io::stderr().is_terminal()
-        });
-
-    analyze(&AnalyzeOptions {
-        input,
-        out_path,
-        out_format,
-        overheads,
-        decode_workers,
-        slice_spec,
-        metrics_out,
-        metrics_format,
-        metrics_every,
-        self_trace: self_trace.map(|p| (p, self_trace_format.unwrap_or(SelfTraceFormat::Ppa))),
-        progress,
-        faults,
-    })
+    o.progress &= progress_forced || std::io::stderr().is_terminal();
+    Ok(o)
 }
 
-/// What `ppa analyze` was asked for, parsed and cross-checked.
-struct AnalyzeOptions<'a> {
-    input: &'a str,
-    out_path: Option<&'a str>,
-    out_format: ppa::trace::TraceFormat,
-    overheads: ppa::trace::OverheadSpec,
-    decode_workers: Option<usize>,
-    slice_spec: Option<ppa::slice::SliceSpec>,
-    metrics_out: Option<&'a str>,
-    metrics_format: MetricsFormat,
-    metrics_every: Option<std::time::Duration>,
-    self_trace: Option<(&'a str, SelfTraceFormat)>,
-    progress: bool,
-    faults: FaultOptions,
+pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
+    let o = parse(args)?;
+    refuse_output_onto_input(
+        o.input,
+        &[
+            ("--out", o.out_path),
+            ("--checkpoint", o.checkpoint),
+            ("--self-trace", o.self_trace),
+            ("--metrics-out", o.metrics.out),
+        ],
+    )?;
+    let slice_spec = o
+        .slice_expr
+        .map(ppa::slice::SliceSpec::parse)
+        .transpose()
+        .map_err(|e| CliError::Usage(e.to_string()))?
+        .filter(|spec| !spec.is_empty());
+    let overheads = o.pipeline.overheads()?;
+    analyze(&o, overheads, slice_spec)
 }
 
 /// Prints the lines of a summary. A closed stdout (`ppa analyze … |
@@ -387,7 +232,7 @@ fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliErr
     // Report and checkpoint errors only arise with the flag that names
     // the file.
     let out = o.out_path.unwrap_or_default();
-    let ckpt = o.faults.checkpoint.as_deref().unwrap_or_default();
+    let ckpt = o.checkpoint.unwrap_or_default();
     match e {
         PipelineError::Input(e) => CliError::from(e).prefixed(o.input),
         PipelineError::Expand(e) => CliError::Data(e.to_string()),
@@ -415,7 +260,11 @@ fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliErr
 /// a stderr ticker. `--lenient`, `--reorder-window` and
 /// `--checkpoint`/`--resume` configure the pipeline; everything they
 /// do happens there.
-fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
+fn analyze(
+    o: &AnalyzeOptions,
+    overheads: ppa::trace::OverheadSpec,
+    slice_spec: Option<ppa::slice::SliceSpec>,
+) -> Result<(), CliError> {
     use ppa::analysis::{
         read_checkpoint, AnalyzerProbes, CheckpointPolicy, Pipeline, PipelineConfig, ReportFilter,
     };
@@ -427,10 +276,10 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
     use std::io::BufReader;
     use std::time::{Duration, Instant};
 
-    let input = o.input;
-    let faults = &o.faults;
+    let (input, flags) = (o.input, &o.pipeline);
+    let sliced = slice_spec.is_some();
     let registry = Registry::new();
-    let want_metrics = o.metrics_out.is_some();
+    let want_metrics = o.metrics.out.is_some();
 
     // The span recorder watches the pipeline run itself. Installed
     // globally (before the reader spawns decode workers) so codec
@@ -467,7 +316,7 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
             AnalyzerProbes::noop(),
         )
     };
-    let checkpoints_written = if want_metrics && faults.checkpoint.is_some() {
+    let checkpoints_written = if want_metrics && o.checkpoint.is_some() {
         registry.counter(
             "ppa_checkpoints_written_total",
             "Resumable checkpoints written by this analysis run.",
@@ -476,13 +325,13 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
         ppa::obs::Counter::default()
     };
 
-    let resumed = match &faults.resume {
+    let resumed = match o.resume {
         Some(p) => Some(read_checkpoint(Path::new(p)).map_err(|e| checkpoint_error(p, e))?),
         None => None,
     };
 
     let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
-    let workers = o
+    let workers = flags
         .decode_workers
         .unwrap_or_else(ppa::trace::default_decode_workers);
     if want_metrics {
@@ -499,22 +348,23 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
     let expected = reader.expected_events();
 
     let config = PipelineConfig {
-        overheads: o.overheads,
-        lenient: faults.lenient,
-        reorder_window: faults.reorder_window,
-        checkpoint: faults.checkpoint.as_ref().map(|p| CheckpointPolicy {
-            path: p.into(),
-            every: faults.checkpoint_every,
-            compact_every: faults.checkpoint_compact_every,
+        overheads,
+        lenient: flags.lenient,
+        reorder_window: flags.reorder_window,
+        checkpoint: o.checkpoint.map(|path| CheckpointPolicy {
+            path: path.into(),
+            every: flags.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+            compact_every: flags
+                .checkpoint_compact_every
+                .unwrap_or(DEFAULT_COMPACT_EVERY),
         }),
         analyzer_probes,
         report_probes: write_probes,
-        report_filter: o
-            .slice_spec
-            .clone()
+        report_filter: slice_spec
             .map(|spec| Box::new(move |e: &ppa::trace::Event| spec.matches(e)) as ReportFilter),
     };
-    let report = o.out_path.map(|p| (Path::new(p), o.out_format));
+    let out_format = o.out_format.unwrap_or(TraceFormat::Jsonl);
+    let report = o.out_path.map(|p| (Path::new(p), out_format));
     let fail = |e| pipeline_error(e, o);
     let mut pipeline = Pipeline::new(reader, config, report, resumed).map_err(fail)?;
 
@@ -556,10 +406,10 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
         if step.checkpointed {
             checkpoints_written.inc();
         }
-        if let (Some(every), Some(path)) = (o.metrics_every, o.metrics_out) {
+        if let (Some(every), Some(path)) = (flags.metrics_every, o.metrics.out) {
             if pushed.is_multiple_of(4096) && last_export.elapsed() >= every {
                 publish_stages(&mut stage_published);
-                export_metrics(&registry, path, o.metrics_format)?;
+                o.metrics.export(&registry, path)?;
                 last_export = Instant::now();
             }
         }
@@ -589,7 +439,7 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
     }
 
     let mut lines = Vec::new();
-    if let Some(path) = o.metrics_out {
+    if let Some(path) = o.metrics.out {
         if let Some(r) = &run.reorder {
             registry
                 .counter(
@@ -628,11 +478,12 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
         }
         calibrate_self_overhead().export(&registry);
         publish_stages(&mut stage_published);
-        export_metrics(&registry, path, o.metrics_format)?;
+        o.metrics.export(&registry, path)?;
         lines.push(format!("metrics snapshot written to {path}"));
     }
 
-    if let (Some((path, format)), Some(rec)) = (o.self_trace, &recorder) {
+    if let (Some(path), Some(rec)) = (o.self_trace, &recorder) {
+        let format = o.self_trace_format.unwrap_or(SelfTraceFormat::Ppa);
         lines.push(export_self_trace(rec, path, format)?);
     }
 
@@ -647,7 +498,7 @@ fn analyze(o: &AnalyzeOptions) -> Result<(), CliError> {
             run.repeat_records, run.repeat_expanded
         ));
     }
-    if o.slice_spec.is_some() {
+    if sliced {
         lines.push(format!(
             "report scoped to slice: {} event(s) emitted, {} filtered out",
             run.sink.events, run.filtered

@@ -371,6 +371,22 @@ fn check_exports_per_rule_violation_counts() {
     );
 }
 
+/// `--metrics-out` naming the file under check is refused before
+/// anything is written (exit 64, input untouched), as in `analyze`,
+/// `slice` and `convert`.
+#[test]
+fn check_refuses_metrics_out_onto_its_input() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "check_metrics_onto_input.jsonl");
+    let before = fs::read(&input).unwrap();
+    let input = input.to_str().unwrap();
+    let out = ppa_cmd("check", &[input, "--metrics-out", input]);
+    assert_eq!(out.status.code(), Some(64), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("is the input file"), "{stderr}");
+    assert_eq!(fs::read(input).unwrap(), before, "input must be untouched");
+}
+
 // --- differential oracle --------------------------------------------
 
 #[test]

@@ -82,6 +82,14 @@ pub const SNAPSHOT_VERSION: u8 = 2;
 /// snapshot. Bounds both file growth and resume replay cost.
 pub const DEFAULT_COMPACT_EVERY: usize = 16;
 
+/// Default checkpoint cadence, in events consumed from the input: 256
+/// binary blocks at the default block size, i.e. a snapshot every ~1M
+/// events. A checkpoint serializes the analyzer's full live state, whose
+/// size tracks the trace's synchronization history, so the cadence
+/// trades snapshot cost against how much input a resumed run
+/// re-analyzes (~1M events is about a second of pipeline time).
+pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1 << 20;
+
 /// Resumable state of an interrupted streaming analysis.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {

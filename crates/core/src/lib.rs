@@ -42,7 +42,7 @@ pub use accuracy::{compare_traces, AccuracyReport};
 pub use checkpoint::{
     read_checkpoint, scan_checkpoint, Checkpoint, CheckpointDelta, CheckpointError,
     CheckpointParts, CheckpointScan, DeltaCheckpointWriter, SinkState, CHECKPOINT_MAGIC_V2,
-    DEFAULT_COMPACT_EVERY,
+    DEFAULT_CHECKPOINT_EVERY, DEFAULT_COMPACT_EVERY,
 };
 pub use error::AnalysisError;
 pub use estimate::{estimate_overheads, KindEstimate, OverheadEstimate};

@@ -35,6 +35,9 @@ use std::time::{Duration, Instant};
 /// How often an idle accept loop checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
+/// The TCP ingest address `ppa serve` binds when given no listener.
+pub const DEFAULT_LISTEN: &str = "127.0.0.1:7223";
+
 /// Everything `ppa serve` is configured with; the CLI builds one of
 /// these from flags, tests build them directly.
 #[derive(Debug, Clone)]
@@ -82,12 +85,12 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            listen: vec!["127.0.0.1:7223".to_string()],
+            listen: vec![DEFAULT_LISTEN.to_string()],
             unix_socket: None,
             metrics_listen: None,
             checkpoint_dir: PathBuf::from("ppa-serve-state"),
             quotas: Quotas::default(),
-            checkpoint_every: 1 << 20,
+            checkpoint_every: ppa_core::DEFAULT_CHECKPOINT_EVERY,
             checkpoint_compact_every: ppa_core::DEFAULT_COMPACT_EVERY,
             idle_timeout: Duration::from_secs(30),
             lenient: false,

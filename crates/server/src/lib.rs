@@ -37,7 +37,7 @@ pub mod session;
 pub use client::{send_trace, ClientError, SendOutcome, Target, DEFAULT_FRAME_BYTES};
 pub use daemon::{
     install_signal_handlers, reset_signal_shutdown, signal_shutdown_requested, ServeConfig,
-    ServeReport, Server, ServerCtx,
+    ServeReport, Server, ServerCtx, DEFAULT_LISTEN,
 };
 pub use log::{LogFormat, LogLevel, LogValue, Logger};
 pub use metrics::{ServerMetrics, TenantMetrics};

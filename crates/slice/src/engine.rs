@@ -149,7 +149,6 @@ pub fn slice_stream<R: Read>(
     };
     let mut suppressor = options.suppress.then(Suppressor::new);
     let mut accepted: Vec<Event> = Vec::with_capacity(CHUNK);
-    let mut outbuf: Vec<Event> = Vec::new();
     let mut done = false;
 
     while !done {
@@ -183,24 +182,27 @@ pub fn slice_stream<R: Read>(
             }
         }
 
-        outbuf.clear();
+        // What the suppressor releases goes straight to the sink, so
+        // the suppress span also covers writing it.
+        let mut emitted = 0u64;
+        let mut emit = |event: Event| {
+            emitted += 1;
+            sink(&event)
+        };
         match &mut suppressor {
             Some(s) => {
                 let _span = span_enter(Stage::Suppress);
                 for &event in &accepted {
-                    s.push(event, &mut outbuf);
+                    s.push(event, &mut emit)?;
                 }
                 if done {
-                    s.finish(&mut outbuf);
+                    s.finish(&mut emit)?;
                 }
             }
-            None => outbuf.extend_from_slice(&accepted),
+            None => accepted.iter().try_for_each(|&event| emit(event))?,
         }
-        for event in &outbuf {
-            sink(event)?;
-        }
-        stats.emitted += outbuf.len() as u64;
-        probes.events_emitted.add(outbuf.len() as u64);
+        stats.emitted += emitted;
+        probes.events_emitted.add(emitted);
     }
 
     if let Some(s) = &suppressor {

@@ -33,6 +33,7 @@
 
 use ppa_trace::{Event, EventKind, REPEAT_MAX_PATTERN};
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 
 /// Detector window: two full occurrences of the longest pattern.
 const RECENT_CAP: usize = 2 * REPEAT_MAX_PATTERN;
@@ -143,8 +144,8 @@ fn uniform_stride(
 
 /// Streaming run-length suppressor. Feed events in stream order with
 /// [`Suppressor::push`]; call [`Suppressor::finish`] once at the end to
-/// flush. Both append output events (kept events and repeat records, in
-/// the input's order) to the caller's buffer.
+/// flush. Both hand output events (kept events and repeat records, in
+/// the input's order) to the caller's `emit` as they settle.
 #[derive(Debug)]
 pub struct Suppressor {
     fifo: VecDeque<Slot>,
@@ -192,13 +193,18 @@ impl Suppressor {
         self.fifo[idx].fate = fate;
     }
 
-    /// Accepts the next event in stream order; appends any events whose
-    /// fate has settled to `out`.
+    /// Accepts the next event in stream order; hands `emit` every event
+    /// whose fate has settled, one at a time. The first error `emit`
+    /// returns ends the push.
     ///
     /// Must not be fed [`EventKind::Repeat`] records — the slice engine
     /// rejects those before suppression (suppressed input must be
     /// expanded first).
-    pub fn push(&mut self, event: Event, out: &mut Vec<Event>) {
+    pub fn push<E>(
+        &mut self,
+        event: Event,
+        mut emit: impl FnMut(Event) -> Result<(), E>,
+    ) -> Result<(), E> {
         debug_assert!(
             !matches!(event.kind, EventKind::Repeat { .. }),
             "repeat records must be expanded before re-suppression"
@@ -214,16 +220,17 @@ impl Suppressor {
         self.advance_detector(&mut det, event, id);
         self.detectors.insert(proc, det);
 
-        self.drain(out);
+        self.drain(&mut emit)?;
         while self.fifo.len() > FIFO_BOUND {
             self.force_front();
-            self.drain(out);
+            self.drain(&mut emit)?;
         }
+        Ok(())
     }
 
     /// Flushes: closes every committed run, keeps every still-pending
-    /// candidate, and drains the FIFO completely.
-    pub fn finish(&mut self, out: &mut Vec<Event>) {
+    /// candidate, and hands `emit` the whole FIFO, one event at a time.
+    pub fn finish<E>(&mut self, mut emit: impl FnMut(Event) -> Result<(), E>) -> Result<(), E> {
         let procs: Vec<u16> = self.detectors.keys().copied().collect();
         for proc in procs {
             let mut det = self.detectors.remove(&proc).unwrap();
@@ -239,8 +246,9 @@ impl Suppressor {
             }
             self.detectors.insert(proc, det);
         }
-        self.drain(out);
+        self.drain(&mut emit)?;
         debug_assert!(self.fifo.is_empty());
+        Ok(())
     }
 
     fn advance_detector(&mut self, det: &mut Detector, event: Event, id: u64) {
@@ -450,11 +458,11 @@ impl Suppressor {
         }
     }
 
-    fn drain(&mut self, out: &mut Vec<Event>) {
+    fn drain<E>(&mut self, emit: &mut impl FnMut(Event) -> Result<(), E>) -> Result<(), E> {
         while let Some(front) = self.fifo.front() {
             match front.fate {
                 Fate::Pending | Fate::Record { open: true, .. } => break,
-                Fate::Keep => out.push(front.event),
+                Fate::Keep => emit(front.event)?,
                 Fate::Drop => {}
                 Fate::Record {
                     len,
@@ -463,10 +471,7 @@ impl Suppressor {
                     dseq,
                     dfield,
                     open: false,
-                } => out.push(Event {
-                    time: front.event.time,
-                    proc: front.event.proc,
-                    seq: front.event.seq,
+                } => emit(Event {
                     kind: EventKind::Repeat {
                         len,
                         count,
@@ -474,11 +479,13 @@ impl Suppressor {
                         dseq,
                         dfield,
                     },
-                }),
+                    ..front.event
+                })?,
             }
             self.fifo.pop_front();
             self.head_id += 1;
         }
+        Ok(())
     }
 }
 
@@ -486,10 +493,14 @@ impl Suppressor {
 pub fn suppress_events(events: &[Event]) -> Vec<Event> {
     let mut s = Suppressor::new();
     let mut out = Vec::with_capacity(events.len());
+    let mut collect = |e| {
+        out.push(e);
+        Ok::<(), Infallible>(())
+    };
     for &e in events {
-        s.push(e, &mut out);
+        let Ok(()) = s.push(e, &mut collect);
     }
-    s.finish(&mut out);
+    let Ok(()) = s.finish(&mut collect);
     out
 }
 
@@ -685,15 +696,19 @@ mod tests {
     fn counters_account_for_suppressed_events() {
         let events: Vec<Event> = (0..100).map(|i| stmt(i * 10, 0, i, 7)).collect();
         let mut s = Suppressor::new();
-        let mut out = Vec::new();
+        let mut out = 0u64;
+        let mut count = |_| {
+            out += 1;
+            Ok::<(), Infallible>(())
+        };
         for &e in &events {
-            s.push(e, &mut out);
+            let Ok(()) = s.push(e, &mut count);
         }
-        s.finish(&mut out);
+        let Ok(()) = s.finish(&mut count);
         assert_eq!(s.records(), 1);
         assert_eq!(s.suppressed(), 99);
         // physical out + logically suppressed - records == input
-        assert_eq!(out.len() as u64 - s.records() + s.suppressed(), 100);
+        assert_eq!(out - s.records() + s.suppressed(), 100);
     }
 
     #[test]
@@ -771,15 +786,14 @@ mod tests {
             .map(|i| stmt(i * 100, (i % 8) as u16, i, (i % 8) as u32))
             .collect();
         let mut s = Suppressor::new();
-        let mut out = Vec::new();
         let mut peak_fifo = 0;
+        let discard = |_| Ok::<(), Infallible>(());
         let largest = largest::of(|| {
             for &e in &events {
-                s.push(e, &mut out);
-                out.clear();
+                let Ok(()) = s.push(e, discard);
                 peak_fifo = peak_fifo.max(s.fifo.len());
             }
-            s.finish(&mut out);
+            let Ok(()) = s.finish(discard);
         });
         assert_eq!(peak_fifo, FIFO_BOUND, "the fixture fills the FIFO");
         let bound = (FIFO_BOUND + 1) * std::mem::size_of::<Slot>();
