@@ -9,13 +9,14 @@
 //!
 //! - [`TraceLinter`] streams a measured (or actual) trace and verifies
 //!   structural invariants: the total order, per-processor time
-//!   monotonicity, sequence-number contiguity, `awaitB`/`awaitE`
-//!   pairing, and that no `awaitE` precedes its matching `advance`.
+//!   monotonicity, sequence-number contiguity, and the synchronization
+//!   protocols — advance tags, `awaitB`/`awaitE` pairing, each await's
+//!   advance, barrier episodes, locks, semaphores and fork/join tasks.
 //! - [`ReportChecker`] streams an approximated trace and verifies the
 //!   §4.2.3 conservation laws on analyzer output: approximated times
-//!   monotone per processor, `ta(awaitE) ≥ ta(advance)` for every
-//!   dependent pair, `awaitB` before `awaitE`, and barrier exits no
-//!   earlier than the latest enter of their episode.
+//!   monotone per processor, and every paired event — `awaitE`, barrier
+//!   exit, lock acquire, semaphore P, task begin and join-return — no
+//!   earlier than the event it waited for.
 //! - [`check_metrics`] cross-checks an exported metrics snapshot for
 //!   nonzero `ppa_core_clamped_approx_total` — a clamped approximation
 //!   is one where instrumentation overhead exceeded the measured
@@ -25,6 +26,14 @@
 //!   paths over generated DOACROSS programs, diffs their
 //!   reports field by field, and shrinks any mismatch to a minimal
 //!   reproducing trace.
+//!
+//! Neither trace pass has pairing rules of its own: both read
+//! [`SyncTracker`](ppa_trace::SyncTracker), the rulebook
+//! [`pair_sync_events`](ppa_trace::pair_sync_events) is built on, so a
+//! measured trace lints clean of the protocol rules exactly when
+//! `pair_sync_events` accepts it; `ppa-core`'s tests and the
+//! differential oracle hold the streaming analyzer behind `ppa analyze`
+//! to the same verdicts.
 //!
 //! Every violation carries a stable machine-readable rule name; the
 //! `ppa check` CLI subcommand maps any violation to sysexits 65 and

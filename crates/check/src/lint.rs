@@ -2,16 +2,7 @@
 //! (measured or actual) must satisfy before analysis is meaningful.
 
 use crate::Violation;
-use ppa_trace::{Event, EventKind, LockId, ProcessorId, SemId, SyncTag, SyncVarId, TaskId, Time};
-use std::collections::{BTreeMap, HashSet};
-
-/// Per-processor lint state.
-#[derive(Debug, Clone, Default)]
-struct ProcLint {
-    last_time: Option<Time>,
-    /// The open `awaitB` (var, tag, seq) awaiting its `awaitE`.
-    pending_await: Option<(SyncVarId, SyncTag, u64)>,
-}
+use ppa_trace::{Event, EventKind, ProcessorId, SyncTracker, Time, TraceError};
 
 /// Streaming structural linter for measured/actual traces.
 ///
@@ -23,23 +14,24 @@ struct ProcLint {
 /// | `trace-total-order` | `order_key` (time, seq, proc) never decreases |
 /// | `proc-time-monotone` | per-processor timestamps never decrease |
 /// | `seq-contiguity` | sequence numbers form one contiguous run, no holes or duplicates |
-/// | `await-pairing` | every `awaitE` closes a matching open `awaitB` (same var and tag, same processor), and no `awaitB` nests |
+/// | `advance-tag` | no advance carries a pre-advanced (negative) tag, and no two carry the same (var, tag) |
+/// | `await-pairing` | every `awaitE` closes a matching open `awaitB` (same var and tag, same processor), no `awaitB` nests, and every `awaitB` closes |
 /// | `await-advance-order` | every `awaitE` has a matching `advance` (same var and tag) somewhere in the trace; pre-advanced (negative) tags are exempt |
+/// | `barrier-protocol` | each barrier episode closes, every processor enters it once and exits it once after entering, and no enter follows its first exit |
 /// | `lock-pairing` | `lockA` never acquires a held lock, `lockR` only releases from the holder, and no lock is held at end of trace |
 /// | `sem-nonnegative` | in stream order, `semP` never overdraws the semaphore (every P is preceded by an unconsumed V — the measured ordering convention records V before the waiter resumes) |
 /// | `task-pairing` | each task id runs spawn (`taskF`), begin (`taskF`), end (`taskJ`), join-return (`taskJ`) in order, join-return on the spawning processor and end on the child's, and every spawned task is joined |
 ///
-/// `await-advance-order` deliberately checks *existence*, not stream
-/// position: in a measured trace the `advance` record is stamped after
-/// the operation's own instrumentation overhead, so a dependent `awaitE`
-/// on another processor routinely precedes it in the stream. The
-/// stronger ordering claim — the await completes no earlier than its
-/// advance — is a §4.2.3 conservation law that only holds for
-/// approximated reports, where [`ReportChecker`](crate::ReportChecker)
-/// enforces it on the approximated times.
+/// The pairing rules are [`SyncTracker`]'s: a trace lints clean of them
+/// exactly when [`pair_sync_events`](ppa_trace::pair_sync_events)
+/// accepts it.
 ///
-/// The linter records every violation it sees (no cap); callers
-/// presenting to humans typically print the first few plus a count.
+/// `await-advance-order` checks *existence*, not stream position: a
+/// measured `advance` is stamped after its own instrumentation, so its
+/// `awaitE` may precede it. That the await completes no earlier than its
+/// advance is a §4.2.3 law on approximated times, which
+/// [`ReportChecker`](crate::ReportChecker) enforces. Every violation is
+/// recorded (no cap).
 ///
 /// A *slice* of a trace (the output of `ppa slice`, see QUERIES.md) is
 /// a projection: removing events punches holes in the sequence numbers
@@ -55,28 +47,28 @@ pub struct TraceLinter {
     violations: Vec<Violation>,
     /// Slice mode: lint a projection, not a complete trace.
     slice: bool,
-    last_key: Option<(Time, u64, ppa_trace::ProcessorId)>,
-    procs: Vec<ProcLint>,
+    last_key: Option<(Time, u64, ProcessorId)>,
+    /// The latest timestamp on each processor.
+    last_time: Vec<Option<Time>>,
     seqs: Vec<u64>,
-    advanced: HashSet<(SyncVarId, SyncTag)>,
-    /// Completed awaits whose advance had not appeared yet; re-checked
-    /// against the full advance set at [`finish`](Self::finish).
-    unmatched_awaits: Vec<(SyncVarId, SyncTag, u64)>,
-    /// Held locks: holder and the acquiring event's seq.
-    locks: BTreeMap<LockId, (ProcessorId, u64)>,
-    /// Unconsumed `semV` tokens per semaphore.
-    sems: BTreeMap<SemId, u64>,
-    /// Open fork/join episodes, keyed by task id.
-    tasks: BTreeMap<TaskId, TaskLint>,
+    sync: SyncTracker<u64>,
 }
 
-/// The spawn → begin → end → join-return progression of one open task.
-#[derive(Debug, Clone)]
-struct TaskLint {
-    spawn_proc: ProcessorId,
-    spawn_seq: u64,
-    begin_proc: Option<ProcessorId>,
-    end_proc: Option<ProcessorId>,
+/// The lint rule a sync-protocol error breaks.
+pub(crate) fn rule_of(err: &TraceError) -> &'static str {
+    use TraceError as E;
+    match err {
+        E::NotTotallyOrdered { .. } => "trace-total-order",
+        E::DuplicateAdvance { .. } | E::NegativeAdvanceTag { .. } => "advance-tag",
+        E::UnmatchedAwaitEnd { .. } | E::UnmatchedAwaitBegin { .. } => "await-pairing",
+        E::NestedAwait { .. } => "await-pairing",
+        E::MissingAdvance { .. } | E::AwaitBeforeAdvance { .. } => "await-advance-order",
+        E::BarrierArityMismatch { .. } | E::BarrierExitBeforeLastEnter { .. } => "barrier-protocol",
+        E::BarrierProtocol { .. } => "barrier-protocol",
+        E::LockProtocol { .. } | E::LockHeldAtEnd { .. } => "lock-pairing",
+        E::SemUnderflow { .. } => "sem-nonnegative",
+        E::TaskProtocol { .. } => "task-pairing",
+    }
 }
 
 impl TraceLinter {
@@ -113,19 +105,16 @@ impl TraceLinter {
         self.seqs.push(e.seq);
 
         let pi = e.proc.index();
-        if pi >= self.procs.len() {
-            self.procs.resize_with(pi + 1, ProcLint::default);
+        if pi >= self.last_time.len() {
+            self.last_time.resize(pi + 1, None);
         }
-        let p = &mut self.procs[pi];
-        if let Some(last) = p.last_time {
-            if e.time < last {
-                self.violations.push(Violation::new(
-                    "proc-time-monotone",
-                    format!("event {e} moves {} backwards from {last}", e.proc),
-                ));
-            }
+        if let Some(last) = self.last_time[pi].filter(|&last| e.time < last) {
+            self.violations.push(Violation::new(
+                "proc-time-monotone",
+                format!("event {e} moves {} backwards from {last}", e.proc),
+            ));
         }
-        p.last_time = Some(e.time);
+        self.last_time[pi] = Some(e.time);
 
         if let EventKind::Repeat { len, count, .. } = e.kind {
             if !self.slice {
@@ -144,186 +133,31 @@ impl TraceLinter {
             }
             return;
         }
-        if self.slice {
-            // Projection mode: the order rules above apply as-is; the
-            // await/advance and seq-contiguity bookkeeping below would
-            // misfire on cut episodes, so it is skipped entirely.
-            return;
-        }
-
-        match e.kind {
-            EventKind::Advance { var, tag } => {
-                self.advanced.insert((var, tag));
+        // Projection mode: the order rules above apply as-is; the pairing
+        // and seq-contiguity rules would misfire on cut episodes.
+        if !self.slice {
+            if let Err(err) = self.sync.push(e, e.seq) {
+                let detail = format!("event {e}: {err}");
+                self.violations.push(Violation::new(rule_of(&err), detail));
             }
-            EventKind::AwaitBegin { var, tag } => {
-                if let Some((v, t, seq)) = p.pending_await {
-                    self.violations.push(Violation::new(
-                        "await-pairing",
-                        format!("event {e} opens an await while awaitB({v},{t}) (seq {seq}) is still open on {}", e.proc),
-                    ));
-                }
-                p.pending_await = Some((var, tag, e.seq));
-            }
-            EventKind::AwaitEnd { var, tag } => {
-                match p.pending_await.take() {
-                    Some((v, t, _)) if v == var && t == tag => {}
-                    Some((v, t, seq)) => {
-                        self.violations.push(Violation::new(
-                            "await-pairing",
-                            format!("event {e} closes awaitB({v},{t}) (seq {seq}) with a different (var, tag)"),
-                        ));
-                    }
-                    None => {
-                        self.violations.push(Violation::new(
-                            "await-pairing",
-                            format!("event {e} has no open awaitB on {}", e.proc),
-                        ));
-                    }
-                }
-                if !tag.is_pre_advanced() && !self.advanced.contains(&(var, tag)) {
-                    self.unmatched_awaits.push((var, tag, e.seq));
-                }
-            }
-            EventKind::LockAcquire { lock } => match self.locks.get(&lock) {
-                Some(&(holder, seq)) => self.violations.push(Violation::new(
-                    "lock-pairing",
-                    format!("event {e} acquires {lock} already held by {holder} (seq {seq})"),
-                )),
-                None => {
-                    self.locks.insert(lock, (e.proc, e.seq));
-                }
-            },
-            EventKind::LockRelease { lock } => match self.locks.get(&lock) {
-                Some(&(holder, _)) if holder == e.proc => {
-                    self.locks.remove(&lock);
-                }
-                Some(&(holder, seq)) => self.violations.push(Violation::new(
-                    "lock-pairing",
-                    format!(
-                        "event {e} releases {lock} held by {holder} (seq {seq}), not {}",
-                        e.proc
-                    ),
-                )),
-                None => self.violations.push(Violation::new(
-                    "lock-pairing",
-                    format!("event {e} releases {lock}, which is not held"),
-                )),
-            },
-            EventKind::SemAcquire { sem } => {
-                let tokens = self.sems.entry(sem).or_insert(0);
-                match tokens.checked_sub(1) {
-                    Some(rest) => *tokens = rest,
-                    None => self.violations.push(Violation::new(
-                        "sem-nonnegative",
-                        format!("event {e} overdraws {sem}: no unconsumed semV precedes it"),
-                    )),
-                }
-            }
-            EventKind::SemRelease { sem } => {
-                *self.sems.entry(sem).or_insert(0) += 1;
-            }
-            EventKind::TaskFork { task } => match self.tasks.get_mut(&task) {
-                None => {
-                    self.tasks.insert(
-                        task,
-                        TaskLint {
-                            spawn_proc: e.proc,
-                            spawn_seq: e.seq,
-                            begin_proc: None,
-                            end_proc: None,
-                        },
-                    );
-                }
-                Some(t) if t.begin_proc.is_none() => t.begin_proc = Some(e.proc),
-                Some(t) => self.violations.push(Violation::new(
-                    "task-pairing",
-                    format!(
-                        "event {e} re-forks {task}, which already began (spawned seq {})",
-                        t.spawn_seq
-                    ),
-                )),
-            },
-            EventKind::TaskJoin { task } => match self.tasks.get_mut(&task) {
-                None => self.violations.push(Violation::new(
-                    "task-pairing",
-                    format!("event {e} joins {task}, which was never forked"),
-                )),
-                Some(t) if t.begin_proc.is_none() => self.violations.push(Violation::new(
-                    "task-pairing",
-                    format!("event {e} joins {task} before the child began"),
-                )),
-                Some(t) if t.end_proc.is_none() => t.end_proc = Some(e.proc),
-                Some(t) => {
-                    if t.spawn_proc != e.proc {
-                        self.violations.push(Violation::new(
-                            "task-pairing",
-                            format!(
-                                "event {e} join-returns {task} on {}, but {} spawned it",
-                                e.proc, t.spawn_proc
-                            ),
-                        ));
-                    }
-                    if t.begin_proc != t.end_proc {
-                        self.violations.push(Violation::new(
-                            "task-pairing",
-                            format!(
-                                "{task} began on {} but ended on {}",
-                                t.begin_proc.expect("begin recorded"),
-                                t.end_proc.expect("end recorded"),
-                            ),
-                        ));
-                    }
-                    self.tasks.remove(&task);
-                }
-            },
-            _ => {}
         }
     }
 
     /// Closes the stream and returns every violation found, in
     /// encounter order (end-of-stream rules last).
     pub fn finish(mut self) -> Vec<Violation> {
-        for (v, t, seq) in &self.unmatched_awaits {
-            if !self.advanced.contains(&(*v, *t)) {
-                self.violations.push(Violation::new(
-                    "await-advance-order",
-                    format!(
-                        "awaitE({v},{t}) (seq {seq}) has no matching advance anywhere in the trace"
-                    ),
-                ));
-            }
-        }
-        for (pi, p) in self.procs.iter().enumerate() {
-            if let Some((v, t, seq)) = p.pending_await {
-                self.violations.push(Violation::new(
-                    "await-pairing",
-                    format!("awaitB({v},{t}) (seq {seq}) on p{pi} never closed"),
-                ));
-            }
-        }
-        for (lock, (holder, seq)) in &self.locks {
-            self.violations.push(Violation::new(
-                "lock-pairing",
-                format!("{lock} acquired by {holder} (seq {seq}) is still held at end of trace"),
-            ));
-        }
-        for (task, t) in &self.tasks {
-            self.violations.push(Violation::new(
-                "task-pairing",
-                format!(
-                    "{task} spawned by {} (seq {}) is never joined",
-                    t.spawn_proc, t.spawn_seq
-                ),
-            ));
-        }
-        // Contiguity is a multiset property, so it is checked once at the
-        // end: sorted, the sequence numbers must form one run without
-        // holes or duplicates. (Clarity over cleverness — the sort costs
-        // O(n log n) once, not per event.) Slices are projections:
-        // holes are the point, so the rule is waived there.
+        // Slices are projections: cut episodes and seq holes are the
+        // point, so the end-of-stream rules are waived there.
         if self.slice {
             return self.violations;
         }
+        for err in self.sync.finish() {
+            self.violations
+                .push(Violation::new(rule_of(&err), err.to_string()));
+        }
+        // Contiguity is a multiset property, so it is checked once at the
+        // end: sorted, the sequence numbers must form one run without
+        // holes or duplicates.
         self.seqs.sort_unstable();
         for w in self.seqs.windows(2) {
             if w[1] != w[0] + 1 {

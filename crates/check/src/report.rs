@@ -6,25 +6,7 @@
 //! approximated trace, independently of the analyzer that produced it.
 
 use crate::Violation;
-use ppa_trace::{Event, EventKind, LockId, ProcessorId, SemId, SyncTag, SyncVarId, TaskId, Time};
-use std::collections::{HashMap, VecDeque};
-
-/// Per-processor report state.
-#[derive(Debug, Clone, Default)]
-struct ProcReport {
-    last_ta: Option<Time>,
-    /// The open `awaitB` (var, tag, ta) awaiting its `awaitE`.
-    pending_await: Option<(SyncVarId, SyncTag, Time)>,
-}
-
-/// One barrier's open episode: enters accumulate, then exits drain; the
-/// episode closes when exits match enters.
-#[derive(Debug, Clone, Copy, Default)]
-struct BarrierEpisode {
-    enters: usize,
-    exits: usize,
-    max_enter_ta: Time,
-}
+use ppa_trace::{Event, Pairing, SyncTracker, Time, TraceError};
 
 /// Streaming checker for the §4.2.3 conservation laws on an
 /// approximated trace.
@@ -36,42 +18,51 @@ struct BarrierEpisode {
 /// |---|---|
 /// | `report-ta-monotone` | approximated times never decrease on one processor |
 /// | `await-begin-before-end` | `ta(awaitE) ≥ ta(awaitB)` for each await |
-/// | `await-order-preserved` | `ta(awaitE) ≥ ta(advance)` for the dependent advance — the measured partial order survives approximation (both Figure 2 branches add a non-negative `s_nowait`/`s_wait`) |
+/// | `await-order-preserved` | `ta(awaitE) ≥ ta(advance)` for the dependent advance, which precedes it in the report — the measured partial order survives approximation (both Figure 2 branches add a non-negative `s_nowait`/`s_wait`) |
 /// | `barrier-exit-order` | every barrier exit's ta is at least the episode's latest enter ta |
-/// | `barrier-protocol` | enters and exits alternate in whole episodes (no exit without an enter, no enter inside an exit drain) |
 /// | `episode-order-preserved` | a lock acquire, semaphore P, task begin, or join-return never precedes its enabling release, V, spawn, or child end in approximated time — the blocked rule's `s_wait`/chain branches are both non-negative |
-/// | `episode-protocol` | the lock, semaphore, and fork/join state machines stay well-formed in the report, and no lock or task is left open at the end |
+/// | `advance-tag` | no advance carries a pre-advanced (negative) tag, and no two carry the same (var, tag) |
+/// | `barrier-protocol` | enters and exits alternate in whole episodes (no exit without an enter, no enter after an episode's first exit, no episode left open) |
+/// | `episode-protocol` | the await, lock, semaphore, and fork/join state machines stay well-formed in the report, and no await, lock or task is left open at the end |
+///
+/// The pairing is [`SyncTracker`]'s, so a report breaks a protocol rule
+/// exactly where a measured trace would, with one exception: barrier
+/// episodes are checked by their counts. Approximation moves times, not
+/// processors, so which processors took part in an episode was settled
+/// when the measured trace was validated.
 ///
 /// Pre-advanced (negative) tags have no `advance` by construction and
 /// are exempt from `await-order-preserved`. An *origin* lock acquire
 /// (no prior release of that lock) has no enabling event and is exempt
 /// from `episode-order-preserved`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ReportChecker {
     violations: Vec<Violation>,
-    procs: Vec<ProcReport>,
-    advances: HashMap<(SyncVarId, SyncTag), Time>,
-    barriers: HashMap<ppa_trace::BarrierId, BarrierEpisode>,
-    locks: HashMap<LockId, LockReport>,
-    /// Unconsumed `semV` approximated times, consumed FIFO by `semP`.
-    sems: HashMap<SemId, VecDeque<Time>>,
-    tasks: HashMap<TaskId, TaskReport>,
+    /// The latest approximated time on each processor.
+    last_ta: Vec<Option<Time>>,
+    sync: SyncTracker<Time>,
 }
 
-/// One lock's report-side state.
-#[derive(Debug, Clone, Copy, Default)]
-struct LockReport {
-    holder: Option<ProcessorId>,
-    /// The latest release's ta, pending consumption by the next acquire.
-    release_ta: Option<Time>,
+impl Default for ReportChecker {
+    fn default() -> Self {
+        ReportChecker {
+            violations: Vec::new(),
+            last_ta: Vec::new(),
+            sync: SyncTracker::counting_barriers(),
+        }
+    }
 }
 
-/// One open fork/join episode's report-side state.
-#[derive(Debug, Clone, Copy)]
-struct TaskReport {
-    spawn_ta: Time,
-    began: bool,
-    end_ta: Option<Time>,
+/// The report rule a sync-protocol error breaks: the lint's name for
+/// advance and barrier errors, `episode-protocol` for the rest, and
+/// `None` for a missing advance, which [`ReportChecker::push`] already
+/// flagged at its `awaitE`.
+fn rule_of(err: &TraceError) -> Option<&'static str> {
+    match crate::lint::rule_of(err) {
+        "await-advance-order" => None,
+        rule @ ("advance-tag" | "barrier-protocol") => Some(rule),
+        _ => Some("episode-protocol"),
+    }
 }
 
 impl ReportChecker {
@@ -83,225 +74,64 @@ impl ReportChecker {
     /// Feeds the next approximated event in stream order.
     pub fn push(&mut self, e: &Event) {
         let pi = e.proc.index();
-        if pi >= self.procs.len() {
-            self.procs.resize_with(pi + 1, ProcReport::default);
+        if pi >= self.last_ta.len() {
+            self.last_ta.resize(pi + 1, None);
         }
-        let p = &mut self.procs[pi];
-        if let Some(last) = p.last_ta {
-            if e.time < last {
-                self.violations.push(Violation::new(
-                    "report-ta-monotone",
-                    format!("event {e} moves {} backwards from {last}", e.proc),
-                ));
-            }
+        if let Some(last) = self.last_ta[pi].filter(|&last| e.time < last) {
+            self.violations.push(Violation::new(
+                "report-ta-monotone",
+                format!("event {e} moves {} backwards from {last}", e.proc),
+            ));
         }
-        p.last_ta = Some(e.time);
+        self.last_ta[pi] = Some(e.time);
 
-        match e.kind {
-            EventKind::Advance { var, tag } => {
-                self.advances.insert((var, tag), e.time);
-            }
-            EventKind::AwaitBegin { var, tag } => {
-                p.pending_await = Some((var, tag, e.time));
-            }
-            EventKind::AwaitEnd { var, tag } => {
-                if let Some((v, t, begin_ta)) = p.pending_await.take() {
-                    if (v, t) == (var, tag) && e.time < begin_ta {
-                        self.violations.push(Violation::new(
-                            "await-begin-before-end",
-                            format!("event {e} ends before its awaitB at {begin_ta}"),
-                        ));
-                    }
-                }
-                if !tag.is_pre_advanced() {
-                    match self.advances.get(&(var, tag)) {
-                        Some(&adv_ta) if e.time >= adv_ta => {}
-                        Some(&adv_ta) => {
-                            self.violations.push(Violation::new(
-                                "await-order-preserved",
-                                format!(
-                                    "event {e} precedes its advance({var},{tag}) at {adv_ta}; \
-                                     the measured dependence order was lost"
-                                ),
-                            ));
-                        }
-                        None => {
-                            self.violations.push(Violation::new(
-                                "await-order-preserved",
-                                format!(
-                                    "event {e} has no advance({var},{tag}) earlier in the report"
-                                ),
-                            ));
-                        }
-                    }
+        // Each law: the event's ta is at least its partner's.
+        match self.sync.push(e, e.time) {
+            Err(err) => {
+                if let Some(rule) = rule_of(&err) {
+                    let detail = format!("event {e}: {err}");
+                    self.violations.push(Violation::new(rule, detail));
                 }
             }
-            EventKind::BarrierEnter { barrier } => {
-                let ep = self.barriers.entry(barrier).or_default();
-                if ep.exits > 0 {
-                    self.violations.push(Violation::new(
-                        "barrier-protocol",
-                        format!("event {e} enters {barrier} while its episode is still exiting"),
-                    ));
-                }
-                ep.enters += 1;
-                ep.max_enter_ta = ep.max_enter_ta.max(e.time);
-            }
-            EventKind::BarrierExit { barrier } => {
-                // Deliberately no `or_default()`: an exit without an open
-                // episode is its own violation, not a new (phantom) episode
-                // that `finish` would report a second time as left open.
-                let Some(ep) = self.barriers.get_mut(&barrier) else {
-                    self.violations.push(Violation::new(
-                        "barrier-protocol",
-                        format!("event {e} exits {barrier} with no open episode"),
-                    ));
-                    return;
-                };
-                if e.time < ep.max_enter_ta {
-                    self.violations.push(Violation::new(
-                        "barrier-exit-order",
-                        format!(
-                            "event {e} exits before the episode's latest enter at {}",
-                            ep.max_enter_ta
-                        ),
-                    ));
-                }
-                ep.exits += 1;
-                if ep.exits == ep.enters {
-                    self.barriers.remove(&barrier);
+            Ok(Pairing::Await {
+                begin,
+                advance,
+                needs_advance,
+            }) => {
+                self.law(e, "await-begin-before-end", begin);
+                match advance {
+                    Some(adv) => self.law(e, "await-order-preserved", adv),
+                    None if needs_advance => self.violations.push(Violation::new(
+                        "await-order-preserved",
+                        format!("event {e} has no advance earlier in the report"),
+                    )),
+                    None => {}
                 }
             }
-            EventKind::LockAcquire { lock } => {
-                let st = self.locks.entry(lock).or_default();
-                if let Some(holder) = st.holder {
-                    self.violations.push(Violation::new(
-                        "episode-protocol",
-                        format!("event {e} acquires {lock} already held by {holder}"),
-                    ));
-                }
-                st.holder = Some(e.proc);
-                if let Some(rel_ta) = st.release_ta.take() {
-                    if e.time < rel_ta {
-                        self.violations.push(Violation::new(
-                            "episode-order-preserved",
-                            format!(
-                                "event {e} precedes the enabling release of {lock} at {rel_ta}"
-                            ),
-                        ));
-                    }
-                }
+            Ok(Pairing::BarrierExit { last_enter }) => {
+                self.law(e, "barrier-exit-order", last_enter)
             }
-            EventKind::LockRelease { lock } => {
-                let st = self.locks.entry(lock).or_default();
-                if st.holder != Some(e.proc) {
-                    self.violations.push(Violation::new(
-                        "episode-protocol",
-                        format!("event {e} releases {lock}, which {} does not hold", e.proc),
-                    ));
-                }
-                st.holder = None;
-                st.release_ta = Some(e.time);
-            }
-            EventKind::SemAcquire { sem } => match self.sems.entry(sem).or_default().pop_front() {
-                Some(v_ta) if e.time >= v_ta => {}
-                Some(v_ta) => self.violations.push(Violation::new(
-                    "episode-order-preserved",
-                    format!("event {e} precedes its enabling semV of {sem} at {v_ta}"),
-                )),
-                None => self.violations.push(Violation::new(
-                    "episode-protocol",
-                    format!("event {e} overdraws {sem}: no unconsumed semV earlier in the report"),
-                )),
-            },
-            EventKind::SemRelease { sem } => {
-                self.sems.entry(sem).or_default().push_back(e.time);
-            }
-            EventKind::TaskFork { task } => match self.tasks.get_mut(&task) {
-                None => {
-                    self.tasks.insert(
-                        task,
-                        TaskReport {
-                            spawn_ta: e.time,
-                            began: false,
-                            end_ta: None,
-                        },
-                    );
-                }
-                Some(t) if !t.began => {
-                    t.began = true;
-                    if e.time < t.spawn_ta {
-                        self.violations.push(Violation::new(
-                            "episode-order-preserved",
-                            format!("event {e} begins {task} before its spawn at {}", t.spawn_ta),
-                        ));
-                    }
-                }
-                Some(_) => self.violations.push(Violation::new(
-                    "episode-protocol",
-                    format!("event {e} re-forks {task}, which already began"),
-                )),
-            },
-            EventKind::TaskJoin { task } => match self.tasks.get_mut(&task) {
-                None => self.violations.push(Violation::new(
-                    "episode-protocol",
-                    format!("event {e} joins {task}, which was never forked"),
-                )),
-                Some(t) if !t.began => self.violations.push(Violation::new(
-                    "episode-protocol",
-                    format!("event {e} joins {task} before the child began"),
-                )),
-                Some(t) => match t.end_ta {
-                    None => t.end_ta = Some(e.time),
-                    Some(end_ta) => {
-                        if e.time < end_ta {
-                            self.violations.push(Violation::new(
-                                "episode-order-preserved",
-                                format!(
-                                    "event {e} join-returns before {task}'s child end at {end_ta}"
-                                ),
-                            ));
-                        }
-                        self.tasks.remove(&task);
-                    }
-                },
-            },
-            _ => {}
+            Ok(Pairing::Blocked { dep: Some(dep) }) => self.law(e, "episode-order-preserved", dep),
+            Ok(Pairing::TaskBegin { spawn }) => self.law(e, "episode-order-preserved", spawn),
+            Ok(Pairing::None | Pairing::Blocked { dep: None }) => {}
+        }
+    }
+
+    /// Flags `e` under `rule` if its ta precedes `bound`, the ta of the
+    /// event it waited for.
+    fn law(&mut self, e: &Event, rule: &'static str, bound: Time) {
+        if e.time < bound {
+            let detail = format!("event {e} precedes the event it waited for, at {bound}");
+            self.violations.push(Violation::new(rule, detail));
         }
     }
 
     /// Closes the stream and returns every violation found.
     pub fn finish(mut self) -> Vec<Violation> {
-        let mut open: Vec<_> = self.barriers.iter().collect();
-        open.sort_by_key(|(b, _)| **b);
-        for (barrier, ep) in open {
-            self.violations.push(Violation::new(
-                "barrier-protocol",
-                format!(
-                    "{barrier} episode left open at end of report ({} enters, {} exits)",
-                    ep.enters, ep.exits
-                ),
-            ));
-        }
-        let mut held: Vec<_> = self
-            .locks
-            .iter()
-            .filter_map(|(l, st)| st.holder.map(|h| (*l, h)))
-            .collect();
-        held.sort_by_key(|(l, _)| *l);
-        for (lock, holder) in held {
-            self.violations.push(Violation::new(
-                "episode-protocol",
-                format!("{lock} is still held by {holder} at end of report"),
-            ));
-        }
-        let mut open_tasks: Vec<_> = self.tasks.keys().copied().collect();
-        open_tasks.sort();
-        for task in open_tasks {
-            self.violations.push(Violation::new(
-                "episode-protocol",
-                format!("{task} episode left open at end of report"),
-            ));
+        for err in self.sync.finish() {
+            if let Some(rule) = rule_of(&err) {
+                self.violations.push(Violation::new(rule, err.to_string()));
+            }
         }
         self.violations
     }

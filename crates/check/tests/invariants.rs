@@ -7,9 +7,12 @@ use ppa_check::{check_metrics, ReportChecker, TraceLinter, Violation};
 use ppa_core::event_based;
 use ppa_program::synth::{synthesize, SynthConfig};
 use ppa_program::InstrumentationPlan;
-use ppa_sim::{run_measured, SchedulePolicy, SimConfig};
+use ppa_sim::{
+    run_measured, scenario_trace, ScenarioConfig, ScenarioFamily, SchedulePolicy, SimConfig,
+};
 use ppa_trace::{
-    BarrierId, ClockRate, Event, EventKind, OverheadSpec, ProcessorId, SyncTag, SyncVarId, Time,
+    pair_sync_events, BarrierId, ClockRate, Event, EventKind, OverheadSpec, ProcessorId, SyncTag,
+    SyncVarId, Time, Trace, TraceKind,
 };
 use proptest::prelude::*;
 
@@ -73,6 +76,64 @@ proptest! {
 
         let approx_report = report(approx.trace.events());
         prop_assert!(approx_report.is_empty(), "approx report: {approx_report:?}");
+    }
+}
+
+/// A measured trace of one of four families: a synthesized DOACROSS
+/// program (0), or a seeded spinlock, semaphore or fork/join scenario.
+fn family_trace(family: usize, seed: u64) -> Trace {
+    match family {
+        0 => {
+            let program = synthesize(seed, &SynthConfig::default());
+            let plan = InstrumentationPlan::full_with_sync();
+            run_measured(&program, &plan, &static_config(seed))
+                .unwrap()
+                .trace
+        }
+        f => scenario_trace(seed, &ScenarioConfig::small(ScenarioFamily::ALL[f - 1])),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One rulebook: with one synchronization event dropped, duplicated
+    /// or moved to another event's time, the linter reports a violation
+    /// (besides the seq holes and duplicates the mutation itself makes)
+    /// exactly when the analyzer's pairing refuses the trace.
+    #[test]
+    fn linter_flags_exactly_what_pairing_refuses(
+        family in 0usize..4,
+        seed in any::<u64>(),
+        mutation in 0u8..3,
+        pick in any::<usize>(),
+        to in any::<usize>(),
+    ) {
+        let mut events = family_trace(family, seed).events().to_vec();
+        let sync: Vec<usize> = (0..events.len())
+            .filter(|&i| {
+                let k = events[i].kind;
+                k.is_sync() || k.is_barrier() || k.is_episode()
+            })
+            .collect();
+        if sync.is_empty() {
+            return;
+        }
+        let i = sync[pick % sync.len()];
+        match mutation {
+            0 => {
+                events.remove(i);
+            }
+            1 => events.insert(i, events[i]),
+            _ => events[i].time = events[to % events.len()].time,
+        }
+        let mutated = Trace::from_events(TraceKind::Measured, events);
+        let refused = pair_sync_events(&mutated);
+        let flagged: Vec<Violation> = lint(mutated.events())
+            .into_iter()
+            .filter(|v| v.rule != "seq-contiguity")
+            .collect();
+        prop_assert_eq!(refused.is_err(), !flagged.is_empty(), "{:?} vs {:?}", refused.err(), flagged);
     }
 }
 

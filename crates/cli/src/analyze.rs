@@ -10,7 +10,7 @@
 //! byte-identical report.
 
 use crate::args::{parse_args, MetricsFlags, PipelineFlags};
-use crate::{refuse_output_onto_input, CliError};
+use crate::{print_summary, refuse_output_onto_input, CliError};
 use ppa::analysis::{DEFAULT_CHECKPOINT_EVERY, DEFAULT_COMPACT_EVERY};
 use ppa::trace::TraceFormat;
 use std::fs::File;
@@ -187,23 +187,6 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
         .filter(|spec| !spec.is_empty());
     let overheads = o.pipeline.overheads()?;
     analyze(&o, overheads, slice_spec)
-}
-
-/// Prints the lines of a summary. A closed stdout (`ppa analyze … |
-/// head -1`) ends the output quietly: the run and its `--out` report
-/// are complete by the time anything is printed, and `println!` would
-/// panic.
-fn print_summary(lines: &[String]) -> Result<(), CliError> {
-    use std::io::Write as _;
-    let mut text = lines.join("\n");
-    text.push('\n');
-    let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            Err(CliError::Io(format!("stdout: {e}")))
-        }
-        _ => Ok(()),
-    }
 }
 
 /// Maps checkpoint failures onto the sysexits scheme: a missing

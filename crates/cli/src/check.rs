@@ -2,7 +2,7 @@
 //! invariant rules, or run the differential oracle.
 
 use crate::args::{parse_args, MetricsFlags};
-use crate::{refuse_output_onto_input, CliError};
+use crate::{print_summary, refuse_output_onto_input, CliError};
 use ppa::check::{
     check_metrics, is_checkpoint_magic, lint_checkpoint, run_differential, DifferentialConfig,
     ReportChecker, TraceLinter,
@@ -81,6 +81,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
     let metrics = &o.metrics;
     let violations;
     let subject: String;
+    let summary;
     if let Some(input) = o.input {
         refuse_output_onto_input(input, &[("--metrics-out", metrics.out)])?;
         let file = File::open(input).map_err(|e| CliError::NoInput(format!("{input}: {e}")))?;
@@ -100,12 +101,12 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
                     ));
                 }
                 let (lint, found) = lint_checkpoint(Path::new(input)).map_err(CliError::NoInput)?;
-                println!(
+                let summary = format!(
                     "checked {input}: v2 checkpoint, {} delta record(s), \
                      {} position(s) seen, chain pass",
                     lint.delta_records, lint.positions_seen
                 );
-                return finish_check(found, input.to_string(), metrics);
+                return finish_check(found, input.to_string(), metrics, summary);
             }
         }
         let reader = AnyTraceReader::open(BufReader::new(file))
@@ -149,7 +150,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
                 TraceKind::Measured | TraceKind::Actual => "lint",
             }
         };
-        println!("checked {input}: {events} event(s), {pass} pass");
+        summary = format!("checked {input}: {events} event(s), {pass} pass");
         violations = found;
         subject = input.to_string();
     } else {
@@ -159,7 +160,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
         }
         let report =
             run_differential(&o.diff_cfg, o.out_dir.map(Path::new)).map_err(CliError::Io)?;
-        println!(
+        summary = format!(
             "differential oracle: {} program(s), {} episode scenario(s), \
              {} measured event(s), streaming vs reference",
             report.programs, report.scenarios, report.events
@@ -168,33 +169,39 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
         subject = format!("differential oracle (seed {})", o.diff_cfg.seed);
     }
 
-    finish_check(violations, subject, metrics)
+    finish_check(violations, subject, metrics, summary)
 }
 
-/// Shared tail of every `ppa check` mode: export the per-rule counts,
-/// print the violations (capped), and map "any violation" to exit 65.
+/// Shared tail of every `ppa check` mode: print the run's `summary`
+/// line, export the per-rule counts, print the violations (capped), and
+/// map "any violation" to exit 65.
 fn finish_check(
     violations: Vec<ppa::check::Violation>,
     subject: String,
     metrics: &MetricsFlags,
+    summary: String,
 ) -> Result<(), CliError> {
+    print_summary(&[summary])?;
+    let mut lines = Vec::new();
     if let Some(path) = metrics.out {
         let registry = ppa::obs::Registry::new();
         ppa::check::export_violations(&registry, &violations);
         metrics.export(&registry, path)?;
-        println!("metrics snapshot written to {path}");
+        lines.push(format!("metrics snapshot written to {path}"));
     }
 
     if violations.is_empty() {
-        println!("OK: no invariant violations");
-        return Ok(());
+        lines.push("OK: no invariant violations".into());
+        return print_summary(&lines);
     }
-    for v in violations.iter().take(CHECK_PRINT_CAP) {
-        println!("violation {v}");
-    }
+    lines.extend((violations.iter().take(CHECK_PRINT_CAP)).map(|v| format!("violation {v}")));
     if violations.len() > CHECK_PRINT_CAP {
-        println!("... and {} more", violations.len() - CHECK_PRINT_CAP);
+        lines.push(format!(
+            "... and {} more",
+            violations.len() - CHECK_PRINT_CAP
+        ));
     }
+    print_summary(&lines)?;
     Err(CliError::Data(format!(
         "{subject}: {} invariant violation(s)",
         violations.len()

@@ -1,7 +1,7 @@
 //! `ppa convert`: transcode a trace between the two on-disk formats.
 
 use crate::args::parse_args;
-use crate::{create_output, refuse_output_onto_input, CliError};
+use crate::{create_output, print_summary, refuse_output_onto_input, CliError};
 use ppa::trace::{AnyTraceReader, AnyTraceWriter, BinaryTraceWriter, StreamProbes, TraceFormat};
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -83,6 +83,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
     inner
         .flush()
         .map_err(|e| CliError::Io(format!("{output}: {e}")))?;
-    println!("converted {converted} events: {input} ({from}) -> {output} ({to})");
-    Ok(())
+    print_summary(&[format!(
+        "converted {converted} events: {input} ({from}) -> {output} ({to})"
+    )])
 }

@@ -102,6 +102,23 @@ impl From<ppa::analysis::AnalysisError> for CliError {
     }
 }
 
+/// Prints the lines of a command's summary. A closed stdout (`ppa
+/// analyze … | head -1`) ends the output quietly: the run and its output
+/// files are complete by the time anything is printed, and `println!`
+/// would panic. The exit code stays the run's own.
+pub(crate) fn print_summary(lines: &[String]) -> Result<(), CliError> {
+    use std::io::Write as _;
+    let mut text = lines.join("\n");
+    text.push('\n');
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::Io(format!("stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     match real_main() {
         Ok(()) => ExitCode::SUCCESS,

@@ -2,7 +2,7 @@
 //! expansion of a trace (QUERIES.md).
 
 use crate::args::{parse_args, MetricsFlags};
-use crate::{create_output, refuse_output_onto_input, CliError};
+use crate::{create_output, print_summary, refuse_output_onto_input, CliError};
 use ppa::slice::{slice_stream, SliceError, SliceOptions, SliceProbes, SliceSpec};
 use ppa::trace::{AnyTraceReader, AnyTraceWriter, TraceFormat};
 use std::fs::File;
@@ -116,6 +116,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
         let stats = slice_stream(&mut reader, &options, &probes, |e| writer.write_event(e))
             .map_err(|e| match e {
                 SliceError::Io(err) => CliError::from(err).prefixed(input),
+                SliceError::Output(err) => out_err(err),
                 e @ SliceError::SuppressedInput { .. } => CliError::Data(format!("{input}: {e}")),
             })?;
         (stats, None)
@@ -125,27 +126,32 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
         .flush()
         .map_err(|e| CliError::Io(format!("{output}: {e}")))?;
 
-    println!(
-        "sliced {input} ({in_format}) -> {output} ({format}): {} event(s) emitted, \
-         {} filtered",
-        stats.emitted, stats.filtered
-    );
-    println!(
-        "skip index: {} block(s) skipped undecoded ({} event(s))",
-        stats.skipped_blocks, stats.skipped_events
-    );
+    let mut lines = vec![
+        format!(
+            "sliced {input} ({in_format}) -> {output} ({format}): {} event(s) emitted, \
+             {} filtered",
+            stats.emitted, stats.filtered
+        ),
+        format!(
+            "skip index: {} block(s) skipped undecoded ({} event(s))",
+            stats.skipped_blocks, stats.skipped_events
+        ),
+    ];
     if o.suppress {
-        println!(
+        lines.push(format!(
             "suppression: {} repeat record(s) standing for {} suppressed event(s)",
             stats.records, stats.suppressed
-        );
+        ));
     }
     if let Some((records, expanded)) = expansion {
-        println!("expansion: {records} repeat record(s) expanded into {expanded} event(s)");
+        lines.push(format!(
+            "expansion: {records} repeat record(s) expanded into {expanded} event(s)"
+        ));
     }
     if stats.lost > 0 {
-        println!("lenient gaps: {} event(s) lost", stats.lost);
+        lines.push(format!("lenient gaps: {} event(s) lost", stats.lost));
     }
+    print_summary(&lines)?;
     if expansion.is_none() && !stats.conservation_holds() {
         return Err(CliError::Data(format!(
             "{input}: slice accounting broken: {} of {} input event(s) accounted for",
@@ -156,7 +162,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
 
     if let (Some(path), Some(registry)) = (metrics.out, registry) {
         metrics.export(&registry, path)?;
-        println!("metrics snapshot written to {path}");
+        print_summary(&[format!("metrics snapshot written to {path}")])?;
     }
     Ok(())
 }

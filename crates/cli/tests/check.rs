@@ -5,7 +5,10 @@
 //! paths against each other.
 
 use ppa::prelude::*;
-use ppa::trace::{write_jsonl, BarrierId, Event, EventKind, SyncTag, SyncVarId, Trace};
+use ppa::trace::{
+    pair_sync_events, write_jsonl, BarrierId, Event, EventKind, LockId, SemId, SyncTag, SyncVarId,
+    TaskId, Trace,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -322,6 +325,156 @@ fn flags_report_barrier_exit_before_latest_enter() {
         ],
     );
     assert_flags(&f, "barrier-exit-order");
+}
+
+// --- check flags what analysis refuses -----------------------------
+
+/// One measured fixture per `TraceError` the analyzer can raise on a
+/// sorted measured trace (all but `AwaitBeforeAdvance`, which only the
+/// strict pairing of actual and approximated traces raises): `ppa
+/// analyze` refuses each with exit 65 and names the error, and `ppa
+/// check` flags each with exit 65 and the rule the error maps to.
+#[test]
+fn check_flags_every_trace_analyze_refuses() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (var, barrier, lock) = (SyncVarId(0), BarrierId(0), LockId(0));
+    let adv = |tag| EventKind::Advance {
+        var,
+        tag: SyncTag(tag),
+    };
+    let awb = |tag| EventKind::AwaitBegin {
+        var,
+        tag: SyncTag(tag),
+    };
+    let awe = |tag| EventKind::AwaitEnd {
+        var,
+        tag: SyncTag(tag),
+    };
+    let (enter, exit) = (
+        EventKind::BarrierEnter { barrier },
+        EventKind::BarrierExit { barrier },
+    );
+    let acquire = EventKind::LockAcquire { lock };
+    let (p, j) = (
+        EventKind::SemAcquire { sem: SemId(0) },
+        EventKind::TaskJoin { task: TaskId(0) },
+    );
+    let start = EventKind::ProgramBegin;
+    // The rule `ppa check` names, and the events as (time, processor, kind).
+    type Timed = (u64, u16, EventKind);
+    let cases: Vec<(&str, Vec<Timed>)> = vec![
+        ("trace-total-order", vec![(20, 0, start), (10, 1, start)]),
+        ("advance-tag", vec![(10, 0, adv(3)), (20, 1, adv(3))]),
+        ("advance-tag", vec![(10, 0, adv(-1))]),
+        ("await-pairing", vec![(10, 0, awe(-1))]),
+        ("await-pairing", vec![(10, 0, awb(-1))]),
+        ("await-pairing", vec![(10, 0, awb(-1)), (20, 0, awb(-2))]),
+        (
+            "await-advance-order",
+            vec![(10, 0, awb(5)), (20, 0, awe(5))],
+        ),
+        (
+            "barrier-protocol",
+            vec![(10, 0, enter), (20, 1, enter), (30, 0, exit)],
+        ),
+        (
+            "barrier-protocol",
+            vec![
+                (10, 0, enter),
+                (20, 1, enter),
+                (30, 0, exit),
+                (40, 2, enter),
+                (50, 1, exit),
+                (60, 2, exit),
+            ],
+        ),
+        ("barrier-protocol", vec![(10, 0, exit)]),
+        ("lock-pairing", vec![(10, 0, acquire), (20, 1, acquire)]),
+        ("lock-pairing", vec![(10, 0, acquire)]),
+        ("sem-nonnegative", vec![(10, 0, p)]),
+        ("task-pairing", vec![(10, 0, j)]),
+    ];
+    let mut variants = std::collections::HashSet::new();
+    for (i, (rule, events)) in cases.into_iter().enumerate() {
+        let events: Vec<Event> = (events.into_iter().enumerate())
+            .map(|(seq, (time, proc, kind))| ev(time, proc, seq as u64, kind))
+            .collect();
+        let f = write_fixture(
+            &dir,
+            &format!("refused_{i}.jsonl"),
+            TraceKind::Measured,
+            &events,
+        );
+        // The error analysis refuses the fixture with: its pairing error,
+        // or, for the one that is only out of order, the order's.
+        let error = match pair_sync_events(&Trace::from_events(TraceKind::Measured, events)) {
+            Err(e) => {
+                assert!(variants.insert(std::mem::discriminant(&e)), "{e}: twice");
+                e.to_string()
+            }
+            Ok(_) => "not totally ordered".to_string(),
+        };
+        let out = ppa_cmd("analyze", &[f.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(65), "{error}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&error), "{error}: {stderr}");
+        assert_flags(&f, rule);
+    }
+    assert_eq!(variants.len(), 13, "one fixture per pairing error");
+}
+
+/// A duplicate advance in an approximated report breaks the same
+/// pairing rule as in a measured trace.
+#[test]
+fn check_flags_a_report_with_a_duplicate_advance() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let adv = EventKind::Advance {
+        var: SyncVarId(0),
+        tag: SyncTag(0),
+    };
+    let f = write_fixture(
+        &dir,
+        "viol_report_duplicate_advance.jsonl",
+        TraceKind::Approximated,
+        &[ev(10, 0, 0, adv), ev(20, 1, 1, adv)],
+    );
+    assert_flags(&f, "advance-tag");
+}
+
+/// A closed stdout ends `ppa check` quietly, and the exit code is still
+/// the verdict: 0 on a clean trace, 65 with violations.
+#[test]
+fn check_ends_quietly_when_stdout_is_closed() {
+    use std::process::Stdio;
+
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let clean = measured_jsonl(&dir, "check_closed_stdout.jsonl");
+    let held = [ev(10, 0, 0, EventKind::LockAcquire { lock: LockId(0) })];
+    let dirty = write_fixture(
+        &dir,
+        "check_closed_stdout_dirty.jsonl",
+        TraceKind::Measured,
+        &held,
+    );
+    for (input, code) in [(clean, 0), (dirty, 65)] {
+        // A pipe whose read end is already closed: a finished child's stdin.
+        let mut reader = Command::new(env!("CARGO_BIN_EXE_ppa"))
+            .arg("help")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn the pipe's reader");
+        let closed = reader.stdin.take().expect("piped stdin");
+        assert!(reader.wait().expect("reader exits").success());
+        let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
+            .args(["check", input.to_str().unwrap()])
+            .stdout(closed)
+            .output()
+            .expect("run ppa check");
+        assert_eq!(out.status.code(), Some(code), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
 }
 
 // --- metrics cross-check and export --------------------------------

@@ -314,3 +314,36 @@ fn convert_refuses_to_write_onto_its_input() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("is the input file"));
     assert_eq!(fs::read(&input).unwrap(), before, "input must be untouched");
 }
+
+/// A closed stdout ends `ppa convert` quietly, after the output is whole.
+#[test]
+fn convert_ends_quietly_when_stdout_is_closed() {
+    use std::process::Stdio;
+
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "convert_closed_stdout_in.jsonl");
+    let output = dir.join("convert_closed_stdout_out.jsonl");
+    // A pipe whose read end is already closed: a finished child's stdin.
+    let mut reader = Command::new(env!("CARGO_BIN_EXE_ppa"))
+        .arg("help")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn the pipe's reader");
+    let closed = reader.stdin.take().expect("piped stdin");
+    assert!(reader.wait().expect("reader exits").success());
+    let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
+        .args([
+            "convert",
+            input.to_str().unwrap(),
+            output.to_str().unwrap(),
+            "--to",
+            "jsonl",
+            "--force",
+        ])
+        .stdout(closed)
+        .output()
+        .expect("run ppa convert");
+    assert!(out.status.success() && out.stderr.is_empty(), "{out:?}");
+    assert_eq!(fs::read(&output).unwrap(), fs::read(&input).unwrap());
+}

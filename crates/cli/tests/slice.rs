@@ -480,3 +480,61 @@ fn slice_duplicate_clauses_across_sources_exit_64_both_directions() {
     ]);
     assert!(out.status.success(), "{out:?}");
 }
+
+/// A closed stdout ends `ppa slice` quietly, after the slice is whole.
+#[test]
+fn slice_ends_quietly_when_stdout_is_closed() {
+    use std::process::Stdio;
+
+    let dir = tmpdir();
+    let trace = synthetic_trace(4_000);
+    let (input, output) = (
+        dir.join("closed_stdout_in.bin"),
+        dir.join("closed_stdout_out.bin"),
+    );
+    write_fixture(&input, &trace, TraceFormat::Binary);
+    // A pipe whose read end is already closed: a finished child's stdin.
+    let mut reader = Command::new(env!("CARGO_BIN_EXE_ppa"))
+        .arg("help")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn the pipe's reader");
+    let closed = reader.stdin.take().expect("piped stdin");
+    assert!(reader.wait().expect("reader exits").success());
+    let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
+        .args([
+            "slice",
+            input.to_str().unwrap(),
+            output.to_str().unwrap(),
+            "--force",
+        ])
+        .stdout(closed)
+        .output()
+        .expect("run ppa slice");
+    assert!(out.status.success() && out.stderr.is_empty(), "{out:?}");
+    let copied = read_trace(fs::File::open(&output).unwrap()).expect("readable copy");
+    assert_eq!(copied.events(), trace.events());
+}
+
+/// An output that cannot be written is reported under its own name
+/// (exit 74), with or without suppression, not under the input's.
+#[test]
+fn slice_output_errors_name_the_output() {
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    // Large enough that the sink fails while slicing, not at the final
+    // flush.
+    let input = tmpdir().join("slice_full_in.jsonl");
+    write_fixture(&input, &synthetic_trace(20_000), TraceFormat::Jsonl);
+    let input = input.to_str().unwrap();
+    for extra in [&[][..], &["--suppress"][..]] {
+        let mut args = vec!["slice", input, "/dev/full", "--force"];
+        args.extend(extra);
+        let out = ppa_cmd(&args);
+        assert_eq!(out.status.code(), Some(74), "{extra:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("ppa: /dev/full: "), "{extra:?}: {stderr}");
+    }
+}

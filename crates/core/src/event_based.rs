@@ -32,7 +32,7 @@ use crate::error::AnalysisError;
 use crate::streaming::{EventBasedAnalyzer, StreamOutput};
 use ppa_trace::{
     pair_sync_events, BarrierId, EpisodeFamily, Event, EventKind, OverheadSpec, ProcessorId, Span,
-    SyncIndex, SyncTag, SyncVarId, TaskId, Time, Trace, TraceKind,
+    SyncIndex, SyncTag, SyncVarId, Time, Trace, TraceKind,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -178,8 +178,9 @@ enum Basis {
 }
 
 /// Computes every event's time basis (same-thread predecessor, fork
-/// anchor, or origin) for a non-empty event sequence.
-fn discover_structure(events: &[Event]) -> Vec<Basis> {
+/// anchor, or origin) for a non-empty event sequence whose task episodes
+/// pair as `task_spawns` (from [`SyncIndex`]).
+fn discover_structure(events: &[Event], task_spawns: &[(usize, usize)]) -> Vec<Basis> {
     let n = events.len();
     // Same-thread predecessors.
     let mut prev: Vec<Option<usize>> = vec![None; n];
@@ -203,38 +204,11 @@ fn discover_structure(events: &[Event]) -> Vec<Basis> {
     let serial_proc = events[0].proc;
 
     // Task-graph fork anchors: the child's begin fork (the second fork of
-    // an open task) is causally created by the parent's spawn fork, so it
+    // a task) is causally created by the parent's spawn fork, so it
     // anchors there rather than to the child processor's stale frontier —
-    // the episode analogue of the loop-begin fork point below. The trace
-    // is validated before structure discovery, so the tracking here can
-    // assume a well-formed fork,fork,join,join protocol per task id.
-    let mut fork_anchor: std::collections::HashMap<usize, usize> = Default::default();
-    {
-        // task → (spawn index, events seen in the open episode).
-        let mut open: std::collections::BTreeMap<TaskId, (usize, u8)> = Default::default();
-        for (i, e) in events.iter().enumerate() {
-            match e.kind {
-                EventKind::TaskFork { task } => match open.entry(task) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert((i, 1));
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        fork_anchor.insert(i, o.get().0);
-                        o.get_mut().1 += 1;
-                    }
-                },
-                EventKind::TaskJoin { task } => {
-                    if let Some(st) = open.get_mut(&task) {
-                        st.1 += 1;
-                        if st.1 == 4 {
-                            open.remove(&task);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
+    // the episode analogue of the loop-begin fork point below.
+    let fork_anchor: std::collections::HashMap<usize, usize> =
+        task_spawns.iter().copied().collect();
 
     // The basis for ordinary events; awaitE and barrier exits get their
     // own rules but still need dependency edges.
@@ -492,7 +466,7 @@ pub fn event_based_reference(
         });
     }
 
-    let basis = discover_structure(events);
+    let basis = discover_structure(events, &index.task_spawns);
 
     // awaitE -> (awaitB, advance) lookups.
     let mut await_of_end: std::collections::HashMap<usize, (usize, Option<usize>)> =
@@ -641,14 +615,6 @@ pub fn event_based_reference(
         .map(|t| t.expect("all events resolved"))
         .collect();
     Ok(assemble_result(events, &ta, &index, &basis, overheads))
-}
-
-/// Convenience: the approximated total execution time only.
-pub fn event_based_total(
-    measured: &Trace,
-    overheads: &OverheadSpec,
-) -> Result<Span, AnalysisError> {
-    Ok(event_based(measured, overheads)?.total_time())
 }
 
 #[cfg(test)]

@@ -47,8 +47,7 @@ pub use checkpoint::{
 pub use error::AnalysisError;
 pub use estimate::{estimate_overheads, KindEstimate, OverheadEstimate};
 pub use event_based::{
-    event_based, event_based_reference, event_based_total, AwaitOutcome, BarrierOutcome,
-    EventBasedResult,
+    event_based, event_based_reference, AwaitOutcome, BarrierOutcome, EventBasedResult,
 };
 pub use expand::{expand_events, expand_trace, has_repeat_records, ExpandError, RepeatExpander};
 pub use liberal::{liberal_reschedule, LiberalResult};

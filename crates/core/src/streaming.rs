@@ -422,9 +422,11 @@ pub struct StreamTail {
     pub spills: SpillCounts,
     /// Events still parked when the stream ended — their dependencies
     /// never resolved. Always `0` from [`EventBasedAnalyzer::finish`]
-    /// (it fails instead); nonzero only from
-    /// [`EventBasedAnalyzer::finish_lenient`], where a decode gap may have
-    /// swallowed a partner `advance` or a barrier participant.
+    /// (it fails instead); nonzero only from a lenient
+    /// [`Pipeline`](crate::Pipeline) run, where a decode gap may have
+    /// swallowed a partner `advance` or a barrier participant. Those
+    /// parked events are dropped: their approximated times were never
+    /// computable.
     pub unresolved: usize,
 }
 
@@ -1527,8 +1529,9 @@ impl EventBasedAnalyzer {
     /// success, flushes the reorder buffer.
     ///
     /// The error (if any) is exactly what [`event_based`](crate::event_based)
-    /// would return for the same event sequence, chosen with the batch
-    /// validator's precedence: broken total order, then scan errors in
+    /// would return for the same event sequence, chosen with
+    /// [`pair_sync_events`](ppa_trace::pair_sync_events)' precedence:
+    /// broken total order, then scan errors in
     /// arrival order, then dangling `awaitB`s, missing advances, barrier
     /// protocol violations, open episodes, and finally unresolvable
     /// (cyclic) dependencies.
@@ -1541,35 +1544,14 @@ impl EventBasedAnalyzer {
         })
     }
 
-    /// Ends the stream without a verdict: flushes everything resolvable
-    /// and reports — rather than fails on — whatever could not resolve.
-    ///
-    /// This is the companion of lenient decoding. A decode gap can
-    /// swallow a partner `advance`, one side of an await pair, or a
-    /// barrier participant; [`finish`](Self::finish) would then report
-    /// the trace as infeasible even though every *surviving* event was
-    /// analyzed correctly. `finish_lenient` instead emits all resolved
-    /// events (awaits and barrier passages included) and returns the
-    /// count of still-parked events in [`StreamTail::unresolved`] so the
-    /// caller can account for them alongside the decode gaps. Parked
-    /// events are dropped — their approximated times were never
-    /// computable.
-    pub fn finish_lenient(self) -> StreamTail {
-        let mut out = VecDeque::new();
-        let tail = self
-            .finish_into(&mut out, true)
-            .expect("a lenient finish reaches no verdict");
-        StreamTail {
-            outputs: out.into(),
-            ..tail
-        }
-    }
-
-    /// [`finish`](Self::finish), or with `lenient`
-    /// [`finish_lenient`](Self::finish_lenient), handing the tail to
-    /// `sink` in release order instead of collecting it: the outputs not
-    /// yet taken, then the emission lanes, popped straight into the sink.
-    /// The returned tail's `outputs` is empty.
+    /// [`finish`](Self::finish), handing the tail to `sink` in release
+    /// order instead of collecting it: the outputs not yet taken, then
+    /// the emission lanes, popped straight into the sink. The returned
+    /// tail's `outputs` is empty. With `lenient` there is no verdict:
+    /// everything resolvable is flushed, and what could not resolve is
+    /// counted in [`StreamTail::unresolved`] rather than failed on — the
+    /// companion of lenient decoding, where a gap can swallow a partner
+    /// `advance`, one side of an await pair, or a barrier participant.
     pub(crate) fn finish_into(
         mut self,
         sink: &mut impl OutputSink,

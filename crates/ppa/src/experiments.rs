@@ -3,8 +3,9 @@
 //! Each driver runs the full pipeline on the simulator substrate:
 //! simulate *actual* (uninstrumented), simulate *measured* (instrumented),
 //! apply perturbation analysis to the measured trace, and report ratios
-//! against the actual run. The CLI, the Criterion benches, and the
-//! integration tests all call these.
+//! against the actual run. The CLI and the integration tests call
+//! these; the examples and `pipeline_bench` take their machine from
+//! [`experiment_config`].
 //!
 //! The default experiment machine is 8 processors at a 1 GHz simulator
 //! clock (statement costs are in nanoseconds), self-scheduled DOACROSS

@@ -163,17 +163,6 @@ pub fn run_measured(
     Executor::new(config, Mode::Measured(plan), EngineProbes::noop()).run(program)
 }
 
-/// [`run_measured`] with observability: emitted events and dispatched
-/// iterations are recorded into `probes`.
-pub fn run_measured_probed(
-    program: &Program,
-    plan: &InstrumentationPlan,
-    config: &SimConfig,
-    probes: EngineProbes,
-) -> Result<SimResult, SimError> {
-    Executor::new(config, Mode::Measured(plan), probes).run(program)
-}
-
 #[derive(Clone, Copy)]
 enum Mode<'a> {
     Actual,

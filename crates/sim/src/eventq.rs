@@ -50,17 +50,6 @@ pub fn run_measured_eventq(
     EventQ::new(config, Some(plan), EngineProbes::noop()).run(program)
 }
 
-/// [`run_measured_eventq`] with observability: emitted events, dispatched
-/// iterations, and ready-queue depth are recorded into `probes`.
-pub fn run_measured_eventq_probed(
-    program: &Program,
-    plan: &InstrumentationPlan,
-    config: &SimConfig,
-    probes: EngineProbes,
-) -> Result<SimResult, SimError> {
-    EventQ::new(config, Some(plan), probes).run(program)
-}
-
 struct EventQ<'a> {
     config: &'a SimConfig,
     plan: Option<&'a InstrumentationPlan>,

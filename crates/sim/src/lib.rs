@@ -29,13 +29,8 @@ mod scenario;
 mod stats;
 
 pub use config::{JitterConfig, SchedulePolicy, SimConfig};
-pub use engine::{
-    run_actual, run_actual_probed, run_measured, run_measured_probed, EngineProbes, SimError,
-    SimResult,
-};
-pub use eventq::{
-    run_actual_eventq, run_actual_eventq_probed, run_measured_eventq, run_measured_eventq_probed,
-};
+pub use engine::{run_actual, run_actual_probed, run_measured, EngineProbes, SimError, SimResult};
+pub use eventq::{run_actual_eventq, run_actual_eventq_probed, run_measured_eventq};
 pub use jitter::jittered_cost;
 pub use scenario::{scenario_trace, ScenarioConfig, ScenarioFamily};
 pub use stats::{LoopStats, ProcStats, SimStats};

@@ -24,8 +24,10 @@ const CHUNK: usize = 4096;
 /// Why a slice run stopped.
 #[derive(Debug)]
 pub enum SliceError {
-    /// Reading the input or writing the output failed.
+    /// Reading the input failed.
     Io(IoError),
+    /// The sink failed to take an event.
+    Output(IoError),
     /// The input contains a repeat record but the run filters or
     /// re-suppresses. Records stand for events the predicate cannot
     /// see (and blocks the skip index discards may hide more), so
@@ -41,7 +43,7 @@ pub enum SliceError {
 impl fmt::Display for SliceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SliceError::Io(e) => write!(f, "{e}"),
+            SliceError::Io(e) | SliceError::Output(e) => write!(f, "{e}"),
             SliceError::SuppressedInput { seq, proc } => write!(
                 f,
                 "input contains a repeat record (seq {seq} on {proc}): \
@@ -53,12 +55,6 @@ impl fmt::Display for SliceError {
 }
 
 impl std::error::Error for SliceError {}
-
-impl From<IoError> for SliceError {
-    fn from(e: IoError) -> Self {
-        SliceError::Io(e)
-    }
-}
 
 /// Exact accounting for one slice run.
 ///
@@ -187,7 +183,7 @@ pub fn slice_stream<R: Read>(
         let mut emitted = 0u64;
         let mut emit = |event: Event| {
             emitted += 1;
-            sink(&event)
+            sink(&event).map_err(SliceError::Output)
         };
         match &mut suppressor {
             Some(s) => {

@@ -13,8 +13,10 @@
 //!   [`TraceKind`] provenance (*actual*, *measured*, or *approximated*);
 //! - [`OverheadSpec`] — the measured instrumentation and synchronization
 //!   costs that perturbation analysis takes as input;
-//! - [`pair_sync_events`] — validation and advance/await/barrier pairing,
-//!   the precondition for event-based analysis;
+//! - [`SyncTracker`] — the one streaming rulebook for advance/await,
+//!   barrier, lock, semaphore and fork/join pairing, and
+//!   [`pair_sync_events`], the whole-trace pairing built on it: the
+//!   precondition for event-based analysis;
 //! - JSONL/CSV trace I/O and a fluent [`TraceBuilder`] for tests.
 //!
 //! The central idea of the paper, restated in this crate's types: an
@@ -66,7 +68,7 @@ pub use time::{ClockRate, Span, Time};
 pub use trace::{merge_streams, Trace, TraceKind};
 pub use validate::{
     pair_sync_events, pair_sync_events_strict, AwaitPair, BarrierEpisode, EpisodeFamily,
-    EpisodePair, SyncIndex, TraceError,
+    EpisodePair, Pairing, SyncIndex, SyncTracker, TraceError,
 };
 
 #[cfg(test)]

@@ -2,16 +2,15 @@
 //!
 //! Event-based perturbation analysis is only sound on traces whose
 //! synchronization events can be paired unambiguously (§4.2.2: events must
-//! carry "a unique value identifying the pair"). [`pair_sync_events`]
-//! builds that pairing and, en route, rejects malformed traces with typed
-//! errors — missing advances, duplicate tags, unmatched awaits, ill-formed
-//! barrier episodes, or a broken total order.
+//! carry "a unique value identifying the pair"). The rules live in one
+//! place, [`SyncTracker`]; [`pair_sync_events`] and `ppa check` read it.
 
 use crate::event::{Event, EventKind};
 use crate::ids::{BarrierId, LockId, ProcessorId, SemId, SyncTag, SyncVarId, TaskId};
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 /// Validation failure.
@@ -78,6 +77,24 @@ pub enum TraceError {
     /// no open forks, a third fork, a join-return on a processor other
     /// than the spawning one, or an episode left open at trace end.
     TaskProtocol { task: TaskId, proc: ProcessorId },
+}
+
+impl TraceError {
+    /// The error's rank in [`pair_sync_events`]' precedence; lower wins.
+    fn precedence(&self) -> u8 {
+        use TraceError as E;
+        match self {
+            E::NotTotallyOrdered { .. } => 0,
+            E::DuplicateAdvance { .. } | E::NegativeAdvanceTag { .. } => 1,
+            E::UnmatchedAwaitEnd { .. } | E::NestedAwait { .. } => 1,
+            E::UnmatchedAwaitBegin { .. } => 2,
+            E::MissingAdvance { .. } | E::AwaitBeforeAdvance { .. } => 3,
+            E::BarrierArityMismatch { .. } | E::BarrierExitBeforeLastEnter { .. } => 4,
+            E::BarrierProtocol { .. } => 4,
+            E::LockProtocol { .. } | E::LockHeldAtEnd { .. } => 5,
+            E::SemUnderflow { .. } | E::TaskProtocol { .. } => 5,
+        }
+    }
 }
 
 impl fmt::Display for TraceError {
@@ -169,7 +186,7 @@ pub struct AwaitPair {
 /// A trace may contain several episodes of the same [`BarrierId`] (a loop
 /// executed repeatedly); episodes are split greedily: an episode closes when
 /// the number of exits equals the number of enters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BarrierEpisode {
     /// The barrier id.
     pub barrier: BarrierId,
@@ -188,16 +205,6 @@ pub enum EpisodeFamily {
     Sem,
     /// Fork/join task: the parent's join-return blocked on the child end.
     Task,
-}
-
-impl fmt::Display for EpisodeFamily {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EpisodeFamily::Lock => "lock",
-            EpisodeFamily::Sem => "sem",
-            EpisodeFamily::Task => "task",
-        })
-    }
 }
 
 /// One resolved lock/semaphore/task episode: the blocked-completion event
@@ -226,25 +233,21 @@ pub struct EpisodePair {
 pub struct SyncIndex {
     /// `(var, tag)` → index of the advance event.
     pub advances: BTreeMap<(SyncVarId, SyncTag), usize>,
-    /// All await pairs, ordered by `awaitB` position.
+    /// All await pairs, ordered by `awaitE` position (a pair is complete
+    /// only once its `awaitE` arrives).
     pub awaits: Vec<AwaitPair>,
     /// All barrier episodes, ordered by first enter.
     pub barriers: Vec<BarrierEpisode>,
     /// All lock/semaphore/task episode pairs, ordered by blocked event.
     pub episodes: Vec<EpisodePair>,
     /// Task child-begin anchoring: `(child_begin_fork, parent_spawn_fork)`
-    /// index pairs, one per task episode. The child's first event is
-    /// causally anchored to the parent's spawn, not to the child
-    /// processor's previous event.
+    /// index pairs, one per task episode, in join-return order. The
+    /// child's first event is causally anchored to the parent's spawn,
+    /// not to the child processor's previous event.
     pub task_spawns: Vec<(usize, usize)>,
 }
 
 impl SyncIndex {
-    /// Looks up the await pair whose `awaitE` is at trace index `end`.
-    pub fn await_by_end(&self, end: usize) -> Option<&AwaitPair> {
-        self.awaits.iter().find(|p| p.end == end)
-    }
-
     /// Looks up the episode pair whose blocked event is at trace index
     /// `event`.
     pub fn episode_by_event(&self, event: usize) -> Option<&EpisodePair> {
@@ -252,12 +255,303 @@ impl SyncIndex {
     }
 }
 
+/// What a synchronization event pairs with, as [`SyncTracker::push`]
+/// reports it, in the caller's stamps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // the fields are described on their variants
+pub enum Pairing<S> {
+    /// Nothing: a marker or statement, or an event that opens a pairing.
+    None,
+    /// An `awaitE`: its `awaitB`, and its advance if one was seen before
+    /// it. A pre-advanced tag needs no advance.
+    Await {
+        begin: S,
+        advance: Option<S>,
+        needs_advance: bool,
+    },
+    /// A barrier exit: the latest (greatest) enter of its episode.
+    BarrierExit { last_enter: S },
+    /// A lock acquire, semaphore P or the parent's join-return: the
+    /// release, V or child end that enabled it. The first acquire of a
+    /// lock has none.
+    Blocked { dep: Option<S> },
+    /// A task's child begin (its second `taskF`): the parent's spawn.
+    TaskBegin { spawn: S },
+}
+
+/// The streaming sync-protocol rulebook: advance/await pairing by tag,
+/// barrier episodes, and lock, semaphore and fork/join episodes.
+///
+/// Feed events in stream order with [`push`](Self::push), each with a
+/// stamp of the caller's choosing (an event index, a sequence number, an
+/// approximated time); [`finish`](Self::finish) reports what is still
+/// open. Each rule is a [`TraceError`] variant. An advance may follow its
+/// `awaitE` (a measured advance is stamped after its own
+/// instrumentation); a barrier episode closes when its exits match its
+/// enters; a task id is free again once joined.
+///
+/// An event that breaks a rule changes no state, so a caller that
+/// collects every violation can carry on. The one exception is an exit
+/// that closes an episode some enter arrived late to: the episode still
+/// closes. The total order is the caller's to check.
+#[derive(Debug, Clone, Default)]
+pub struct SyncTracker<S> {
+    /// Barrier episodes are checked by their counts only.
+    counting: bool,
+    /// The open `awaitB` on each processor.
+    awaits: Vec<Option<(SyncVarId, SyncTag, S)>>,
+    advances: HashMap<(SyncVarId, SyncTag), S>,
+    /// Tags awaited before their advance was seen: the first such
+    /// `awaitE`.
+    waiting: HashMap<(SyncVarId, SyncTag), S>,
+    /// Each barrier's open episode and its latest enter.
+    barriers: HashMap<BarrierId, (Episode, Option<S>)>,
+    /// Each lock's holder and latest release.
+    locks: HashMap<LockId, (Option<ProcessorId>, Option<S>)>,
+    /// The V's no P has consumed yet, oldest first.
+    sems: HashMap<SemId, VecDeque<S>>,
+    tasks: HashMap<TaskId, Task<S>>,
+}
+
+/// Who entered and exited a barrier's open episode; idle while empty.
+/// It outlives the episode, so the next one reuses its lists.
+#[derive(Debug, Clone, Default)]
+struct Episode {
+    entered: Vec<ProcessorId>,
+    exited: Vec<ProcessorId>,
+    /// An enter arrived after the episode's first exit.
+    late_enter: bool,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Task<S> {
+    spawn: S,
+    spawn_proc: ProcessorId,
+    child_proc: Option<ProcessorId>,
+    end: Option<(S, ProcessorId)>,
+    /// The processor of the episode's latest event, named if it stays
+    /// open.
+    last_proc: ProcessorId,
+}
+
+impl<S: Copy + Ord> SyncTracker<S> {
+    /// Creates a tracker that checks barrier episodes by their counts
+    /// only, not by which processors entered and exited them.
+    /// ([`default`](Self::default) checks every rule.)
+    pub fn counting_barriers() -> Self
+    where
+        S: Default,
+    {
+        SyncTracker {
+            counting: true,
+            ..SyncTracker::default()
+        }
+    }
+
+    /// Feeds the next event in stream order, stamped `stamp`: returns
+    /// what it pairs with, or the rule it breaks.
+    pub fn push(&mut self, e: &Event, stamp: S) -> Result<Pairing<S>, TraceError> {
+        use TraceError as E;
+        let proc = e.proc;
+        match e.kind {
+            EventKind::ProgramBegin
+            | EventKind::ProgramEnd
+            | EventKind::LoopBegin { .. }
+            | EventKind::LoopEnd { .. }
+            | EventKind::IterationBegin { .. }
+            | EventKind::IterationEnd { .. }
+            | EventKind::Statement { .. }
+            | EventKind::Repeat { .. } => Ok(Pairing::None),
+            EventKind::Advance { var, tag } => {
+                if tag.is_pre_advanced() {
+                    return Err(E::NegativeAdvanceTag { var, tag });
+                }
+                match self.advances.entry((var, tag)) {
+                    Entry::Occupied(_) => return Err(E::DuplicateAdvance { var, tag }),
+                    Entry::Vacant(v) => v.insert(stamp),
+                };
+                self.waiting.remove(&(var, tag));
+                Ok(Pairing::None)
+            }
+            EventKind::AwaitBegin { var, tag } => {
+                let open = self.open_await(proc);
+                if open.is_some() {
+                    return Err(E::NestedAwait { proc, var, tag });
+                }
+                *open = Some((var, tag, stamp));
+                Ok(Pairing::None)
+            }
+            EventKind::AwaitEnd { var, tag } => {
+                let open = self.open_await(proc);
+                let Some((_, _, begin)) = open.filter(|&(v, t, _)| (v, t) == (var, tag)) else {
+                    return Err(E::UnmatchedAwaitEnd { proc, var, tag });
+                };
+                *open = None;
+                let needs_advance = !tag.is_pre_advanced();
+                let advance = self.advances.get(&(var, tag)).copied();
+                if needs_advance && advance.is_none() {
+                    self.waiting.entry((var, tag)).or_insert(stamp);
+                }
+                Ok(Pairing::Await {
+                    begin,
+                    advance,
+                    needs_advance,
+                })
+            }
+            EventKind::BarrierEnter { barrier } => {
+                let (ep, last_enter) = self.barriers.entry(barrier).or_default();
+                if !self.counting && ep.entered.contains(&proc) {
+                    return Err(E::BarrierProtocol { barrier, proc });
+                }
+                ep.entered.push(proc);
+                ep.late_enter |= !ep.exited.is_empty();
+                *last_enter = (*last_enter).max(Some(stamp));
+                Ok(Pairing::None)
+            }
+            EventKind::BarrierExit { barrier } => {
+                let counting = self.counting;
+                let Some((ep, last_enter)) = self.barriers.get_mut(&barrier).filter(|(ep, _)| {
+                    !ep.entered.is_empty()
+                        && (counting || ep.entered.contains(&proc) && !ep.exited.contains(&proc))
+                }) else {
+                    return Err(E::BarrierProtocol { barrier, proc });
+                };
+                let latest = last_enter.expect("an open episode has an enter");
+                ep.exited.push(proc);
+                if ep.exited.len() == ep.entered.len() {
+                    ep.entered.clear();
+                    ep.exited.clear();
+                    *last_enter = None;
+                    if std::mem::take(&mut ep.late_enter) {
+                        return Err(E::BarrierExitBeforeLastEnter { barrier });
+                    }
+                }
+                Ok(Pairing::BarrierExit { last_enter: latest })
+            }
+            EventKind::LockAcquire { lock } => {
+                let (holder, last_release) = self.locks.entry(lock).or_insert((None, None));
+                if holder.is_some() {
+                    return Err(E::LockProtocol { lock, proc });
+                }
+                *holder = Some(proc);
+                Ok(Pairing::Blocked { dep: *last_release })
+            }
+            EventKind::LockRelease { lock } => match self.locks.get_mut(&lock) {
+                Some((holder, last_release)) if *holder == Some(proc) => {
+                    (*holder, *last_release) = (None, Some(stamp));
+                    Ok(Pairing::None)
+                }
+                _ => Err(E::LockProtocol { lock, proc }),
+            },
+            EventKind::SemAcquire { sem } => {
+                match self.sems.get_mut(&sem).and_then(VecDeque::pop_front) {
+                    Some(v) => Ok(Pairing::Blocked { dep: Some(v) }),
+                    None => Err(E::SemUnderflow { sem, proc }),
+                }
+            }
+            EventKind::SemRelease { sem } => {
+                self.sems.entry(sem).or_default().push_back(stamp);
+                Ok(Pairing::None)
+            }
+            EventKind::TaskFork { task } => match self.tasks.entry(task) {
+                Entry::Vacant(v) => {
+                    v.insert(Task {
+                        spawn: stamp,
+                        spawn_proc: proc,
+                        child_proc: None,
+                        end: None,
+                        last_proc: proc,
+                    });
+                    Ok(Pairing::None)
+                }
+                Entry::Occupied(o) if o.get().child_proc.is_some() => {
+                    Err(E::TaskProtocol { task, proc })
+                }
+                Entry::Occupied(mut o) => {
+                    let st = o.get_mut();
+                    (st.child_proc, st.last_proc) = (Some(proc), proc);
+                    Ok(Pairing::TaskBegin { spawn: st.spawn })
+                }
+            },
+            EventKind::TaskJoin { task } => {
+                let st = self.tasks.get_mut(&task);
+                let Some(st) = st.filter(|st| st.child_proc.is_some()) else {
+                    return Err(E::TaskProtocol { task, proc });
+                };
+                let Some((end, end_proc)) = st.end else {
+                    (st.end, st.last_proc) = (Some((stamp, proc)), proc);
+                    return Ok(Pairing::None);
+                };
+                // Roles are by arrival order, so the processors pair
+                // crosswise: spawn with join-return, begin with end.
+                if st.spawn_proc != proc || st.child_proc != Some(end_proc) {
+                    return Err(E::TaskProtocol { task, proc });
+                }
+                self.tasks.remove(&task);
+                Ok(Pairing::Blocked { dep: Some(end) })
+            }
+        }
+    }
+
+    fn open_await(&mut self, proc: ProcessorId) -> &mut Option<(SyncVarId, SyncTag, S)> {
+        if proc.index() >= self.awaits.len() {
+            self.awaits.resize(proc.index() + 1, None);
+        }
+        &mut self.awaits[proc.index()]
+    }
+
+    /// Closes the stream and returns what is still open, in this order:
+    /// `awaitB`s by processor, tags awaited without an advance by their
+    /// first `awaitE`, barrier episodes by id, held locks by id, and
+    /// unjoined tasks by id.
+    pub fn finish(self) -> Vec<TraceError> {
+        use TraceError as E;
+        // Hash maps iterate in no fixed order: each rule's errors are
+        // sorted by their key.
+        fn sorted<K: Ord>(errors: impl Iterator<Item = (K, E)>) -> impl Iterator<Item = E> {
+            let mut v: Vec<(K, E)> = errors.collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v.into_iter().map(|(_, e)| e)
+        }
+        let open = self.awaits.into_iter().enumerate().filter_map(|(p, open)| {
+            let ((var, tag, _), proc) = (open?, ProcessorId(p as u16));
+            Some(E::UnmatchedAwaitBegin { proc, var, tag })
+        });
+        let missing = (self.waiting.into_iter())
+            .map(|((var, tag), s)| ((s, var, tag), E::MissingAdvance { var, tag }));
+        let episodes = self.barriers.into_iter().filter_map(|(barrier, (ep, _))| {
+            let (enters, exits) = (ep.entered.len(), ep.exited.len());
+            (enters > 0).then_some((
+                barrier,
+                E::BarrierArityMismatch {
+                    barrier,
+                    enters,
+                    exits,
+                },
+            ))
+        });
+        let held = self.locks.into_iter().filter_map(|(lock, (holder, _))| {
+            let proc = holder?;
+            Some((lock, E::LockHeldAtEnd { lock, proc }))
+        });
+        let tasks = self.tasks.into_iter().map(|(task, st)| {
+            let proc = st.last_proc;
+            (task, E::TaskProtocol { task, proc })
+        });
+        (open.chain(sorted(missing)).chain(sorted(episodes)))
+            .chain(sorted(held).chain(sorted(tasks)))
+            .collect()
+    }
+}
+
 /// Validates a trace's synchronization structure and returns the pairing.
 ///
-/// Checks, in order: total-order invariant; advance tag legality and
-/// uniqueness; awaitB/awaitE pairing per processor (no nesting, no orphan
-/// ends, no dangling begins); existence of each await's partner advance;
-/// barrier episode well-formedness.
+/// Runs [`SyncTracker`] over the trace and, if any rule is broken,
+/// returns the first error of the first broken rule in this precedence:
+/// the total order; the advance/await scan (tags, nesting, orphan ends);
+/// an `awaitB` left open; a missing advance; the barrier episodes; the
+/// lock, semaphore and task episodes. Within a rule, the first error
+/// detected wins; end-of-trace errors come after every event's.
 ///
 /// This function does **not** require the partner advance *event* to
 /// precede the `awaitE` event in the total order: in a measured trace the
@@ -275,7 +569,7 @@ pub fn pair_sync_events(trace: &Trace) -> Result<SyncIndex, TraceError> {
 /// Like [`pair_sync_events`], but additionally requires every `awaitE` to
 /// follow its partner `advance` event in the total order — the causality
 /// condition instrumentation-free (actual) and approximated traces must
-/// satisfy.
+/// satisfy. A late advance ranks with a missing one.
 pub fn pair_sync_events_strict(trace: &Trace) -> Result<SyncIndex, TraceError> {
     pair_sync_events_impl(trace, true)
 }
@@ -285,228 +579,99 @@ fn pair_sync_events_impl(trace: &Trace, strict: bool) -> Result<SyncIndex, Trace
     if let Some(pos) = first_order_violation(events) {
         return Err(TraceError::NotTotallyOrdered { position: pos });
     }
-
+    let mut verdict: Option<TraceError> = None;
+    let mut note = |e: TraceError| match &verdict {
+        Some(v) if v.precedence() <= e.precedence() => {}
+        _ => verdict = Some(e),
+    };
+    let mut tracker = SyncTracker::default();
     let mut index = SyncIndex::default();
-    // Per-processor pending awaitB, to pair with the next awaitE.
-    let mut pending: BTreeMap<ProcessorId, (SyncVarId, SyncTag, usize)> = BTreeMap::new();
+    let mut open: HashMap<BarrierId, BarrierEpisode> = HashMap::new();
+    // Child begin and spawn of each task, until its join-return.
+    let mut begun: HashMap<Option<TaskId>, (usize, usize)> = HashMap::new();
 
     for (i, e) in events.iter().enumerate() {
-        match e.kind {
-            EventKind::Advance { var, tag } => {
-                if tag.is_pre_advanced() {
-                    return Err(TraceError::NegativeAdvanceTag { var, tag });
-                }
-                if index.advances.insert((var, tag), i).is_some() {
-                    return Err(TraceError::DuplicateAdvance { var, tag });
-                }
+        match tracker.push(e, i) {
+            Err(err) => {
+                note(err);
+                continue;
             }
-            EventKind::AwaitBegin { var, tag } => {
-                if pending.contains_key(&e.proc) {
-                    return Err(TraceError::NestedAwait {
-                        proc: e.proc,
-                        var,
-                        tag,
-                    });
-                }
-                pending.insert(e.proc, (var, tag, i));
-            }
-            EventKind::AwaitEnd { var, tag } => match pending.remove(&e.proc) {
-                Some((bvar, btag, begin)) if bvar == var && btag == tag => {
-                    index.awaits.push(AwaitPair {
-                        proc: e.proc,
-                        begin,
-                        end: i,
-                        advance: None,
-                    });
-                }
-                _ => {
-                    return Err(TraceError::UnmatchedAwaitEnd {
-                        proc: e.proc,
-                        var,
-                        tag,
-                    })
-                }
-            },
-            _ => {}
-        }
-    }
-
-    if let Some((&proc, &(var, tag, _))) = pending.iter().next() {
-        return Err(TraceError::UnmatchedAwaitBegin { proc, var, tag });
-    }
-
-    // Resolve each await's advance partner and check causality.
-    for pair in &mut index.awaits {
-        let (var, tag) = match events[pair.end].kind {
-            EventKind::AwaitEnd { var, tag } => (var, tag),
-            _ => unreachable!("await pair indexes an awaitE"),
-        };
-        if tag.is_pre_advanced() {
-            continue;
-        }
-        let adv = *index
-            .advances
-            .get(&(var, tag))
-            .ok_or(TraceError::MissingAdvance { var, tag })?;
-        if strict && events[adv].order_key() > events[pair.end].order_key() {
-            return Err(TraceError::AwaitBeforeAdvance { var, tag });
-        }
-        pair.advance = Some(adv);
-    }
-
-    index.barriers = collect_barriers(events)?;
-    (index.episodes, index.task_spawns) = collect_episodes(events)?;
-    Ok(index)
-}
-
-/// Scans the (totally ordered) events once, validating the lock, semaphore
-/// and fork/join protocols and pairing every blocked event with the event
-/// that enabled it.
-///
-/// The instrumentation convention that makes strict, single-pass pairing
-/// sound: releases, V's and forks are recorded *before* the resource is
-/// surrendered (mirroring §4.2.2, where the advance event is recorded as
-/// part of the advance operation), so an enabling event always precedes
-/// the event it unblocks in the measured total order.
-/// Paired episodes plus `(fork, join)` task-spawn index pairs.
-type EpisodeScan = (Vec<EpisodePair>, Vec<(usize, usize)>);
-
-fn collect_episodes(events: &[Event]) -> Result<EpisodeScan, TraceError> {
-    // Lock: holder + index of the last release (the next acquire's dep).
-    struct LockState {
-        holder: Option<ProcessorId>,
-        last_release: Option<usize>,
-    }
-    // Semaphore: V event indices in arrival order, and P's consumed.
-    #[derive(Default)]
-    struct SemState {
-        releases: Vec<usize>,
-        acquired: usize,
-    }
-    // Task: arrival-order fork/join event indices of the open episode.
-    #[derive(Default)]
-    struct TaskState {
-        forks: Vec<usize>,
-        joins: Vec<usize>,
-    }
-    let mut locks: BTreeMap<LockId, LockState> = BTreeMap::new();
-    let mut sems: BTreeMap<SemId, SemState> = BTreeMap::new();
-    let mut tasks: BTreeMap<TaskId, TaskState> = BTreeMap::new();
-    let mut episodes = Vec::new();
-    let mut spawns = Vec::new();
-
-    for (i, e) in events.iter().enumerate() {
-        match e.kind {
-            EventKind::LockAcquire { lock } => {
-                let st = locks.entry(lock).or_insert(LockState {
-                    holder: None,
-                    last_release: None,
-                });
-                if st.holder.is_some() {
-                    // A completed acquire while another holder exists
-                    // breaks mutual exclusion.
-                    return Err(TraceError::LockProtocol { lock, proc: e.proc });
-                }
-                st.holder = Some(e.proc);
-                episodes.push(EpisodePair {
-                    family: EpisodeFamily::Lock,
-                    object: lock.0,
-                    proc: e.proc,
-                    event: i,
-                    dep: st.last_release,
+            Ok(Pairing::Await { begin, advance, .. }) => {
+                let (proc, end) = (e.proc, i);
+                index.awaits.push(AwaitPair {
+                    proc,
+                    begin,
+                    end,
+                    advance,
                 });
             }
-            EventKind::LockRelease { lock } => {
-                let st = locks
-                    .get_mut(&lock)
-                    .ok_or(TraceError::LockProtocol { lock, proc: e.proc })?;
-                if st.holder != Some(e.proc) {
-                    return Err(TraceError::LockProtocol { lock, proc: e.proc });
-                }
-                st.holder = None;
-                st.last_release = Some(i);
-            }
-            EventKind::SemAcquire { sem } => {
-                let st = sems.entry(sem).or_default();
-                // The k-th P (0-indexed) is enabled by the k-th V, which
-                // must already be on record.
-                let Some(&dep) = st.releases.get(st.acquired) else {
-                    return Err(TraceError::SemUnderflow { sem, proc: e.proc });
+            Ok(Pairing::Blocked { dep }) => {
+                let (family, object) = match e.kind {
+                    EventKind::LockAcquire { lock } => (EpisodeFamily::Lock, lock.0),
+                    EventKind::SemAcquire { sem } => (EpisodeFamily::Sem, sem.0),
+                    EventKind::TaskJoin { task } => (EpisodeFamily::Task, task.0),
+                    _ => unreachable!("only these events are blocked"),
                 };
-                st.acquired += 1;
-                episodes.push(EpisodePair {
-                    family: EpisodeFamily::Sem,
-                    object: sem.0,
-                    proc: e.proc,
-                    event: i,
-                    dep: Some(dep),
-                });
-            }
-            EventKind::SemRelease { sem } => {
-                sems.entry(sem).or_default().releases.push(i);
-            }
-            EventKind::TaskFork { task } => {
-                let st = tasks.entry(task).or_default();
-                if st.forks.len() == 2 || !st.joins.is_empty() {
-                    return Err(TraceError::TaskProtocol { task, proc: e.proc });
-                }
-                st.forks.push(i);
-            }
-            EventKind::TaskJoin { task } => {
-                let st = tasks
-                    .get_mut(&task)
-                    .ok_or(TraceError::TaskProtocol { task, proc: e.proc })?;
-                if st.forks.len() != 2 {
-                    return Err(TraceError::TaskProtocol { task, proc: e.proc });
-                }
-                st.joins.push(i);
-                if st.joins.len() == 2 {
-                    let (spawn, begin) = (st.forks[0], st.forks[1]);
-                    let (end, ret) = (st.joins[0], st.joins[1]);
-                    // The child runs begin..end; the parent spawns and
-                    // joins. Roles are by arrival order, so the processors
-                    // must pair crosswise.
-                    if events[spawn].proc != events[ret].proc
-                        || events[begin].proc != events[end].proc
-                    {
-                        return Err(TraceError::TaskProtocol { task, proc: e.proc });
-                    }
-                    spawns.push((begin, spawn));
-                    episodes.push(EpisodePair {
-                        family: EpisodeFamily::Task,
-                        object: task.0,
-                        proc: events[ret].proc,
-                        event: ret,
-                        dep: Some(end),
-                    });
-                    // The id is reusable by a later episode.
-                    tasks.remove(&task);
+                let (proc, event) = (e.proc, i);
+                let pair = EpisodePair {
+                    family,
+                    object,
+                    proc,
+                    event,
+                    dep,
+                };
+                index.episodes.push(pair);
+                if family == EpisodeFamily::Task {
+                    index.task_spawns.extend(begun.remove(&e.kind.task_id()));
                 }
             }
-            _ => {}
+            Ok(Pairing::TaskBegin { spawn }) => {
+                begun.insert(e.kind.task_id(), (i, spawn));
+            }
+            Ok(Pairing::None | Pairing::BarrierExit { .. }) => {}
+        }
+        // An accepted barrier event joins its episode's index lists.
+        if let EventKind::BarrierEnter { barrier } | EventKind::BarrierExit { barrier } = e.kind {
+            let ep = open.entry(barrier).or_default();
+            ep.barrier = barrier;
+            if matches!(e.kind, EventKind::BarrierEnter { .. }) {
+                ep.enters.push(i);
+            } else {
+                ep.exits.push(i);
+                if ep.exits.len() == ep.enters.len() {
+                    index.barriers.extend(open.remove(&barrier));
+                }
+            }
         }
     }
 
-    if let Some((&lock, st)) = locks.iter().find(|(_, st)| st.holder.is_some()) {
-        return Err(TraceError::LockHeldAtEnd {
-            lock,
-            proc: st.holder.expect("holder checked"),
-        });
+    index.advances = tracker.advances.iter().map(|(&k, &i)| (k, i)).collect();
+    // Missing and (strict) late advances, in `awaitE` order. This runs
+    // before the tracker's own `MissingAdvance`s are noted, so a late
+    // advance at an earlier `awaitE` wins over a missing one.
+    for pair in index.awaits.iter_mut().filter(|p| p.advance.is_none()) {
+        let EventKind::AwaitEnd { var, tag } = events[pair.end].kind else {
+            unreachable!("await pair indexes an awaitE");
+        };
+        match index.advances.get(&(var, tag)) {
+            _ if tag.is_pre_advanced() => {}
+            None => {
+                note(TraceError::MissingAdvance { var, tag });
+                break;
+            }
+            Some(&adv) if strict && events[adv].order_key() > events[pair.end].order_key() => {
+                note(TraceError::AwaitBeforeAdvance { var, tag });
+                break;
+            }
+            Some(&adv) => pair.advance = Some(adv),
+        }
     }
-    if let Some((&task, st)) = tasks.iter().next() {
-        let at = *st
-            .joins
-            .last()
-            .or(st.forks.last())
-            .expect("open episode has events");
-        return Err(TraceError::TaskProtocol {
-            task,
-            proc: events[at].proc,
-        });
+    tracker.finish().into_iter().for_each(&mut note);
+    if let Some(e) = verdict {
+        return Err(e);
     }
-
-    episodes.sort_by_key(|p| p.event);
-    Ok((episodes, spawns))
+    index.barriers.sort_by_key(|ep| ep.enters[0]);
+    Ok(index)
 }
 
 fn first_order_violation(events: &[Event]) -> Option<usize> {
@@ -514,90 +679,6 @@ fn first_order_violation(events: &[Event]) -> Option<usize> {
         .windows(2)
         .position(|w| w[0].order_key() > w[1].order_key())
         .map(|p| p + 1)
-}
-
-fn collect_barriers(events: &[Event]) -> Result<Vec<BarrierEpisode>, TraceError> {
-    // Open episode per barrier id: (enters, exits, procs-entered, procs-exited)
-    struct Open {
-        enters: Vec<usize>,
-        exits: Vec<usize>,
-        entered: Vec<ProcessorId>,
-        exited: Vec<ProcessorId>,
-    }
-    let mut open: BTreeMap<BarrierId, Open> = BTreeMap::new();
-    let mut done: Vec<BarrierEpisode> = Vec::new();
-
-    for (i, e) in events.iter().enumerate() {
-        match e.kind {
-            EventKind::BarrierEnter { barrier } => {
-                let ep = open.entry(barrier).or_insert_with(|| Open {
-                    enters: Vec::new(),
-                    exits: Vec::new(),
-                    entered: Vec::new(),
-                    exited: Vec::new(),
-                });
-                // A processor re-entering before the episode closed would
-                // mean two overlapping episodes of the same barrier.
-                if ep.entered.contains(&e.proc) {
-                    return Err(TraceError::BarrierProtocol {
-                        barrier,
-                        proc: e.proc,
-                    });
-                }
-                ep.enters.push(i);
-                ep.entered.push(e.proc);
-            }
-            EventKind::BarrierExit { barrier } => {
-                let ep = match open.get_mut(&barrier) {
-                    Some(ep) => ep,
-                    None => {
-                        return Err(TraceError::BarrierProtocol {
-                            barrier,
-                            proc: e.proc,
-                        })
-                    }
-                };
-                if !ep.entered.contains(&e.proc) || ep.exited.contains(&e.proc) {
-                    return Err(TraceError::BarrierProtocol {
-                        barrier,
-                        proc: e.proc,
-                    });
-                }
-                // No exit may precede the last enter of the episode. Exits
-                // are only legal once every participant has entered; since
-                // participants are implicit, we check against enters seen so
-                // far when the episode closes (below) — here we record.
-                ep.exits.push(i);
-                ep.exited.push(e.proc);
-                if ep.exits.len() == ep.enters.len() {
-                    let ep = open.remove(&barrier).expect("episode is open");
-                    // Every exit must order after the last enter.
-                    let last_enter = *ep.enters.last().expect("episode has enters");
-                    let first_exit = *ep.exits.first().expect("episode has exits");
-                    if events[first_exit].order_key() < events[last_enter].order_key() {
-                        return Err(TraceError::BarrierExitBeforeLastEnter { barrier });
-                    }
-                    done.push(BarrierEpisode {
-                        barrier,
-                        enters: ep.enters,
-                        exits: ep.exits,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-
-    if let Some((&barrier, ep)) = open.iter().next() {
-        return Err(TraceError::BarrierArityMismatch {
-            barrier,
-            enters: ep.enters.len(),
-            exits: ep.exits.len(),
-        });
-    }
-
-    done.sort_by_key(|ep| ep.enters[0]);
-    Ok(done)
 }
 
 #[cfg(test)]
