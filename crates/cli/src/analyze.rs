@@ -218,7 +218,7 @@ fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliErr
     let ckpt = o.checkpoint.unwrap_or_default();
     match e {
         PipelineError::Input(e) => CliError::from(e).prefixed(o.input),
-        PipelineError::Expand(e) => CliError::Data(e.to_string()),
+        PipelineError::Expand(e) => CliError::Data(e.to_string()).prefixed(o.input),
         // The analyzer consumes its input in order and says so; the
         // remedy is a flag of this command, so it is named here.
         PipelineError::Analysis(e @ AnalysisError::Trace(TraceError::NotTotallyOrdered { .. })) => {
@@ -226,8 +226,9 @@ fn pipeline_error(e: ppa::analysis::PipelineError, o: &AnalyzeOptions) -> CliErr
                 "{e}; an unsorted trace needs --reorder-window N \
              (N = how many sequence numbers late an event may arrive)"
             ))
+            .prefixed(o.input)
         }
-        PipelineError::Analysis(e) => e.into(),
+        PipelineError::Analysis(e) => CliError::from(e).prefixed(o.input),
         PipelineError::ResumeOpen(e) => {
             CliError::NoInput(format!("{out}: cannot resume into: {e}"))
         }

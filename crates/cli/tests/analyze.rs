@@ -404,6 +404,52 @@ fn analyze_reports_malformed_line_with_exit_65() {
     }
 }
 
+/// An input the analyzer or the repeat expander refuses is named in the
+/// message, as an input that does not decode is.
+#[test]
+fn analyze_errors_name_the_input() {
+    use ppa::trace::{write_jsonl, SyncTag, SyncVarId, Trace};
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analyze_errors_name_the_input");
+    fs::create_dir_all(&dir).unwrap();
+    let at = |time: u64, proc: u16, seq: u64, kind| {
+        Event::new(Time::from_nanos(time), ProcessorId(proc), seq, kind)
+    };
+    let advance = EventKind::Advance {
+        var: SyncVarId(0),
+        tag: SyncTag(3),
+    };
+    let orphan = EventKind::Repeat {
+        len: 1,
+        count: 2,
+        dt_ns: 10,
+        dseq: 1,
+        dfield: 0,
+    };
+    for (name, events, message) in [
+        (
+            "dup.jsonl",
+            vec![at(10, 0, 0, advance), at(20, 1, 1, advance)],
+            "ppa: dup.jsonl: invalid trace: duplicate advance on A0 #3",
+        ),
+        (
+            "orphan.jsonl",
+            vec![at(10, 0, 0, orphan)],
+            "ppa: orphan.jsonl: repeat record at seq 0 needs a 1-event pattern",
+        ),
+    ] {
+        let trace = Trace::from_events(TraceKind::Measured, events);
+        write_jsonl(&trace, fs::File::create(dir.join(name)).unwrap()).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
+            .current_dir(&dir)
+            .args(["analyze", name])
+            .output()
+            .expect("run ppa analyze");
+        assert_eq!(out.status.code(), Some(65), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(message), "stderr: {stderr}");
+    }
+}
+
 #[test]
 fn analyze_reports_truncated_input_with_exit_65() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));

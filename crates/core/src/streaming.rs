@@ -91,7 +91,7 @@
 //! on well-formed traces, and the first thing to look at on a slow run.
 
 use crate::advance_table::{AdvanceRec, AdvanceTable, Inserted, WaitingEnds};
-use crate::emit_lanes::{EmitEntry, EmitLanes};
+use crate::emit_lanes::{EmitEntry, EmitLanes, LaneEntry};
 use crate::error::AnalysisError;
 use crate::event_based::{AwaitOutcome, BarrierOutcome, EpisodeOutcome};
 use crate::floors::Floors;
@@ -252,6 +252,42 @@ impl OutputSink for VecDeque<StreamOutput> {
     #[inline]
     fn output(&mut self, output: StreamOutput) {
         self.push_back(output);
+    }
+}
+
+/// [`EventBasedAnalyzer::resident_bytes`] table by table, each as
+/// capacity × element size.
+#[derive(Debug, Default)]
+pub(crate) struct ResidentTables {
+    /// The emission lanes: lane table, blocks, free blocks, head heap.
+    pub(crate) lanes: usize,
+    /// The emission spill heap.
+    pub(crate) spill: usize,
+    /// The advance table, its dirty log, wake list and frozen waiters.
+    pub(crate) advances: usize,
+    /// Parked nodes, the resolution queue and the nodes' spare vectors.
+    pub(crate) parked: usize,
+    /// Barrier episodes and the lock, semaphore and task tables.
+    pub(crate) episodes: usize,
+    /// The watermark floor heaps.
+    pub(crate) floors: usize,
+    /// The output queue.
+    pub(crate) out: usize,
+    /// The per-processor frontiers.
+    pub(crate) procs: usize,
+}
+
+impl ResidentTables {
+    /// Every table's bytes together.
+    pub(crate) fn total(&self) -> usize {
+        self.lanes
+            + self.spill
+            + self.advances
+            + self.parked
+            + self.episodes
+            + self.floors
+            + self.out
+            + self.procs
     }
 }
 
@@ -968,17 +1004,22 @@ impl EventBasedAnalyzer {
     }
 
     /// Heap bytes of the analyzer's state: capacity × element size,
-    /// summed over every table — the advance table with its spill and
-    /// waiter arena, the emission lanes and their spill, the parked
-    /// nodes, the episode / lock / semaphore / task tables and the
-    /// watermark floor heaps. Unlike [`resident`](Self::resident) this
-    /// sees the structures that grow with the trace's synchronization
-    /// history.
+    /// summed over every table — the emission lanes and their spill, the
+    /// advance table, the parked nodes, the episode / lock / semaphore /
+    /// task tables, the watermark floors, the output queue and the
+    /// per-processor frontiers. Unlike
+    /// [`resident`](Self::resident) this sees the structures that grow
+    /// with the trace's synchronization history.
     /// Cost is O(tables + live synchronization objects), so callers
     /// sample it ([`RESIDENT_SAMPLE_EVERY`](crate::RESIDENT_SAMPLE_EVERY))
     /// rather than compute it per push. (Each parked node's two short
     /// dependency lists are not walked: that would make it O(parked).)
     pub fn resident_bytes(&self) -> usize {
+        self.resident_tables().total()
+    }
+
+    /// [`resident_bytes`](Self::resident_bytes), table by table.
+    pub(crate) fn resident_tables(&self) -> ResidentTables {
         let frozen: usize = self.frozen_awaiting.as_ref().map_or(0, |lists| {
             vec_bytes(lists) + lists.iter().map(|(_, ends)| vec_bytes(ends)).sum::<usize>()
         });
@@ -990,28 +1031,30 @@ impl EventBasedAnalyzer {
         let sems: usize = self.sems.values().map(|s| vec_bytes(&s.releases)).sum();
         let spares: usize = self.spare_anchors.iter().map(vec_bytes).sum::<usize>()
             + self.spare_waiters.iter().map(vec_bytes).sum::<usize>();
-        vec_bytes(&self.procs)
-            + vec_bytes(&self.seen_procs)
-            + self.advances.resident_bytes()
-            + self.dirty_log.as_ref().map_or(0, vec_bytes)
-            + vec_bytes(&self.woken)
-            + frozen
-            + map_bytes(&self.episodes)
-            + episodes
-            + btree_bytes(&self.open_by_barrier)
-            + map_bytes(&self.ep_of_enter)
-            + btree_bytes(&self.locks)
-            + btree_bytes(&self.sems)
-            + sems
-            + btree_bytes(&self.tasks)
-            + map_bytes(&self.dep_ta)
-            + map_bytes(&self.spawn_watch)
-            + map_bytes(&self.parked)
-            + self.floors.resident_bytes()
-            + self.buffer.resident_bytes()
-            + self.out.capacity() * std::mem::size_of::<StreamOutput>()
-            + self.queue.capacity() * std::mem::size_of::<usize>()
-            + spares
+        ResidentTables {
+            lanes: self.buffer.lanes_bytes(),
+            spill: self.buffer.spill_bytes(),
+            advances: self.advances.resident_bytes()
+                + self.dirty_log.as_ref().map_or(0, vec_bytes)
+                + vec_bytes(&self.woken)
+                + frozen,
+            parked: map_bytes(&self.parked)
+                + self.queue.capacity() * std::mem::size_of::<usize>()
+                + spares,
+            episodes: map_bytes(&self.episodes)
+                + episodes
+                + btree_bytes(&self.open_by_barrier)
+                + map_bytes(&self.ep_of_enter)
+                + btree_bytes(&self.locks)
+                + btree_bytes(&self.sems)
+                + sems
+                + btree_bytes(&self.tasks)
+                + map_bytes(&self.dep_ta)
+                + map_bytes(&self.spawn_watch),
+            floors: self.floors.resident_bytes(),
+            out: self.out.capacity() * std::mem::size_of::<StreamOutput>(),
+            procs: vec_bytes(&self.procs) + vec_bytes(&self.seen_procs),
+        }
     }
 
     /// Feeds the next measured event.
@@ -1567,7 +1610,7 @@ impl EventBasedAnalyzer {
         }
         self.probes.events_emitted.add(self.buffer.len() as u64);
         while let Some(entry) = self.buffer.pop() {
-            sink.event(entry.event);
+            sink.event(entry.event());
         }
         self.probes.watermark_lag.set(0.0);
         self.probes.resident_events.set(0.0);
@@ -1825,7 +1868,12 @@ impl EventBasedAnalyzer {
         a.dep_ta = s.dep_ta.into_iter().collect();
         a.spawn_watch = s.spawn_watch.into_iter().collect();
         a.floors = s.anchors.into_iter().collect();
-        a.buffer = s.buffer.into_iter().collect();
+        // A snapshot holds only what `buffer_event` buffered.
+        a.buffer = s
+            .buffer
+            .iter()
+            .filter_map(|e| LaneEntry::new(&e.event, e.idx))
+            .collect();
         a.out = s.out.into_iter().collect();
         a.since_drain = s.since_drain;
         a.stats = s.stats;
@@ -2460,7 +2508,12 @@ impl EventBasedAnalyzer {
             time: value,
             ..event
         };
-        if self.buffer.push(EmitEntry { event, idx }) {
+        // `analyze` refuses a repeat record before indexing it, and only
+        // a repeat record does not convert.
+        let Some(entry) = LaneEntry::new(&event, idx) else {
+            return;
+        };
+        if self.buffer.push(entry) {
             self.spills.emit += 1;
             self.probes.emit_spill.inc();
         }
@@ -2573,7 +2626,7 @@ impl EventBasedAnalyzer {
         let wm = self.watermark();
         let mut drained = 0u64;
         while let Some(entry) = self.buffer.pop_below(wm) {
-            sink.event(entry.event);
+            sink.event(entry.event());
             drained += 1;
         }
         // Gauge refresh rides the drain cadence (DRAIN_EVERY pushes), keeping
@@ -2614,6 +2667,149 @@ mod tests {
             ..ScenarioConfig::small(ScenarioFamily::Semaphore)
         };
         scenario_trace(11, &cfg).events().to_vec()
+    }
+
+    /// The benchmark's 8-processor DOACROSS body (head / mid / tail /
+    /// await / critical section / advance), `iters` iterations.
+    fn doacross_events(iters: u64) -> Vec<Event> {
+        use ppa_program::{InstrumentationPlan, ProgramBuilder};
+        use ppa_sim::{run_measured, SchedulePolicy, SimConfig};
+        let cfg = SimConfig {
+            processors: 8,
+            clock: ppa_trace::ClockRate::GHZ_1,
+            overheads: OverheadSpec::alliant_default(),
+            schedule: SchedulePolicy::SelfScheduled,
+            dispatch_cycles: 50,
+            jitter: None,
+        }
+        .with_jitter(1991, 150);
+        let mut b = ProgramBuilder::new("growth");
+        let v = b.sync_var();
+        let program = b
+            .doacross(1, iters, |body| {
+                body.compute("head", 500)
+                    .compute("mid", 300)
+                    .compute("tail", 200)
+                    .await_var(v, -1)
+                    .compute("cs", 60)
+                    .advance(v)
+            })
+            .build()
+            .unwrap();
+        let measured = run_measured(&program, &InstrumentationPlan::full_with_sync(), &cfg);
+        measured.unwrap().trace.events().to_vec()
+    }
+
+    /// One of the benchmark's 8-processor, 4-object episode scenarios.
+    fn scenario_events(family: ScenarioFamily, rounds: usize) -> Vec<Event> {
+        let cfg = ScenarioConfig {
+            processors: 8,
+            rounds,
+            objects: 4,
+            ..ScenarioConfig::small(family)
+        };
+        scenario_trace(1991, &cfg).events().to_vec()
+    }
+
+    /// Every table's largest [`ResidentTables`] reading over a run of
+    /// `events`, sampled after every push, and the run's stats.
+    fn peak_tables(events: &[Event]) -> (ResidentTables, StreamStats) {
+        let mut a = EventBasedAnalyzer::new(&OverheadSpec::alliant_default());
+        let mut peak = ResidentTables::default();
+        let mut sample = |a: &EventBasedAnalyzer| {
+            let t = a.resident_tables();
+            let fields = [
+                (&mut peak.lanes, t.lanes),
+                (&mut peak.spill, t.spill),
+                (&mut peak.advances, t.advances),
+                (&mut peak.parked, t.parked),
+                (&mut peak.episodes, t.episodes),
+                (&mut peak.floors, t.floors),
+                (&mut peak.out, t.out),
+                (&mut peak.procs, t.procs),
+            ];
+            for (peak, now) in fields {
+                *peak = (*peak).max(now);
+            }
+        };
+        for e in events {
+            a.push(*e).unwrap();
+            while a.next_output().is_some() {}
+            sample(&a);
+        }
+        (peak, a.finish().unwrap().stats)
+    }
+
+    /// The semaphore backlog costs what it holds: at 1× and 4× the
+    /// rounds, the lanes' bytes are the peak backlog's entries plus one
+    /// block per lane. (A lane may hold up to two blocks of slack, the
+    /// read part of its oldest and the unwritten part of its newest, and
+    /// up to `FREE_BLOCKS` wait for reuse; on this fixture the slack
+    /// stays under one block per lane.) A DOACROSS trace's lanes hold a
+    /// handful of entries at any length, so at 4× they cost no more than
+    /// at 1×, and less than a block per lane.
+    #[test]
+    fn lanes_cost_what_they_hold() {
+        use crate::emit_lanes::{LaneEntry, BLOCK};
+        let entry = std::mem::size_of::<LaneEntry>();
+        let lanes = 8;
+        for rounds in [1_000, 4_000] {
+            let (peak, stats) = peak_tables(&scenario_events(ScenarioFamily::Semaphore, rounds));
+            let backlog = stats.peak_buffered * entry;
+            assert!(
+                stats.peak_buffered > lanes * BLOCK,
+                "{rounds} rounds: a backlog"
+            );
+            assert!(
+                peak.lanes <= backlog + lanes * BLOCK * entry,
+                "{rounds} rounds: {} lane bytes for {} entries",
+                peak.lanes,
+                stats.peak_buffered
+            );
+        }
+        let one = peak_tables(&doacross_events(2_000)).0.lanes;
+        let four = peak_tables(&doacross_events(8_000)).0.lanes;
+        assert!(
+            four <= one && one < lanes * BLOCK * entry,
+            "{one} then {four} bytes"
+        );
+    }
+
+    /// Prints the growth table: every table's peak bytes on DOACROSS and
+    /// the three episode scenarios at 1×, 4× and 16× length. Run with
+    /// `cargo test --release -p ppa-core --lib growth_table -- --ignored
+    /// --nocapture`.
+    #[test]
+    #[ignore = "prints a table; 16× runs take seconds in release"]
+    fn growth_table() {
+        let fixture = |name, x: usize| match name {
+            "doacross" => doacross_events(2_000 * x as u64),
+            "spinlock" => scenario_events(ScenarioFamily::Spinlock, 1_000 * x),
+            "semaphore" => scenario_events(ScenarioFamily::Semaphore, 1_000 * x),
+            _ => scenario_events(ScenarioFamily::ForkJoin, 1_000 * x),
+        };
+        println!("| fixture | × | events | peak buffered | lanes | spill | advances | parked | episodes | floors | out | procs | total |");
+        println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
+        for name in ["doacross", "spinlock", "semaphore", "forkjoin"] {
+            for x in [1, 4, 16] {
+                let events = fixture(name, x);
+                let (p, stats) = peak_tables(&events);
+                println!(
+                    "| {name} | {x} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+                    events.len(),
+                    stats.peak_buffered,
+                    p.lanes,
+                    p.spill,
+                    p.advances,
+                    p.parked,
+                    p.episodes,
+                    p.floors,
+                    p.out,
+                    p.procs,
+                    p.total()
+                );
+            }
+        }
     }
 
     /// `SemSt::releases` used to keep one slot per V for the life of the

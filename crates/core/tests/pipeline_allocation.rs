@@ -10,7 +10,7 @@ use ppa_core::{Pipeline, PipelineConfig, Summary};
 use ppa_sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
 use ppa_trace::{
     AnyTraceReader, BinaryTraceWriter, Event, EventKind, OverheadSpec, ProcessorId, StatementId,
-    Time, TraceFormat, TraceKind, TraceStreamWriter,
+    Time, TraceFormat, TraceKind, TraceStreamWriter, DEFAULT_BLOCK_EVENTS,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
@@ -64,12 +64,8 @@ fn run_to_end(input: Vec<u8>, report: Option<(&Path, TraceFormat)>) -> (Summary,
     (summary, LARGEST.load(Ordering::Relaxed))
 }
 
-/// The semaphore scenario holds a backlog behind its emission watermark
-/// that grows with the trace (EXPERIMENTS.md): at the end of the stream
-/// it goes straight from the emission lanes into the report.
-#[test]
-fn the_semaphore_backlog_streams_into_the_report() {
-    let _serial = serial();
+/// The semaphore scenario's events, and the binary trace of them.
+fn semaphore_input() -> (Vec<Event>, Vec<u8>) {
     let cfg = ScenarioConfig {
         processors: 8,
         rounds: 6_000,
@@ -79,7 +75,16 @@ fn the_semaphore_backlog_streams_into_the_report() {
     let events = scenario_trace(1991, &cfg).events().to_vec();
     let mut w = BinaryTraceWriter::new(Vec::new(), TraceKind::Measured, events.len()).unwrap();
     events.iter().for_each(|e| w.write_event(e).unwrap());
-    let input = w.finish().unwrap();
+    (events, w.finish().unwrap())
+}
+
+/// The semaphore scenario holds a backlog behind its emission watermark
+/// that grows with the trace (EXPERIMENTS.md): at the end of the stream
+/// it goes straight from the emission lanes into the report.
+#[test]
+fn the_semaphore_backlog_streams_into_the_report() {
+    let _serial = serial();
+    let (events, input) = semaphore_input();
     let report = Path::new(env!("CARGO_TARGET_TMPDIR")).join("semaphore-backlog.bin");
 
     let (summary, largest) = run_to_end(input, Some((&report, TraceFormat::Binary)));
@@ -92,6 +97,35 @@ fn the_semaphore_backlog_streams_into_the_report() {
     assert!(
         largest <= MIB,
         "a {largest}-byte allocation after the last input event"
+    );
+    std::fs::remove_file(report).unwrap();
+}
+
+/// While input streams, the semaphore backlog grows the emission lanes
+/// one 24 KiB block at a time, never by doubling (which reached
+/// 1 179 648 bytes here): the largest allocation is the binary codec's
+/// block of decoded events, whatever the backlog.
+#[test]
+fn the_semaphore_backlog_grows_in_blocks() {
+    let _serial = serial();
+    let (_, input) = semaphore_input();
+    let report = Path::new(env!("CARGO_TARGET_TMPDIR")).join("semaphore-blocks.bin");
+    let reader = AnyTraceReader::open(Cursor::new(input)).unwrap();
+    let config = PipelineConfig::new(OverheadSpec::alliant_default());
+    let mut pipeline =
+        Pipeline::new(reader, config, Some((&report, TraceFormat::Binary)), None).unwrap();
+    LARGEST.store(0, Ordering::Relaxed);
+    while pipeline.step().unwrap().is_some() {}
+    let largest = LARGEST.load(Ordering::Relaxed);
+    let summary = pipeline.finish().unwrap();
+    assert!(
+        summary.stats.peak_buffered > 30_000,
+        "a backlog worth growing"
+    );
+    let codec_block = DEFAULT_BLOCK_EVENTS * std::mem::size_of::<Event>();
+    assert!(
+        largest <= codec_block,
+        "a {largest}-byte allocation while input streamed"
     );
     std::fs::remove_file(report).unwrap();
 }

@@ -198,6 +198,10 @@ impl KindGroup {
 macro_rules! kind_facts {
     (@class) => { None };
     (@class $class:ident) => { Some(OverheadClass::$class) };
+    (@pair $name:ident) => { Some((KindCode::$name, [0, 0])) };
+    (@pair $name:ident $a:ident) => { Some((KindCode::$name, [$a.to_raw(), 0])) };
+    (@pair $name:ident $a:ident $b:ident) => { Some((KindCode::$name, [$a.to_raw(), $b.to_raw()])) };
+    (@pair $name:ident $($more:ident)*) => { None };
     ($($name:ident { $($field:ident: $ty:ty),* } => $tag:literal, $mnem:literal, $group:ident,
         [$($class:ident)?], [$($shift:ident)?], $fmt:literal;)*) => {
         /// An event kind without its fields: one code per row of the kind
@@ -240,7 +244,9 @@ macro_rules! kind_facts {
             /// hold `fields`: a missing value reads 0, extra ones are
             /// ignored, and each is cut to its field's integer type. What
             /// lets a generator draw events of every kind from
-            /// [`KindCode::ALL`].
+            /// [`KindCode::ALL`], and what inverts
+            /// [`EventKind::code_and_fields`].
+            #[inline]
             pub fn with_fields(self, fields: &[u64]) -> EventKind {
                 #[allow(unused_mut, unused_variables)] // unit kinds read none
                 let mut fields = fields.iter().copied();
@@ -253,6 +259,20 @@ macro_rules! kind_facts {
         }
 
         impl EventKind {
+            /// This kind's code and the raw bits of its fields in table
+            /// order, zero-filled to two: the form a store of many events
+            /// keeps in place of the 40-byte `EventKind`.
+            /// [`KindCode::with_fields`] rebuilds the kind. `None` for a
+            /// kind with more than two fields: only the container
+            /// [`EventKind::Repeat`].
+            #[inline]
+            #[allow(unused_variables)] // a kind with more fields binds them all
+            pub fn code_and_fields(&self) -> Option<(KindCode, [u64; 2])> {
+                match *self {
+                    $(EventKind::$name { $($field),* } => kind_facts!(@pair $name $($field)*)),*
+                }
+            }
+
             /// This kind's row of the kind table.
             #[inline]
             pub const fn code(&self) -> KindCode {
