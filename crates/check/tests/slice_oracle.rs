@@ -181,3 +181,43 @@ fn expanding_suppressed_scenario_fixtures_restores_them() {
     }
     assert!(collapsed > 0, "some fixture must exercise the records");
 }
+
+/// A 2 000-iteration DOACROSS trace (the benchmark's loop body, self
+/// scheduled, seeded jitter) never repeats with a uniform stride, so it
+/// passes through the suppressor's detection on every event: the output
+/// is the one pinned when the suppressor held 104-byte slots, as a count
+/// and a CRC32 chained over each event's `Debug` form.
+#[test]
+fn a_doacross_trace_keeps_its_suppressed_output() {
+    let mut b = ppa_program::ProgramBuilder::new("doacross");
+    let v = b.sync_var();
+    let program = b
+        .doacross(1, 2_000, |body| {
+            body.compute("head", 500)
+                .compute("mid", 300)
+                .compute("tail", 200)
+                .await_var(v, -1)
+                .compute("cs", 60)
+                .advance(v)
+        })
+        .build()
+        .unwrap();
+    let cfg = SimConfig {
+        schedule: SchedulePolicy::SelfScheduled,
+        ..static_config(0)
+    }
+    .with_jitter(1991, 150);
+    let events = run_measured(&program, &InstrumentationPlan::full_with_sync(), &cfg)
+        .unwrap()
+        .trace
+        .events()
+        .to_vec();
+    let out = suppress_events(&events);
+    let crc = out.iter().fold(0, |crc, e| {
+        ppa_trace::crc32_chain(crc, format!("{e:?}").as_bytes())
+    });
+    assert_eq!(
+        (events.len(), out.len(), crc),
+        (14_020, 14_020, 1_062_236_858)
+    );
+}
