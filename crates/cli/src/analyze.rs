@@ -322,7 +322,7 @@ fn analyze(
         registry
             .gauge(
                 "ppa_decode_workers",
-                "Decode worker threads for binary input (0 = serial decode).",
+                "Decode worker threads (0 = decode on the driver thread).",
             )
             .set(workers as f64);
     }
@@ -474,7 +474,7 @@ fn analyze(
     lines.push(format!(
         "analyzed {} measured events (streaming): {} approximated events, \
          {} awaits, {} barrier passages, {} sync episodes",
-        expected, run.sink.events, run.sink.awaits, run.sink.barriers, run.sink.episodes
+        run.stats.events, run.sink.events, run.sink.awaits, run.sink.barriers, run.sink.episodes
     ));
     if run.repeat_records > 0 {
         lines.push(format!(

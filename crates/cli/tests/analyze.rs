@@ -685,7 +685,9 @@ fn analyze_self_trace_chrome_export_parses() {
                 "checkpoint_write",
                 "frame_read",
                 "ingest",
-                "park"
+                "park",
+                "reassemble",
+                "report_write"
             ]
             .contains(&name),
             "unknown stage name {name:?}"
@@ -766,4 +768,84 @@ fn analyze_ends_quietly_when_stdout_is_closed() {
             "{mode:?}"
         );
     }
+}
+
+/// The summary counts what the analyzer took in, not what the header
+/// announced: a header announcing 0 (as a `ppa slice` output does)
+/// still reads "analyzed N" for its N events.
+#[test]
+fn analyze_summary_counts_events_not_the_header_announcement() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "summary_count_in.jsonl");
+    let text = fs::read_to_string(&input).unwrap();
+    let (header, body) = text.split_once('\n').unwrap();
+    let events = body.lines().count();
+    let announced = format!("\"events\":{events}");
+    assert!(header.contains(&announced), "{header}");
+    let zero = dir.join("summary_count_zero.jsonl");
+    fs::write(
+        &zero,
+        format!("{}\n{body}", header.replace(&announced, "\"events\":0")),
+    )
+    .unwrap();
+    for workers in ["0", "1"] {
+        let out = ppa_analyze(&[zero.to_str().unwrap(), "--decode-workers", workers]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("analyzed {events} measured events")),
+            "workers {workers}: {stdout}"
+        );
+    }
+}
+
+/// `--self-trace` sees every thread of a JSONL run: the chunks decode on
+/// a worker, not on the driver thread that runs the analyzer, and the
+/// report thread records one span per batch handed to it.
+#[test]
+fn analyze_self_trace_shows_jsonl_decode_and_report_threads() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let input = measured_jsonl(&dir, "self_trace_threads_in.jsonl");
+    let report = dir.join("self_trace_threads_report.jsonl");
+    let chrome = dir.join("self_trace_threads.json");
+    let out = ppa_analyze(&[
+        input.to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+        "--decode-workers",
+        "1",
+        "--self-trace",
+        chrome.to_str().unwrap(),
+        "--self-trace-format",
+        "chrome",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let doc: serde_json::Value =
+        serde_json::from_str(&fs::read_to_string(&chrome).unwrap()).unwrap();
+    let spans = doc["traceEvents"].as_array().unwrap();
+    let threads_of = |name: &str| -> Vec<u64> {
+        let mut tids: Vec<u64> = spans
+            .iter()
+            .filter(|e| e["name"].as_str() == Some(name))
+            .map(|e| e["tid"].as_u64().unwrap())
+            .collect();
+        tids.sort_unstable();
+        tids
+    };
+    let driver = threads_of("run");
+    assert_eq!(driver.len(), 1, "one root span");
+    let decode = threads_of("decode");
+    assert!(!decode.is_empty(), "JSONL chunks decode under a span");
+    assert!(
+        !decode.contains(&driver[0]),
+        "decode ran on the driver thread"
+    );
+    let writes = threads_of("report_write");
+    assert!(
+        !writes.contains(&driver[0]),
+        "the report was written on the driver thread"
+    );
+    // Batches of 512, then the final (possibly empty) one.
+    let lines = fs::read_to_string(&report).unwrap().lines().count();
+    assert_eq!(writes.len(), (lines - 1) / 512 + 1, "one span per batch");
 }

@@ -2,7 +2,9 @@
 //!
 //! A [`Pipeline`] owns every stage of a fault-tolerant §4.2.3 run. Two
 //! threads carry it: the driver's thread reads, analyzes and counts, and
-//! a report thread encodes and writes the approximated trace.
+//! a report thread encodes and writes the approximated trace. (The
+//! reader's decode workers, when it has any, decode the input's blocks
+//! or line chunks before the driver reads them.)
 //!
 //! ```text
 //!  driver thread ─────────────────────────────────────────────────────────┐
@@ -280,6 +282,10 @@ fn write_report(
     recycled: Sender<Vec<Event>>,
 ) -> Result<(), IoError> {
     for Job { mut batch, then } in jobs {
+        let mut span = span_enter(Stage::ReportWrite);
+        if let Some(first) = batch.first() {
+            span.attr_seq(first.seq);
+        }
         for e in &batch {
             writer.write_event(e)?;
         }

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Number of [`Stage`] variants (the size of per-stage total arrays).
-pub const STAGE_COUNT: usize = 15;
+pub const STAGE_COUNT: usize = 16;
 
 /// The pipeline stage a span measures. One label per instrumented
 /// region of the real pipeline; `name()` is the value of the `stage`
@@ -76,6 +76,9 @@ pub enum Stage {
     /// Retiring a completed server session's checkpoint file before its
     /// DONE frame.
     Retire,
+    /// One batch of approximated events encoded and written by the
+    /// report thread.
+    ReportWrite,
 }
 
 impl Stage {
@@ -96,6 +99,7 @@ impl Stage {
         Stage::Slice,
         Stage::Suppress,
         Stage::Retire,
+        Stage::ReportWrite,
     ];
 
     /// Dense index, `0..STAGE_COUNT`, in declaration order (per-stage
@@ -123,6 +127,7 @@ impl Stage {
             Stage::Slice => "slice",
             Stage::Suppress => "suppress",
             Stage::Retire => "retire",
+            Stage::ReportWrite => "report_write",
         }
     }
 }

@@ -64,8 +64,8 @@ pub struct ServeConfig {
     pub lenient: bool,
     /// Reorder-buffer window for out-of-order ingest (None = strict).
     pub reorder_window: Option<u64>,
-    /// Decode worker threads per session for binary ingest (0 = decode
-    /// serially on the session thread).
+    /// Decode worker threads per session (0 = decode on the session
+    /// thread).
     pub decode_workers: usize,
     /// Overhead model applied by every session's analyzer.
     pub overheads: OverheadSpec,

@@ -225,6 +225,7 @@ const _: () = assert!(std::mem::size_of::<Event>() == 64);
 impl Event {
     /// Creates an event; `seq` is usually assigned by [`crate::Trace`]
     /// builders.
+    #[inline]
     pub fn new(time: Time, proc: ProcessorId, seq: u64, kind: EventKind) -> Self {
         Event {
             time,

@@ -73,6 +73,22 @@ pub struct TraceGap {
     pub cause: GapCause,
 }
 
+impl TraceGap {
+    /// A gap whose framing tells nothing of the events it lost but
+    /// their count: a malformed JSONL line, or a stream cut short.
+    pub(crate) fn unframed(block: usize, events: u64, cause: GapCause) -> TraceGap {
+        TraceGap {
+            block,
+            events,
+            first_seq: None,
+            last_seq: None,
+            first_time: None,
+            last_time: None,
+            cause,
+        }
+    }
+}
+
 impl std::fmt::Display for TraceGap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -47,9 +47,11 @@ pub(crate) trait Raw: Copy {
 
 impl Raw for u32 {
     const INT: Int = Int::U32;
+    #[inline]
     fn to_raw(self) -> u64 {
         u64::from(self)
     }
+    #[inline]
     fn from_raw(raw: u64) -> Self {
         raw as u32
     }
@@ -57,9 +59,11 @@ impl Raw for u32 {
 
 impl Raw for u64 {
     const INT: Int = Int::U64;
+    #[inline]
     fn to_raw(self) -> u64 {
         self
     }
+    #[inline]
     fn from_raw(raw: u64) -> Self {
         raw
     }
@@ -67,9 +71,11 @@ impl Raw for u64 {
 
 impl Raw for i64 {
     const INT: Int = Int::I64;
+    #[inline]
     fn to_raw(self) -> u64 {
         self as u64
     }
+    #[inline]
     fn from_raw(raw: u64) -> Self {
         raw as i64
     }
@@ -79,10 +85,12 @@ macro_rules! raw_newtype {
     ($($name:ident($inner:ty)),*) => {$(
         impl Raw for $name {
             const INT: Int = <$inner>::INT;
-            fn to_raw(self) -> u64 {
+            #[inline]
+    fn to_raw(self) -> u64 {
                 self.0.to_raw()
             }
-            fn from_raw(raw: u64) -> Self {
+            #[inline]
+    fn from_raw(raw: u64) -> Self {
                 $name(<$inner>::from_raw(raw))
             }
         }

@@ -15,10 +15,19 @@
 //! each kind's figure is the fastest of `--passes` passes (default 5).
 //! The last column checks the measurement: the timed sum against the
 //! fastest untimed pass over the same trace.
+//!
+//! A second table prices the codecs the same way over the same traces,
+//! in memory and on the caller's thread: nanoseconds per line to decode
+//! JSONL ([`TraceStreamReader`], one `next()` per event) and to encode
+//! it ([`TraceStreamWriter`]), and per event for the binary format
+//! ([`BinaryTraceReader`], [`BinaryTraceWriter`]). A decode figure
+//! includes the chunk or block decode its first event triggers.
 
 use ppa::prelude::*;
 use ppa::sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
+use ppa::trace::{BinaryTraceReader, BinaryTraceWriter, TraceStreamReader, TraceStreamWriter};
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::time::Instant;
 
 struct Args {
@@ -129,6 +138,94 @@ fn untimed_pass(events: &[Event], oh: &OverheadSpec) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
+/// One codec pass calling `step` once per event of an `n`-event trace:
+/// the per-call nanoseconds summed when `timed`, else the whole pass.
+fn codec_pass(n: usize, timed: bool, mut step: impl FnMut()) -> u128 {
+    let t0 = Instant::now();
+    let mut sum = 0;
+    for _ in 0..n {
+        if timed {
+            let t = Instant::now();
+            step();
+            sum += t.elapsed().as_nanos();
+        } else {
+            step();
+        }
+    }
+    if timed {
+        sum
+    } else {
+        t0.elapsed().as_nanos()
+    }
+}
+
+/// Nanoseconds per event of each codec over `events`, fastest of
+/// `passes`: timed per call with the timer's cost subtracted, and
+/// untimed.
+fn codec_rows(events: &[Event], passes: usize, timer: f64) -> Vec<(&'static str, f64, f64)> {
+    let n = events.len();
+    let kind = TraceKind::Measured;
+    let jsonl = {
+        let mut w = TraceStreamWriter::new(Vec::new(), kind, n).expect("writes to memory");
+        events
+            .iter()
+            .for_each(|e| w.write_event(e).expect("writes to memory"));
+        w.finish().expect("writes to memory")
+    };
+    let bin = {
+        let mut w = BinaryTraceWriter::new(Vec::new(), kind, n).expect("writes to memory");
+        events
+            .iter()
+            .for_each(|e| w.write_event(e).expect("writes to memory"));
+        w.finish().expect("writes to memory")
+    };
+    let codecs: [(&str, &dyn Fn(bool) -> u128); 4] = [
+        ("jsonl-dec", &|timed| {
+            let mut r = TraceStreamReader::new(jsonl.as_slice()).expect("decodes");
+            codec_pass(n, timed, || {
+                black_box(r.next());
+            })
+        }),
+        ("jsonl-enc", &|timed| {
+            let mut w = TraceStreamWriter::new(Vec::new(), kind, n).expect("writes to memory");
+            let mut it = events.iter();
+            let ns = codec_pass(n, timed, || {
+                w.write_event(it.next().expect("n events"))
+                    .expect("writes to memory")
+            });
+            black_box(w.finish().expect("writes to memory"));
+            ns
+        }),
+        ("bin-dec", &|timed| {
+            let mut r = BinaryTraceReader::new(bin.as_slice(), 0).expect("decodes");
+            codec_pass(n, timed, || {
+                black_box(r.next());
+            })
+        }),
+        ("bin-enc", &|timed| {
+            let mut w = BinaryTraceWriter::new(Vec::new(), kind, n).expect("writes to memory");
+            let mut it = events.iter();
+            let ns = codec_pass(n, timed, || {
+                w.write_event(it.next().expect("n events"))
+                    .expect("writes to memory")
+            });
+            black_box(w.finish().expect("writes to memory"));
+            ns
+        }),
+    ];
+    codecs
+        .iter()
+        .map(|&(name, pass)| {
+            let (mut timed, mut untimed) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..passes.max(1) {
+                timed = timed.min((pass(true) as f64 / n as f64 - timer).max(0.0));
+                untimed = untimed.min(pass(false) as f64 / n as f64);
+            }
+            (name, timed, untimed)
+        })
+        .collect()
+}
+
 fn main() {
     let args = parse_args();
     let timer = timer_cost_ns();
@@ -162,5 +259,20 @@ fn main() {
             "all",
             events.len()
         );
+    }
+    println!();
+    println!(
+        "codec per event (JSONL: per line), fastest of {} pass(es), timer cost {timer:.1} ns subtracted",
+        args.passes
+    );
+    println!(
+        "{:<10} {:<10} {:>9} {:>9} {:>9}",
+        "trace", "codec", "n", "ns/event", "untimed"
+    );
+    for (name, (events, _)) in &traces {
+        for (codec, timed, untimed) in codec_rows(events, args.passes, timer) {
+            let n = events.len();
+            println!("{name:<10} {codec:<10} {n:>9} {timed:>9.1} {untimed:>9.1}");
+        }
     }
 }
