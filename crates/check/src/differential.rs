@@ -23,8 +23,7 @@ use ppa_sim::{
 };
 use ppa_slice::{slice_stream, suppress_events, SliceOptions, SliceProbes, SliceSpec};
 use ppa_trace::{
-    read_trace, read_trace_parallel, write_trace, ClockRate, Event, OverheadSpec, Trace,
-    TraceFormat, TraceKind,
+    read_trace, write_trace, ClockRate, Event, OverheadSpec, Trace, TraceFormat, TraceKind,
 };
 use std::path::{Path, PathBuf};
 
@@ -298,10 +297,10 @@ fn diff_codec(trace: &Trace, decode_workers: usize) -> Option<String> {
         return Some(format!("codec round-trip: binary encode failed: {e}"));
     }
     let legs: &[(&str, Result<Trace, _>)] = &[
-        ("serial decode", read_trace(bytes.as_slice())),
+        ("serial decode", read_trace(bytes.as_slice(), 0)),
         (
             "pipelined decode",
-            read_trace_parallel(bytes.as_slice(), decode_workers),
+            read_trace(bytes.as_slice(), decode_workers),
         ),
     ];
     for (leg, decoded) in legs {

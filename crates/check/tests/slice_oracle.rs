@@ -22,8 +22,8 @@ use ppa_sim::{
 };
 use ppa_slice::{slice_stream, suppress_events, SliceOptions, SliceProbes, SliceSpec};
 use ppa_trace::{
-    write_binary, write_jsonl, AnyTraceReader, ClockRate, Event, EventKind, OverheadSpec,
-    ProcessorId, StatementId, Time, Trace,
+    write_trace, AnyTraceReader, ClockRate, Event, EventKind, OverheadSpec, ProcessorId,
+    StatementId, Time, Trace, TraceFormat,
 };
 use proptest::prelude::*;
 
@@ -89,7 +89,7 @@ proptest! {
         let spec = SliceSpec::parse(&expr).unwrap();
 
         let mut bytes = Vec::new();
-        write_binary(&report, &mut bytes).unwrap();
+        write_trace(&report, &mut bytes, TraceFormat::Binary).unwrap();
         let mut reader = AnyTraceReader::open(bytes.as_slice()).unwrap();
         let options = SliceOptions { spec: spec.clone(), suppress: false, use_skip_index: true };
         let probes = SliceProbes::noop();
@@ -131,14 +131,14 @@ proptest! {
 
         let mut direct_jsonl = Vec::new();
         let mut via_jsonl = Vec::new();
-        write_jsonl(&direct, &mut direct_jsonl).unwrap();
-        write_jsonl(&via, &mut via_jsonl).unwrap();
+        write_trace(&direct, &mut direct_jsonl, TraceFormat::Jsonl).unwrap();
+        write_trace(&via, &mut via_jsonl, TraceFormat::Jsonl).unwrap();
         prop_assert_eq!(direct_jsonl, via_jsonl, "jsonl reports differ");
 
         let mut direct_bin = Vec::new();
         let mut via_bin = Vec::new();
-        write_binary(&direct, &mut direct_bin).unwrap();
-        write_binary(&via, &mut via_bin).unwrap();
+        write_trace(&direct, &mut direct_bin, TraceFormat::Binary).unwrap();
+        write_trace(&via, &mut via_bin, TraceFormat::Binary).unwrap();
         prop_assert_eq!(direct_bin, via_bin, "binary reports differ");
     }
 }

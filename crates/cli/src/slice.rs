@@ -218,10 +218,7 @@ fn expand_slice<R: std::io::Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa::trace::{
-        AnyTraceReader, Event, EventKind, ProcessorId, StatementId, Time, TraceKind,
-        TraceStreamWriter,
-    };
+    use ppa::trace::{AnyTraceReader, Event, EventKind, ProcessorId, StatementId, Time, TraceKind};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
@@ -284,7 +281,8 @@ mod tests {
                 },
             ),
         ];
-        let mut w = TraceStreamWriter::new(Vec::new(), TraceKind::Measured, 2).unwrap();
+        let mut w =
+            AnyTraceWriter::new(Vec::new(), TraceFormat::Jsonl, TraceKind::Measured, 2).unwrap();
         events.iter().for_each(|e| w.write_event(e).unwrap());
         let mut reader = AnyTraceReader::open(std::io::Cursor::new(w.finish().unwrap())).unwrap();
 

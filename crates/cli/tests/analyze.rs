@@ -28,7 +28,8 @@ fn measured_jsonl(dir: &std::path::Path, name: &str) -> PathBuf {
         .expect("valid program");
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured.jsonl");
-    ppa::trace::write_jsonl(&measured.trace, file).expect("write measured.jsonl");
+    ppa::trace::write_trace(&measured.trace, file, ppa::trace::TraceFormat::Jsonl)
+        .expect("write measured.jsonl");
     path
 }
 
@@ -60,7 +61,12 @@ fn scenario_jsonl(dir: &std::path::Path, name: &str) -> PathBuf {
     };
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create scenario trace");
-    ppa::trace::write_jsonl(&scenario_trace(1, &cfg), file).expect("write scenario trace");
+    ppa::trace::write_trace(
+        &scenario_trace(1, &cfg),
+        file,
+        ppa::trace::TraceFormat::Jsonl,
+    )
+    .expect("write scenario trace");
     path
 }
 
@@ -88,7 +94,7 @@ fn analyze_stream_matches_batch() {
         assert_eq!(report, fs::read(&flagged).unwrap(), "{tag}: report bytes");
         assert_eq!(a.stdout, b.stdout, "{tag}: stdout");
 
-        let measured = ppa::trace::read_trace(fs::File::open(input).unwrap()).unwrap();
+        let measured = ppa::trace::read_trace(fs::File::open(input).unwrap(), 0).unwrap();
         let approx = event_based(&measured, &OverheadSpec::alliant_default()).unwrap();
         let mut library = Vec::new();
         ppa::trace::write_trace(&approx.trace, &mut library, ppa::trace::TraceFormat::Jsonl)
@@ -258,7 +264,12 @@ fn analyze_summary_and_metrics_count_spills() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let write = |trace: &Trace, name: &str| {
         let path = dir.join(name);
-        ppa::trace::write_jsonl(trace, fs::File::create(&path).unwrap()).unwrap();
+        ppa::trace::write_trace(
+            trace,
+            fs::File::create(&path).unwrap(),
+            ppa::trace::TraceFormat::Jsonl,
+        )
+        .unwrap();
         path
     };
     // Two statements 1 ns apart (one approximated time, descending seq:
@@ -408,7 +419,7 @@ fn analyze_reports_malformed_line_with_exit_65() {
 /// message, as an input that does not decode is.
 #[test]
 fn analyze_errors_name_the_input() {
-    use ppa::trace::{write_jsonl, SyncTag, SyncVarId, Trace};
+    use ppa::trace::{write_trace, SyncTag, SyncVarId, Trace, TraceFormat};
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analyze_errors_name_the_input");
     fs::create_dir_all(&dir).unwrap();
     let at = |time: u64, proc: u16, seq: u64, kind| {
@@ -438,7 +449,12 @@ fn analyze_errors_name_the_input() {
         ),
     ] {
         let trace = Trace::from_events(TraceKind::Measured, events);
-        write_jsonl(&trace, fs::File::create(dir.join(name)).unwrap()).unwrap();
+        write_trace(
+            &trace,
+            fs::File::create(dir.join(name)).unwrap(),
+            TraceFormat::Jsonl,
+        )
+        .unwrap();
         let out = Command::new(env!("CARGO_BIN_EXE_ppa"))
             .current_dir(&dir)
             .args(["analyze", name])

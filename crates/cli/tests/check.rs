@@ -6,8 +6,8 @@
 
 use ppa::prelude::*;
 use ppa::trace::{
-    pair_sync_events, write_jsonl, BarrierId, Event, EventKind, LockId, SemId, SyncTag, SyncVarId,
-    TaskId, Trace,
+    pair_sync_events, write_trace, BarrierId, Event, EventKind, LockId, SemId, SyncTag, SyncVarId,
+    TaskId, Trace, TraceFormat,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,7 +32,7 @@ fn ev(time: u64, proc: u16, seq: u64, kind: EventKind) -> Event {
 fn write_fixture(dir: &Path, name: &str, kind: TraceKind, events: &[Event]) -> PathBuf {
     let sorted = Trace::from_events(kind, events.to_vec());
     let mut buf = Vec::new();
-    write_jsonl(&sorted, &mut buf).expect("serialize fixture");
+    write_trace(&sorted, &mut buf, TraceFormat::Jsonl).expect("serialize fixture");
     let text = String::from_utf8(buf).expect("jsonl is utf-8");
     let header = text.lines().next().expect("header line");
     let mut out = String::with_capacity(text.len());
@@ -73,7 +73,7 @@ fn measured_jsonl(dir: &Path, name: &str) -> PathBuf {
         .expect("valid program");
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured trace");
-    write_jsonl(&measured.trace, file).expect("write measured trace");
+    write_trace(&measured.trace, file, TraceFormat::Jsonl).expect("write measured trace");
     path
 }
 

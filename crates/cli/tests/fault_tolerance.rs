@@ -29,7 +29,8 @@ fn measured_jsonl(dir: &std::path::Path, name: &str, iters: u64) -> PathBuf {
         .expect("valid program");
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured trace");
-    ppa::trace::write_jsonl(&measured.trace, file).expect("write measured trace");
+    ppa::trace::write_trace(&measured.trace, file, ppa::trace::TraceFormat::Jsonl)
+        .expect("write measured trace");
     path
 }
 
@@ -726,7 +727,7 @@ fn resume_rejects_missing_and_corrupt_checkpoints() {
 /// perfectly periodic, so redundancy suppression collapses both
 /// processors' patterns into repeat records.
 fn periodic_lock_jsonl(dir: &std::path::Path, name: &str, rounds: u64) -> PathBuf {
-    use ppa::trace::{write_jsonl, LockId, StatementId};
+    use ppa::trace::{write_trace, LockId, StatementId, TraceFormat};
     let mut events = Vec::new();
     for r in 0..rounds {
         let t = 1_000 + r * 400;
@@ -758,7 +759,7 @@ fn periodic_lock_jsonl(dir: &std::path::Path, name: &str, rounds: u64) -> PathBu
     let trace = Trace::from_events(TraceKind::Measured, events);
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create lock trace");
-    write_jsonl(&trace, file).expect("write lock trace");
+    write_trace(&trace, file, TraceFormat::Jsonl).expect("write lock trace");
     path
 }
 

@@ -38,7 +38,8 @@ fn measured_jsonl(dir: &Path, name: &str, iters: u64) -> PathBuf {
         .expect("valid program");
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured trace");
-    ppa::trace::write_jsonl(&measured.trace, file).expect("write measured trace");
+    ppa::trace::write_trace(&measured.trace, file, ppa::trace::TraceFormat::Jsonl)
+        .expect("write measured trace");
     path
 }
 

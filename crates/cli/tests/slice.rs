@@ -6,9 +6,7 @@
 
 use ppa::prelude::*;
 use ppa::slice::SliceSpec;
-use ppa::trace::{
-    read_trace, write_binary, write_jsonl, StatementId, SyncTag, SyncVarId, TraceFormat,
-};
+use ppa::trace::{read_trace, write_trace, StatementId, SyncTag, SyncVarId, TraceFormat};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -65,8 +63,10 @@ fn synthetic_trace(n: usize) -> Trace {
 fn write_fixture(path: &Path, trace: &Trace, format: TraceFormat) {
     let file = fs::File::create(path).expect("create fixture");
     match format {
-        TraceFormat::Jsonl => write_jsonl(trace, file).expect("write fixture"),
-        TraceFormat::Binary => write_binary(trace, file).expect("write fixture"),
+        TraceFormat::Jsonl => write_trace(trace, file, TraceFormat::Jsonl).expect("write fixture"),
+        TraceFormat::Binary => {
+            write_trace(trace, file, TraceFormat::Binary).expect("write fixture")
+        }
     }
 }
 
@@ -88,7 +88,7 @@ fn measured_jsonl(dir: &Path, name: &str) -> PathBuf {
         .expect("valid program");
     let path = dir.join(name);
     let file = fs::File::create(&path).expect("create measured fixture");
-    write_jsonl(&measured.trace, file).expect("write measured fixture");
+    write_trace(&measured.trace, file, TraceFormat::Jsonl).expect("write measured fixture");
     path
 }
 
@@ -120,7 +120,7 @@ fn slice_matches_naive_filter_on_both_formats() {
         ]);
         assert!(out.status.success(), "{out:?}");
 
-        let sliced = read_trace(fs::File::open(&output).unwrap()).expect("readable slice");
+        let sliced = read_trace(fs::File::open(&output).unwrap(), 0).expect("readable slice");
         let expected: Vec<&Event> = trace.iter().filter(|e| spec.matches(e)).collect();
         assert_eq!(sliced.len(), expected.len(), "{ext}");
         for (got, want) in sliced.iter().zip(&expected) {
@@ -152,7 +152,7 @@ fn slice_identity_copies_and_converts() {
         "--force",
     ]);
     assert!(out.status.success(), "{out:?}");
-    let copied = read_trace(fs::File::open(&output).unwrap()).expect("readable copy");
+    let copied = read_trace(fs::File::open(&output).unwrap(), 0).expect("readable copy");
     assert_eq!(copied.events(), trace.events());
 }
 
@@ -203,7 +203,7 @@ fn slice_window_skips_majority_of_blocks_undecoded() {
     let out = ppa_cmd(&["check", "--slice", output.to_str().unwrap()]);
     assert!(out.status.success(), "{out:?}");
     let spec = SliceSpec::parse(&format!("window={window} procs=0..3")).unwrap();
-    let sliced = read_trace(fs::File::open(&output).unwrap()).expect("readable slice");
+    let sliced = read_trace(fs::File::open(&output).unwrap(), 0).expect("readable slice");
     let expected = trace.iter().filter(|e| spec.matches(e)).count();
     assert_eq!(sliced.len(), expected);
 }
@@ -255,7 +255,7 @@ fn slice_suppress_then_expand_round_trips() {
         !sup_line.starts_with("suppression: 0 "),
         "nothing suppressed on a periodic trace: {stdout}"
     );
-    let sup_trace = read_trace(fs::File::open(&suppressed).unwrap()).expect("readable");
+    let sup_trace = read_trace(fs::File::open(&suppressed).unwrap(), 0).expect("readable");
     assert!(sup_trace.len() < trace.len(), "no shrinkage");
 
     // A suppressed trace lints as a slice, but not as a complete trace.
@@ -273,7 +273,7 @@ fn slice_suppress_then_expand_round_trips() {
         "--force",
     ]);
     assert!(out.status.success(), "{out:?}");
-    let round = read_trace(fs::File::open(&expanded).unwrap()).expect("readable");
+    let round = read_trace(fs::File::open(&expanded).unwrap(), 0).expect("readable");
     assert_eq!(round.events(), trace.events(), "expand is not the inverse");
 }
 
@@ -363,11 +363,11 @@ fn analyze_slice_scopes_report() {
     // The slice scopes the report: the pipeline agrees with the naive
     // filter of the full report, so slicing never changes the analysis.
     let spec = SliceSpec::parse(expr).unwrap();
-    let full = read_trace(fs::File::open(&full).unwrap()).expect("readable");
+    let full = read_trace(fs::File::open(&full).unwrap(), 0).expect("readable");
     let want: Vec<&Event> = full.iter().filter(|e| spec.matches(e)).collect();
     assert!(!want.is_empty(), "degenerate slice");
     assert!(want.len() < full.len(), "slice filtered nothing");
-    let got = read_trace(fs::File::open(&sliced).unwrap()).expect("readable");
+    let got = read_trace(fs::File::open(&sliced).unwrap(), 0).expect("readable");
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, *w);
@@ -513,7 +513,7 @@ fn slice_ends_quietly_when_stdout_is_closed() {
         .output()
         .expect("run ppa slice");
     assert!(out.status.success() && out.stderr.is_empty(), "{out:?}");
-    let copied = read_trace(fs::File::open(&output).unwrap()).expect("readable copy");
+    let copied = read_trace(fs::File::open(&output).unwrap(), 0).expect("readable copy");
     assert_eq!(copied.events(), trace.events());
 }
 

@@ -495,18 +495,24 @@ mod integration {
 
             let reference = event_based_reference(&measured.trace, &cfg.overheads).unwrap();
             let mut batch_jsonl = Vec::new();
-            ppa_trace::write_jsonl(&reference.trace, &mut batch_jsonl).unwrap();
+            ppa_trace::write_trace(
+                &reference.trace,
+                &mut batch_jsonl,
+                ppa_trace::TraceFormat::Jsonl,
+            )
+            .unwrap();
 
             // Stream the measured events through the incremental engine,
             // writing approximated events as they are emitted.
             let mut analyzer = EventBasedAnalyzer::new(&cfg.overheads);
-            let mut writer = ppa_trace::TraceStreamWriter::new(
+            let mut writer = ppa_trace::AnyTraceWriter::new(
                 Vec::new(),
+                ppa_trace::TraceFormat::Jsonl,
                 ppa_trace::TraceKind::Approximated,
                 measured.trace.len(),
             )
             .unwrap();
-            let emit = |o: StreamOutput, w: &mut ppa_trace::TraceStreamWriter<Vec<u8>>| {
+            let emit = |o: StreamOutput, w: &mut ppa_trace::AnyTraceWriter<Vec<u8>>| {
                 if let StreamOutput::Event(e) = o {
                     w.write_event(&e).unwrap();
                 }

@@ -9,8 +9,8 @@
 use ppa_core::{Pipeline, PipelineConfig, Summary};
 use ppa_sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
 use ppa_trace::{
-    AnyTraceReader, BinaryTraceWriter, Event, EventKind, OverheadSpec, ProcessorId, StatementId,
-    Time, TraceFormat, TraceKind, TraceStreamWriter, DEFAULT_BLOCK_EVENTS,
+    AnyTraceReader, AnyTraceWriter, Event, EventKind, OverheadSpec, ProcessorId, StatementId, Time,
+    TraceFormat, TraceKind, DEFAULT_BLOCK_EVENTS,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
@@ -73,7 +73,13 @@ fn semaphore_input() -> (Vec<Event>, Vec<u8>) {
         ..ScenarioConfig::small(ScenarioFamily::Semaphore)
     };
     let events = scenario_trace(1991, &cfg).events().to_vec();
-    let mut w = BinaryTraceWriter::new(Vec::new(), TraceKind::Measured, events.len()).unwrap();
+    let mut w = AnyTraceWriter::new(
+        Vec::new(),
+        TraceFormat::Binary,
+        TraceKind::Measured,
+        events.len(),
+    )
+    .unwrap();
     events.iter().for_each(|e| w.write_event(e).unwrap());
     (events, w.finish().unwrap())
 }
@@ -155,7 +161,13 @@ fn one_record(count: u32) -> Vec<u8> {
             },
         ),
     ];
-    let mut w = TraceStreamWriter::new(Vec::new(), TraceKind::Measured, events.len()).unwrap();
+    let mut w = AnyTraceWriter::new(
+        Vec::new(),
+        TraceFormat::Jsonl,
+        TraceKind::Measured,
+        events.len(),
+    )
+    .unwrap();
     events.iter().for_each(|e| w.write_event(e).unwrap());
     w.finish().unwrap()
 }

@@ -62,7 +62,8 @@ fn measured_jsonl(dir: &Path, name: &str, iters: u64) -> PathBuf {
         .expect("valid program");
     let path = dir.join(name);
     let file = File::create(&path).expect("create measured trace");
-    ppa_trace::write_jsonl(&measured.trace, file).expect("write measured trace");
+    ppa_trace::write_trace(&measured.trace, file, TraceFormat::Jsonl)
+        .expect("write measured trace");
     path
 }
 

@@ -9,7 +9,8 @@
 
 use ppa_slice::{slice_stream, SliceOptions, SliceProbes, SliceSpec, FIFO_BOUND};
 use ppa_trace::{
-    AnyTraceReader, BinaryTraceWriter, Event, EventKind, ProcessorId, StatementId, Time, TraceKind,
+    AnyTraceReader, AnyTraceWriter, Event, EventKind, ProcessorId, StatementId, Time, TraceFormat,
+    TraceKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,7 +65,13 @@ fn the_suppressed_tail_streams_into_the_sink() {
             Event::new(Time::from_nanos(i * 100), ProcessorId(proc), i, kind)
         })
         .collect();
-    let mut w = BinaryTraceWriter::new(Vec::new(), TraceKind::Measured, events.len()).unwrap();
+    let mut w = AnyTraceWriter::new(
+        Vec::new(),
+        TraceFormat::Binary,
+        TraceKind::Measured,
+        events.len(),
+    )
+    .unwrap();
     events.iter().for_each(|e| w.write_event(e).unwrap());
     let input = w.finish().unwrap();
     let mut reader = AnyTraceReader::open(&input[..]).unwrap();

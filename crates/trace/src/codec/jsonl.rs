@@ -21,9 +21,9 @@
 //! in order. The kind list itself lives there, not here.
 //!
 //! `decode_event` answers `None` for every other line, valid JSON or
-//! not. The chunk decoder ([`decode_lines`], which the
-//! [`TraceStreamReader`](crate::TraceStreamReader) runs on every chunk
-//! of lines) then hands that line to `serde_json::from_str`, which
+//! not. The chunk decoder ([`decode_lines`], which
+//! [`AnyTraceReader`](crate::AnyTraceReader) runs on every chunk of JSONL
+//! lines) then hands that line to `serde_json::from_str`, which
 //! either reads it (reordered keys, whitespace, `5.0`, escapes in a
 //! name) or produces the error message. Which decoder a line gets
 //! therefore depends on the line alone. The serde derive on [`Event`]
@@ -471,7 +471,7 @@ mod tests {
 
     use super::*;
     use crate::io::IoError;
-    use crate::stream::TraceStreamReader;
+    use crate::AnyTraceReader;
     use proptest::prelude::*;
     use serde_json::Value;
 
@@ -495,13 +495,13 @@ mod tests {
         }
     }
 
-    /// What [`TraceStreamReader`] makes of `bytes` as all that follows a
+    /// What [`AnyTraceReader`] makes of `bytes` as all that follows a
     /// header.
     fn through_reader(bytes: &[u8]) -> Option<Result<Event, String>> {
         let mut input = br#"{"format":"ppa-trace-v1","kind":"Measured","events":0}"#.to_vec();
         input.push(b'\n');
         input.extend_from_slice(bytes);
-        match TraceStreamReader::new(input.as_slice()).unwrap().next() {
+        match AnyTraceReader::open(input.as_slice()).unwrap().next() {
             None => None,
             Some(Ok(event)) => Some(Ok(event)),
             Some(Err(IoError::Parse { line: 2, message })) => Some(Err(message)),

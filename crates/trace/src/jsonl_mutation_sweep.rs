@@ -8,7 +8,7 @@
 //! lines, no final newline, a header announcing 0, brackets nested
 //! 100 000 deep, a resume skip). Each input is decoded strict and
 //! lenient with 0, 1 and 3 decode workers, the chunks cut small (through
-//! the crate-private [`TraceStreamReader::with_chunk_bytes`]) so that
+//! the crate-private [`AnyTraceReader::open_chunked`]) so that
 //! lines straddle chunk boundaries. For every input: no panic; the same
 //! events, error text, gaps and `events_lost()` after every step at
 //! every worker count, and the same as a reference that reads the lines
@@ -17,9 +17,9 @@
 //! [`ALLOC_ALLOWANCE`].
 
 use crate::{
-    Event, EventKind, GapCause, IoError, LockId, LoopId, ProcessorId, SemId, StatementId,
-    StreamProbes, SyncTag, SyncVarId, TaskId, Time, TraceGap, TraceKind, TraceStreamReader,
-    TraceStreamWriter,
+    AnyTraceReader, AnyTraceWriter, Event, EventKind, GapCause, IoError, LockId, LoopId,
+    ProcessorId, SemId, StatementId, StreamProbes, SyncTag, SyncVarId, TaskId, Time, TraceFormat,
+    TraceGap, TraceKind,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -111,7 +111,7 @@ fn decode(
     skip: u64,
 ) -> (Outcome, usize) {
     largest::of(|| {
-        match TraceStreamReader::with_chunk_bytes(bytes, workers, chunk, StreamProbes::noop()) {
+        match AnyTraceReader::open_chunked(bytes, workers, StreamProbes::noop(), chunk) {
             Err(_) => Outcome {
                 expected: None,
                 events: Vec::new(),
@@ -263,7 +263,7 @@ fn check(what: &str, bytes: &[u8], chunk: usize, skip: u64) {
 }
 
 /// Twelve events of mixed kinds, negative and multi-digit fields among
-/// them, as `TraceStreamWriter` prints them.
+/// them, as `AnyTraceWriter` prints them.
 fn mixed() -> Vec<u8> {
     let kinds = [
         EventKind::ProgramBegin,
@@ -299,7 +299,13 @@ fn mixed() -> Vec<u8> {
         },
         EventKind::ProgramEnd,
     ];
-    let mut w = TraceStreamWriter::new(Vec::new(), TraceKind::Measured, kinds.len()).unwrap();
+    let mut w = AnyTraceWriter::new(
+        Vec::new(),
+        TraceFormat::Jsonl,
+        TraceKind::Measured,
+        kinds.len(),
+    )
+    .unwrap();
     for (i, kind) in kinds.into_iter().enumerate() {
         let i = i as u64;
         let time = Time::from_nanos(1_000_000_007 * i);
@@ -417,4 +423,92 @@ fn a_header_announcing_zero_reads_every_event_and_no_truncation() {
             short.gaps
         );
     }
+}
+
+#[test]
+fn a_line_longer_than_max_line_len_is_damage_read_in_bounded_memory() {
+    use crate::stream::CHUNK_BYTES;
+    use crate::MAX_LINE_LEN;
+    let text = String::from_utf8(mixed()).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    // The third event line (line 4) becomes three times the longest line
+    // a reader takes: it is a gap, and the nine events after it follow.
+    let long = "x".repeat(3 * MAX_LINE_LEN);
+    let mut wrecked = lines.clone();
+    wrecked[3] = &long;
+    let wrecked = wrecked.join("\n") + "\n";
+    // The same line with no newline after it, at the end of input.
+    let endless = lines[..3].join("\n") + "\n" + &long;
+    // The longest line taken whole, and the shortest one refused.
+    let widest = lines[3].to_string() + &" ".repeat(MAX_LINE_LEN - lines[3].len());
+    let too_wide = format!("{widest} ");
+    let bound = 2 * (MAX_LINE_LEN + CHUNK_BYTES) + ALLOC_ALLOWANCE;
+    let message = format!("line longer than {MAX_LINE_LEN} bytes");
+    let too_long = IoError::Parse { line: 4, message }.to_string();
+    let overlong_gap = gap(4, 1, GapCause::MalformedLine);
+    for workers in WORKERS {
+        let run = |bytes: &str, lenient: bool| {
+            let (outcome, largest) = decode(bytes.as_bytes(), workers, CHUNK_BYTES, lenient, 0);
+            assert!(
+                largest <= bound,
+                "workers = {workers}, lenient {lenient}: a {largest}-byte allocation (bound {bound})"
+            );
+            outcome
+        };
+        let strict = run(&wrecked, false);
+        assert_eq!(strict.events.len(), 2, "workers = {workers}");
+        assert_eq!(
+            strict.error.as_ref(),
+            Some(&too_long),
+            "workers = {workers}"
+        );
+        let lenient = run(&wrecked, true);
+        assert_eq!(lenient.events.len(), 11, "workers = {workers}");
+        assert_eq!(lenient.error, None, "workers = {workers}");
+        assert_eq!(
+            lenient.gaps,
+            std::slice::from_ref(&overlong_gap),
+            "workers = {workers}"
+        );
+        assert_eq!(lenient.lost.last(), Some(&1), "workers = {workers}");
+        assert_eq!(
+            lenient,
+            reference(wrecked.as_bytes(), 12, true, 0),
+            "workers = {workers}: serde's reader loses the same line"
+        );
+
+        // A resume seek passes over the line as the position it is.
+        for lenient in [false, true] {
+            let (resumed, _) = decode(wrecked.as_bytes(), workers, CHUNK_BYTES, lenient, 3);
+            let expected = reference(wrecked.as_bytes(), 12, lenient, 3);
+            assert_eq!(resumed, expected, "workers = {workers}, lenient {lenient}");
+        }
+
+        let strict = run(&endless, false);
+        assert_eq!(strict.events.len(), 2, "workers = {workers}");
+        assert_eq!(
+            strict.error.as_ref(),
+            Some(&too_long),
+            "workers = {workers}"
+        );
+        let lenient = run(&endless, true);
+        assert_eq!(lenient.events.len(), 2, "workers = {workers}");
+        let rest = gap(5, 9, GapCause::TruncatedStream);
+        assert_eq!(
+            lenient.gaps,
+            [overlong_gap.clone(), rest],
+            "workers = {workers}"
+        );
+
+        for (line, error) in [(&widest, None), (&too_wide, Some(&too_long))] {
+            let mut input = lines.clone();
+            input[3] = line;
+            let outcome = run(&(input.join("\n") + "\n"), false);
+            assert_eq!(outcome.error.as_ref(), error, "workers = {workers}");
+        }
+    }
+    // A header line longer than the limit is no header.
+    let header = lines[0].to_string() + &" ".repeat(MAX_LINE_LEN + 1 - lines[0].len()) + "\n";
+    let (outcome, _) = decode(header.as_bytes(), 0, CHUNK_BYTES, true, 0);
+    assert_eq!(outcome.expected, None);
 }

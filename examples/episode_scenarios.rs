@@ -8,7 +8,8 @@
 
 use ppa::sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
 use ppa::trace::{
-    write_jsonl, Event, EventKind, LockId, ProcessorId, StatementId, Time, Trace, TraceKind,
+    write_trace, Event, EventKind, LockId, ProcessorId, StatementId, Time, Trace, TraceFormat,
+    TraceKind,
 };
 
 fn main() {
@@ -16,7 +17,7 @@ fn main() {
         let trace = scenario_trace(0xE9150DE, &ScenarioConfig::small(family));
         let path = format!("/tmp/ppa_scenario_{family}.jsonl");
         let file = std::fs::File::create(&path).expect("create scenario fixture");
-        write_jsonl(&trace, file).expect("write scenario fixture");
+        write_trace(&trace, file, TraceFormat::Jsonl).expect("write scenario fixture");
         println!("{path}: {} events over {}", trace.len(), trace.total_time());
     }
 
@@ -51,6 +52,6 @@ fn main() {
     let trace = Trace::from_events(TraceKind::Measured, events);
     let path = "/tmp/ppa_lock_periodic.jsonl";
     let file = std::fs::File::create(path).expect("create periodic lock fixture");
-    write_jsonl(&trace, file).expect("write periodic lock fixture");
+    write_trace(&trace, file, TraceFormat::Jsonl).expect("write periodic lock fixture");
     println!("{path}: {} events over {}", trace.len(), trace.total_time());
 }

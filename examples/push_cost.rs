@@ -18,14 +18,13 @@
 //!
 //! A second table prices the codecs the same way over the same traces,
 //! in memory and on the caller's thread: nanoseconds per line to decode
-//! JSONL ([`TraceStreamReader`], one `next()` per event) and to encode
-//! it ([`TraceStreamWriter`]), and per event for the binary format
-//! ([`BinaryTraceReader`], [`BinaryTraceWriter`]). A decode figure
-//! includes the chunk or block decode its first event triggers.
+//! JSONL ([`AnyTraceReader`], one `next()` per event) and to encode it
+//! ([`AnyTraceWriter`]), and per event for the binary format. A decode
+//! figure includes the chunk or block decode its first event triggers.
 
 use ppa::prelude::*;
 use ppa::sim::{scenario_trace, ScenarioConfig, ScenarioFamily};
-use ppa::trace::{BinaryTraceReader, BinaryTraceWriter, TraceStreamReader, TraceStreamWriter};
+use ppa::trace::{AnyTraceReader, AnyTraceWriter, TraceFormat};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -166,14 +165,16 @@ fn codec_rows(events: &[Event], passes: usize, timer: f64) -> Vec<(&'static str,
     let n = events.len();
     let kind = TraceKind::Measured;
     let jsonl = {
-        let mut w = TraceStreamWriter::new(Vec::new(), kind, n).expect("writes to memory");
+        let mut w =
+            AnyTraceWriter::new(Vec::new(), TraceFormat::Jsonl, kind, n).expect("writes to memory");
         events
             .iter()
             .for_each(|e| w.write_event(e).expect("writes to memory"));
         w.finish().expect("writes to memory")
     };
     let bin = {
-        let mut w = BinaryTraceWriter::new(Vec::new(), kind, n).expect("writes to memory");
+        let mut w = AnyTraceWriter::new(Vec::new(), TraceFormat::Binary, kind, n)
+            .expect("writes to memory");
         events
             .iter()
             .for_each(|e| w.write_event(e).expect("writes to memory"));
@@ -181,13 +182,14 @@ fn codec_rows(events: &[Event], passes: usize, timer: f64) -> Vec<(&'static str,
     };
     let codecs: [(&str, &dyn Fn(bool) -> u128); 4] = [
         ("jsonl-dec", &|timed| {
-            let mut r = TraceStreamReader::new(jsonl.as_slice()).expect("decodes");
+            let mut r = AnyTraceReader::open(jsonl.as_slice()).expect("decodes");
             codec_pass(n, timed, || {
                 black_box(r.next());
             })
         }),
         ("jsonl-enc", &|timed| {
-            let mut w = TraceStreamWriter::new(Vec::new(), kind, n).expect("writes to memory");
+            let mut w = AnyTraceWriter::new(Vec::new(), TraceFormat::Jsonl, kind, n)
+                .expect("writes to memory");
             let mut it = events.iter();
             let ns = codec_pass(n, timed, || {
                 w.write_event(it.next().expect("n events"))
@@ -197,13 +199,14 @@ fn codec_rows(events: &[Event], passes: usize, timer: f64) -> Vec<(&'static str,
             ns
         }),
         ("bin-dec", &|timed| {
-            let mut r = BinaryTraceReader::new(bin.as_slice(), 0).expect("decodes");
+            let mut r = AnyTraceReader::open(bin.as_slice()).expect("decodes");
             codec_pass(n, timed, || {
                 black_box(r.next());
             })
         }),
         ("bin-enc", &|timed| {
-            let mut w = BinaryTraceWriter::new(Vec::new(), kind, n).expect("writes to memory");
+            let mut w = AnyTraceWriter::new(Vec::new(), TraceFormat::Binary, kind, n)
+                .expect("writes to memory");
             let mut it = events.iter();
             let ns = codec_pass(n, timed, || {
                 w.write_event(it.next().expect("n events"))

@@ -7,7 +7,7 @@
 
 use ppa::experiments::experiment_config;
 use ppa::prelude::*;
-use ppa::trace::{read_jsonl, write_csv, write_jsonl};
+use ppa::trace::{read_trace, write_csv, write_trace, TraceFormat};
 
 fn main() {
     let cfg = experiment_config();
@@ -41,9 +41,10 @@ fn main() {
     let dir = std::env::temp_dir();
     let jsonl_path = dir.join("ppa_trace_explorer.jsonl");
     let csv_path = dir.join("ppa_trace_explorer.csv");
-    write_jsonl(
+    write_trace(
         &trace,
         std::fs::File::create(&jsonl_path).expect("create file"),
+        TraceFormat::Jsonl,
     )
     .expect("write jsonl");
     write_csv(
@@ -52,7 +53,7 @@ fn main() {
     )
     .expect("write csv");
     let reloaded =
-        read_jsonl(std::fs::File::open(&jsonl_path).expect("open file")).expect("read jsonl");
+        read_trace(std::fs::File::open(&jsonl_path).expect("open file"), 0).expect("read jsonl");
     assert_eq!(trace, reloaded, "JSONL round-trip is lossless");
     println!(
         "\nwrote {} and {}",

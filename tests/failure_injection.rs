@@ -239,13 +239,13 @@ fn builder_rejects_deadlocking_shapes() {
 
 #[test]
 fn io_rejects_corrupt_files() {
-    use ppa::trace::read_jsonl;
-    assert!(read_jsonl(&b""[..]).is_err());
-    assert!(read_jsonl(&b"not json at all\n"[..]).is_err());
+    use ppa::trace::read_trace;
+    assert!(read_trace(&b""[..], 0).is_err());
+    assert!(read_trace(&b"not json at all\n"[..], 0).is_err());
     let bad_body = br#"{"format":"ppa-trace-v1","kind":"Measured","events":1}
 {"broken": true}
 "#;
-    assert!(read_jsonl(&bad_body[..]).is_err());
+    assert!(read_trace(&bad_body[..], 0).is_err());
 }
 
 #[test]
