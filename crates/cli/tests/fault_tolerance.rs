@@ -889,8 +889,8 @@ fn resume_from_future_snapshot_version_exits_65_with_named_error() {
     // Forward-version fixture: bump the snapshot version byte (offset 8,
     // right after the PPACKPT2 magic) to one this reader does not know.
     let mut bytes = fs::read(&ckpt).expect("read checkpoint");
-    assert_eq!(bytes[8], 2, "snapshot version byte moved?");
-    bytes[8] = 3;
+    assert_eq!(bytes[8], 3, "snapshot version byte moved?");
+    bytes[8] = 4;
     fs::write(&ckpt, &bytes).expect("write future checkpoint");
 
     let out = ppa_cmd(
@@ -907,7 +907,7 @@ fn resume_from_future_snapshot_version_exits_65_with_named_error() {
     assert_eq!(out.status.code(), Some(65), "{:?}", out);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("snapshot version 3 is newer than the supported version 2"),
+        stderr.contains("snapshot version 4 is newer than the supported version 3"),
         "stderr: {stderr}"
     );
 }

@@ -69,13 +69,15 @@ pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"PPACKPT2";
 ///
 /// The container layout (record chain, CRCs) is versioned by the magic;
 /// this byte versions the *analyzer state schema* inside the payloads.
-/// Version 2 added lock/semaphore/fork-join episode state. A reader
+/// Version 2 added lock/semaphore/fork-join episode state; version 3
+/// carries that state as the rulebook's own tracker and the pending
+/// validation error as one ranked error. A reader
 /// refuses newer versions with the typed
 /// [`CheckpointError::FutureVersion`] — resuming through a schema it
 /// cannot represent would silently drop analysis state — and refuses
 /// older ones (including pre-versioned chains, whose first byte is the
 /// `0` full-record kind) as stale.
-pub const SNAPSHOT_VERSION: u8 = 2;
+pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// Default number of delta records appended before
 /// [`DeltaCheckpointWriter`] compacts the file back to one full
@@ -386,8 +388,8 @@ fn check_snapshot_version(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
             supported: SNAPSHOT_VERSION,
         }),
         Some(v) if v < SNAPSHOT_VERSION => Err(CheckpointError::Corrupt(format!(
-            "snapshot version {v} predates the episode-aware analyzer state: \
-             restart the stream to write a fresh checkpoint"
+            "snapshot version {v} predates this analyzer's state schema \
+             (version {SNAPSHOT_VERSION}): restart the stream to write a fresh checkpoint"
         ))),
         Some(_) => Ok(&bytes[9..]),
     }

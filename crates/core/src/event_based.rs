@@ -157,15 +157,6 @@ impl EventBasedResult {
             .map(|b| b.wait)
             .sum()
     }
-
-    /// Total approximated lock/semaphore/task blocking on one processor.
-    pub fn episode_wait(&self, proc: ProcessorId) -> Span {
-        self.episodes
-            .iter()
-            .filter(|e| e.proc == proc)
-            .map(|e| e.wait)
-            .sum()
-    }
 }
 
 /// How each event's approximate time is anchored.
@@ -1048,8 +1039,6 @@ mod tests {
         assert_eq!((b.family, b.proc), (EpisodeFamily::Lock, ProcessorId(1)));
         assert_eq!((b.ready.as_nanos(), b.end.as_nanos()), (80, 160));
         assert_eq!(b.wait, Span::from_nanos(70));
-        assert_eq!(r.episode_wait(ProcessorId(1)), Span::from_nanos(70));
-        assert_eq!(r.episode_wait(ProcessorId(0)), Span::ZERO);
         // P1's release chains from the delayed acquire.
         let p1_rel = r
             .trace
@@ -1242,8 +1231,10 @@ mod tests {
         assert!(r.episodes.iter().all(|e| !e.waited()));
     }
 
-    /// Episode protocol errors defer to `finish` and match the batch
-    /// validator's choice, including the end-of-trace checks.
+    /// Episode and barrier protocol errors defer to `finish` and match
+    /// the batch validator's choice, including the end-of-trace checks
+    /// and errors of different ranks in one trace — also when the stream
+    /// is cut anywhere and resumed from a snapshot.
     #[test]
     fn episode_errors_match_batch_precedence() {
         let cases: Vec<Trace> = vec![
@@ -1281,15 +1272,97 @@ mod tests {
                 .at(20)
                 .task_fork(2)
                 .build(),
+            // Barrier exit with no enter.
+            TraceBuilder::measured()
+                .on(0)
+                .at(10)
+                .barrier_exit(0)
+                .build(),
+            // Double exit.
+            TraceBuilder::measured()
+                .on(0)
+                .at(10)
+                .barrier_enter(0)
+                .on(1)
+                .at(20)
+                .barrier_enter(0)
+                .on(0)
+                .at(30)
+                .barrier_exit(0)
+                .at(40)
+                .barrier_exit(0)
+                .build(),
+            // An enter after the episode's first exit.
+            TraceBuilder::measured()
+                .on(0)
+                .at(10)
+                .barrier_enter(0)
+                .on(1)
+                .at(20)
+                .barrier_enter(0)
+                .on(0)
+                .at(30)
+                .barrier_exit(0)
+                .on(2)
+                .at(40)
+                .barrier_enter(0)
+                .on(1)
+                .at(50)
+                .barrier_exit(0)
+                .on(2)
+                .at(60)
+                .barrier_exit(0)
+                .build(),
+            // Arity mismatch at the end.
+            TraceBuilder::measured()
+                .on(0)
+                .at(10)
+                .barrier_enter(1)
+                .on(1)
+                .at(20)
+                .barrier_enter(1)
+                .on(0)
+                .at(30)
+                .barrier_exit(1)
+                .build(),
+            // An episode error, then a barrier error: the barrier's wins.
+            TraceBuilder::measured()
+                .on(0)
+                .at(10)
+                .lock_release(0)
+                .on(1)
+                .at(20)
+                .barrier_exit(3)
+                .build(),
+            // A barrier error, then a nested await: the await's wins.
+            TraceBuilder::measured()
+                .on(0)
+                .at(10)
+                .barrier_exit(3)
+                .on(1)
+                .at(20)
+                .await_begin(0, 0)
+                .at(30)
+                .await_begin(0, 1)
+                .build(),
         ];
+        let oh = OverheadSpec::ZERO;
         for t in cases {
-            let batch = event_based_reference(&t, &OverheadSpec::ZERO).unwrap_err();
-            let mut analyzer = EventBasedAnalyzer::new(&OverheadSpec::ZERO);
-            for e in t.iter() {
-                analyzer.push(*e).unwrap();
+            let batch = format!("{}", event_based_reference(&t, &oh).unwrap_err());
+            for cut in 0..=t.len() {
+                let mut analyzer = EventBasedAnalyzer::new(&oh);
+                for e in t.iter().take(cut) {
+                    analyzer.push(*e).unwrap();
+                }
+                let json = serde_json::to_string(&analyzer.snapshot()).unwrap();
+                let mut analyzer =
+                    EventBasedAnalyzer::restore(&serde_json::from_str(&json).unwrap());
+                for e in t.iter().skip(cut) {
+                    analyzer.push(*e).unwrap();
+                }
+                let streamed = analyzer.finish().unwrap_err();
+                assert_eq!(format!("{streamed}"), batch, "cut at {cut}");
             }
-            let streamed = analyzer.finish().unwrap_err();
-            assert_eq!(format!("{streamed}"), format!("{batch}"));
         }
     }
 

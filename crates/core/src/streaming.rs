@@ -31,8 +31,8 @@
 //!   whose episode is still open — each holding the unresolved
 //!   dependencies that will wake it;
 //! - a small reorder buffer of resolved events not yet safe to emit;
-//! - per semaphore, the V's no P has consumed yet (consumed ones are
-//!   dropped as they are consumed).
+//! - the sync-protocol rulebook's open barrier, lock, semaphore and
+//!   fork/join state (per semaphore, the V's no P has consumed yet).
 //!
 //! Emission is watermark-driven: a resolved event leaves the buffer once
 //! every event that could still resolve earlier provably cannot precede
@@ -86,6 +86,22 @@
 //!   sorted and de-duplicated once per delta; a run that never
 //!   checkpoints records nothing.
 //!
+//! # One rulebook
+//!
+//! Which barrier, lock, semaphore or fork/join event pairs with which,
+//! and which breaks a rule, is decided by
+//! [`EpisodeTracker`](ppa_trace::EpisodeTracker), the same rules
+//! [`pair_sync_events`](ppa_trace::pair_sync_events) and `ppa check`
+//! read through [`SyncTracker`](ppa_trace::SyncTracker). The analyzer
+//! keeps only what resolution needs beside it: each barrier episode's
+//! enters, exits and their approximated times, the enabling events'
+//! times, and each open spawn. Advance/await pairing stays here: the
+//! advance table is both its state and the resolution's waiter slots,
+//! and a second copy of the one table that grows with the trace would
+//! cost memory for nothing. A rule broken anywhere becomes one pending
+//! [`TraceError`], kept by its rank
+//! ([`TraceError::note`](ppa_trace::TraceError::note)).
+//!
 //! What leaves the fast structures is counted ([`SpillCounts`],
 //! `ppa_emit_spill_total`, `ppa_advance_spill_total`): a handful or zero
 //! on well-formed traces, and the first thing to look at on a slow run.
@@ -97,8 +113,8 @@ use crate::event_based::{AwaitOutcome, BarrierOutcome, EpisodeOutcome};
 use crate::floors::Floors;
 use ppa_obs::{Counter, Gauge, Registry};
 use ppa_trace::{
-    BarrierId, EpisodeFamily, Event, EventKind, LockId, OverheadSpec, ProcessorId, SemId, Span,
-    SyncTag, SyncVarId, TaskId, Time, TraceError,
+    BarrierId, EpisodeFamily, EpisodeTracker, Event, EventKind, OverheadSpec, Pairing, ProcessorId,
+    Span, SyncTag, SyncVarId, Time, TraceError,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -267,7 +283,8 @@ pub(crate) struct ResidentTables {
     pub(crate) advances: usize,
     /// Parked nodes, the resolution queue and the nodes' spare vectors.
     pub(crate) parked: usize,
-    /// Barrier episodes and the lock, semaphore and task tables.
+    /// Barrier episodes, the rulebook's tracker, the enabling events and
+    /// the open spawns.
     pub(crate) episodes: usize,
     /// The watermark floor heaps.
     pub(crate) floors: usize,
@@ -602,76 +619,21 @@ struct LoopAnchor {
     ta: Option<Time>,
 }
 
-/// Per-lock scan state (the streaming twin of the batch validator's).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LockSt {
-    holder: Option<ProcessorId>,
-    /// Arrival index of the lock's latest release — the enabling event of
-    /// the next acquire.
-    last_release: Option<usize>,
-}
-
-/// Per-semaphore scan state: V's in arrival order, consumed FIFO.
-/// `releases[acquired..]` are the outstanding V's; the consumed prefix is
-/// dropped as soon as it is at least as long as what is outstanding, so
-/// the state is O(outstanding V's), not O(V's in the trace). (A snapshot
-/// written before the prefix was trimmed restores as it is and trims at
-/// its next P.)
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct SemSt {
-    releases: Vec<usize>,
-    acquired: usize,
-}
-
-impl SemSt {
-    /// The next unconsumed V's arrival index, if the count is positive.
-    fn pop_release(&mut self) -> Option<usize> {
-        let d = self.releases.get(self.acquired).copied()?;
-        self.acquired += 1;
-        if self.acquired * 2 >= self.releases.len() {
-            // Moves at most `acquired` survivors: amortized O(1) per P.
-            self.releases.drain(..self.acquired);
-            self.acquired = 0;
-        }
-        Some(d)
-    }
-}
-
-/// Per-task scan state across the four-event fork/join protocol
-/// (spawn, child begin, child end, parent join-return).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TaskSt {
-    spawn_id: usize,
-    spawn_tm: Time,
-    /// Set (and registered as a watermark floor) when the spawn resolves;
-    /// the floor's ownership transfers to the child's begin fork.
-    spawn_ta: Option<Time>,
-    spawn_proc: ProcessorId,
-    /// Set by the child's begin fork.
-    child_proc: Option<ProcessorId>,
-    /// Arrival index of the child's end join, once seen.
-    end_id: Option<usize>,
-    end_proc: Option<ProcessorId>,
-    /// Processor of the latest fork/join touching this task — the batch
-    /// validator's open-task error attribution.
-    last_proc: ProcessorId,
-}
-
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct EnterRec {
     id: usize,
     proc: ProcessorId,
-    key: (Time, u64, ProcessorId),
     ta: Option<Time>,
 }
 
-/// One barrier episode in flight.
+/// One barrier episode in flight: the resolution state of the events
+/// the rulebook paired into it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Episode {
     barrier: BarrierId,
     enters: Vec<EnterRec>,
-    exits: Vec<(usize, ProcessorId)>,
-    first_exit_key: Option<(Time, u64, ProcessorId)>,
+    /// Arrival indices of the exits.
+    exits: Vec<usize>,
     /// Enters whose approximated time is still unknown.
     unresolved_enters: usize,
     /// All exits have arrived; resolves when `unresolved_enters == 0`.
@@ -696,10 +658,7 @@ pub struct AnalyzerSnapshot {
     last_key: Option<(Time, u64, ProcessorId)>,
     last_tm: Time,
     serial_proc: Option<ProcessorId>,
-    fatal: Option<TraceError>,
-    scan_error: Option<TraceError>,
-    barrier_error: Option<TraceError>,
-    episode_error: Option<TraceError>,
+    error: Option<TraceError>,
     procs: Vec<Option<ProcState>>,
     /// The advance table, packed as flat quads
     /// `[var, zigzag(tag), id, ta_nanos + 1 (0 = unresolved)]`. This is
@@ -715,11 +674,9 @@ pub struct AnalyzerSnapshot {
     next_ep_uid: u64,
     parked: Vec<(usize, Node)>,
     awaiting_advance: Vec<((SyncVarId, SyncTag), Vec<usize>)>,
-    locks: Vec<(LockId, LockSt)>,
-    sems: Vec<(SemId, SemSt)>,
-    tasks: Vec<(TaskId, TaskSt)>,
+    tracker: EpisodeTracker<usize>,
     dep_ta: Vec<(usize, Option<Time>)>,
-    spawn_watch: Vec<(usize, TaskId)>,
+    spawns: Vec<(usize, (Time, Option<Time>))>,
     anchors: Vec<(Time, u32)>,
     buffer: Vec<EmitEntry>,
     out: Vec<StreamOutput>,
@@ -819,11 +776,11 @@ pub struct EventBasedAnalyzer {
     last_tm: Time,
     serial_proc: Option<ProcessorId>,
 
-    // Deferred errors, in batch-validator precedence order.
-    fatal: Option<TraceError>,
-    scan_error: Option<TraceError>,
-    barrier_error: Option<TraceError>,
-    episode_error: Option<TraceError>,
+    /// The error that decides the trace so far, kept by
+    /// [`TraceError::note`]'s rank rule. A broken total order (rank 0)
+    /// fails every later push; a scan error (rank 1) freezes the scan;
+    /// from any error on, nothing resolves.
+    error: Option<TraceError>,
 
     // Validation (scan) state.
     procs: Vec<Option<ProcState>>,
@@ -845,8 +802,8 @@ pub struct EventBasedAnalyzer {
     /// Ends the advance this push inserted took from its slot, for the
     /// resolution step to wake.
     woken: Vec<usize>,
-    /// The waiting ends as they stood when the first barrier or episode
-    /// error stopped resolution. From then on an arriving advance still
+    /// The waiting ends as they stood when the first error stopped
+    /// resolution. From then on an arriving advance still
     /// clears its tag's `MissingAdvance` candidates from the table, but
     /// nothing wakes the ends it would have woken, and the snapshot's
     /// `awaiting_advance` keeps showing them.
@@ -855,6 +812,11 @@ pub struct EventBasedAnalyzer {
     // Structure state.
     latest_lb: Option<LoopAnchor>,
 
+    /// The barrier, lock, semaphore and fork/join rulebook, stamped
+    /// with arrival indices: which event pairs with which, and which
+    /// breaks a rule.
+    tracker: EpisodeTracker<usize>,
+
     // Barrier episodes.
     episodes: FxMap<u64, Episode>,
     open_by_barrier: BTreeMap<BarrierId, u64>,
@@ -862,16 +824,13 @@ pub struct EventBasedAnalyzer {
     next_ep_uid: u64,
 
     // Lock, semaphore, and fork/join episodes.
-    locks: BTreeMap<LockId, LockSt>,
-    sems: BTreeMap<SemId, SemSt>,
-    tasks: BTreeMap<TaskId, TaskSt>,
     /// Resolved times of live enabling events (releases, V's, child
     /// ends), removed when the blocked side consumes them.
     dep_ta: FxMap<usize, Option<Time>>,
     /// Open spawns (a task's first fork) awaiting the child's begin, by
-    /// arrival index: the spawn's resolved time is held as a watermark
-    /// floor until the child's fork takes ownership of it.
-    spawn_watch: FxMap<usize, TaskId>,
+    /// arrival index: `(tm, ta)`. The spawn's resolved time is held as a
+    /// watermark floor until the child's fork takes ownership of it.
+    spawns: FxMap<usize, (Time, Option<Time>)>,
 
     // Dataflow resolution.
     parked: FxMap<usize, Node>,
@@ -940,10 +899,7 @@ impl EventBasedAnalyzer {
             last_key: None,
             last_tm: Time::ZERO,
             serial_proc: None,
-            fatal: None,
-            scan_error: None,
-            barrier_error: None,
-            episode_error: None,
+            error: None,
             procs: Vec::new(),
             seen_procs: Vec::new(),
             advances: AdvanceTable::default(),
@@ -951,15 +907,13 @@ impl EventBasedAnalyzer {
             woken: Vec::new(),
             frozen_awaiting: None,
             latest_lb: None,
+            tracker: EpisodeTracker::default(),
             episodes: FxMap::default(),
             open_by_barrier: BTreeMap::new(),
             ep_of_enter: FxMap::default(),
             next_ep_uid: 0,
-            locks: BTreeMap::new(),
-            sems: BTreeMap::new(),
-            tasks: BTreeMap::new(),
             dep_ta: FxMap::default(),
-            spawn_watch: FxMap::default(),
+            spawns: FxMap::default(),
             parked: FxMap::default(),
             floors: Floors::default(),
             buffer: EmitLanes::default(),
@@ -1028,7 +982,6 @@ impl EventBasedAnalyzer {
             .values()
             .map(|ep| vec_bytes(&ep.enters) + vec_bytes(&ep.exits) + vec_bytes(&ep.anchors))
             .sum();
-        let sems: usize = self.sems.values().map(|s| vec_bytes(&s.releases)).sum();
         let spares: usize = self.spare_anchors.iter().map(vec_bytes).sum::<usize>()
             + self.spare_waiters.iter().map(vec_bytes).sum::<usize>();
         ResidentTables {
@@ -1045,12 +998,9 @@ impl EventBasedAnalyzer {
                 + episodes
                 + btree_bytes(&self.open_by_barrier)
                 + map_bytes(&self.ep_of_enter)
-                + btree_bytes(&self.locks)
-                + btree_bytes(&self.sems)
-                + sems
-                + btree_bytes(&self.tasks)
+                + self.tracker.heap_bytes()
                 + map_bytes(&self.dep_ta)
-                + map_bytes(&self.spawn_watch),
+                + map_bytes(&self.spawns),
             floors: self.floors.resident_bytes(),
             out: self.out.capacity() * std::mem::size_of::<StreamOutput>(),
             procs: vec_bytes(&self.procs) + vec_bytes(&self.seen_procs),
@@ -1096,7 +1046,7 @@ impl EventBasedAnalyzer {
 
     /// The analysis half of a push: everything but the drain.
     fn analyze(&mut self, event: Event) -> Result<(), AnalysisError> {
-        if let Some(e) = &self.fatal {
+        if let Some(e) = self.error.as_ref().filter(|e| e.precedence() == 0) {
             return Err(e.clone().into());
         }
         if matches!(event.kind, EventKind::Repeat { .. }) {
@@ -1121,7 +1071,7 @@ impl EventBasedAnalyzer {
         if let Some(last) = self.last_key {
             if last > key {
                 let e = TraceError::NotTotallyOrdered { position: idx };
-                self.fatal = Some(e.clone());
+                e.clone().note(&mut self.error);
                 return Err(e.into());
             }
         }
@@ -1140,12 +1090,7 @@ impl EventBasedAnalyzer {
         // basis is already resolved needs none of the validation steps or
         // the dataflow machinery: apply the generic §4.2.3 rule and buffer
         // it directly. This is the bulk of any trace.
-        if self.scan_error.is_none()
-            && self.barrier_error.is_none()
-            && self.episode_error.is_none()
-            && is_plain_chain(&event.kind)
-            && self.procs[pi].is_some()
-        {
+        if self.error.is_none() && is_plain_chain(&event.kind) && self.procs[pi].is_some() {
             if let Some((_, b_tm, Some(b_ta))) = self.select_basis(event.proc, idx) {
                 let value = self.chain_value(&event, b_tm, b_ta);
                 let s = self.procs[pi].as_mut().expect("checked above");
@@ -1163,374 +1108,170 @@ impl EventBasedAnalyzer {
         }
 
         // --- Scan (validation) step, frozen by the first scan error. ----
-        // An `awaitE`'s pending await, and its advance if it has arrived.
-        let mut await_info: Option<(PendingAwait, Option<AdvanceRec>)> = None;
-        if self.scan_error.is_none() {
-            match event.kind {
-                EventKind::Advance { var, tag } => {
-                    if tag.is_pre_advanced() {
-                        self.scan_error = Some(TraceError::NegativeAdvanceTag { var, tag });
-                    } else {
-                        let rec = AdvanceRec { id: idx, ta: None };
-                        // Takes the ends waiting on the tag — they stop
-                        // being `MissingAdvance` candidates — for the
-                        // resolution step to wake.
-                        match self.advances.insert(var, tag, rec, &mut self.woken) {
-                            Inserted::Duplicate => {
-                                self.scan_error = Some(TraceError::DuplicateAdvance { var, tag });
-                            }
-                            stored => {
-                                if stored == Inserted::Spilled {
-                                    self.spills.advance += 1;
-                                    self.probes.advance_spill.inc();
-                                }
-                                if let Some(log) = &mut self.dirty_log {
-                                    log.push((var, tag));
-                                }
-                            }
-                        }
-                    }
-                }
-                EventKind::AwaitBegin { var, tag } => {
-                    let ps = &mut self.procs[pi];
-                    let nested = ps.as_ref().is_some_and(|s| s.pending_await.is_some());
-                    if nested {
-                        self.scan_error = Some(TraceError::NestedAwait {
-                            proc: event.proc,
-                            var,
-                            tag,
-                        });
-                    } else {
-                        let pending = PendingAwait {
-                            var,
-                            tag,
-                            begin_id: idx,
-                            begin_ta: None,
-                        };
-                        match ps {
-                            Some(s) => s.pending_await = Some(pending),
-                            None => {
-                                *ps = Some(ProcState {
-                                    // Placeholder; overwritten below before
-                                    // the frontier is consulted.
-                                    last_id: idx,
-                                    last_tm: event.time,
-                                    last_ta: None,
-                                    pending_await: Some(pending),
-                                });
-                                self.seen_procs.push(pi);
-                            }
-                        }
-                    }
-                }
-                EventKind::AwaitEnd { var, tag } => {
-                    let taken = self.procs[pi].as_mut().and_then(|s| s.pending_await.take());
-                    match taken {
-                        Some(p) if p.var == var && p.tag == tag => {
-                            let mut partner = None;
-                            if !tag.is_pre_advanced() {
-                                partner = self.advances.get(var, tag).copied();
-                                if partner.is_none() {
-                                    // Waits in the advance's slot: the
-                                    // advance's arrival wakes it, and until
-                                    // then it is a `MissingAdvance` candidate.
-                                    self.advances.add_waiter(var, tag, idx);
-                                }
-                            }
-                            await_info = Some((p, partner));
-                        }
-                        _ => {
-                            self.scan_error = Some(TraceError::UnmatchedAwaitEnd {
-                                proc: event.proc,
-                                var,
-                                tag,
-                            });
-                        }
-                    }
-                }
-                EventKind::ProgramBegin
-                | EventKind::ProgramEnd
-                | EventKind::LoopBegin { .. }
-                | EventKind::LoopEnd { .. }
-                | EventKind::IterationBegin { .. }
-                | EventKind::IterationEnd { .. }
-                | EventKind::Statement { .. }
-                | EventKind::BarrierEnter { .. }
-                | EventKind::BarrierExit { .. }
-                | EventKind::LockAcquire { .. }
-                | EventKind::LockRelease { .. }
-                | EventKind::SemAcquire { .. }
-                | EventKind::SemRelease { .. }
-                | EventKind::TaskFork { .. }
-                | EventKind::TaskJoin { .. }
-                | EventKind::Repeat { .. } => {}
-            }
-            if self.scan_error.is_some() {
-                return Ok(());
-            }
-        } else {
+        if self.error_rank() <= 1 {
             // Frozen: only the total-order check remains live.
             return Ok(());
         }
-
-        // --- Barrier (episode) step, frozen by the first barrier error. --
-        let mut exit_ep: Option<u64> = None;
-        if self.barrier_error.is_none() {
-            match event.kind {
-                EventKind::BarrierEnter { barrier } => {
-                    let uid = *self.open_by_barrier.entry(barrier).or_insert_with(|| {
-                        let uid = self.next_ep_uid;
-                        self.next_ep_uid += 1;
-                        self.episodes.insert(
-                            uid,
-                            Episode {
-                                barrier,
-                                enters: Vec::new(),
-                                exits: Vec::new(),
-                                first_exit_key: None,
-                                unresolved_enters: 0,
-                                closed: false,
-                                anchors: Vec::new(),
-                            },
-                        );
-                        uid
-                    });
-                    let ep = self.episodes.get_mut(&uid).expect("episode is open");
-                    if ep.enters.iter().any(|r| r.proc == event.proc) {
-                        self.barrier_error = Some(TraceError::BarrierProtocol {
-                            barrier,
-                            proc: event.proc,
-                        });
-                    } else {
-                        ep.enters.push(EnterRec {
-                            id: idx,
-                            proc: event.proc,
-                            key,
-                            ta: None,
-                        });
-                        ep.unresolved_enters += 1;
-                        self.ep_of_enter.insert(idx, uid);
-                    }
-                }
-                EventKind::BarrierExit { barrier } => {
-                    match self.open_by_barrier.get(&barrier).copied() {
-                        None => {
-                            self.barrier_error = Some(TraceError::BarrierProtocol {
-                                barrier,
-                                proc: event.proc,
-                            });
+        // An `awaitE`'s pending await, and its advance if it has arrived.
+        let mut await_info: Option<(PendingAwait, Option<AdvanceRec>)> = None;
+        match event.kind {
+            EventKind::Advance { var, tag } => {
+                if tag.is_pre_advanced() {
+                    TraceError::NegativeAdvanceTag { var, tag }.note(&mut self.error);
+                } else {
+                    let rec = AdvanceRec { id: idx, ta: None };
+                    // Takes the ends waiting on the tag — they stop
+                    // being `MissingAdvance` candidates — for the
+                    // resolution step to wake.
+                    match self.advances.insert(var, tag, rec, &mut self.woken) {
+                        Inserted::Duplicate => {
+                            TraceError::DuplicateAdvance { var, tag }.note(&mut self.error);
                         }
-                        Some(uid) => {
-                            let ep = self.episodes.get_mut(&uid).expect("episode is open");
-                            let entered = ep.enters.iter().any(|r| r.proc == event.proc);
-                            let exited = ep.exits.iter().any(|&(_, p)| p == event.proc);
-                            if !entered || exited {
-                                self.barrier_error = Some(TraceError::BarrierProtocol {
-                                    barrier,
-                                    proc: event.proc,
-                                });
-                            } else {
-                                ep.exits.push((idx, event.proc));
-                                if ep.first_exit_key.is_none() {
-                                    ep.first_exit_key = Some(key);
-                                }
-                                if ep.exits.len() == ep.enters.len() {
-                                    let last_enter_key =
-                                        ep.enters.last().expect("episode has enters").key;
-                                    let first_exit_key =
-                                        ep.first_exit_key.expect("episode has exits");
-                                    if first_exit_key < last_enter_key {
-                                        self.barrier_error =
-                                            Some(TraceError::BarrierExitBeforeLastEnter {
-                                                barrier,
-                                            });
-                                    } else {
-                                        ep.closed = true;
-                                        self.open_by_barrier.remove(&barrier);
-                                        exit_ep = Some(uid);
-                                    }
-                                } else {
-                                    exit_ep = Some(uid);
-                                }
+                        stored => {
+                            if stored == Inserted::Spilled {
+                                self.spills.advance += 1;
+                                self.probes.advance_spill.inc();
+                            }
+                            if let Some(log) = &mut self.dirty_log {
+                                log.push((var, tag));
                             }
                         }
                     }
                 }
-                EventKind::ProgramBegin
-                | EventKind::ProgramEnd
-                | EventKind::LoopBegin { .. }
-                | EventKind::LoopEnd { .. }
-                | EventKind::IterationBegin { .. }
-                | EventKind::IterationEnd { .. }
-                | EventKind::Statement { .. }
-                | EventKind::Advance { .. }
-                | EventKind::AwaitBegin { .. }
-                | EventKind::AwaitEnd { .. }
-                | EventKind::LockAcquire { .. }
-                | EventKind::LockRelease { .. }
-                | EventKind::SemAcquire { .. }
-                | EventKind::SemRelease { .. }
-                | EventKind::TaskFork { .. }
-                | EventKind::TaskJoin { .. }
-                | EventKind::Repeat { .. } => {}
             }
+            EventKind::AwaitBegin { var, tag } => {
+                let ps = &mut self.procs[pi];
+                let nested = ps.as_ref().is_some_and(|s| s.pending_await.is_some());
+                if nested {
+                    let proc = event.proc;
+                    TraceError::NestedAwait { proc, var, tag }.note(&mut self.error);
+                } else {
+                    let pending = PendingAwait {
+                        var,
+                        tag,
+                        begin_id: idx,
+                        begin_ta: None,
+                    };
+                    match ps {
+                        Some(s) => s.pending_await = Some(pending),
+                        None => {
+                            *ps = Some(ProcState {
+                                // Placeholder; overwritten below before
+                                // the frontier is consulted.
+                                last_id: idx,
+                                last_tm: event.time,
+                                last_ta: None,
+                                pending_await: Some(pending),
+                            });
+                            self.seen_procs.push(pi);
+                        }
+                    }
+                }
+            }
+            EventKind::AwaitEnd { var, tag } => {
+                let taken = self.procs[pi].as_mut().and_then(|s| s.pending_await.take());
+                match taken {
+                    Some(p) if p.var == var && p.tag == tag => {
+                        let mut partner = None;
+                        if !tag.is_pre_advanced() {
+                            partner = self.advances.get(var, tag).copied();
+                            if partner.is_none() {
+                                // Waits in the advance's slot: the
+                                // advance's arrival wakes it, and until
+                                // then it is a `MissingAdvance` candidate.
+                                self.advances.add_waiter(var, tag, idx);
+                            }
+                        }
+                        await_info = Some((p, partner));
+                    }
+                    _ => {
+                        let proc = event.proc;
+                        TraceError::UnmatchedAwaitEnd { proc, var, tag }.note(&mut self.error);
+                    }
+                }
+            }
+            EventKind::ProgramBegin
+            | EventKind::ProgramEnd
+            | EventKind::LoopBegin { .. }
+            | EventKind::LoopEnd { .. }
+            | EventKind::IterationBegin { .. }
+            | EventKind::IterationEnd { .. }
+            | EventKind::Statement { .. }
+            | EventKind::BarrierEnter { .. }
+            | EventKind::BarrierExit { .. }
+            | EventKind::LockAcquire { .. }
+            | EventKind::LockRelease { .. }
+            | EventKind::SemAcquire { .. }
+            | EventKind::SemRelease { .. }
+            | EventKind::TaskFork { .. }
+            | EventKind::TaskJoin { .. }
+            | EventKind::Repeat { .. } => {}
+        }
+        if self.error_rank() <= 1 {
+            return Ok(());
         }
 
-        // --- Lock/sem/task (episode) step, frozen by its first error. ----
-        // The barrier gate mirrors the batch validator, which collects
-        // barriers before episodes: once a barrier error is pending, no
-        // later episode verdict can matter.
-        //
+        // --- Episode step: the rulebook pairs the event. -----------------
+        // Barrier events reach it while no error of their rank (4) or
+        // below is pending — the batch validator's order, where a barrier
+        // error outranks any lock, semaphore or task error — and lock,
+        // semaphore and fork/join events while no error is pending.
+        let paired = match event.kind {
+            EventKind::BarrierEnter { .. } | EventKind::BarrierExit { .. } => self.error_rank() > 4,
+            EventKind::LockAcquire { .. }
+            | EventKind::LockRelease { .. }
+            | EventKind::SemAcquire { .. }
+            | EventKind::SemRelease { .. }
+            | EventKind::TaskFork { .. }
+            | EventKind::TaskJoin { .. } => self.error.is_none(),
+            EventKind::ProgramBegin
+            | EventKind::ProgramEnd
+            | EventKind::LoopBegin { .. }
+            | EventKind::LoopEnd { .. }
+            | EventKind::IterationBegin { .. }
+            | EventKind::IterationEnd { .. }
+            | EventKind::Statement { .. }
+            | EventKind::Advance { .. }
+            | EventKind::AwaitBegin { .. }
+            | EventKind::AwaitEnd { .. }
+            | EventKind::Repeat { .. } => false,
+        };
+        let mut exit_ep: Option<u64> = None;
         // `blocked`: this event completes an episode under the blocked
         // rule, with the enabling event's arrival index and resolved time
         // (if any). `basis_override`: a child's begin fork chains from its
         // spawn, not from its own processor's frontier.
         let mut blocked: Option<Option<(usize, Option<Time>)>> = None;
         let mut basis_override: Option<(usize, Time, Option<Time>)> = None;
-        if self.barrier_error.is_none() && self.episode_error.is_none() {
-            match event.kind {
-                EventKind::LockAcquire { lock } => {
-                    let st = self.locks.entry(lock).or_insert(LockSt {
-                        holder: None,
-                        last_release: None,
-                    });
-                    if st.holder.is_some() {
-                        self.episode_error = Some(TraceError::LockProtocol {
-                            lock,
-                            proc: event.proc,
-                        });
-                    } else {
-                        st.holder = Some(event.proc);
-                        let dep = st.last_release;
-                        blocked = Some(dep.map(|d| (d, self.take_dep(d))));
-                    }
+        match paired.then(|| self.tracker.push(&event, idx)) {
+            None => {}
+            Some(Err(e)) => e.note(&mut self.error),
+            Some(Ok(Pairing::Blocked { dep })) => {
+                blocked = Some(dep.map(|d| (d, self.take_dep(d))));
+            }
+            Some(Ok(Pairing::TaskBegin { spawn })) => {
+                let (tm, ta) = self.spawns.remove(&spawn).expect("an open spawn");
+                basis_override = Some((spawn, tm, ta));
+            }
+            Some(Ok(Pairing::BarrierExit { .. })) => exit_ep = Some(self.add_exit(&event, idx)),
+            Some(Ok(Pairing::None)) => match event.kind {
+                EventKind::BarrierEnter { barrier } => self.add_enter(barrier, &event, idx),
+                EventKind::TaskFork { .. } => {
+                    self.spawns.insert(idx, (event.time, None));
                 }
-                EventKind::LockRelease { lock } => {
-                    let held = self
-                        .locks
-                        .get_mut(&lock)
-                        .filter(|st| st.holder == Some(event.proc));
-                    match held {
-                        Some(st) => {
-                            st.holder = None;
-                            st.last_release = Some(idx);
-                            self.dep_ta.insert(idx, None);
-                        }
-                        None => {
-                            self.episode_error = Some(TraceError::LockProtocol {
-                                lock,
-                                proc: event.proc,
-                            });
-                        }
-                    }
-                }
-                EventKind::SemAcquire { sem } => {
-                    let dep = self.sems.entry(sem).or_default().pop_release();
-                    match dep {
-                        Some(d) => blocked = Some(Some((d, self.take_dep(d)))),
-                        None => {
-                            self.episode_error = Some(TraceError::SemUnderflow {
-                                sem,
-                                proc: event.proc,
-                            });
-                        }
-                    }
-                }
-                EventKind::SemRelease { sem } => {
-                    self.sems.entry(sem).or_default().releases.push(idx);
+                // A release, a V or a child end: an enabling event.
+                _ => {
                     self.dep_ta.insert(idx, None);
                 }
-                EventKind::TaskFork { task } => match self.tasks.entry(task) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(TaskSt {
-                            spawn_id: idx,
-                            spawn_tm: event.time,
-                            spawn_ta: None,
-                            spawn_proc: event.proc,
-                            child_proc: None,
-                            end_id: None,
-                            end_proc: None,
-                            last_proc: event.proc,
-                        });
-                        self.spawn_watch.insert(idx, task);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        let st = o.get_mut();
-                        st.last_proc = event.proc;
-                        if st.child_proc.is_some() || st.end_id.is_some() {
-                            self.episode_error = Some(TraceError::TaskProtocol {
-                                task,
-                                proc: event.proc,
-                            });
-                        } else {
-                            st.child_proc = Some(event.proc);
-                            basis_override = Some((st.spawn_id, st.spawn_tm, st.spawn_ta));
-                            let spawn_id = st.spawn_id;
-                            self.spawn_watch.remove(&spawn_id);
-                        }
-                    }
-                },
-                EventKind::TaskJoin { task } => {
-                    let mut ret_dep: Option<usize> = None;
-                    match self.tasks.get_mut(&task) {
-                        None => {
-                            self.episode_error = Some(TraceError::TaskProtocol {
-                                task,
-                                proc: event.proc,
-                            });
-                        }
-                        Some(st) => {
-                            st.last_proc = event.proc;
-                            if st.child_proc.is_none() {
-                                // A join before the child ever began.
-                                self.episode_error = Some(TraceError::TaskProtocol {
-                                    task,
-                                    proc: event.proc,
-                                });
-                            } else if st.end_id.is_none() {
-                                // The child's end: an enabling event.
-                                st.end_id = Some(idx);
-                                st.end_proc = Some(event.proc);
-                                self.dep_ta.insert(idx, None);
-                            } else if st.spawn_proc != event.proc || st.child_proc != st.end_proc {
-                                // Parent join-return, crosswise check: the
-                                // spawn/return pair and the begin/end pair
-                                // must each share a processor.
-                                self.episode_error = Some(TraceError::TaskProtocol {
-                                    task,
-                                    proc: event.proc,
-                                });
-                            } else {
-                                ret_dep = st.end_id;
-                            }
-                        }
-                    }
-                    if let Some(d) = ret_dep {
-                        self.tasks.remove(&task);
-                        blocked = Some(Some((d, self.take_dep(d))));
-                    }
-                }
-                EventKind::ProgramBegin
-                | EventKind::ProgramEnd
-                | EventKind::LoopBegin { .. }
-                | EventKind::LoopEnd { .. }
-                | EventKind::IterationBegin { .. }
-                | EventKind::IterationEnd { .. }
-                | EventKind::Statement { .. }
-                | EventKind::Advance { .. }
-                | EventKind::AwaitBegin { .. }
-                | EventKind::AwaitEnd { .. }
-                | EventKind::BarrierEnter { .. }
-                | EventKind::BarrierExit { .. }
-                | EventKind::Repeat { .. } => {}
-            }
+            },
+            Some(Ok(Pairing::Await { .. })) => unreachable!("the episode rulebook pairs no await"),
         }
 
         // --- Resolution step, meaningful only while no error is pending. -
-        if self.barrier_error.is_none() && self.episode_error.is_none() {
+        if self.error.is_none() {
             self.resolve_event(event, idx, await_info, exit_ep, blocked, basis_override);
         } else {
-            // Both errors are sticky, so resolution has stopped for good:
+            // An error is sticky, so resolution has stopped for good:
             // keep the waiting ends as they stand now, and wake nobody.
             if self.frozen_awaiting.is_none() {
                 self.frozen_awaiting = Some(self.advances.waiting_ends());
@@ -1623,63 +1364,29 @@ impl EventBasedAnalyzer {
         })
     }
 
-    /// The deferred validation verdict [`finish`](Self::finish) reports.
+    /// The deferred validation verdict [`finish`](Self::finish) reports:
+    /// the pending error, the first open `awaitB`, the first `awaitE`
+    /// whose advance never arrived and the rulebook's open episodes,
+    /// folded by [`TraceError::note`]'s rank rule; then any cyclic
+    /// dependency.
     fn verdict(&self) -> Result<(), AnalysisError> {
-        if let Some(e) = &self.fatal {
-            return Err(e.clone().into());
-        }
-        if let Some(e) = &self.scan_error {
-            return Err(e.clone().into());
-        }
-        for (i, ps) in self.procs.iter().enumerate() {
-            if let Some(p) = ps.as_ref().and_then(|s| s.pending_await) {
-                return Err(TraceError::UnmatchedAwaitBegin {
-                    proc: ProcessorId(i as u16),
-                    var: p.var,
-                    tag: p.tag,
-                }
-                .into());
-            }
-        }
+        let mut error = self.error.clone();
+        let open = self.procs.iter().enumerate().find_map(|(i, ps)| {
+            let p = ps.as_ref()?.pending_await?;
+            let (proc, var, tag) = (ProcessorId(i as u16), p.var, p.tag);
+            Some(TraceError::UnmatchedAwaitBegin { proc, var, tag })
+        });
         // The awaitE that arrived first among those whose advance never
         // did; each tag's ends are in arrival order.
-        let missing = self
-            .advances
-            .waiting_ends()
-            .into_iter()
+        let missing = (self.advances.waiting_ends().into_iter())
             .map(|(key, ends)| (ends[0], key))
-            .min();
-        if let Some((_, (var, tag))) = missing {
-            return Err(TraceError::MissingAdvance { var, tag }.into());
+            .min()
+            .map(|(_, (var, tag))| TraceError::MissingAdvance { var, tag });
+        for e in open.into_iter().chain(missing).chain(self.tracker.finish()) {
+            e.note(&mut error);
         }
-        if let Some(e) = &self.barrier_error {
-            return Err(e.clone().into());
-        }
-        if let Some((&barrier, &uid)) = self.open_by_barrier.iter().next() {
-            let ep = &self.episodes[&uid];
-            return Err(TraceError::BarrierArityMismatch {
-                barrier,
-                enters: ep.enters.len(),
-                exits: ep.exits.len(),
-            }
-            .into());
-        }
-        if let Some(e) = &self.episode_error {
-            return Err(e.clone().into());
-        }
-        if let Some((&lock, st)) = self.locks.iter().find(|(_, st)| st.holder.is_some()) {
-            return Err(TraceError::LockHeldAtEnd {
-                lock,
-                proc: st.holder.expect("found by holder"),
-            }
-            .into());
-        }
-        if let Some((&task, st)) = self.tasks.iter().next() {
-            return Err(TraceError::TaskProtocol {
-                task,
-                proc: st.last_proc,
-            }
-            .into());
+        if let Some(e) = error {
+            return Err(e.into());
         }
         if !self.parked.is_empty() {
             return Err(AnalysisError::CyclicDependencies {
@@ -1719,10 +1426,7 @@ impl EventBasedAnalyzer {
             last_key: self.last_key,
             last_tm: self.last_tm,
             serial_proc: self.serial_proc,
-            fatal: self.fatal.clone(),
-            scan_error: self.scan_error.clone(),
-            barrier_error: self.barrier_error.clone(),
-            episode_error: self.episode_error.clone(),
+            error: self.error.clone(),
             procs: self.procs.clone(),
             advances,
             missing_adv: {
@@ -1745,11 +1449,9 @@ impl EventBasedAnalyzer {
                 // on its tag's arrival.
                 None => waiting,
             },
-            locks: self.locks.iter().map(|(k, v)| (*k, v.clone())).collect(),
-            sems: self.sems.iter().map(|(k, v)| (*k, v.clone())).collect(),
-            tasks: self.tasks.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            tracker: self.tracker.clone(),
             dep_ta: sorted(&self.dep_ta),
-            spawn_watch: sorted(&self.spawn_watch),
+            spawns: sorted(&self.spawns),
             anchors: self.floors.counts(),
             buffer: self.buffer.sorted(),
             out: self.out.iter().copied().collect(),
@@ -1821,10 +1523,7 @@ impl EventBasedAnalyzer {
         a.last_key = s.last_key;
         a.last_tm = s.last_tm;
         a.serial_proc = s.serial_proc;
-        a.fatal = s.fatal;
-        a.scan_error = s.scan_error;
-        a.barrier_error = s.barrier_error;
-        a.episode_error = s.episode_error;
+        a.error = s.error;
         a.procs = s.procs;
         a.seen_procs = (0..a.procs.len())
             .filter(|&i| a.procs[i].is_some())
@@ -1847,7 +1546,9 @@ impl EventBasedAnalyzer {
         for (end, (var, tag)) in s.missing_adv {
             a.advances.add_waiter(var, tag, end);
         }
-        if a.barrier_error.is_some() || a.episode_error.is_some() {
+        // After a scan error the table stands still, so its waiting ends
+        // are the frozen ones too.
+        if a.error.is_some() {
             a.frozen_awaiting = Some(s.awaiting_advance);
         }
         a.latest_lb = s.latest_lb;
@@ -1862,11 +1563,9 @@ impl EventBasedAnalyzer {
         }
         a.next_ep_uid = s.next_ep_uid;
         a.parked = s.parked.into_iter().collect();
-        a.locks = s.locks.into_iter().collect();
-        a.sems = s.sems.into_iter().collect();
-        a.tasks = s.tasks.into_iter().collect();
+        a.tracker = s.tracker;
         a.dep_ta = s.dep_ta.into_iter().collect();
-        a.spawn_watch = s.spawn_watch.into_iter().collect();
+        a.spawns = s.spawns.into_iter().collect();
         a.floors = s.anchors.into_iter().collect();
         // A snapshot holds only what `buffer_event` buffered.
         a.buffer = s
@@ -2232,6 +1931,51 @@ impl EventBasedAnalyzer {
         self.woken.clear();
     }
 
+    /// The rank of the pending error; above every rank while none is.
+    fn error_rank(&self) -> u8 {
+        self.error.as_ref().map_or(u8::MAX, TraceError::precedence)
+    }
+
+    /// Adds an enter the rulebook accepted to its barrier's open
+    /// episode, opening one if there is none.
+    fn add_enter(&mut self, barrier: BarrierId, event: &Event, idx: usize) {
+        let uid = *self.open_by_barrier.entry(barrier).or_insert_with(|| {
+            let uid = self.next_ep_uid;
+            self.next_ep_uid += 1;
+            let ep = Episode {
+                barrier,
+                enters: Vec::new(),
+                exits: Vec::new(),
+                unresolved_enters: 0,
+                closed: false,
+                anchors: Vec::new(),
+            };
+            self.episodes.insert(uid, ep);
+            uid
+        });
+        let ep = self.episodes.get_mut(&uid).expect("episode is open");
+        let (id, proc) = (idx, event.proc);
+        ep.enters.push(EnterRec { id, proc, ta: None });
+        ep.unresolved_enters += 1;
+        self.ep_of_enter.insert(idx, uid);
+    }
+
+    /// Adds an exit the rulebook accepted to its barrier's open episode,
+    /// closing the episode with its last exit; returns the episode.
+    fn add_exit(&mut self, event: &Event, idx: usize) -> u64 {
+        let EventKind::BarrierExit { barrier } = event.kind else {
+            unreachable!("only a barrier exit pairs with an enter");
+        };
+        let uid = self.open_by_barrier[&barrier];
+        let ep = self.episodes.get_mut(&uid).expect("episode is open");
+        ep.exits.push(idx);
+        if ep.exits.len() == ep.enters.len() {
+            ep.closed = true;
+            self.open_by_barrier.remove(&barrier);
+        }
+        uid
+    }
+
     /// Consumes a live enabling event's resolved time — the blocked side
     /// claims it exactly once.
     fn take_dep(&mut self, dep: usize) -> Option<Time> {
@@ -2470,13 +2214,9 @@ impl EventBasedAnalyzer {
                 // A spawn still awaiting its child's begin: hold the
                 // resolved time as a watermark floor until the begin fork
                 // takes ownership of it.
-                if let Some(&task) = self.spawn_watch.get(&idx) {
-                    if let Some(st) = self.tasks.get_mut(&task) {
-                        if st.spawn_id == idx {
-                            st.spawn_ta = Some(value);
-                            self.floors.add(value);
-                        }
-                    }
+                if let Some((_, ta)) = self.spawns.get_mut(&idx) {
+                    *ta = Some(value);
+                    self.floors.add(value);
                 }
             }
             EventKind::ProgramBegin
@@ -2551,7 +2291,7 @@ impl EventBasedAnalyzer {
                 },
             });
         }
-        for (exit_id, _) in ep.exits {
+        for exit_id in ep.exits {
             let node = self
                 .parked
                 .get_mut(&exit_id)
@@ -2812,82 +2552,42 @@ mod tests {
         }
     }
 
-    /// `SemSt::releases` used to keep one slot per V for the life of the
-    /// trace; it now holds the outstanding V's (and at most as many
-    /// consumed ones again).
+    /// The rulebook's semaphore state is its V queues, which hold the
+    /// outstanding V's, not one slot per V of the trace: the tracker's
+    /// bytes stay within a queue's doubling slack of the peak
+    /// outstanding count, on a trace with twenty times as many V's.
     #[test]
     fn semaphore_state_is_bounded_by_outstanding_releases() {
         let events = semaphore_events(400);
         let oh = OverheadSpec::alliant_default();
         let mut a = EventBasedAnalyzer::new(&oh);
         let (mut total, mut outstanding, mut peak_outstanding) = (0usize, 0usize, 0usize);
+        let (mut sems, mut peak_bytes) = (std::collections::BTreeSet::new(), 0);
         for e in &events {
             a.push(*e).unwrap();
             while a.next_output().is_some() {}
             match e.kind {
-                EventKind::SemRelease { .. } => (total, outstanding) = (total + 1, outstanding + 1),
+                EventKind::SemRelease { sem } => {
+                    (total, outstanding) = (total + 1, outstanding + 1);
+                    sems.insert(sem);
+                }
                 EventKind::SemAcquire { .. } => outstanding -= 1,
                 _ => {}
             }
             peak_outstanding = peak_outstanding.max(outstanding);
-            let held: usize = a.sems.values().map(|s| s.releases.len()).sum();
-            let live: usize = a.sems.values().map(|s| s.releases.len() - s.acquired).sum();
-            assert_eq!(live, outstanding);
-            assert!(
-                held <= 2 * outstanding + a.sems.len(),
-                "{held} slots for {outstanding} V's"
-            );
+            peak_bytes = peak_bytes.max(a.tracker.heap_bytes());
         }
+        let entry = std::mem::size_of::<(ppa_trace::SemId, VecDeque<usize>)>();
+        let slots = 4 + 2 * peak_outstanding;
+        assert!(
+            peak_bytes <= sems.len() * (entry + slots * std::mem::size_of::<usize>()),
+            "{peak_bytes} bytes for {peak_outstanding} outstanding V's"
+        );
         assert!(
             total > 20 * peak_outstanding,
             "the trace must make the bound mean something"
         );
         a.finish().unwrap();
-    }
-
-    /// A snapshot written before consumed slots were trimmed — the whole
-    /// V history with `acquired` pointing into it — restores and resumes
-    /// to exactly the uninterrupted run's outputs.
-    #[test]
-    fn untrimmed_semaphore_snapshot_resumes_identically() {
-        let events = semaphore_events(60);
-        let oh = OverheadSpec::alliant_default();
-        let (want, want_stats) = run(EventBasedAnalyzer::new(&oh), &events);
-        for split in [events.len() / 3, events.len() / 2, events.len() - 5] {
-            let mut first = EventBasedAnalyzer::new(&oh);
-            let mut got = Vec::new();
-            let mut consumed = BTreeMap::<SemId, Vec<usize>>::new();
-            for e in &events[..split] {
-                // What the old analyzer would still be holding: every V
-                // a P has consumed, in arrival order.
-                if let EventKind::SemAcquire { sem } = e.kind {
-                    let st = &first.sems[&sem];
-                    consumed
-                        .entry(sem)
-                        .or_default()
-                        .push(st.releases[st.acquired]);
-                }
-                first.push(*e).unwrap();
-                got.extend(std::iter::from_fn(|| first.next_output()));
-            }
-            let mut image = first.snapshot();
-            let mut untrimmed = 0;
-            for (sem, st) in &mut image.sems {
-                let history = consumed.remove(sem).unwrap_or_default();
-                let outstanding = st.releases.split_off(st.acquired);
-                st.releases = history;
-                st.acquired = st.releases.len();
-                st.releases.extend(outstanding);
-                untrimmed += st.acquired;
-            }
-            assert!(untrimmed > 0, "the old layout must differ from the new one");
-            let json = serde_json::to_string(&image).unwrap();
-            let image: AnalyzerSnapshot = serde_json::from_str(&json).unwrap();
-            let (rest, stats) = run(EventBasedAnalyzer::restore(&image), &events[split..]);
-            got.extend(rest);
-            assert_eq!(got, want, "split at {split}");
-            assert_eq!(stats, want_stats);
-        }
     }
 
     /// A DOACROSS stream caught mid-park: two ends wait in the slot of an

@@ -31,23 +31,6 @@ pub fn render_bars(title: &str, groups: &[BarGroup], width: usize) -> String {
     out
 }
 
-/// Renders a compact single-series bar chart (one bar per label).
-pub fn render_simple_bars(title: &str, bars: &[(String, f64)], width: usize) -> String {
-    let groups: Vec<BarGroup> = bars
-        .iter()
-        .map(|(l, v)| (String::new(), vec![(l.clone(), *v)]))
-        .collect();
-    let mut s = render_bars(title, &groups, width);
-    // Drop the empty group-label lines.
-    s = s
-        .lines()
-        .filter(|l| !l.is_empty() || l.contains('|'))
-        .collect::<Vec<_>>()
-        .join("\n");
-    s.push('\n');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +59,7 @@ mod tests {
 
     #[test]
     fn zero_values_render() {
-        let s = render_simple_bars("t", &[("a".into(), 0.0)], 10);
+        let s = render_bars("t", &[(String::new(), vec![("a".into(), 0.0)])], 10);
         assert!(s.contains("0.00"));
     }
 }

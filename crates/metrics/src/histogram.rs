@@ -60,16 +60,6 @@ impl SpanHistogram {
             .checked_div(self.count)
             .map_or(Span::ZERO, Span::from_nanos)
     }
-
-    /// The bucket index holding the most samples.
-    pub fn mode_bucket(&self) -> Option<usize> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &c)| (c, i))
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, _)| i)
-    }
 }
 
 /// Histogram of all (nonzero) synchronization waits in an analysis
@@ -130,14 +120,12 @@ mod tests {
         let h = SpanHistogram::from_spans([]);
         assert_eq!(h.count, 0);
         assert_eq!(h.mean(), Span::ZERO);
-        assert_eq!(h.mode_bucket(), None);
     }
 
     #[test]
     fn mode_and_mean() {
         let h =
             SpanHistogram::from_spans([100u64, 110, 120, 5000].into_iter().map(Span::from_nanos));
-        assert_eq!(h.mode_bucket(), Some(6)); // 64..128ns holds three
         assert_eq!(h.mean(), Span::from_nanos((100 + 110 + 120 + 5000) / 4));
     }
 

@@ -26,13 +26,13 @@ mod timeline;
 mod waiting;
 
 pub use census::{census, census_delta, format_census, CensusDelta, TraceCensus};
-pub use chart::{render_bars, render_simple_bars, BarGroup};
+pub use chart::{render_bars, BarGroup};
 pub use decompose::{decompose_slowdown, format_decomposition, SlowdownDecomposition};
 pub use export::{write_parallelism_csv, write_ratios_csv, write_timeline_csv, write_waiting_csv};
 pub use histogram::{render_histogram, wait_histogram, SpanHistogram};
 pub use order::{order_perturbation, OrderPerturbation};
 pub use parallelism::{parallelism_profile, render_parallelism, ParallelismProfile};
-pub use ratio::{format_ratio_table, signed_error_pct, RatioRow};
+pub use ratio::{format_ratio_table, RatioRow};
 pub use timeline::{build_timeline, loop_windows, render_timeline, Interval, ProcState, Timeline};
 pub use waiting::{format_waiting_table, waiting_table, ProcWaiting, WaitingTable};
 

@@ -63,11 +63,6 @@ impl RatioRow {
     }
 }
 
-/// Signed error of a ratio in percent.
-pub fn signed_error_pct(ratio: f64) -> f64 {
-    (ratio - 1.0) * 100.0
-}
-
 /// Formats a ratio table with paper values beside reproduced ones.
 pub fn format_ratio_table(title: &str, rows: &[RatioRow]) -> String {
     let mut out = String::new();
@@ -158,11 +153,5 @@ mod tests {
         assert!(t.contains("lfk04"));
         assert!(t.contains("4.56"));
         assert!(t.lines().count() >= 4);
-    }
-
-    #[test]
-    fn signed_error() {
-        assert!((signed_error_pct(0.96) + 4.0).abs() < 1e-9);
-        assert!((signed_error_pct(1.06) - 6.0).abs() < 1e-9);
     }
 }

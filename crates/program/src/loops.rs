@@ -105,12 +105,6 @@ impl Loop {
     pub fn sync_statements(&self) -> impl Iterator<Item = &Statement> + '_ {
         self.body.iter().filter(|s| s.kind.is_sync())
     }
-
-    /// Number of statement events one iteration emits under full statement
-    /// instrumentation (sync statements excluded — those emit sync events).
-    pub fn compute_statement_count(&self) -> usize {
-        self.body.iter().filter(|s| !s.kind.is_sync()).count()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +139,6 @@ mod tests {
         assert_eq!(l.pre_await_cost(), 100);
         assert_eq!(l.critical_cost(), 30);
         assert_eq!(l.sync_statements().count(), 2);
-        assert_eq!(l.compute_statement_count(), 3);
     }
 
     #[test]

@@ -166,9 +166,10 @@ pub struct SessionOutcome {
 }
 
 /// Reads exactly `buf.len()` bytes, polling so a blocked read still
-/// honors daemon shutdown and the idle deadline. Marker error kinds:
-/// `TimedOut` = idle eviction, `ConnectionAborted` = shutdown,
-/// `UnexpectedEof` = peer hung up mid-frame.
+/// honors daemon shutdown and the idle deadline, which each read that
+/// makes progress restarts. Marker error kinds: `TimedOut` = idle
+/// eviction, `ConnectionAborted` = shutdown, `UnexpectedEof` = peer hung
+/// up mid-frame.
 fn read_exact_polled(
     sock: &mut impl Read,
     ctx: &ServerCtx,
@@ -176,50 +177,21 @@ fn read_exact_polled(
     buf: &mut [u8],
 ) -> io::Result<()> {
     let mut filled = 0;
-    let mut idle_since = Instant::now();
     while filled < buf.len() {
-        if ctx.should_stop() {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "daemon is shutting down",
-            ));
-        }
-        match sock.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => {
-                filled += n;
-                idle_since = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if idle_since.elapsed() >= idle {
-                    return Err(io::Error::new(io::ErrorKind::TimedOut, "session idle"));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+        filled += read_some_polled(sock, ctx, idle, &mut buf[filled..])?;
     }
     Ok(())
 }
 
-/// One polled read of up to `buf.len()` bytes (at least 1 on success).
+/// One polled read of up to `buf.len()` bytes (at least 1 on success),
+/// with the same marker error kinds as [`read_exact_polled`].
 fn read_some_polled(
     sock: &mut impl Read,
     ctx: &ServerCtx,
     idle: Duration,
     buf: &mut [u8],
 ) -> io::Result<usize> {
-    let mut idle_since = Instant::now();
+    let idle_since = Instant::now();
     loop {
         if ctx.should_stop() {
             return Err(io::Error::new(
@@ -244,7 +216,6 @@ fn read_some_polled(
                 if idle_since.elapsed() >= idle {
                     return Err(io::Error::new(io::ErrorKind::TimedOut, "session idle"));
                 }
-                let _ = &mut idle_since;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),

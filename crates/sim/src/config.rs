@@ -72,14 +72,6 @@ impl SimConfig {
         }
     }
 
-    /// A single-processor configuration (sequential/vector experiments).
-    pub fn uniprocessor() -> Self {
-        SimConfig {
-            processors: 1,
-            ..Self::alliant_fx80()
-        }
-    }
-
     /// Replaces the overhead specification.
     pub fn with_overheads(mut self, overheads: OverheadSpec) -> Self {
         self.overheads = overheads;
@@ -141,6 +133,5 @@ mod tests {
                 amplitude_permille: 100
             })
         );
-        assert_eq!(SimConfig::uniprocessor().processors, 1);
     }
 }

@@ -66,13 +66,6 @@ pub struct SimStats {
     pub instr_overhead: Span,
 }
 
-impl SimStats {
-    /// The stats of the loop with the given id, if it executed.
-    pub fn loop_stats(&self, loop_id: LoopId) -> Option<&LoopStats> {
-        self.loops.iter().find(|l| l.loop_id == loop_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,12 +91,5 @@ mod tests {
             assignment: vec![],
         };
         assert_eq!(ls.span(), Span::from_nanos(50));
-        let stats = SimStats {
-            loops: vec![ls.clone()],
-            events: 0,
-            instr_overhead: Span::ZERO,
-        };
-        assert_eq!(stats.loop_stats(LoopId(3)), Some(&ls));
-        assert_eq!(stats.loop_stats(LoopId(9)), None);
     }
 }

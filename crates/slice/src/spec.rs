@@ -303,11 +303,6 @@ impl SliceSpec {
         *self == SliceSpec::default()
     }
 
-    /// True when the spec constrains time (and the skip index can help).
-    pub fn has_window(&self) -> bool {
-        self.since.is_some() || self.until.is_some()
-    }
-
     /// Evaluates the conjunction against one event.
     pub fn matches(&self, e: &Event) -> bool {
         if self.since.is_some_and(|s| e.time < s) || self.until.is_some_and(|u| e.time >= u) {

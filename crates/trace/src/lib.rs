@@ -69,7 +69,7 @@ pub use time::{ClockRate, Span, Time};
 pub use trace::{merge_streams, Trace, TraceKind};
 pub use validate::{
     pair_sync_events, pair_sync_events_strict, AwaitPair, BarrierEpisode, EpisodeFamily,
-    EpisodePair, Pairing, SyncIndex, SyncTracker, TraceError,
+    EpisodePair, EpisodeTracker, Pairing, SyncIndex, SyncTracker, TraceError,
 };
 
 #[cfg(test)]

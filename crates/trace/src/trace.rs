@@ -10,7 +10,6 @@ use crate::event::{Event, EventKind};
 use crate::ids::ProcessorId;
 use crate::time::{Span, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Provenance of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -53,12 +52,6 @@ impl Trace {
     #[inline]
     pub fn kind(&self) -> TraceKind {
         self.kind
-    }
-
-    /// Re-labels the provenance (e.g. after an analysis rewrites times).
-    pub fn with_kind(mut self, kind: TraceKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// Appends an event; it must not order before the current last event.
@@ -126,15 +119,6 @@ impl Trace {
         procs
     }
 
-    /// Per-processor event index lists, in per-thread (== total) order.
-    pub fn per_processor(&self) -> BTreeMap<ProcessorId, Vec<usize>> {
-        let mut map: BTreeMap<ProcessorId, Vec<usize>> = BTreeMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            map.entry(e.proc).or_default().push(i);
-        }
-        map
-    }
-
     /// Events emitted by one processor, in order.
     pub fn thread(&self, proc: ProcessorId) -> impl Iterator<Item = &Event> + '_ {
         self.events.iter().filter(move |e| e.proc == proc)
@@ -148,16 +132,6 @@ impl Trace {
     /// Counts synchronization (advance/await) events.
     pub fn sync_event_count(&self) -> usize {
         self.count_where(EventKind::is_sync)
-    }
-
-    /// Rewrites every event's timestamp through `f`, then restores total
-    /// order (the rewrite may reorder events across processors).
-    pub fn map_times(mut self, mut f: impl FnMut(&Event) -> Time) -> Trace {
-        for e in &mut self.events {
-            e.time = f(&*e);
-        }
-        self.events.sort_by_key(Event::order_key);
-        self
     }
 
     /// Checks that the container's order invariant holds (used by tests and
@@ -189,20 +163,6 @@ impl Trace {
             .events
             .iter()
             .filter(|e| e.proc == proc)
-            .copied()
-            .collect();
-        Trace {
-            kind: self.kind,
-            events,
-        }
-    }
-
-    /// Returns the sub-trace of events whose kind satisfies `pred`.
-    pub fn filter_kind(&self, mut pred: impl FnMut(&EventKind) -> bool) -> Trace {
-        let events = self
-            .events
-            .iter()
-            .filter(|e| pred(&e.kind))
             .copied()
             .collect();
         Trace {
@@ -297,9 +257,6 @@ mod tests {
             TraceKind::Measured,
             vec![ev(1, 0, 0), ev(2, 1, 1), ev(3, 0, 2), ev(4, 2, 3)],
         );
-        let by_proc = t.per_processor();
-        assert_eq!(by_proc[&ProcessorId(0)], vec![0, 2]);
-        assert_eq!(by_proc[&ProcessorId(1)], vec![1]);
         assert_eq!(
             t.processors(),
             vec![ProcessorId(0), ProcessorId(1), ProcessorId(2)]
@@ -314,15 +271,6 @@ mod tests {
         let t = merge_streams(TraceKind::Measured, vec![s0, s1]);
         let times: Vec<u64> = t.iter().map(|e| e.time.as_nanos()).collect();
         assert_eq!(times, vec![1, 2, 5, 9]);
-    }
-
-    #[test]
-    fn map_times_restores_order() {
-        let t = Trace::from_events(TraceKind::Measured, vec![ev(10, 0, 0), ev(20, 1, 1)]);
-        // Invert the times: the map must re-sort.
-        let t2 = t.map_times(|e| Time::from_nanos(100 - e.time.as_nanos()));
-        assert!(t2.is_totally_ordered());
-        assert_eq!(t2.events()[0].proc, ProcessorId(1));
     }
 
     #[test]
@@ -357,11 +305,6 @@ mod tests {
         let p = t.filter_proc(ProcessorId(0));
         assert_eq!(p.len(), 2);
         assert!(p.iter().all(|e| e.proc == ProcessorId(0)));
-
-        let k = t.filter_kind(|k| matches!(k, EventKind::Statement { .. }));
-        assert_eq!(k.len(), 4);
-        let none = t.filter_kind(EventKind::is_sync);
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::ids::{BarrierId, LockId, ProcessorId, SemId, SyncTag, SyncVarId, Task
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 /// Validation failure.
@@ -81,7 +81,7 @@ pub enum TraceError {
 
 impl TraceError {
     /// The error's rank in [`pair_sync_events`]' precedence; lower wins.
-    fn precedence(&self) -> u8 {
+    pub fn precedence(&self) -> u8 {
         use TraceError as E;
         match self {
             E::NotTotallyOrdered { .. } => 0,
@@ -93,6 +93,16 @@ impl TraceError {
             E::BarrierProtocol { .. } => 4,
             E::LockProtocol { .. } | E::LockHeldAtEnd { .. } => 5,
             E::SemUnderflow { .. } | E::TaskProtocol { .. } => 5,
+        }
+    }
+
+    /// Keeps the error that decides a trace in `pending`: this one
+    /// replaces the pending error if it ranks lower, and within a rank
+    /// the first stays.
+    pub fn note(self, pending: &mut Option<TraceError>) {
+        match pending {
+            Some(p) if p.precedence() <= self.precedence() => {}
+            _ => *pending = Some(self),
         }
     }
 }
@@ -247,14 +257,6 @@ pub struct SyncIndex {
     pub task_spawns: Vec<(usize, usize)>,
 }
 
-impl SyncIndex {
-    /// Looks up the episode pair whose blocked event is at trace index
-    /// `event`.
-    pub fn episode_by_event(&self, event: usize) -> Option<&EpisodePair> {
-        self.episodes.iter().find(|p| p.event == event)
-    }
-}
-
 /// What a synchronization event pairs with, as [`SyncTracker::push`]
 /// reports it, in the caller's stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,15 +282,15 @@ pub enum Pairing<S> {
 }
 
 /// The streaming sync-protocol rulebook: advance/await pairing by tag,
-/// barrier episodes, and lock, semaphore and fork/join episodes.
+/// and, through its [`EpisodeTracker`], barrier episodes and lock,
+/// semaphore and fork/join episodes.
 ///
 /// Feed events in stream order with [`push`](Self::push), each with a
 /// stamp of the caller's choosing (an event index, a sequence number, an
 /// approximated time); [`finish`](Self::finish) reports what is still
 /// open. Each rule is a [`TraceError`] variant. An advance may follow its
 /// `awaitE` (a measured advance is stamped after its own
-/// instrumentation); a barrier episode closes when its exits match its
-/// enters; a task id is free again once joined.
+/// instrumentation).
 ///
 /// An event that breaks a rule changes no state, so a caller that
 /// collects every violation can carry on. The one exception is an exit
@@ -296,26 +298,39 @@ pub enum Pairing<S> {
 /// closes. The total order is the caller's to check.
 #[derive(Debug, Clone, Default)]
 pub struct SyncTracker<S> {
-    /// Barrier episodes are checked by their counts only.
-    counting: bool,
     /// The open `awaitB` on each processor.
     awaits: Vec<Option<(SyncVarId, SyncTag, S)>>,
     advances: HashMap<(SyncVarId, SyncTag), S>,
     /// Tags awaited before their advance was seen: the first such
     /// `awaitE`.
     waiting: HashMap<(SyncVarId, SyncTag), S>,
+    episodes: EpisodeTracker<S>,
+}
+
+/// The barrier, lock, semaphore and fork/join rules of [`SyncTracker`],
+/// on their own, for a caller that keeps advance/await state itself.
+///
+/// A barrier episode closes when its exits match its enters; a lock
+/// acquire pairs with the previous release, the k-th P with the k-th V,
+/// a join-return with its child's end, and a task id is free again once
+/// joined. The state is key-sorted, so equal trackers serialize to equal
+/// bytes, and holds only what is open (the V's no P has consumed yet).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct EpisodeTracker<S> {
+    /// Barrier episodes are checked by their counts only.
+    counting: bool,
     /// Each barrier's open episode and its latest enter.
-    barriers: HashMap<BarrierId, (Episode, Option<S>)>,
+    barriers: BTreeMap<BarrierId, (Episode, Option<S>)>,
     /// Each lock's holder and latest release.
-    locks: HashMap<LockId, (Option<ProcessorId>, Option<S>)>,
+    locks: BTreeMap<LockId, (Option<ProcessorId>, Option<S>)>,
     /// The V's no P has consumed yet, oldest first.
-    sems: HashMap<SemId, VecDeque<S>>,
-    tasks: HashMap<TaskId, Task<S>>,
+    sems: BTreeMap<SemId, VecDeque<S>>,
+    tasks: BTreeMap<TaskId, Task<S>>,
 }
 
 /// Who entered and exited a barrier's open episode; idle while empty.
 /// It outlives the episode, so the next one reuses its lists.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Episode {
     entered: Vec<ProcessorId>,
     exited: Vec<ProcessorId>,
@@ -323,7 +338,7 @@ struct Episode {
     late_enter: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Task<S> {
     spawn: S,
     spawn_proc: ProcessorId,
@@ -342,10 +357,9 @@ impl<S: Copy + Ord> SyncTracker<S> {
     where
         S: Default,
     {
-        SyncTracker {
-            counting: true,
-            ..SyncTracker::default()
-        }
+        let mut tracker = SyncTracker::default();
+        tracker.episodes.counting = true;
+        tracker
     }
 
     /// Feeds the next event in stream order, stamped `stamp`: returns
@@ -354,14 +368,6 @@ impl<S: Copy + Ord> SyncTracker<S> {
         use TraceError as E;
         let proc = e.proc;
         match e.kind {
-            EventKind::ProgramBegin
-            | EventKind::ProgramEnd
-            | EventKind::LoopBegin { .. }
-            | EventKind::LoopEnd { .. }
-            | EventKind::IterationBegin { .. }
-            | EventKind::IterationEnd { .. }
-            | EventKind::Statement { .. }
-            | EventKind::Repeat { .. } => Ok(Pairing::None),
             EventKind::Advance { var, tag } => {
                 if tag.is_pre_advanced() {
                     return Err(E::NegativeAdvanceTag { var, tag });
@@ -398,6 +404,54 @@ impl<S: Copy + Ord> SyncTracker<S> {
                     needs_advance,
                 })
             }
+            // Every other kind is the episode rules' to decide.
+            _ => self.episodes.push(e, stamp),
+        }
+    }
+
+    fn open_await(&mut self, proc: ProcessorId) -> &mut Option<(SyncVarId, SyncTag, S)> {
+        if proc.index() >= self.awaits.len() {
+            self.awaits.resize(proc.index() + 1, None);
+        }
+        &mut self.awaits[proc.index()]
+    }
+
+    /// Closes the stream and returns what is still open, in this order:
+    /// `awaitB`s by processor, tags awaited without an advance by their
+    /// first `awaitE`, then [`EpisodeTracker::finish`]'s.
+    pub fn finish(self) -> Vec<TraceError> {
+        use TraceError as E;
+        let open = self.awaits.into_iter().enumerate().filter_map(|(p, open)| {
+            let ((var, tag, _), proc) = (open?, ProcessorId(p as u16));
+            Some(E::UnmatchedAwaitBegin { proc, var, tag })
+        });
+        // Hash maps iterate in no fixed order: sorted by first `awaitE`.
+        let mut missing: Vec<_> = self.waiting.into_iter().collect();
+        missing.sort_by_key(|&((var, tag), s)| (s, var, tag));
+        let missing = (missing.into_iter()).map(|((var, tag), _)| E::MissingAdvance { var, tag });
+        open.chain(missing).chain(self.episodes.finish()).collect()
+    }
+}
+
+impl<S: Copy + Ord> EpisodeTracker<S> {
+    /// Feeds the next barrier, lock, semaphore or fork/join event in
+    /// stream order, stamped `stamp`: returns what it pairs with, or the
+    /// rule it breaks. Any other event pairs with nothing here.
+    pub fn push(&mut self, e: &Event, stamp: S) -> Result<Pairing<S>, TraceError> {
+        use TraceError as E;
+        let proc = e.proc;
+        match e.kind {
+            EventKind::ProgramBegin
+            | EventKind::ProgramEnd
+            | EventKind::LoopBegin { .. }
+            | EventKind::LoopEnd { .. }
+            | EventKind::IterationBegin { .. }
+            | EventKind::IterationEnd { .. }
+            | EventKind::Statement { .. }
+            | EventKind::Repeat { .. }
+            | EventKind::Advance { .. }
+            | EventKind::AwaitBegin { .. }
+            | EventKind::AwaitEnd { .. } => Ok(Pairing::None),
             EventKind::BarrierEnter { barrier } => {
                 let (ep, last_enter) = self.barriers.entry(barrier).or_default();
                 if !self.counting && ep.entered.contains(&proc) {
@@ -454,7 +508,7 @@ impl<S: Copy + Ord> SyncTracker<S> {
                 Ok(Pairing::None)
             }
             EventKind::TaskFork { task } => match self.tasks.entry(task) {
-                Entry::Vacant(v) => {
+                btree_map::Entry::Vacant(v) => {
                     v.insert(Task {
                         spawn: stamp,
                         spawn_proc: proc,
@@ -464,10 +518,10 @@ impl<S: Copy + Ord> SyncTracker<S> {
                     });
                     Ok(Pairing::None)
                 }
-                Entry::Occupied(o) if o.get().child_proc.is_some() => {
+                btree_map::Entry::Occupied(o) if o.get().child_proc.is_some() => {
                     Err(E::TaskProtocol { task, proc })
                 }
-                Entry::Occupied(mut o) => {
+                btree_map::Entry::Occupied(mut o) => {
                     let st = o.get_mut();
                     (st.child_proc, st.last_proc) = (Some(proc), proc);
                     Ok(Pairing::TaskBegin { spawn: st.spawn })
@@ -493,54 +547,49 @@ impl<S: Copy + Ord> SyncTracker<S> {
         }
     }
 
-    fn open_await(&mut self, proc: ProcessorId) -> &mut Option<(SyncVarId, SyncTag, S)> {
-        if proc.index() >= self.awaits.len() {
-            self.awaits.resize(proc.index() + 1, None);
-        }
-        &mut self.awaits[proc.index()]
+    /// Closes the stream and returns what is still open, each rule's by
+    /// id in this order: barrier episodes, held locks, unjoined tasks.
+    pub fn finish(&self) -> Vec<TraceError> {
+        use TraceError as E;
+        let episodes = self
+            .barriers
+            .iter()
+            .filter(|(_, (ep, _))| !ep.entered.is_empty());
+        let episodes = episodes.map(|(&barrier, (ep, _))| E::BarrierArityMismatch {
+            barrier,
+            enters: ep.entered.len(),
+            exits: ep.exited.len(),
+        });
+        let held = (self.locks.iter()).filter_map(|(&lock, &(holder, _))| {
+            Some(E::LockHeldAtEnd {
+                lock,
+                proc: holder?,
+            })
+        });
+        let tasks = (self.tasks.iter()).map(|(&task, st)| E::TaskProtocol {
+            task,
+            proc: st.last_proc,
+        });
+        episodes.chain(held).chain(tasks).collect()
     }
 
-    /// Closes the stream and returns what is still open, in this order:
-    /// `awaitB`s by processor, tags awaited without an advance by their
-    /// first `awaitE`, barrier episodes by id, held locks by id, and
-    /// unjoined tasks by id.
-    pub fn finish(self) -> Vec<TraceError> {
-        use TraceError as E;
-        // Hash maps iterate in no fixed order: each rule's errors are
-        // sorted by their key.
-        fn sorted<K: Ord>(errors: impl Iterator<Item = (K, E)>) -> impl Iterator<Item = E> {
-            let mut v: Vec<(K, E)> = errors.collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v.into_iter().map(|(_, e)| e)
+    /// Heap bytes of the open state: each map's entries, the barrier
+    /// episodes' lists and the semaphores' V queues.
+    pub fn heap_bytes(&self) -> usize {
+        fn entries<K, V>(m: &BTreeMap<K, V>) -> usize {
+            m.len() * std::mem::size_of::<(K, V)>()
         }
-        let open = self.awaits.into_iter().enumerate().filter_map(|(p, open)| {
-            let ((var, tag, _), proc) = (open?, ProcessorId(p as u16));
-            Some(E::UnmatchedAwaitBegin { proc, var, tag })
-        });
-        let missing = (self.waiting.into_iter())
-            .map(|((var, tag), s)| ((s, var, tag), E::MissingAdvance { var, tag }));
-        let episodes = self.barriers.into_iter().filter_map(|(barrier, (ep, _))| {
-            let (enters, exits) = (ep.entered.len(), ep.exited.len());
-            (enters > 0).then_some((
-                barrier,
-                E::BarrierArityMismatch {
-                    barrier,
-                    enters,
-                    exits,
-                },
-            ))
-        });
-        let held = self.locks.into_iter().filter_map(|(lock, (holder, _))| {
-            let proc = holder?;
-            Some((lock, E::LockHeldAtEnd { lock, proc }))
-        });
-        let tasks = self.tasks.into_iter().map(|(task, st)| {
-            let proc = st.last_proc;
-            (task, E::TaskProtocol { task, proc })
-        });
-        (open.chain(sorted(missing)).chain(sorted(episodes)))
-            .chain(sorted(held).chain(sorted(tasks)))
-            .collect()
+        let lists = (self.barriers.values())
+            .map(|(ep, _)| ep.entered.capacity() + ep.exited.capacity())
+            .sum::<usize>()
+            * std::mem::size_of::<ProcessorId>();
+        let queues = (self.sems.values()).map(|q| q.capacity() * std::mem::size_of::<S>());
+        entries(&self.barriers)
+            + entries(&self.locks)
+            + entries(&self.sems)
+            + entries(&self.tasks)
+            + lists
+            + queues.sum::<usize>()
     }
 }
 
@@ -580,10 +629,7 @@ fn pair_sync_events_impl(trace: &Trace, strict: bool) -> Result<SyncIndex, Trace
         return Err(TraceError::NotTotallyOrdered { position: pos });
     }
     let mut verdict: Option<TraceError> = None;
-    let mut note = |e: TraceError| match &verdict {
-        Some(v) if v.precedence() <= e.precedence() => {}
-        _ => verdict = Some(e),
-    };
+    let mut note = |e: TraceError| e.note(&mut verdict);
     let mut tracker = SyncTracker::default();
     let mut index = SyncIndex::default();
     let mut open: HashMap<BarrierId, BarrierEpisode> = HashMap::new();
@@ -1005,7 +1051,6 @@ mod tests {
         assert_eq!(idx.episodes[0].dep, None);
         assert_eq!(idx.episodes[1].dep, Some(1));
         assert_eq!(idx.episodes[1].proc, ProcessorId(1));
-        assert_eq!(idx.episode_by_event(2), Some(&idx.episodes[1]));
     }
 
     #[test]
